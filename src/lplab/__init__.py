@@ -15,6 +15,7 @@ from .errors import (
     InvalidArgumentError,
     LabError,
     LevelStalledError,
+    PoolBudgetError,
     PreconditionViolationError,
 )
 from .grid import (
@@ -49,6 +50,7 @@ from .gallery import (
     default_probe_dictionary,
     generate,
     generate_vector,
+    member_pool,
     weak_probe,
     weak_star_probe,
 )

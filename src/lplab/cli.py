@@ -58,6 +58,8 @@ from .gallery import (
     NOT_CONVERGING,
     SequenceSpec,
     VectorSequenceSpec,
+    _check_pool_budget,
+    _loglog_slope,
     default_probe_dictionary,
     generate_vector,
     weak_probe,
@@ -231,8 +233,10 @@ def build_config(raw: dict) -> ScenarioConfig:
         levels = int(raw.get("levels", 4))
         expect = dict(raw.get("expect") or {})
         output_dir = str(raw.get("output_dir", "."))
-        # surface aliasing-guard refusals as configuration errors up front
+        # surface aliasing-guard and pool-budget refusals as configuration
+        # errors up front
         generate_vector(seq, horizon, grid)
+        _check_pool_budget(horizon, seq.m, grid.node_count)
     except KeyError as err:
         raise ConfigError(f"missing config field {err.args[0]!r}") from None
     except (TypeError, ValueError, InvalidArgumentError) as err:
@@ -289,10 +293,11 @@ def _cesaro_phase(cfg: ScenarioConfig, trace):
         slope = None
         detail = "curve identically zero (convergence exact)"
     else:
-        ks = np.arange(1, values.size + 1, dtype=float)
-        pos = values > 0
-        slope = float(np.polyfit(np.log(ks[pos]), np.log(values[pos]), 1)[0])
-        detail = f"slope={slope:.4f}"
+        slope = _loglog_slope(np.arange(1, values.size + 1, dtype=float), values)
+        if slope is None:
+            detail = "fewer than two positive points; no slope fit"
+        else:
+            detail = f"slope={slope:.4f}"
     ok = True
     window = cfg.expect.get("cesaro_slope")
     if window is not None and slope is not None:

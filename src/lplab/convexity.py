@@ -38,15 +38,14 @@ from .errors import (
     LevelStalledError,
     PreconditionViolationError,
 )
-from .extraction import banach_saks_extract, szlenk_extract
+from .extraction import _banach_saks_select, _szlenk_select
 from .gallery import (
     CONVERGING,
-    SequenceSpec,
     VectorSequenceSpec,
+    _centred,
+    _loglog_slope,
+    _probed_pool,
     default_probe_dictionary,
-    generate_vector,
-    weak_probe,
-    weak_star_probe,
 )
 from .grid import RegionMask, VectorField, truncate_region
 from .norms import INFINITY, _check_exponent
@@ -199,10 +198,6 @@ class ConvexSetSpec:
         )
 
 
-def _region_points(u: VectorField, region: RegionMask) -> np.ndarray:
-    return u.matrix().T[region.included]
-
-
 def _check_membership(points: np.ndarray, K: ConvexSetSpec, region: RegionMask, label: str):
     ok = K.contains(points)
     if not ok.all():
@@ -217,16 +212,19 @@ def _check_membership(points: np.ndarray, K: ConvexSetSpec, region: RegionMask, 
         )
 
 
+def _require_region_grid(u: VectorField, region: RegionMask) -> None:
+    if region.grid is not u.grid:
+        raise InvalidArgumentError("field and region live on different grids")
+
+
 def _composite_values(
     f: ConvexFunctionSpec,
-    u: VectorField,
+    points: np.ndarray,
     region: RegionMask,
     K: ConvexSetSpec | None,
     label: str,
 ) -> np.ndarray:
-    if region.grid is not u.grid:
-        raise InvalidArgumentError("field and region live on different grids")
-    points = _region_points(u, region)
+    """f at the (n_region, m) points sampled at the region's nodes, after the K check."""
     if K is not None:
         _check_membership(points, K, region, label)
     if points.shape[0] == 0:
@@ -246,7 +244,9 @@ def evaluate_composite(
     violation names the offending node.
     """
     region = region if region is not None else RegionMask.full(u.grid)
-    values = _composite_values(f, u, region, K, "composite integrand")
+    _require_region_grid(u, region)
+    points = u.matrix().T[region.included]
+    values = _composite_values(f, points, region, K, "composite integrand")
     if values.size == 0:
         return 0.0
     return float(np.dot(region.grid.weights[region.included], values))
@@ -320,43 +320,29 @@ class WeakStarReport:
     passed: bool
 
 
-def _centered_spec(
-    seq: VectorSequenceSpec,
-    limit: VectorField,
-    grid,
-    horizon: int,
-    mask: np.ndarray | None = None,
-) -> VectorSequenceSpec:
-    """Custom spec holding u_i - u (optionally zeroed outside a mask)."""
-    tables = [dict() for _ in range(seq.m)]
-    for i in range(1, horizon + 1):
-        u = generate_vector(seq, i, grid)
-        for j in range(seq.m):
-            diff = u.components[j].samples - limit.components[j].samples
-            if mask is not None:
-                diff = np.where(mask, diff, 0.0)
-            tables[j][i] = diff
-    return VectorSequenceSpec([SequenceSpec(kind="custom", table=t) for t in tables])
-
-
 def _replay(
-    seq: VectorSequenceSpec,
+    pool: np.ndarray,
+    members: np.ndarray,
     limit: VectorField,
     f: ConvexFunctionSpec,
     region: RegionMask,
     p: float,
-    horizon: int,
     szlenk_levels: int,
-    restrict_extraction: bool,
 ) -> CesaroReplay:
-    grid = limit.grid
-    mask = region.included if restrict_extraction else None
-    centered = _centered_spec(seq, limit, grid, horizon, mask=mask)
+    """Replay the proof chain; members is the pool at the region's nodes."""
+    limit_samples = limit.matrix()
+    inc = region.included
+    w = region.grid.weights[inc]
     try:
         if p == 1.0:
-            _, trace = szlenk_extract(centered, grid, szlenk_levels, horizon)
+            # The p = 1 extraction is restricted to the region.  Outside it the
+            # centred members would be zero and add nothing to any selection
+            # sum, so the extraction reads the region's nodes only.
+            centred = _centred(members, limit_samples[:, inc])
+            _, trace = _szlenk_select(centred, w, szlenk_levels)
         else:
-            trace = banach_saks_extract(centered, p, grid, horizon)
+            centred = _centred(pool, limit_samples)
+            trace = _banach_saks_select(centred, p, limit.grid.weights)
     except (ExtractionStalledError, LevelStalledError) as err:
         trace = getattr(err, "trace", None)
         if trace is None or trace.length < 8:
@@ -373,17 +359,12 @@ def _replay(
     if float(values.max()) <= 1e-12:
         slope, converged = None, True
     else:
-        ks = np.arange(1, values.size + 1, dtype=float)
-        pos = values > 0.0
-        if int(pos.sum()) >= 2:
-            slope = float(np.polyfit(np.log(ks[pos]), np.log(values[pos]), 1)[0])
-        else:
+        slope = _loglog_slope(np.arange(1, values.size + 1, dtype=float), values)
+        if slope is None:
             slope = 0.0
         converged = slope < -0.05
 
     # Jensen nodewise along the extracted family, on the region nodes only.
-    inc = region.included
-    w = region.grid.weights[inc]
     length = trace.length
     running_points = None
     running_f = None
@@ -392,7 +373,7 @@ def _replay(
     tail_min_field = None
     tail_integral_min = math.inf
     for k, idx in enumerate(trace.indices, start=1):
-        pts = generate_vector(seq, idx, grid).matrix().T[inc]
+        pts = members[idx - 1].T
         fv = f(pts)
         if running_points is None:
             running_points = pts.copy()
@@ -425,19 +406,25 @@ def _replay(
     )
 
 
+def _region_members(pool: np.ndarray, limit: VectorField, region: RegionMask) -> np.ndarray:
+    """The pool's samples at the region's nodes, as a (horizon, m, n_region) array."""
+    _require_region_grid(limit, region)
+    return np.compress(region.included, pool, axis=2)
+
+
 def _verify_on_region(
-    seq: VectorSequenceSpec,
+    members: np.ndarray,
     limit: VectorField,
     f: ConvexFunctionSpec,
     K: ConvexSetSpec,
     region: RegionMask,
-    horizon: int,
     probe,
     replay: CesaroReplay | None,
 ) -> LiminfReport:
-    grid = limit.grid
+    horizon = members.shape[0]
+    inc = region.included
     try:
-        limit_values = _composite_values(f, limit, region, K, "limit field")
+        limit_values = _composite_values(f, limit.matrix().T[inc], region, K, "limit field")
     except DomainViolationError as err:
         raise PreconditionViolationError(
             f"values-in-K hypothesis failed for the limit: {err}",
@@ -448,12 +435,11 @@ def _verify_on_region(
             f"nonnegativity hypothesis failed on the limit: f reaches {limit_values.min()}",
             hypothesis="nonnegativity of f",
         )
-    weights = region.grid.weights[region.included]
+    weights = region.grid.weights[inc]
     alphas = np.empty(horizon)
     for i in range(1, horizon + 1):
-        u = generate_vector(seq, i, grid)
         try:
-            values = _composite_values(f, u, region, K, f"sequence member {i}")
+            values = _composite_values(f, members[i - 1].T, region, K, f"sequence member {i}")
         except DomainViolationError as err:
             raise PreconditionViolationError(
                 f"values-in-K hypothesis failed at sequence index {i}: {err}",
@@ -482,6 +468,23 @@ def _verify_on_region(
         probe=probe,
         replay=replay,
     )
+
+
+def _replay_and_verify(
+    pool: np.ndarray,
+    limit: VectorField,
+    f: ConvexFunctionSpec,
+    K: ConvexSetSpec,
+    region: RegionMask,
+    probe,
+    p: float,
+    szlenk_levels: int,
+) -> LiminfReport:
+    # The region's gather is freed on return, before a caller looping over
+    # regions makes the next one.
+    members = _region_members(pool, limit, region)
+    replay = _replay(pool, members, limit, f, region, p, szlenk_levels)
+    return _verify_on_region(members, limit, f, K, region, probe, replay)
 
 
 def liminf_verify(
@@ -519,17 +522,13 @@ def liminf_verify(
         )
     grid = limit.grid
     dictionary = dictionary or default_probe_dictionary(grid)
-    probe = weak_probe(seq, limit, p, dictionary, horizon)
+    pool, probe = _probed_pool(seq, limit, p, dictionary, horizon)
     if probe.verdict != CONVERGING:
         raise PreconditionViolationError(
             f"weak convergence probe hypothesis failed: verdict {probe.verdict!r}",
             hypothesis="weak convergence probe",
         )
-    replay = _replay(
-        seq, limit, f, region, p, horizon, szlenk_levels,
-        restrict_extraction=(p == 1.0),
-    )
-    return _verify_on_region(seq, limit, f, K, region, horizon, probe, replay)
+    return _replay_and_verify(pool, limit, f, K, region, probe, p, szlenk_levels)
 
 
 def weak_star_verify(
@@ -561,7 +560,7 @@ def weak_star_verify(
         )
     grid = limit.grid
     dictionary = dictionary or default_probe_dictionary(grid)
-    probe = weak_star_probe(seq, limit, dictionary, horizon)
+    pool, probe = _probed_pool(seq, limit, INFINITY, dictionary, horizon)
     if probe.verdict != CONVERGING:
         raise PreconditionViolationError(
             f"weak* convergence probe hypothesis failed: verdict {probe.verdict!r}",
@@ -571,11 +570,7 @@ def weak_star_verify(
     limit_integrals = []
     for radius in radii:
         truncated = truncate_region(region, radius)
-        replay = _replay(
-            seq, limit, f, truncated, 1.0, horizon, szlenk_levels,
-            restrict_extraction=True,
-        )
-        report = _verify_on_region(seq, limit, f, K, truncated, horizon, probe, replay)
+        report = _replay_and_verify(pool, limit, f, K, truncated, probe, 1.0, szlenk_levels)
         reports.append(report)
         limit_integrals.append(report.limit_integral)
     monotone = all(
@@ -619,10 +614,11 @@ def mazur_scenario_verify(
         raise InvalidArgumentError(f"horizon must be >= 8, got {horizon}")
     grid = limit.grid
     dictionary = dictionary or default_probe_dictionary(grid)
-    probe = weak_star_probe(seq, limit, dictionary, horizon)
+    pool, probe = _probed_pool(seq, limit, INFINITY, dictionary, horizon)
     if probe.verdict != CONVERGING:
         raise PreconditionViolationError(
             f"weak* convergence probe hypothesis failed: verdict {probe.verdict!r}",
             hypothesis="weak* convergence probe",
         )
-    return _verify_on_region(seq, limit, f, K, region, horizon, probe, None)
+    members = _region_members(pool, limit, region)
+    return _verify_on_region(members, limit, f, K, region, probe, None)

@@ -59,6 +59,29 @@ class LevelStalledError(LabError):
         self.completed = completed if completed is not None else []
 
 
+class PoolBudgetError(InvalidArgumentError):
+    """A member pool would exceed the byte budget; nothing was allocated.
+
+    Carries the pool's shape and the bytes it asked for.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        horizon: int,
+        m: int,
+        node_count: int,
+        requested_bytes: int,
+        budget_bytes: int,
+    ):
+        super().__init__(message)
+        self.horizon = horizon
+        self.m = m
+        self.node_count = node_count
+        self.requested_bytes = requested_bytes
+        self.budget_bytes = budget_bytes
+
+
 class InternalConsistencyError(LabError):
     """A quantity that must be monotone or consistent by construction was not."""
 

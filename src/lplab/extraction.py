@@ -35,7 +35,7 @@ from .errors import (
     LevelStalledError,
     PreconditionViolationError,
 )
-from .gallery import VectorSequenceSpec, generate_vector
+from .gallery import VectorSequenceSpec, _loglog_slope, member_pool
 from .grid import QuadratureGrid
 
 __all__ = [
@@ -255,14 +255,6 @@ class ExtractionTrace:
         return out
 
 
-def _pool_matrix(seq: VectorSequenceSpec, grid: QuadratureGrid, horizon: int) -> np.ndarray:
-    if horizon < 1:
-        raise InvalidArgumentError(f"pool horizon must be >= 1, got {horizon}")
-    return np.stack(
-        [generate_vector(seq, i, grid).matrix() for i in range(1, horizon + 1)]
-    )
-
-
 def _product_norm_p(weights: np.ndarray, samples: np.ndarray, p: float) -> float:
     # samples is (m, N); returns (sum_j integral |s_j|^p)^(1/p)
     return float(np.einsum("n,jn->", weights, np.abs(samples) ** p) ** (1.0 / p))
@@ -290,9 +282,16 @@ def banach_saks_extract(
             f"recursive selection needs finite p > 1 (got {p}); the p = 1 route "
             "is szlenk_extract"
         )
-    pool = _pool_matrix(seq, grid, horizon)
-    w = grid.weights
-    member_norms = np.einsum("n,ijn->i", w, np.abs(pool) ** p) ** (1.0 / p)
+    return _banach_saks_select(member_pool(seq, grid, horizon), p, grid.weights)
+
+
+def _banach_saks_select(pool: np.ndarray, p: float, w: np.ndarray) -> ExtractionTrace:
+    """Recursive threshold selection over a (horizon, m, N) member pool."""
+    horizon = pool.shape[0]
+    powered = np.abs(pool)
+    powered **= p  # in place: one pool-sized temporary instead of two
+    member_norms = np.einsum("n,ijn->i", w, powered) ** (1.0 / p)
+    del powered
     sup = float(member_norms.max())
     factor = max(1.0, sup)
     if factor > 1.0:
@@ -473,8 +472,14 @@ def szlenk_extract(
     """
     if levels < 1:
         raise InvalidArgumentError(f"need at least one level, got {levels}")
-    pool = _pool_matrix(seq, grid, horizon)
-    w = grid.weights
+    return _szlenk_select(member_pool(seq, grid, horizon), grid.weights, levels)
+
+
+def _szlenk_select(
+    pool: np.ndarray, w: np.ndarray, levels: int
+) -> tuple[SzlenkSchedule, ExtractionTrace]:
+    """Level/diagonal selection over a (horizon, m, N) member pool."""
+    horizon = pool.shape[0]
     member_norms = np.einsum("n,ijn->i", w, np.abs(pool))
     sup = float(member_norms.max())
     factor = max(1.0, sup)
@@ -482,6 +487,9 @@ def szlenk_extract(
         pool = pool / factor
     m = pool.shape[1]
 
+    # One scratch row for every per-candidate and per-pick temporary: on large
+    # grids a fresh temporary each time costs several times the arithmetic.
+    scratch = np.empty_like(pool[0])
     level_lists = []
     previous = list(range(1, horizon + 1))
     for level in range(1, levels + 1):
@@ -490,7 +498,8 @@ def szlenk_extract(
         s = np.zeros_like(pool[0])
         for idx in previous:
             k = len(chosen) + 1
-            trial = float(np.einsum("n,jn->", w, np.abs(s + pool[idx - 1]))) / k
+            np.add(s, pool[idx - 1], out=scratch)
+            trial = float(np.einsum("n,jn->", w, np.abs(scratch, out=scratch))) / k
             if trial <= max(target, k ** -0.5) + 1e-12:
                 chosen.append(idx)
                 s += pool[idx - 1]
@@ -517,10 +526,11 @@ def szlenk_extract(
         if r == 1:
             pairings.append(np.zeros(m))
         else:
-            sgn_w = np.sign(s) * w
-            pairings.append(np.einsum("jn,jn->j", sgn_w, u))
+            np.sign(s, out=scratch)
+            scratch *= w
+            pairings.append(np.einsum("jn,jn->j", scratch, u))
         s += u
-        partial = np.einsum("n,jn->j", w, np.abs(s))
+        partial = np.einsum("n,jn->j", w, np.abs(s, out=scratch))
         partials.append(partial)
         cesaro.append(float(partial.sum()) / r)
         if r <= levels:
@@ -591,5 +601,4 @@ def decay_rate_fit(curve) -> float:
             "curve has nonpositive values; convergence is already exact"
         )
     half = pts[pts.shape[0] // 2 :]
-    coef = np.polyfit(np.log(half[:, 0]), np.log(half[:, 1]), 1)
-    return float(coef[0])
+    return _loglog_slope(half[:, 0], half[:, 1])

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, InvalidArgumentError
+from .errors import GridMismatchError, InvalidArgumentError, PoolBudgetError
 from .grid import QuadratureGrid, ScalarField, VectorField
-from .norms import INFINITY, _check_exponent, dual_pairing
+from .norms import INFINITY, _check_exponent
 
 __all__ = [
     "OSCILLATORY",
@@ -45,6 +45,7 @@ __all__ = [
     "ProbeReport",
     "generate",
     "generate_vector",
+    "member_pool",
     "weak_probe",
     "weak_star_probe",
     "default_probe_dictionary",
@@ -66,6 +67,11 @@ INCONCLUSIVE = "inconclusive"
 _DECAY_FACTOR = 1e-2
 _FLAT_SLOPE = -0.05
 _ZERO_RESIDUAL = 1e-12
+
+# Largest member pool, in bytes, that member_pool allocates.  A larger pool is
+# refused before anything is allocated, never chunked: every stage reads the
+# whole pool.
+POOL_BUDGET_BYTES = 256 * 2 ** 20
 
 
 @dataclass
@@ -161,6 +167,27 @@ def _walsh_mask(i: int, max_level: int) -> int:
     )
 
 
+def _rademacher_mask(i: int, grid: QuadratureGrid) -> int:
+    max_level = _max_dyadic_level(grid.axis_resolution(0), grid.axis_length(0))
+    if max_level < 1:
+        raise InvalidArgumentError(
+            f"resolution {grid.axis_resolution(0)} cannot resolve any dyadic sign pattern"
+        )
+    return _walsh_mask(i, max_level)
+
+
+def _walsh_product(mask: int, sign_row, out: np.ndarray) -> np.ndarray:
+    """Fill out with the product of the mask's level sign rows, lowest level first."""
+    out.fill(1.0)
+    level = 1
+    while mask:
+        if mask & 1:
+            out *= sign_row(level)
+        mask >>= 1
+        level += 1
+    return out
+
+
 def generate(spec: SequenceSpec, i: int, grid: QuadratureGrid) -> ScalarField:
     """Sample the i-th member of the sequence on the grid.
 
@@ -185,20 +212,9 @@ def generate(spec: SequenceSpec, i: int, grid: QuadratureGrid) -> ScalarField:
             )
         samples = spec.amplitude * np.sin(2.0 * np.pi * i * spec.base * x1)
     elif spec.kind == RADEMACHER:
-        max_level = _max_dyadic_level(n1, length)
-        if max_level < 1:
-            raise InvalidArgumentError(
-                f"resolution {n1} cannot resolve any dyadic sign pattern"
-            )
-        mask = _walsh_mask(i, max_level)
-        samples = np.ones(grid.node_count)
-        level = 1
-        while mask:
-            if mask & 1:
-                samples = samples * _dyadic_sign(x1, level)
-            mask >>= 1
-            level += 1
-        samples = spec.amplitude * samples
+        row = np.empty(grid.node_count)
+        _walsh_product(_rademacher_mask(i, grid), lambda level: _dyadic_sign(x1, level), row)
+        samples = spec.amplitude * row
     elif spec.kind == SPIKE:
         if i > n1:
             raise InvalidArgumentError(
@@ -225,6 +241,54 @@ def generate_vector(spec: VectorSequenceSpec, i: int, grid: QuadratureGrid) -> V
     return VectorField([generate(c, i, grid) for c in spec.components])
 
 
+def _check_pool_budget(horizon: int, m: int, node_count: int) -> None:
+    requested = horizon * m * node_count * 8
+    if requested > POOL_BUDGET_BYTES:
+        raise PoolBudgetError(
+            f"a pool of horizon {horizon}, m = {m} on N = {node_count} nodes needs "
+            f"{requested} bytes, over the budget of {POOL_BUDGET_BYTES} bytes",
+            horizon=horizon,
+            m=m,
+            node_count=node_count,
+            requested_bytes=requested,
+            budget_bytes=POOL_BUDGET_BYTES,
+        )
+
+
+def member_pool(seq: VectorSequenceSpec, grid: QuadratureGrid, horizon: int) -> np.ndarray:
+    """Members u_1..u_horizon as one read-only (horizon, m, N) array.
+
+    Row [i-1, j] is bitwise equal to ``generate(seq.components[j], i,
+    grid).samples`` and the same errors are raised, in the same index order.
+    Rademacher rows are products of one sign row per dyadic level, each
+    computed once per call.  A pool larger than ``POOL_BUDGET_BYTES`` is
+    refused with ``PoolBudgetError`` before anything is allocated.
+    """
+    if horizon < 1:
+        raise InvalidArgumentError(f"pool horizon must be >= 1, got {horizon}")
+    _check_pool_budget(horizon, seq.m, grid.node_count)
+    n = grid.node_count
+    x1 = grid.nodes[:, 0]
+    levels = {}
+
+    def sign_row(level: int) -> np.ndarray:
+        if level not in levels:
+            levels[level] = _dyadic_sign(x1, level)
+        return levels[level]
+
+    pool = np.empty((horizon, seq.m, n))
+    for i in range(1, horizon + 1):
+        for j, comp in enumerate(seq.components):
+            if comp.kind == RADEMACHER:
+                row = _walsh_product(_rademacher_mask(i, grid), sign_row, pool[i - 1, j])
+                row *= comp.amplitude
+                ScalarField(grid, row)  # the finite-sample check generate applies
+            else:
+                pool[i - 1, j] = generate(comp, i, grid).samples
+    pool.setflags(write=False)
+    return pool
+
+
 def default_probe_dictionary(grid: QuadratureGrid) -> list:
     """Constant 1, every coordinate function, and x1^2.
 
@@ -237,13 +301,15 @@ def default_probe_dictionary(grid: QuadratureGrid) -> list:
     return fields
 
 
-def _loglog_slope(residuals: np.ndarray) -> float:
-    idx = np.arange(1, residuals.size + 1, dtype=float)
-    pos = residuals > 0.0
-    if pos.sum() < 2:
-        return 0.0
-    coef = np.polyfit(np.log(idx[pos]), np.log(residuals[pos]), 1)
-    return float(coef[0])
+def _loglog_slope(ks: np.ndarray, values: np.ndarray) -> float | None:
+    """Least-squares slope of log(values) against log(ks) over positive values.
+
+    None when fewer than two values are positive: no line is determined.
+    """
+    pos = values > 0.0
+    if int(pos.sum()) < 2:
+        return None
+    return float(np.polyfit(np.log(ks[pos]), np.log(values[pos]), 1)[0])
 
 
 def _classify(residuals: np.ndarray, slope: float) -> str:
@@ -258,6 +324,50 @@ def _classify(residuals: np.ndarray, slope: float) -> str:
     if slope >= _FLAT_SLOPE and tail_floor >= _DECAY_FACTOR * initial:
         return NOT_CONVERGING
     return INCONCLUSIVE
+
+
+def _centred(samples: np.ndarray, limit_samples: np.ndarray) -> np.ndarray:
+    """samples - limit_samples, broadcast over leading axes.
+
+    Subtracting a zero limit changes no bit, so the samples come back as they
+    are instead of through a pool-sized temporary.
+    """
+    return samples - limit_samples if limit_samples.any() else samples
+
+
+def _probed_pool(
+    seq: VectorSequenceSpec,
+    limit: VectorField,
+    p: float,
+    dictionary: list,
+    horizon: int,
+) -> tuple[np.ndarray, ProbeReport]:
+    """Check the probe's arguments, build the member pool and probe it."""
+    _check_exponent(p)
+    if horizon < 8:
+        raise InvalidArgumentError(f"probe horizon must be >= 8, got {horizon}")
+    if not dictionary:
+        raise InvalidArgumentError("the probe dictionary must be nonempty")
+    if limit.m != seq.m:
+        raise InvalidArgumentError(
+            f"limit has {limit.m} components, sequence has {seq.m}"
+        )
+    grid = limit.grid
+    for v in dictionary:
+        if v.grid is not grid:
+            raise GridMismatchError("dictionary fields live on a different grid")
+
+    pool = member_pool(seq, grid, horizon)
+    weighted = np.stack([v.samples for v in dictionary], axis=1) * grid.weights[:, None]
+    residuals = np.zeros(horizon)
+    for j, lim in enumerate(limit.components):
+        pairings = _centred(pool[:, j], lim.samples) @ weighted
+        residuals = np.maximum(residuals, np.abs(pairings).max(axis=1))
+    slope = _loglog_slope(np.arange(1, horizon + 1, dtype=float), residuals)
+    if slope is None:
+        slope = 0.0
+    verdict = _classify(residuals, slope)
+    return pool, ProbeReport(np.arange(1, horizon + 1), residuals, verdict, slope)
 
 
 def weak_probe(
@@ -275,31 +385,7 @@ def weak_probe(
     the initial one, ``not-converging`` when the curve is flat and bounded
     away from zero over the last half of the horizon, else ``inconclusive``.
     """
-    _check_exponent(p)
-    if horizon < 8:
-        raise InvalidArgumentError(f"probe horizon must be >= 8, got {horizon}")
-    if not dictionary:
-        raise InvalidArgumentError("the probe dictionary must be nonempty")
-    if limit.m != seq.m:
-        raise InvalidArgumentError(
-            f"limit has {limit.m} components, sequence has {seq.m}"
-        )
-    grid = limit.grid
-    for v in dictionary:
-        if v.grid is not grid:
-            raise GridMismatchError("dictionary fields live on a different grid")
-
-    residuals = np.empty(horizon)
-    for i in range(1, horizon + 1):
-        worst = 0.0
-        for j, comp in enumerate(seq.components):
-            diff = generate(comp, i, grid) - limit.components[j]
-            for v in dictionary:
-                worst = max(worst, abs(dual_pairing(diff, v)))
-        residuals[i - 1] = worst
-    slope = _loglog_slope(residuals)
-    verdict = _classify(residuals, slope)
-    return ProbeReport(np.arange(1, horizon + 1), residuals, verdict, slope)
+    return _probed_pool(seq, limit, p, dictionary, horizon)[1]
 
 
 def weak_star_probe(

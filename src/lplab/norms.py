@@ -51,8 +51,7 @@ def lp_norm(f: ScalarField, p: float, region: RegionMask | None = None) -> float
     Zero-weight nodes are null sets and do not contribute to the sup norm.
     """
     p = _check_exponent(p)
-    region = _require_shared_grid(f, region)
-    inc = region.included
+    inc = _require_shared_grid(f, region)
     vals = f.samples[inc]
     w = f.grid.weights[inc]
     if vals.size == 0:
@@ -85,8 +84,7 @@ def dual_pairing(f: ScalarField, g: ScalarField, region: RegionMask | None = Non
     """Bilinear pairing: the weighted sum of f*g over the included nodes."""
     if g.grid is not f.grid:
         raise GridMismatchError("paired fields live on different grids")
-    region = _require_shared_grid(f, region)
-    inc = region.included
+    inc = _require_shared_grid(f, region)
     w = f.grid.weights[inc]
     return float(np.dot(w, f.samples[inc] * g.samples[inc]))
 

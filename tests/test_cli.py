@@ -48,6 +48,9 @@ def test_config_digest_is_stable():
         {"m": 3},
         {"R_schedule": [1.0]},  # R schedule without the sup exponent
         {"horizon": 128},  # 512 nodes cannot resolve 128 oscillation cycles
+        # a 512 MiB member pool, over the pool budget
+        {"grid": {"dimension": 1, "box": [[0.0, 1.0]], "resolution": [1 << 20]},
+         "horizon": 64},
     ],
 )
 def test_config_validation_errors(overrides):
@@ -169,3 +172,21 @@ def test_cli_verify_lemma1_json_export(tmp_path):
     assert [c["p"] for c in consts] == [2.0, 3.0]
     assert set(consts[0]) == {"p", "E_p", "A", "B", "scan_range", "scan_step"}
     assert consts[1]["B"] == pytest.approx(3.0)
+
+
+def test_cli_extract_single_positive_cesaro_point_writes_manifest(tmp_path, capsys):
+    # Members +1, -1, then zeros: the Cesaro curve is [1, 0, 0, ...], so no
+    # log-log line through its positive points exists.
+    table = {"1": [1.0] * 64, "2": [-1.0] * 64}
+    table.update({str(i): [0.0] * 64 for i in range(3, 9)})
+    path = tmp_path / "one-point.json"
+    path.write_text(json.dumps(_base_config(
+        grid={"dimension": 1, "box": [[0.0, 1.0]], "resolution": [64]},
+        sequence=[{"kind": "custom", "params": {"table": table}}],
+        horizon=8,
+    )))
+    rc = main(["extract", "--config", str(path), "--output-dir", str(tmp_path / "out")])
+    assert rc in (0, 1)
+    manifest = json.loads((tmp_path / "out" / "unit.manifest.json").read_text())
+    cesaro = next(p for p in manifest["phases"] if p["name"] == "cesaro")
+    assert "no slope fit" in cesaro["detail"]

@@ -54,6 +54,21 @@ def test_grid_invariants_enforced():
         QuadratureGrid(1, [[0.25], [0.75]], [0.5, -0.5], [[0.0, 1.0]])
 
 
+def test_uniform_grid_needs_no_distinctness_scan(monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("np.unique scanned the nodes of a uniform grid")
+
+    monkeypatch.setattr(np, "unique", no_scan)
+    g = build_uniform_grid([[0.0, 1.0], [-1.0, 1.0]], [16, 8])
+    assert g.node_count == 128
+
+
+def test_uniform_grid_rejects_collapsed_axis():
+    # two ulps of width cannot hold 100 distinct midpoints
+    with pytest.raises(InvalidArgumentError, match="distinct"):
+        build_uniform_grid([[1.0, 1.0 + 4.5e-16]], 100)
+
+
 def test_field_rejects_nonfinite_samples():
     g = build_uniform_grid([[0.0, 1.0]], 4)
     with pytest.raises(InvalidArgumentError):

@@ -194,3 +194,21 @@ def test_empty_region_norms(grid):
     empty = RegionMask.empty(grid)
     assert lp_norm(f, 2.0, empty) == 0.0
     assert lp_norm(f, INFINITY, empty) == 0.0
+
+
+@pytest.mark.parametrize("n", [7, 1000, 65536])
+def test_regionless_calls_equal_full_region_bitwise(n, monkeypatch):
+    g = build_uniform_grid([[0.0, 1.0]], n)
+    rng = np.random.default_rng(n)
+    f, h = _random_field(g, rng), _random_field(g, rng)
+    full = RegionMask.full(g)
+    expected = [integrate(f, full), dual_pairing(f, h, full)] + [
+        lp_norm(f, p, full) for p in (1.0, 2.0, 3.5, INFINITY)
+    ]
+
+    def no_mask(*args, **kwargs):
+        raise AssertionError("a region-less call built a full mask")
+
+    monkeypatch.setattr(RegionMask, "full", classmethod(no_mask))
+    got = [integrate(f), dual_pairing(f, h)] + [lp_norm(f, p) for p in (1.0, 2.0, 3.5, INFINITY)]
+    assert got == expected
