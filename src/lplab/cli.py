@@ -33,6 +33,7 @@ from . import __version__
 from .convexity import (
     ConvexFunctionSpec,
     ConvexSetSpec,
+    _check_dimensions,
     liminf_verify,
     mazur_scenario_verify,
     weak_star_verify,
@@ -55,6 +56,7 @@ from .extraction import (
 )
 from .gallery import (
     CONVERGING,
+    INCONCLUSIVE,
     NOT_CONVERGING,
     SequenceSpec,
     VectorSequenceSpec,
@@ -63,7 +65,6 @@ from .gallery import (
     default_probe_dictionary,
     generate_vector,
     weak_probe,
-    weak_star_probe,
 )
 from .grid import RegionMask, build_uniform_grid, truncate_region
 from .norms import INFINITY
@@ -177,6 +178,34 @@ def _build_region(raw, grid) -> RegionMask:
     raise ConfigError(f"field 'region.type': unknown region {kind!r}")
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _check_expect(expect: dict) -> None:
+    """Refuse ``expect`` fields the phases could not compare against."""
+    for key in ("cesaro_slope", "tail_inf_range"):
+        window = expect.get(key)
+        if window is not None and not (
+            isinstance(window, (list, tuple))
+            and len(window) == 2
+            and all(_is_number(x) for x in window)
+            and window[0] <= window[1]
+        ):
+            raise ConfigError(
+                f"field 'expect.{key}' must be two numbers [lo, hi] with lo <= hi, got {window!r}"
+            )
+    drop = expect.get("cesaro_drop")
+    if drop is not None and not _is_number(drop):
+        raise ConfigError(f"field 'expect.cesaro_drop' must be a number, got {drop!r}")
+    verdict = expect.get("probe_verdict")
+    if verdict is not None and verdict not in (CONVERGING, NOT_CONVERGING, INCONCLUSIVE):
+        raise ConfigError(f"field 'expect.probe_verdict': unknown verdict {verdict!r}")
+    refusal = expect.get("liminf_refusal")
+    if refusal is not None and not isinstance(refusal, bool):
+        raise ConfigError(f"field 'expect.liminf_refusal' must be true or false, got {refusal!r}")
+
+
 def load_config(path) -> ScenarioConfig:
     """Parse and validate a scenario JSON file."""
     path = Path(path)
@@ -225,6 +254,8 @@ def build_config(raw: dict) -> ScenarioConfig:
         K = ConvexSetSpec.from_config(fraw["K"]) if fraw and "K" in fraw else (
             ConvexSetSpec(kind="whole_space") if fraw else None
         )
+        if f is not None:
+            _check_dimensions(f, K, m)
         r_schedule = raw.get("R_schedule")
         if r_schedule is not None:
             r_schedule = [float(r) for r in r_schedule]
@@ -232,6 +263,7 @@ def build_config(raw: dict) -> ScenarioConfig:
                 raise ConfigError("field 'R_schedule' applies to sup-norm scenarios only")
         levels = int(raw.get("levels", 4))
         expect = dict(raw.get("expect") or {})
+        _check_expect(expect)
         output_dir = str(raw.get("output_dir", "."))
         # surface aliasing-guard and pool-budget refusals as configuration
         # errors up front
@@ -239,6 +271,8 @@ def build_config(raw: dict) -> ScenarioConfig:
         _check_pool_budget(horizon, seq.m, grid.node_count)
     except KeyError as err:
         raise ConfigError(f"missing config field {err.args[0]!r}") from None
+    except AttributeError as err:  # a string or number where an object belongs
+        raise ConfigError(f"invalid config value: expected an object: {err}") from err
     except (TypeError, ValueError, InvalidArgumentError) as err:
         raise ConfigError(f"invalid config value: {err}") from err
     return ScenarioConfig(
@@ -263,10 +297,7 @@ def build_config(raw: dict) -> ScenarioConfig:
 
 def _probe_phase(cfg: ScenarioConfig):
     dictionary = default_probe_dictionary(cfg.grid)
-    if cfg.p == INFINITY:
-        report = weak_star_probe(cfg.sequence, cfg.limit, dictionary, cfg.horizon)
-    else:
-        report = weak_probe(cfg.sequence, cfg.limit, cfg.p, dictionary, cfg.horizon)
+    report = weak_probe(cfg.sequence, cfg.limit, cfg.p, dictionary, cfg.horizon)
     expected = cfg.expect.get("probe_verdict", CONVERGING)
     ok = report.verdict == expected
     detail = f"verdict={report.verdict} slope={report.slope:.3g} expected={expected}"

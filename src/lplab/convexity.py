@@ -406,10 +406,22 @@ def _replay(
     )
 
 
-def _region_members(pool: np.ndarray, limit: VectorField, region: RegionMask) -> np.ndarray:
-    """The pool's samples at the region's nodes, as a (horizon, m, n_region) array."""
-    _require_region_grid(limit, region)
-    return np.compress(region.included, pool, axis=2)
+def _admissible_values(
+    f: ConvexFunctionSpec, points: np.ndarray, region: RegionMask, K: ConvexSetSpec, where: str
+) -> np.ndarray:
+    """f at the points after the values-in-K and nonnegativity hypotheses."""
+    try:
+        values = _composite_values(f, points, region, K, where)
+    except DomainViolationError as err:
+        raise PreconditionViolationError(
+            f"values-in-K hypothesis failed: {err}", hypothesis="values in K"
+        ) from err
+    if f.nonnegative and values.size and values.min() < -_MEMBERSHIP_TOL:
+        raise PreconditionViolationError(
+            f"nonnegativity hypothesis failed: f reaches {values.min()} on {where}",
+            hypothesis="nonnegativity of f",
+        )
+    return values
 
 
 def _verify_on_region(
@@ -423,34 +435,11 @@ def _verify_on_region(
 ) -> LiminfReport:
     horizon = members.shape[0]
     inc = region.included
-    try:
-        limit_values = _composite_values(f, limit.matrix().T[inc], region, K, "limit field")
-    except DomainViolationError as err:
-        raise PreconditionViolationError(
-            f"values-in-K hypothesis failed for the limit: {err}",
-            hypothesis="values in K",
-        ) from err
-    if f.nonnegative and limit_values.size and limit_values.min() < -_MEMBERSHIP_TOL:
-        raise PreconditionViolationError(
-            f"nonnegativity hypothesis failed on the limit: f reaches {limit_values.min()}",
-            hypothesis="nonnegativity of f",
-        )
+    limit_values = _admissible_values(f, limit.matrix().T[inc], region, K, "the limit field")
     weights = region.grid.weights[inc]
     alphas = np.empty(horizon)
     for i in range(1, horizon + 1):
-        try:
-            values = _composite_values(f, members[i - 1].T, region, K, f"sequence member {i}")
-        except DomainViolationError as err:
-            raise PreconditionViolationError(
-                f"values-in-K hypothesis failed at sequence index {i}: {err}",
-                hypothesis="values in K",
-            ) from err
-        if f.nonnegative and values.size and values.min() < -_MEMBERSHIP_TOL:
-            raise PreconditionViolationError(
-                f"nonnegativity hypothesis failed at sequence index {i}: "
-                f"f reaches {values.min()}",
-                hypothesis="nonnegativity of f",
-            )
+        values = _admissible_values(f, members[i - 1].T, region, K, f"sequence member {i}")
         alphas[i - 1] = float(np.dot(weights, values)) if values.size else 0.0
     tail_infimum = np.minimum.accumulate(alphas[::-1])[::-1]
     limit_integral = float(np.dot(weights, limit_values)) if limit_values.size else 0.0
@@ -482,9 +471,62 @@ def _replay_and_verify(
 ) -> LiminfReport:
     # The region's gather is freed on return, before a caller looping over
     # regions makes the next one.
-    members = _region_members(pool, limit, region)
+    members = np.compress(region.included, pool, axis=2)
     replay = _replay(pool, members, limit, f, region, p, szlenk_levels)
     return _verify_on_region(members, limit, f, K, region, probe, replay)
+
+
+def _check_dimensions(f: ConvexFunctionSpec, K: ConvexSetSpec, m: int) -> None:
+    """Refuse parameters of f and K that do not fit values in R^m.
+
+    Plane and halfspace normals need m entries.  Box bounds and ball centres
+    need m entries or one, which then applies to every component.
+    """
+    normals = [("max_affine plane", a) for a, _ in f.planes] if f.kind == MAX_AFFINE else []
+    if K.kind == HALFSPACES:
+        normals += [("halfspace", a) for a, _ in K.halfspaces]
+    for what, a in normals:
+        if a.size != m:
+            raise InvalidArgumentError(
+                f"{what} normal {a.tolist()} has {a.size} entries, not m = {m}"
+            )
+    if K.kind == BOX:
+        what, size = "box bounds", K.bounds.shape[0]
+    elif K.kind == BALL:
+        what, size = "ball centre", K.center.size
+    else:
+        return
+    if size not in (1, m):
+        raise InvalidArgumentError(f"{what} give {size} components, neither 1 nor m = {m}")
+
+
+def _require_nonnegative(f: ConvexFunctionSpec) -> None:
+    if not f.nonnegative:
+        raise PreconditionViolationError(
+            "nonnegativity hypothesis failed: f is declared sign-indefinite",
+            hypothesis="nonnegativity of f",
+        )
+
+
+def _converging_pool(
+    seq: VectorSequenceSpec, limit: VectorField, f: ConvexFunctionSpec, K: ConvexSetSpec,
+    region: RegionMask, p: float, horizon: int, dictionary: list | None,
+):
+    """The member pool and its probe report, once the hypotheses every route shares hold.
+
+    f and K must fit values in R^m, with m the limit's component count.  The
+    probe reads weak convergence for finite p and weak* convergence for p = infinity.
+    """
+    _require_region_grid(limit, region)
+    _check_dimensions(f, K, limit.m)
+    dictionary = dictionary or default_probe_dictionary(limit.grid)
+    pool, probe = _probed_pool(seq, limit, p, dictionary, horizon)
+    if probe.verdict != CONVERGING:
+        name = "weak* convergence probe" if p == INFINITY else "weak convergence probe"
+        raise PreconditionViolationError(
+            f"{name} hypothesis failed: verdict {probe.verdict!r}", hypothesis=name
+        )
+    return pool, probe
 
 
 def liminf_verify(
@@ -513,21 +555,8 @@ def liminf_verify(
         raise InvalidArgumentError(
             "the sup-norm route is weak_star_verify / mazur_scenario_verify"
         )
-    if horizon < 8:
-        raise InvalidArgumentError(f"horizon must be >= 8, got {horizon}")
-    if not f.nonnegative:
-        raise PreconditionViolationError(
-            "nonnegativity hypothesis failed: f is declared sign-indefinite",
-            hypothesis="nonnegativity of f",
-        )
-    grid = limit.grid
-    dictionary = dictionary or default_probe_dictionary(grid)
-    pool, probe = _probed_pool(seq, limit, p, dictionary, horizon)
-    if probe.verdict != CONVERGING:
-        raise PreconditionViolationError(
-            f"weak convergence probe hypothesis failed: verdict {probe.verdict!r}",
-            hypothesis="weak convergence probe",
-        )
+    _require_nonnegative(f)
+    pool, probe = _converging_pool(seq, limit, f, K, region, p, horizon, dictionary)
     return _replay_and_verify(pool, limit, f, K, region, probe, p, szlenk_levels)
 
 
@@ -553,19 +582,8 @@ def weak_star_verify(
         b <= a for a, b in zip(radii, radii[1:])
     ):
         raise InvalidArgumentError(f"R schedule must be strictly increasing positive: {radii}")
-    if not f.nonnegative:
-        raise PreconditionViolationError(
-            "nonnegativity hypothesis failed: f is declared sign-indefinite",
-            hypothesis="nonnegativity of f",
-        )
-    grid = limit.grid
-    dictionary = dictionary or default_probe_dictionary(grid)
-    pool, probe = _probed_pool(seq, limit, INFINITY, dictionary, horizon)
-    if probe.verdict != CONVERGING:
-        raise PreconditionViolationError(
-            f"weak* convergence probe hypothesis failed: verdict {probe.verdict!r}",
-            hypothesis="weak* convergence probe",
-        )
+    _require_nonnegative(f)
+    pool, probe = _converging_pool(seq, limit, f, K, region, INFINITY, horizon, dictionary)
     reports = []
     limit_integrals = []
     for radius in radii:
@@ -610,15 +628,6 @@ def mazur_scenario_verify(
             "the closed-K scenario needs a closed convex set",
             hypothesis="closedness of K",
         )
-    if horizon < 8:
-        raise InvalidArgumentError(f"horizon must be >= 8, got {horizon}")
-    grid = limit.grid
-    dictionary = dictionary or default_probe_dictionary(grid)
-    pool, probe = _probed_pool(seq, limit, INFINITY, dictionary, horizon)
-    if probe.verdict != CONVERGING:
-        raise PreconditionViolationError(
-            f"weak* convergence probe hypothesis failed: verdict {probe.verdict!r}",
-            hypothesis="weak* convergence probe",
-        )
-    members = _region_members(pool, limit, region)
+    pool, probe = _converging_pool(seq, limit, f, K, region, INFINITY, horizon, dictionary)
+    members = np.compress(region.included, pool, axis=2)
     return _verify_on_region(members, limit, f, K, region, probe, None)

@@ -255,11 +255,6 @@ class ExtractionTrace:
         return out
 
 
-def _product_norm_p(weights: np.ndarray, samples: np.ndarray, p: float) -> float:
-    # samples is (m, N); returns (sum_j integral |s_j|^p)^(1/p)
-    return float(np.einsum("n,jn->", weights, np.abs(samples) ** p) ** (1.0 / p))
-
-
 def banach_saks_extract(
     seq: VectorSequenceSpec,
     p: float,
@@ -302,7 +297,7 @@ def _banach_saks_select(pool: np.ndarray, p: float, w: np.ndarray) -> Extraction
     s = pool[0].copy()
     pairings = [np.zeros(m)]
     partials = [np.einsum("n,jn->j", w, np.abs(s) ** p)]
-    cesaro = [_product_norm_p(w, s, p)]
+    cesaro = [float(partials[0].sum()) ** (1.0 / p)]
 
     def _trace() -> ExtractionTrace:
         return ExtractionTrace(
@@ -337,7 +332,7 @@ def _banach_saks_select(pool: np.ndarray, p: float, w: np.ndarray) -> Extraction
         k = len(indices)
         pairings.append(t)
         partials.append(np.einsum("n,jn->j", w, np.abs(s) ** p))
-        cesaro.append(_product_norm_p(w, s / k, p))
+        cesaro.append(float(partials[-1].sum()) ** (1.0 / p) / k)
     return _trace()
 
 

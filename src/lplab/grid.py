@@ -12,7 +12,7 @@ safe to use concurrently.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,10 +51,8 @@ class QuadratureGrid:
     weights: np.ndarray
     domain_box: np.ndarray
     resolution: tuple[int, ...] | None = None
-    # Set only by build_uniform_grid, whose nodes are distinct by construction.
-    _nodes_distinct: InitVar[bool] = False
 
-    def __post_init__(self, _nodes_distinct: bool) -> None:
+    def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim == 1:
             nodes = nodes[:, None]
@@ -75,7 +73,9 @@ class QuadratureGrid:
             raise InvalidArgumentError("grid nodes and bounds must be finite")
         if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
             raise InvalidArgumentError("weights must be finite and nonnegative")
-        if not _nodes_distinct and np.unique(nodes, axis=0).shape[0] != nodes.shape[0]:
+        # Sorted lexicographically, equal nodes are neighbours.
+        ordered = nodes[np.lexsort(nodes.T[::-1])]
+        if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
             raise InvalidArgumentError("grid nodes must be pairwise distinct")
         self.nodes = _frozen(nodes)
         self.weights = _frozen(weights)
@@ -128,15 +128,11 @@ def build_uniform_grid(domain_box, resolution) -> QuadratureGrid:
         box[a, 0] + (np.arange(res[a]) + 0.5) * (box[a, 1] - box[a, 0]) / res[a]
         for a in range(n)
     ]
-    # A tensor product of strictly increasing axes has pairwise-distinct
-    # nodes, which spares the O(N log N) scan over the full node array.
-    if any(np.any(np.diff(axis) <= 0.0) for axis in axes):
-        raise InvalidArgumentError("grid nodes must be pairwise distinct")
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([m.ravel() for m in mesh], axis=1)
     cell = float(np.prod([(box[a, 1] - box[a, 0]) / res[a] for a in range(n)]))
     weights = np.full(nodes.shape[0], cell)
-    return QuadratureGrid(n, nodes, weights, box, res, _nodes_distinct=True)
+    return QuadratureGrid(n, nodes, weights, box, res)
 
 
 @dataclass

@@ -51,11 +51,51 @@ def test_config_digest_is_stable():
         # a 512 MiB member pool, over the pool budget
         {"grid": {"dimension": 1, "box": [[0.0, 1.0]], "resolution": [1 << 20]},
          "horizon": 64},
+        # strings or numbers where the schema has an object
+        {"sequence": ["oscillatory"]},
+        {"limit": [0.0]},
+        {"region": "full"},
+        {"f": "squared_norm"},
+        {"f": {"kind": "squared_norm", "K": "whole_space"}},
+        # expect fields the phases could not compare against
+        {"expect": {"cesaro_slope": 5}},
+        {"expect": {"cesaro_slope": [-0.4, -0.6]}},
+        {"expect": {"tail_inf_range": [0.0, "1"]}},
+        {"expect": {"cesaro_drop": [0.5]}},
+        {"expect": {"probe_verdict": "converged"}},
+        {"expect": {"liminf_refusal": "yes"}},
+        # f and K parameters of another dimension than m = 1
+        {"f": {"kind": "max_affine", "params": {"planes": [[[1.0, 2.0], 0.0]]}}},
+        {"f": {"kind": "squared_norm",
+               "K": {"kind": "halfspaces", "params": {"halfspaces": [[[1.0, 0.0], 1.0]]}}}},
+        {"f": {"kind": "squared_norm",
+               "K": {"kind": "box", "params": {"bounds": [[-1.0, 1.0], [-1.0, 1.0]]}}}},
+        {"f": {"kind": "squared_norm",
+               "K": {"kind": "ball", "params": {"center": [0.0, 0.0]}}}},
     ],
 )
 def test_config_validation_errors(overrides):
     with pytest.raises(ConfigError):
         build_config(_base_config(**overrides))
+
+
+def test_config_accepts_one_component_box_and_ball_for_every_m():
+    seq = [{"kind": "oscillatory"}] * 2
+    limit = [{"kind": "constant"}] * 2
+    for K in ({"kind": "box", "params": {"bounds": [[-1.0, 1.0]]}}, {"kind": "ball"}):
+        cfg = build_config(_base_config(
+            m=2, sequence=seq, limit=limit, f={"kind": "squared_norm", "K": K},
+        ))
+        assert cfg.K.kind == K["kind"]
+
+
+def test_cli_run_bad_expect_exits_2_before_any_phase(tmp_path, capsys):
+    path = tmp_path / "bad-expect.json"
+    path.write_text(json.dumps(_base_config(expect={"cesaro_slope": 5})))
+    rc = main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "expect.cesaro_slope" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_config_field():

@@ -321,3 +321,106 @@ def test_evaluate_composite_on_plane_grid():
     # oracle: integral of x^2 + y^2 over the unit square is 2/3
     value = evaluate_composite(ConvexFunctionSpec(kind="squared_norm"), u)
     assert value == pytest.approx(2.0 / 3.0, abs=1e-4)
+
+
+def _liminf_route(seq, limit, f, K, region, horizon, dictionary=None):
+    return liminf_verify(seq, limit, f, K, region, 2.0, horizon, dictionary)
+
+
+def _weak_star_route(seq, limit, f, K, region, horizon, dictionary=None):
+    return weak_star_verify(seq, limit, f, K, region, horizon, [0.5, 1.0, 2.0], dictionary)
+
+
+def _mazur_route(seq, limit, f, K, region, horizon, dictionary=None):
+    return mazur_scenario_verify(seq, limit, f, K, region, horizon, dictionary)
+
+
+_ROUTES = {
+    "liminf": (_liminf_route, "weak convergence probe"),
+    "weak_star": (_weak_star_route, "weak* convergence probe"),
+    "mazur": (_mazur_route, "weak* convergence probe"),
+}
+_UNIT_BOX = ConvexSetSpec(kind="box", bounds=[[-1.0, 1.0]])
+_FIRST_COORDINATE = dict(kind="custom", evaluator=lambda pts: pts[:, 0])
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_routes_refuse_spike_with_their_probe(grid, route):
+    verify, probe_hypothesis = _ROUTES[route]
+    seq = VectorSequenceSpec([SequenceSpec(kind="spike")])
+    with pytest.raises(PreconditionViolationError) as excinfo:
+        verify(seq, _zero_limit(grid), _squared(), _whole(), RegionMask.full(grid), 64)
+    assert excinfo.value.hypothesis == probe_hypothesis
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_routes_refuse_limit_outside_K(grid, route):
+    verify, _ = _ROUTES[route]
+    seq = VectorSequenceSpec([SequenceSpec(kind="constant", value=2.0)])
+    limit = VectorField([ScalarField.constant(grid, 2.0)])
+    with pytest.raises(PreconditionViolationError) as excinfo:
+        verify(seq, limit, _squared(), _UNIT_BOX, RegionMask.full(grid), 32)
+    assert excinfo.value.hypothesis == "values in K"
+    assert "limit" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_routes_refuse_member_outside_K(grid, route):
+    verify, _ = _ROUTES[route]
+    seq = VectorSequenceSpec([SequenceSpec(kind="rademacher", amplitude=3.0)])
+    with pytest.raises(PreconditionViolationError) as excinfo:
+        verify(seq, _zero_limit(grid), _squared(), _UNIT_BOX, RegionMask.full(grid), 64)
+    assert excinfo.value.hypothesis == "values in K"
+    assert "sequence member 1" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_routes_refuse_false_nonnegativity_claim(grid, route):
+    verify, _ = _ROUTES[route]
+    seq = VectorSequenceSpec([SequenceSpec(kind="rademacher")])
+    f = ConvexFunctionSpec(**_FIRST_COORDINATE, nonnegative=True)
+    with pytest.raises(PreconditionViolationError) as excinfo:
+        verify(seq, _zero_limit(grid), f, _UNIT_BOX, RegionMask.full(grid), 64)
+    assert excinfo.value.hypothesis == "nonnegativity of f"
+
+
+@pytest.mark.parametrize("route", ["liminf", "weak_star"])
+def test_routes_refuse_declared_sign_indefinite_f(grid, route):
+    verify, _ = _ROUTES[route]
+    seq = VectorSequenceSpec([SequenceSpec(kind="rademacher")])
+    f = ConvexFunctionSpec(**_FIRST_COORDINATE, nonnegative=False)
+    with pytest.raises(PreconditionViolationError) as excinfo:
+        verify(seq, _zero_limit(grid), f, _UNIT_BOX, RegionMask.full(grid), 64)
+    assert excinfo.value.hypothesis == "nonnegativity of f"
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+@pytest.mark.parametrize(
+    "f,K",
+    [
+        (ConvexFunctionSpec(kind="max_affine", planes=[([1.0, 2.0], 0.0)]), _UNIT_BOX),
+        (_squared(), ConvexSetSpec(kind="halfspaces", halfspaces=[([1.0, 0.0], 1.0)])),
+        (_squared(), ConvexSetSpec(kind="box", bounds=[[-1.0, 1.0], [-1.0, 1.0]])),
+        (_squared(), ConvexSetSpec(kind="ball", center=[0.0, 0.0], radius=2.0)),
+    ],
+    ids=["plane", "halfspace", "box", "ball"],
+)
+def test_routes_refuse_f_and_K_of_another_dimension(grid, route, f, K):
+    verify, _ = _ROUTES[route]
+    seq = VectorSequenceSpec([SequenceSpec(kind="rademacher")])
+    with pytest.raises(InvalidArgumentError, match="m = 1"):
+        verify(seq, _zero_limit(grid), f, K, RegionMask.full(grid), 64)
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_routes_broadcast_one_component_box_and_ball(grid, route):
+    # One bound pair or one centre entry applies to every component; the
+    # default ball centre [0.0] relies on it.
+    verify, _ = _ROUTES[route]
+    seq = VectorSequenceSpec([SequenceSpec(kind="rademacher")] * 2)
+    for K in (
+        ConvexSetSpec(kind="box", bounds=[[-1.0, 1.0]]),
+        ConvexSetSpec.from_config({"kind": "ball", "params": {"radius": 1.5}}),
+    ):
+        result = verify(seq, _zero_limit(grid, 2), _squared(), K, RegionMask.full(grid), 64)
+        assert result.passed

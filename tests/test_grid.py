@@ -52,9 +52,17 @@ def test_grid_invariants_enforced():
         QuadratureGrid(1, [[0.5], [0.5]], [0.5, 0.5], [[0.0, 1.0]])
     with pytest.raises(InvalidArgumentError):
         QuadratureGrid(1, [[0.25], [0.75]], [0.5, -0.5], [[0.0, 1.0]])
+    # equal 2-D nodes that are not neighbours in the given order
+    box2 = [[0.0, 1.0], [0.0, 1.0]]
+    with pytest.raises(InvalidArgumentError, match="distinct"):
+        QuadratureGrid(2, [[0.5, 0.25], [0.25, 0.5], [0.5, 0.25]], [0.1] * 3, box2)
+    # nodes sharing one coordinate are distinct
+    g = QuadratureGrid(2, [[0.5, 0.75], [0.25, 0.5], [0.5, 0.25]], [0.1] * 3, box2)
+    assert g.node_count == 3
 
 
 def test_uniform_grid_needs_no_distinctness_scan(monkeypatch):
+    # distinctness is checked by a lexsort, not by np.unique(axis=0)
     def no_scan(*args, **kwargs):
         raise AssertionError("np.unique scanned the nodes of a uniform grid")
 
@@ -64,9 +72,14 @@ def test_uniform_grid_needs_no_distinctness_scan(monkeypatch):
 
 
 def test_uniform_grid_rejects_collapsed_axis():
-    # two ulps of width cannot hold 100 distinct midpoints
-    with pytest.raises(InvalidArgumentError, match="distinct"):
-        build_uniform_grid([[1.0, 1.0 + 4.5e-16]], 100)
+    # two ulps of width cannot hold 100 distinct midpoints, on the first axis
+    # of a 1-D grid or on the second axis of a 2-D grid
+    for box, res in (
+        ([[1.0, 1.0 + 4.5e-16]], 100),
+        ([[0.0, 1.0], [1.0, 1.0 + 4.5e-16]], [4, 100]),
+    ):
+        with pytest.raises(InvalidArgumentError, match="distinct"):
+            build_uniform_grid(box, res)
 
 
 def test_field_rejects_nonfinite_samples():
