@@ -62,11 +62,12 @@ from .gallery import (
     VectorSequenceSpec,
     _check_pool_budget,
     _loglog_slope,
+    _shared_pools,
     default_probe_dictionary,
     generate_vector,
     weak_probe,
 )
-from .grid import RegionMask, build_uniform_grid, truncate_region
+from .grid import RegionMask, _uniform_axes, build_uniform_grid, truncate_region
 from .norms import INFINITY
 
 __all__ = ["ScenarioConfig", "RunManifest", "load_config", "run_scenario", "main"]
@@ -222,8 +223,8 @@ def build_config(raw: dict) -> ScenarioConfig:
     try:
         name = str(raw["name"])
         graw = raw["grid"]
-        grid = build_uniform_grid(graw["box"], graw["resolution"])
-        if int(graw.get("dimension", grid.dimension)) != grid.dimension:
+        _, resolution = _uniform_axes(graw["box"], graw["resolution"])
+        if int(graw.get("dimension", len(resolution))) != len(resolution):
             raise ConfigError("field 'grid.dimension' disagrees with the box")
         p = _parse_exponent(raw["p"])
         seq = VectorSequenceSpec(
@@ -232,14 +233,17 @@ def build_config(raw: dict) -> ScenarioConfig:
         m = int(raw.get("m", seq.m))
         if m != seq.m:
             raise ConfigError(f"field 'm' = {m} disagrees with {seq.m} sequence components")
+        horizon = int(raw["horizon"])
+        if horizon < 8:
+            raise ConfigError(f"field 'horizon' must be >= 8, got {horizon}")
+        # refuse an oversized pool before the grid or any member is allocated
+        _check_pool_budget(horizon, m, math.prod(resolution))
+        grid = build_uniform_grid(graw["box"], graw["resolution"])
         limit_specs = [SequenceSpec.from_config(c) for c in raw["limit"]]
         if len(limit_specs) != m:
             raise ConfigError("field 'limit' must have one spec per component")
         limit = generate_vector(VectorSequenceSpec(limit_specs), 1, grid)
         region = _build_region(raw.get("region", {}), grid)
-        horizon = int(raw["horizon"])
-        if horizon < 8:
-            raise ConfigError(f"field 'horizon' must be >= 8, got {horizon}")
         mode = str(raw.get("extraction", "none")).lower()
         if mode not in ("p>1", "p=1", "none"):
             raise ConfigError(f"field 'extraction': unknown mode {mode!r}")
@@ -265,10 +269,8 @@ def build_config(raw: dict) -> ScenarioConfig:
         expect = dict(raw.get("expect") or {})
         _check_expect(expect)
         output_dir = str(raw.get("output_dir", "."))
-        # surface aliasing-guard and pool-budget refusals as configuration
-        # errors up front
+        # surface aliasing-guard refusals as configuration errors up front
         generate_vector(seq, horizon, grid)
-        _check_pool_budget(horizon, seq.m, grid.node_count)
     except KeyError as err:
         raise ConfigError(f"missing config field {err.args[0]!r}") from None
     except AttributeError as err:  # a string or number where an object belongs
@@ -384,10 +386,13 @@ def _liminf_phase(cfg: ScenarioConfig):
     return report, ok, detail
 
 
+@_shared_pools()
 def run_scenario(cfg: ScenarioConfig, output_dir=None, phases=("probe", "extract", "liminf")) -> RunManifest:
     """Execute the configured phases in order, writing CSV reports.
 
     Later phases that depend on a failed hypothesis are skipped and marked.
+    The phases share one member pool, built by the first phase that needs it
+    and dropped when the run returns.
     """
     out = Path(output_dir if output_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)

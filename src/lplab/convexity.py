@@ -519,7 +519,8 @@ def _converging_pool(
     """
     _require_region_grid(limit, region)
     _check_dimensions(f, K, limit.m)
-    dictionary = dictionary or default_probe_dictionary(limit.grid)
+    if dictionary is None:
+        dictionary = default_probe_dictionary(limit.grid)
     pool, probe = _probed_pool(seq, limit, p, dictionary, horizon)
     if probe.verdict != CONVERGING:
         name = "weak* convergence probe" if p == INFINITY else "weak convergence probe"

@@ -280,23 +280,51 @@ def banach_saks_extract(
     return _banach_saks_select(member_pool(seq, grid, horizon), p, grid.weights)
 
 
+def _member_norms(pool: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
+    """Product L^p norm of every member, (sum_j integral |u_i^(j)|^p)^(1/p).
+
+    Computed in a two-row scratch block instead of a pool-sized temporary.
+    numpy's einsum sums a lone row in another order than a stack of rows, so
+    blocks of two keep every norm bitwise equal to one contraction over the
+    whole pool; an odd last row shares its block with the row before it.
+    """
+    horizon = pool.shape[0]
+    size = min(2, horizon)
+    block = np.empty((size,) + pool.shape[1:])
+    norms = np.empty(horizon)
+    for start in range(0, horizon, 2):
+        first = min(start, horizon - size)
+        rows = slice(first, first + size)
+        np.abs(pool[rows], out=block)
+        block **= p
+        norms[rows] = np.einsum("n,ijn->i", w, block)
+    return norms ** (1.0 / p)
+
+
 def _banach_saks_select(pool: np.ndarray, p: float, w: np.ndarray) -> ExtractionTrace:
     """Recursive threshold selection over a (horizon, m, N) member pool."""
     horizon = pool.shape[0]
-    powered = np.abs(pool)
-    powered **= p  # in place: one pool-sized temporary instead of two
-    member_norms = np.einsum("n,ijn->i", w, powered) ** (1.0 / p)
-    del powered
+    member_norms = _member_norms(pool, w, p)
     sup = float(member_norms.max())
     factor = max(1.0, sup)
     if factor > 1.0:
         pool = pool / factor
     m = pool.shape[1]
 
+    # Two scratch rows hold phi_w = |s|^(p-1) sgn(s) w and |s|^p, each filled
+    # by the same ufuncs in the same order as the expressions they replace.
+    phi_w = np.empty_like(pool[0])
+    scratch = np.empty_like(pool[0])
+
+    def partial_norms() -> np.ndarray:
+        powered = np.abs(s, out=scratch)
+        powered **= p
+        return np.einsum("n,jn->j", w, powered)
+
     indices = [1]
     s = pool[0].copy()
     pairings = [np.zeros(m)]
-    partials = [np.einsum("n,jn->j", w, np.abs(s) ** p)]
+    partials = [partial_norms()]
     cesaro = [float(partials[0].sum()) ** (1.0 / p)]
 
     def _trace() -> ExtractionTrace:
@@ -313,7 +341,10 @@ def _banach_saks_select(pool: np.ndarray, p: float, w: np.ndarray) -> Extraction
         )
 
     while indices[-1] < horizon:
-        phi_w = np.abs(s) ** (p - 1.0) * np.sign(s) * w  # (m, N)
+        np.abs(s, out=phi_w)
+        phi_w **= p - 1.0
+        phi_w *= np.sign(s, out=scratch)
+        phi_w *= w
         accepted = None
         for cand in range(indices[-1] + 1, horizon + 1):
             t = np.einsum("jn,jn->j", phi_w, pool[cand - 1])
@@ -331,7 +362,7 @@ def _banach_saks_select(pool: np.ndarray, p: float, w: np.ndarray) -> Extraction
         s += pool[cand - 1]
         k = len(indices)
         pairings.append(t)
-        partials.append(np.einsum("n,jn->j", w, np.abs(s) ** p))
+        partials.append(partial_norms())
         cesaro.append(float(partials[-1].sum()) ** (1.0 / p) / k)
     return _trace()
 
@@ -475,7 +506,7 @@ def _szlenk_select(
 ) -> tuple[SzlenkSchedule, ExtractionTrace]:
     """Level/diagonal selection over a (horizon, m, N) member pool."""
     horizon = pool.shape[0]
-    member_norms = np.einsum("n,ijn->i", w, np.abs(pool))
+    member_norms = _member_norms(pool, w, 1.0)
     sup = float(member_norms.max())
     factor = max(1.0, sup)
     if factor > 1.0:

@@ -23,6 +23,8 @@ triggers.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,6 +190,23 @@ def _walsh_product(mask: int, sign_row, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _oscillatory_row(
+    spec: SequenceSpec, i: int, grid: QuadratureGrid, out: np.ndarray
+) -> np.ndarray:
+    """Fill out with amplitude * sin(2*pi*i*base*x1), behind the aliasing guard."""
+    n1 = grid.axis_resolution(0)
+    cycles = i * spec.base * grid.axis_length(0)
+    if 8.0 * cycles > n1:
+        raise InvalidArgumentError(
+            f"resolution {n1} cannot resolve {cycles:g} cycles "
+            f"(need >= 8 nodes per cycle); refusing index {i}"
+        )
+    np.multiply(2.0 * np.pi * i * spec.base, grid.nodes[:, 0], out=out)
+    np.sin(out, out=out)
+    out *= spec.amplitude
+    return out
+
+
 def generate(spec: SequenceSpec, i: int, grid: QuadratureGrid) -> ScalarField:
     """Sample the i-th member of the sequence on the grid.
 
@@ -204,13 +223,7 @@ def generate(spec: SequenceSpec, i: int, grid: QuadratureGrid) -> ScalarField:
     if spec.kind == CONSTANT:
         samples = np.full(grid.node_count, spec.amplitude * spec.value)
     elif spec.kind == OSCILLATORY:
-        cycles = i * spec.base * length
-        if 8.0 * cycles > n1:
-            raise InvalidArgumentError(
-                f"resolution {n1} cannot resolve {cycles:g} cycles "
-                f"(need >= 8 nodes per cycle); refusing index {i}"
-            )
-        samples = spec.amplitude * np.sin(2.0 * np.pi * i * spec.base * x1)
+        samples = _oscillatory_row(spec, i, grid, np.empty(grid.node_count))
     elif spec.kind == RADEMACHER:
         row = np.empty(grid.node_count)
         _walsh_product(_rademacher_mask(i, grid), lambda level: _dyadic_sign(x1, level), row)
@@ -255,15 +268,49 @@ def _check_pool_budget(horizon: int, m: int, node_count: int) -> None:
         )
 
 
+# Pools built inside a _shared_pools() scope, as (seq, grid, horizon, pool);
+# None outside every scope.
+_POOLS: contextvars.ContextVar = contextvars.ContextVar("lplab_member_pools", default=None)
+
+
+@contextlib.contextmanager
+def _shared_pools():
+    """Scope in which member_pool builds each pool once.
+
+    Inside it, a call with the same seq and grid objects and an equal horizon
+    returns the pool already built; the scope keeps them until it closes.  A
+    build that raises stores nothing, so a later call raises again.
+    """
+    token = _POOLS.set([])
+    try:
+        yield
+    finally:
+        _POOLS.reset(token)
+
+
 def member_pool(seq: VectorSequenceSpec, grid: QuadratureGrid, horizon: int) -> np.ndarray:
     """Members u_1..u_horizon as one read-only (horizon, m, N) array.
 
     Row [i-1, j] is bitwise equal to ``generate(seq.components[j], i,
     grid).samples`` and the same errors are raised, in the same index order.
     Rademacher rows are products of one sign row per dyadic level, each
-    computed once per call.  A pool larger than ``POOL_BUDGET_BYTES`` is
-    refused with ``PoolBudgetError`` before anything is allocated.
+    computed once per build.  A pool larger than ``POOL_BUDGET_BYTES`` is
+    refused with ``PoolBudgetError`` before anything is allocated.  Each call
+    builds its own pool, except inside one scenario run of the command line,
+    which builds it once for all its phases.
     """
+    shared = _POOLS.get()
+    if shared is not None:
+        for s, g, h, pool in shared:
+            if s is seq and g is grid and h == horizon:
+                return pool
+    pool = _build_pool(seq, grid, horizon)
+    if shared is not None:
+        shared.append((seq, grid, horizon, pool))
+    return pool
+
+
+def _build_pool(seq: VectorSequenceSpec, grid: QuadratureGrid, horizon: int) -> np.ndarray:
     if horizon < 1:
         raise InvalidArgumentError(f"pool horizon must be >= 1, got {horizon}")
     _check_pool_budget(horizon, seq.m, grid.node_count)
@@ -279,12 +326,15 @@ def member_pool(seq: VectorSequenceSpec, grid: QuadratureGrid, horizon: int) -> 
     pool = np.empty((horizon, seq.m, n))
     for i in range(1, horizon + 1):
         for j, comp in enumerate(seq.components):
+            row = pool[i - 1, j]
             if comp.kind == RADEMACHER:
-                row = _walsh_product(_rademacher_mask(i, grid), sign_row, pool[i - 1, j])
+                _walsh_product(_rademacher_mask(i, grid), sign_row, row)
                 row *= comp.amplitude
-                ScalarField(grid, row)  # the finite-sample check generate applies
+            elif comp.kind == OSCILLATORY:
+                _oscillatory_row(comp, i, grid, row)
             else:
-                pool[i - 1, j] = generate(comp, i, grid).samples
+                row[:] = generate(comp, i, grid).samples
+            ScalarField(grid, row)  # the finite-sample check generate applies
     pool.setflags(write=False)
     return pool
 

@@ -102,15 +102,8 @@ class QuadratureGrid:
         return int(np.unique(self.nodes[:, axis]).size)
 
 
-def build_uniform_grid(domain_box, resolution) -> QuadratureGrid:
-    """Tensor-product midpoint grid on a box; each weight is its cell volume.
-
-    Args:
-        domain_box: sequence of (lower, upper) pairs, one per axis.
-        resolution: node count per axis (an int applies to every axis).
-
-    The weights sum to the box volume exactly up to rounding.
-    """
+def _uniform_axes(domain_box, resolution) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The box as an (n, 2) array and the node count per axis, both validated."""
     box = np.asarray(domain_box, dtype=float).reshape(-1, 2)
     n = box.shape[0]
     if np.isscalar(resolution):
@@ -123,7 +116,20 @@ def build_uniform_grid(domain_box, resolution) -> QuadratureGrid:
         raise InvalidArgumentError(f"resolution must be >= 1 per axis, got {res}")
     if not np.all(np.isfinite(box)) or np.any(box[:, 0] >= box[:, 1]):
         raise InvalidArgumentError(f"bounds must be finite with lower < upper: {box.tolist()}")
+    return box, res
 
+
+def build_uniform_grid(domain_box, resolution) -> QuadratureGrid:
+    """Tensor-product midpoint grid on a box; each weight is its cell volume.
+
+    Args:
+        domain_box: sequence of (lower, upper) pairs, one per axis.
+        resolution: node count per axis (an int applies to every axis).
+
+    The weights sum to the box volume exactly up to rounding.
+    """
+    box, res = _uniform_axes(domain_box, resolution)
+    n = box.shape[0]
     axes = [
         box[a, 0] + (np.arange(res[a]) + 0.5) * (box[a, 1] - box[a, 0]) / res[a]
         for a in range(n)

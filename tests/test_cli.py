@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -230,3 +231,24 @@ def test_cli_extract_single_positive_cesaro_point_writes_manifest(tmp_path, caps
     manifest = json.loads((tmp_path / "out" / "unit.manifest.json").read_text())
     cesaro = next(p for p in manifest["phases"] if p["name"] == "cesaro")
     assert "no slope fit" in cesaro["detail"]
+
+
+def test_pool_budget_refused_before_the_grid_is_built(tmp_path, capsys):
+    # 512 members on 2^20 nodes would take 4 GiB; the 2^20-node grid alone
+    # takes tens of MiB, so the refusal must come first
+    raw = _base_config(
+        grid={"dimension": 1, "box": [[0.0, 1.0]], "resolution": [1 << 20]}, horizon=512
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="over the budget"):
+            build_config(raw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert "over the budget" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -424,3 +424,14 @@ def test_routes_broadcast_one_component_box_and_ball(grid, route):
     ):
         result = verify(seq, _zero_limit(grid, 2), _squared(), K, RegionMask.full(grid), 64)
         assert result.passed
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_routes_refuse_an_empty_dictionary(grid, route):
+    # Only a missing dictionary means the default one; an empty one is
+    # refused as weak_probe refuses it.
+    verify, _ = _ROUTES[route]
+    seq = VectorSequenceSpec([SequenceSpec(kind="rademacher")])
+    with pytest.raises(InvalidArgumentError, match="dictionary must be nonempty"):
+        verify(seq, _zero_limit(grid), _squared(), _UNIT_BOX, RegionMask.full(grid), 64, [])
+    assert verify(seq, _zero_limit(grid), _squared(), _UNIT_BOX, RegionMask.full(grid), 64).passed

@@ -1,3 +1,7 @@
+import gc
+import json
+import weakref
+
 import numpy as np
 import pytest
 
@@ -19,6 +23,7 @@ from lplab import (
     weak_probe,
 )
 from lplab import convexity, extraction, gallery
+from lplab.cli import build_config, main, run_scenario
 from lplab.gallery import _max_dyadic_level
 
 
@@ -181,3 +186,128 @@ def test_pool_budget_bounds():
     # below a 512 x 512 grid at horizon 256 with two components
     assert gallery.POOL_BUDGET_BYTES >= 256 * 65536 * 8
     assert gallery.POOL_BUDGET_BYTES < 256 * 2 * 512 * 512 * 8
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 9])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_member_norms_bitwise_equal_to_whole_pool_contraction(p, m, horizon):
+    # Past 8192 nodes numpy's einsum sums a lone row in another order than a
+    # stack of rows; the norm decides whether the pool is rescaled.
+    rng = np.random.default_rng(7)
+    n = 3 * 8192 + 5
+    pool = rng.standard_normal((horizon, m, n)) * 1.7
+    w = rng.uniform(0.5, 1.5, n) / n
+    if p == 1.0:
+        expected = np.einsum("n,ijn->i", w, np.abs(pool))
+    else:
+        powered = np.abs(pool)
+        powered **= p
+        expected = np.einsum("n,ijn->i", w, powered) ** (1.0 / p)
+    assert np.array_equal(extraction._member_norms(pool, w, p), expected)
+
+
+def _scenario(**overrides):
+    raw = {
+        "name": "shared",
+        "grid": {"dimension": 1, "box": [[0.0, 1.0]], "resolution": [512]},
+        "p": 2.0,
+        "sequence": [{"kind": "oscillatory"}],
+        "limit": [{"kind": "constant"}],
+        "horizon": 32,
+        "extraction": "p>1",
+    }
+    raw.update(overrides)
+    return build_config(raw)
+
+
+_SQUARED_IN_BOX = {
+    "kind": "squared_norm", "K": {"kind": "box", "params": {"bounds": [[-1.0, 1.0]]}},
+}
+
+_ROUTE_SCENARIOS = {
+    # 32 members on 512 nodes are too few for the probe to call it converging
+    "p>1 extract": dict(expect={"probe_verdict": "inconclusive"}),
+    "p=1 extract and liminf": dict(
+        p=1.0, sequence=[{"kind": "rademacher"}], horizon=48, extraction="p=1",
+        levels=3, f=_SQUARED_IN_BOX,
+    ),
+    "weak*": dict(
+        p="infinity", sequence=[{"kind": "rademacher"}], horizon=48, extraction="none",
+        R_schedule=[0.5, 2.0], f=_SQUARED_IN_BOX,
+    ),
+    "closed K": dict(
+        p="infinity", sequence=[{"kind": "rademacher"}], horizon=48, extraction="none",
+        f=_SQUARED_IN_BOX,
+    ),
+}
+
+
+def _count_builds(monkeypatch):
+    built = []
+    real_build = gallery._build_pool
+
+    def counting_build(*args):
+        pool = real_build(*args)
+        built.append(weakref.ref(pool))
+        return pool
+
+    monkeypatch.setattr(gallery, "_build_pool", counting_build)
+    return built
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTE_SCENARIOS))
+def test_run_scenario_builds_one_pool_for_all_phases(route, tmp_path, monkeypatch):
+    cfg = _scenario(**_ROUTE_SCENARIOS[route])
+    built = _count_builds(monkeypatch)
+    manifest = run_scenario(cfg, output_dir=tmp_path)
+    assert manifest.passed
+    # the probe and at least one later phase read the pool
+    assert len([p for p in manifest.phases if p["name"] in ("probe", "extraction", "liminf")]) >= 2
+    assert len(built) == 1
+    # the run's scope is closed and nothing else holds the pool
+    assert gallery._POOLS.get() is None
+    gc.collect()
+    assert built[0]() is None
+
+
+def test_library_calls_outside_a_run_build_their_own_pools(grid, monkeypatch):
+    seq = VectorSequenceSpec([SequenceSpec(kind="oscillatory")])
+    built = _count_builds(monkeypatch)
+    first = extraction.banach_saks_extract(seq, 2.0, grid, 16)
+    second = extraction.banach_saks_extract(seq, 2.0, grid, 16)
+    assert len(built) == 2
+    assert first.indices == second.indices
+
+
+def test_a_failed_build_is_not_shared(tmp_path, monkeypatch):
+    # The table lacks index 5: every phase that needs the pool tries to build
+    # it and reports the same error.
+    table = {str(i): [0.5 * (-1) ** i] * 64 for i in range(1, 9) if i != 5}
+    raw = {
+        "name": "gap",
+        "grid": {"dimension": 1, "box": [[0.0, 1.0]], "resolution": [64]},
+        "p": 2.0,
+        "sequence": [{"kind": "custom", "params": {"table": table}}],
+        "limit": [{"kind": "constant"}],
+        "horizon": 8,
+        "extraction": "p>1",
+        "f": {"kind": "squared_norm"},
+    }
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps(raw))
+    attempts = []
+    real_build = gallery._build_pool
+    monkeypatch.setattr(gallery, "_build_pool", lambda *a: attempts.append(a) or real_build(*a))
+    for command, code in (("probe", 1), ("extract", 2), ("liminf", 2), ("run", 2)):
+        out = tmp_path / command
+        attempts.clear()
+        assert main([command, "--config", str(path), "--output-dir", str(out)]) == code
+        assert len(attempts) == (1 if command == "probe" else 2)
+        manifest = out / "gap.manifest.json"
+        if command == "probe":
+            phases = json.loads(manifest.read_text())["phases"]
+            assert [(p["name"], p["status"]) for p in phases] == [("probe", "error")]
+            assert "no entry for index 5" in phases[0]["detail"]
+        else:
+            assert not manifest.exists()
