@@ -9,7 +9,8 @@ Subcommands:
   suite           run every bundled scenario; exit 0 iff all pass
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage,
-configuration, or I/O error.  CSV bodies are deterministic (full 17-digit
+configuration, or I/O error, or a phase that raised a library error, 3 an
+internal error.  CSV bodies are deterministic (full 17-digit
 precision, no timestamps); wall-clock data lives only in the manifest.
 """
 
@@ -34,6 +35,7 @@ from .convexity import (
     ConvexFunctionSpec,
     ConvexSetSpec,
     _check_dimensions,
+    _check_r_schedule,
     liminf_verify,
     mazur_scenario_verify,
     weak_star_verify,
@@ -56,6 +58,7 @@ from .extraction import (
 )
 from .gallery import (
     CONVERGING,
+    CUSTOM,
     INCONCLUSIVE,
     NOT_CONVERGING,
     SequenceSpec,
@@ -64,6 +67,7 @@ from .gallery import (
     _loglog_slope,
     _shared_pools,
     default_probe_dictionary,
+    generate,
     generate_vector,
     weak_probe,
 )
@@ -157,7 +161,7 @@ def _parse_exponent(raw) -> float:
             return INFINITY
         raise ConfigError(f"field 'p': unknown exponent {raw!r}")
     p = float(raw)
-    if p < 1.0:
+    if not p >= 1.0:  # NaN included
         raise ConfigError(f"field 'p': exponent must be >= 1 or 'infinity', got {p}")
     return p
 
@@ -222,6 +226,8 @@ def load_config(path) -> ScenarioConfig:
 def build_config(raw: dict) -> ScenarioConfig:
     try:
         name = str(raw["name"])
+        if Path(name).name != name:  # every output is <output dir>/<name>.<kind>
+            raise ConfigError(f"field 'name' must be a file name, got {name!r}")
         graw = raw["grid"]
         _, resolution = _uniform_axes(graw["box"], graw["resolution"])
         if int(graw.get("dimension", len(resolution))) != len(resolution):
@@ -262,15 +268,21 @@ def build_config(raw: dict) -> ScenarioConfig:
             _check_dimensions(f, K, m)
         r_schedule = raw.get("R_schedule")
         if r_schedule is not None:
-            r_schedule = [float(r) for r in r_schedule]
             if p != INFINITY:
                 raise ConfigError("field 'R_schedule' applies to sup-norm scenarios only")
+            r_schedule = _check_r_schedule(r_schedule)
         levels = int(raw.get("levels", 4))
+        if levels < 1:
+            raise ConfigError(f"field 'levels' must be >= 1, got {levels}")
         expect = dict(raw.get("expect") or {})
         _check_expect(expect)
         output_dir = str(raw.get("output_dir", "."))
-        # surface aliasing-guard refusals as configuration errors up front
-        generate_vector(seq, horizon, grid)
+        # surface generation refusals as configuration errors up front.  The
+        # aliasing guard refuses from some index on, so the horizon covers it;
+        # a custom table can lack or spoil any entry, and each one is cheap.
+        for comp in seq.components:
+            for i in range(1, horizon + 1) if comp.kind == CUSTOM else (horizon,):
+                generate(comp, i, grid)
     except KeyError as err:
         raise ConfigError(f"missing config field {err.args[0]!r}") from None
     except AttributeError as err:  # a string or number where an object belongs
@@ -307,17 +319,31 @@ def _probe_phase(cfg: ScenarioConfig):
 
 
 def _extract_phase(cfg: ScenarioConfig):
-    if cfg.extraction_mode == "p=1":
-        schedule, trace = szlenk_extract(cfg.sequence, cfg.grid, cfg.levels, cfg.horizon)
-        ok = schedule.checkpoints_ok(tol=1e-9) and all(
-            c.margin >= -1e-12 for c in schedule.splitting_checks
-        )
-        worst = min(c.margin for c in schedule.checkpoints)
-        detail = f"levels={cfg.levels} picks={trace.length} worst_checkpoint_margin={worst:.3g}"
-        return trace, schedule, ok, detail
-    trace = banach_saks_extract(cfg.sequence, cfg.p, cfg.grid, cfg.horizon)
+    try:
+        if cfg.extraction_mode == "p=1":
+            schedule, trace = szlenk_extract(cfg.sequence, cfg.grid, cfg.levels, cfg.horizon)
+            ok = schedule.checkpoints_ok(tol=1e-9) and all(
+                c.margin >= -1e-12 for c in schedule.splitting_checks
+            )
+            worst = min(c.margin for c in schedule.checkpoints)
+            detail = f"levels={cfg.levels} picks={trace.length} worst_checkpoint_margin={worst:.3g}"
+            return trace, ok, detail
+        trace = banach_saks_extract(cfg.sequence, cfg.p, cfg.grid, cfg.horizon)
+    except (ExtractionStalledError, LevelStalledError) as err:
+        return getattr(err, "trace", None), False, str(err)
     detail = f"picks={trace.length} max_pairing={float(trace.pairings.max()):.3g}"
-    return trace, None, True, detail
+    return trace, True, detail
+
+
+def _growth_phase(cfg: ScenarioConfig, trace):
+    consts = InequalityConstants.build(cfg.p)
+    report = verify_growth_bound(trace, consts, cfg.p)
+    ok = report.aggregate_ok() and report.stepwise_ok()
+    detail = (
+        f"A={consts.a:.6g} B={consts.b:.6g} "
+        f"min_margin={float(report.aggregate_margins.min()):.3g}"
+    )
+    return report.per_step_minimum(), ok, detail
 
 
 def _cesaro_phase(cfg: ScenarioConfig, trace):
@@ -347,7 +373,7 @@ def _cesaro_phase(cfg: ScenarioConfig, trace):
 def _liminf_phase(cfg: ScenarioConfig):
     expect_refusal = bool(cfg.expect.get("liminf_refusal", False))
     try:
-        if cfg.p == INFINITY and cfg.r_schedule:
+        if cfg.p == INFINITY and cfg.r_schedule is not None:
             result = weak_star_verify(
                 cfg.sequence, cfg.limit, cfg.f, cfg.K, cfg.region,
                 cfg.horizon, cfg.r_schedule,
@@ -386,9 +412,29 @@ def _liminf_phase(cfg: ScenarioConfig):
     return report, ok, detail
 
 
+def _run_phase(manifest: RunManifest, name: str, phase, *args):
+    """Time ``phase(*args) -> (result, ok, detail)``, record pass or fail, return the result.
+
+    A ``LabError`` it raises is recorded as ``error`` with its message, and None returned.
+    """
+    start = time.perf_counter()
+    try:
+        result, ok, detail = phase(*args)
+    except LabError as err:
+        manifest.add_phase(name, "error", time.perf_counter() - start, str(err))
+        return None
+    manifest.add_phase(name, "pass" if ok else "fail", time.perf_counter() - start, detail)
+    return result
+
+
+def _write_output(manifest: RunManifest, path: Path, header, rows) -> None:
+    _write_csv(path, header, rows)
+    manifest.outputs.append(str(path))
+
+
 @_shared_pools()
 def run_scenario(cfg: ScenarioConfig, output_dir=None, phases=("probe", "extract", "liminf")) -> RunManifest:
-    """Execute the configured phases in order, writing CSV reports.
+    """Execute the configured phases in order, writing CSV reports and the manifest.
 
     Later phases that depend on a failed hypothesis are skipped and marked.
     The phases share one member pool, built by the first phase that needs it
@@ -400,79 +446,46 @@ def run_scenario(cfg: ScenarioConfig, output_dir=None, phases=("probe", "extract
 
     probe_report = None
     if "probe" in phases:
-        start = time.perf_counter()
-        try:
-            probe_report, ok, detail = _probe_phase(cfg)
-            manifest.add_phase("probe", "pass" if ok else "fail", time.perf_counter() - start, detail)
-        except LabError as err:
-            manifest.add_phase("probe", "error", time.perf_counter() - start, str(err))
+        probe_report = _run_phase(manifest, "probe", _probe_phase, cfg)
         if probe_report is not None:
-            path = out / f"{cfg.name}.probe.csv"
-            _write_csv(path, ("index", "residual", "verdict"), probe_report.rows())
-            manifest.outputs.append(str(path))
+            _write_output(
+                manifest, out / f"{cfg.name}.probe.csv",
+                ("index", "residual", "verdict"), probe_report.rows(),
+            )
 
-    trace = None
     if "extract" in phases and cfg.extraction_mode != "none":
-        start = time.perf_counter()
-        refuted = probe_report is not None and probe_report.verdict == NOT_CONVERGING
-        if "probe" in phases and refuted:
+        trace = None
+        if probe_report is not None and probe_report.verdict == NOT_CONVERGING:
             manifest.add_phase(
                 "extraction", "skipped", 0.0, "weak-convergence hypothesis refuted by the probe"
             )
         else:
-            try:
-                trace, schedule, ok, detail = _extract_phase(cfg)
-                manifest.add_phase(
-                    "extraction", "pass" if ok else "fail", time.perf_counter() - start, detail
-                )
-            except (ExtractionStalledError, LevelStalledError) as err:
-                trace = getattr(err, "trace", None)
-                manifest.add_phase("extraction", "fail", time.perf_counter() - start, str(err))
+            trace = _run_phase(manifest, "extraction", _extract_phase, cfg)
 
         bound_margins = None
         if cfg.extraction_mode == "p>1":
-            start = time.perf_counter()
             if trace is None:
                 manifest.add_phase("growth_bound", "skipped", 0.0, "no trace")
             else:
-                consts = InequalityConstants.build(cfg.p)
-                report = verify_growth_bound(trace, consts, cfg.p)
-                ok = report.aggregate_ok() and report.stepwise_ok()
-                bound_margins = report.per_step_minimum()
-                manifest.add_phase(
-                    "growth_bound",
-                    "pass" if ok else "fail",
-                    time.perf_counter() - start,
-                    f"A={consts.a:.6g} B={consts.b:.6g} "
-                    f"min_margin={float(report.aggregate_margins.min()):.3g}",
-                )
+                bound_margins = _run_phase(manifest, "growth_bound", _growth_phase, cfg, trace)
 
-        start = time.perf_counter()
         if trace is None:
             manifest.add_phase("cesaro", "skipped", 0.0, "no trace")
         else:
-            slope, ok, detail = _cesaro_phase(cfg, trace)
-            manifest.add_phase("cesaro", "pass" if ok else "fail", time.perf_counter() - start, detail)
-            path = out / f"{cfg.name}.trace.csv"
-            _write_csv(
-                path,
+            _run_phase(manifest, "cesaro", _cesaro_phase, cfg, trace)
+            _write_output(
+                manifest, out / f"{cfg.name}.trace.csv",
                 ("k", "selected_index", "max_pairing", "partial_norm_p", "cesaro_norm", "bound_margin"),
                 trace.rows(bound_margins),
             )
-            manifest.outputs.append(str(path))
 
     if "liminf" in phases and cfg.f is not None:
-        start = time.perf_counter()
-        report, ok, detail = _liminf_phase(cfg)
-        manifest.add_phase("liminf", "pass" if ok else "fail", time.perf_counter() - start, detail)
+        report = _run_phase(manifest, "liminf", _liminf_phase, cfg)
         if report is not None:
-            path = out / f"{cfg.name}.liminf.csv"
-            _write_csv(
-                path,
-                ("i", "alpha_i", "tail_inf", "limit_integral", "margin"),
-                report.rows(),
+            _write_output(
+                manifest, out / f"{cfg.name}.liminf.csv",
+                ("i", "alpha_i", "tail_inf", "limit_integral", "margin"), report.rows(),
             )
-            manifest.outputs.append(str(path))
 
     manifest_path = out / f"{cfg.name}.manifest.json"
     manifest_path.write_text(json.dumps(manifest.to_dict(), indent=2) + "\n")
@@ -481,18 +494,11 @@ def run_scenario(cfg: ScenarioConfig, output_dir=None, phases=("probe", "extract
 
 
 def _cmd_scenario(args, phases) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    try:
-        manifest = run_scenario(cfg, output_dir=args.output_dir, phases=phases)
-    except LabError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    manifest = run_scenario(load_config(args.config), output_dir=args.output_dir, phases=phases)
     for phase in manifest.phases:
-        print(f"{cfg.name}: {phase['name']}: {phase['status']} ({phase['detail']})")
+        print(f"{manifest.name}: {phase['name']}: {phase['status']} ({phase['detail']})")
+    if any(phase["status"] == "error" for phase in manifest.phases):
+        return 2
     return 0 if manifest.passed else 1
 
 
@@ -524,6 +530,11 @@ def _lemma1_rows(p_list, t_max, step, ab_range, ab_step, samples, seed):
     return rows
 
 
+def _lemma1_ok(worst: float, dev: float) -> bool:
+    """Pass rule of one lemma-1 line: grid margin and homogeneity deviation within tolerance."""
+    return worst >= -_GRID_MARGIN_TOL and dev <= _HOMOGENEITY_TOL
+
+
 def _cmd_verify_lemma1(args) -> int:
     rows = _lemma1_rows(
         args.p, args.range, args.step, args.ab_range, args.ab_step,
@@ -531,7 +542,7 @@ def _cmd_verify_lemma1(args) -> int:
     )
     ok = True
     for p, e_p, a, b, worst, dev in rows:
-        line_ok = worst >= -_GRID_MARGIN_TOL and dev <= _HOMOGENEITY_TOL
+        line_ok = _lemma1_ok(worst, dev)
         ok = ok and line_ok
         print(
             f"p={p:g} E(p)={e_p} A={a:.6g} B={b:.6g} worst_margin={worst:.3e} "
@@ -560,10 +571,7 @@ def _cmd_suite(args) -> int:
     all_ok = True
 
     rows = _lemma1_rows(list(_LEMMA1_DEFAULT_P), 100.0, 1e-3, 10.0, 0.05, 10000, args.seed)
-    lemma_ok = all(
-        worst >= -_GRID_MARGIN_TOL and dev <= _HOMOGENEITY_TOL
-        for _, _, _, _, worst, dev in rows
-    )
+    lemma_ok = all(_lemma1_ok(worst, dev) for _, _, _, _, worst, dev in rows)
     all_ok = all_ok and lemma_ok
     _write_csv(
         out / "lemma1.csv",
@@ -624,9 +632,12 @@ def main(argv=None) -> int:
         return 2 if err.code not in (0, None) else 0
     try:
         return args.func(args)
-    except OSError as err:
+    except (LabError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:  # a fault of the program, not of its input
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 def console_main() -> None:

@@ -500,6 +500,18 @@ def _check_dimensions(f: ConvexFunctionSpec, K: ConvexSetSpec, m: int) -> None:
         raise InvalidArgumentError(f"{what} give {size} components, neither 1 nor m = {m}")
 
 
+def _check_r_schedule(r_schedule) -> list:
+    """The radii as floats, once they are nonempty, finite, positive and strictly increasing."""
+    radii = [float(r) for r in r_schedule]
+    if not radii or not all(0 < r < math.inf for r in radii) or any(
+        b <= a for a, b in zip(radii, radii[1:])
+    ):
+        raise InvalidArgumentError(
+            f"R schedule must be finite, positive and strictly increasing: {radii}"
+        )
+    return radii
+
+
 def _require_nonnegative(f: ConvexFunctionSpec) -> None:
     if not f.nonnegative:
         raise PreconditionViolationError(
@@ -578,11 +590,7 @@ def weak_star_verify(
     restricted to the truncated region; the limit-side integrals must be
     non-decreasing in R, realizing the monotone-convergence step.
     """
-    radii = [float(r) for r in r_schedule]
-    if not radii or any(r <= 0 for r in radii) or any(
-        b <= a for a, b in zip(radii, radii[1:])
-    ):
-        raise InvalidArgumentError(f"R schedule must be strictly increasing positive: {radii}")
+    radii = _check_r_schedule(r_schedule)
     _require_nonnegative(f)
     pool, probe = _converging_pool(seq, limit, f, K, region, INFINITY, horizon, dictionary)
     reports = []

@@ -3,8 +3,17 @@ import tracemalloc
 
 import pytest
 
+from lplab import cli, gallery
 from lplab.cli import build_config, load_config, main
-from lplab.errors import ConfigError
+from lplab.errors import ConfigError, InvalidArgumentError
+
+
+def _custom_table(drop=None, entry=None):
+    """Overrides for a custom sequence of 8 constant members on the 512-node grid."""
+    table = {i: [0.5 * (-1) ** i] * 512 for i in range(1, 9) if i != drop}
+    if entry is not None:
+        table[entry[0]] = entry[1]
+    return {"horizon": 8, "sequence": [{"kind": "custom", "params": {"table": table}}]}
 
 
 def _base_config(**overrides):
@@ -73,6 +82,18 @@ def test_config_digest_is_stable():
                "K": {"kind": "box", "params": {"bounds": [[-1.0, 1.0], [-1.0, 1.0]]}}}},
         {"f": {"kind": "squared_norm",
                "K": {"kind": "ball", "params": {"center": [0.0, 0.0]}}}},
+        # values a phase would refuse only after the probe ran
+        {"name": "a/b"},  # the outputs could not be written
+        {"levels": 0},
+        {"p": float("nan"), "extraction": "none"},
+        {"p": "infinity", "extraction": "none", "R_schedule": [2.0, 1.0]},
+        # an empty schedule would silently run the closed-K route
+        {"p": "infinity", "extraction": "none", "R_schedule": []},
+        {"p": "infinity", "extraction": "none", "R_schedule": [float("nan")]},
+        # custom tables with a gap, a wrong-length entry, a non-finite entry
+        _custom_table(drop=5),
+        _custom_table(entry=(3, [1.0, 2.0])),
+        _custom_table(entry=(6, [float("nan")] * 512)),
     ],
 )
 def test_config_validation_errors(overrides):
@@ -252,3 +273,45 @@ def test_pool_budget_refused_before_the_grid_is_built(tmp_path, capsys):
     assert main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 2
     assert "over the budget" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_phase_library_error_is_recorded_and_exits_2(tmp_path, monkeypatch, capsys):
+    # every phase that needs the member pool raises; the run still ends with a manifest
+    def failing_build(*args):
+        raise InvalidArgumentError("pool build refused")
+
+    monkeypatch.setattr(gallery, "_build_pool", failing_build)
+    path = tmp_path / "error.json"
+    path.write_text(json.dumps(_base_config(f={"kind": "squared_norm"})))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--output-dir", str(out)]) == 2
+    manifest = json.loads((out / "unit.manifest.json").read_text())
+    assert manifest["passed"] is False
+    assert [(p["name"], p["status"]) for p in manifest["phases"]] == [
+        ("probe", "error"),
+        ("extraction", "error"),
+        ("growth_bound", "skipped"),
+        ("cesaro", "skipped"),
+        ("liminf", "error"),
+    ]
+    assert all(p["detail"] == "pool build refused" for p in manifest["phases"]
+               if p["status"] == "error")
+    assert manifest["outputs"] == []
+    assert sorted(f.name for f in out.iterdir()) == ["unit.manifest.json"]
+    assert "probe: error (pool build refused)" in capsys.readouterr().out
+
+
+def test_cli_internal_error_exits_3_without_traceback(tmp_path, monkeypatch, capsys):
+    def broken_probe(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "weak_probe", broken_probe)
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(_base_config()))
+    assert main(["probe", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
+def test_cli_verify_lemma1_refused_exponent_exits_2(capsys):
+    assert main(["verify-lemma1", "--p", "0.5", "--homogeneity-samples", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -280,9 +280,10 @@ def test_library_calls_outside_a_run_build_their_own_pools(grid, monkeypatch):
     assert first.indices == second.indices
 
 
-def test_a_failed_build_is_not_shared(tmp_path, monkeypatch):
-    # The table lacks index 5: every phase that needs the pool tries to build
-    # it and reports the same error.
+def test_a_failed_build_is_not_shared(tmp_path, monkeypatch, capsys):
+    # The table lacks index 5.  The command line refuses it as a configuration
+    # error before any phase; inside a run's scope every call tries the build
+    # again and raises again.
     table = {str(i): [0.5 * (-1) ** i] * 64 for i in range(1, 9) if i != 5}
     raw = {
         "name": "gap",
@@ -299,15 +300,18 @@ def test_a_failed_build_is_not_shared(tmp_path, monkeypatch):
     attempts = []
     real_build = gallery._build_pool
     monkeypatch.setattr(gallery, "_build_pool", lambda *a: attempts.append(a) or real_build(*a))
-    for command, code in (("probe", 1), ("extract", 2), ("liminf", 2), ("run", 2)):
+    for command in ("probe", "extract", "liminf", "run"):
         out = tmp_path / command
-        attempts.clear()
-        assert main([command, "--config", str(path), "--output-dir", str(out)]) == code
-        assert len(attempts) == (1 if command == "probe" else 2)
-        manifest = out / "gap.manifest.json"
-        if command == "probe":
-            phases = json.loads(manifest.read_text())["phases"]
-            assert [(p["name"], p["status"]) for p in phases] == [("probe", "error")]
-            assert "no entry for index 5" in phases[0]["detail"]
-        else:
-            assert not manifest.exists()
+        assert main([command, "--config", str(path), "--output-dir", str(out)]) == 2
+        assert "no entry for index 5" in capsys.readouterr().err
+        assert not out.exists()
+    assert attempts == []
+
+    grid = build_uniform_grid([[0.0, 1.0]], 64)
+    gapped = {i: np.full(64, 0.5) for i in range(1, 9) if i != 5}
+    seq = VectorSequenceSpec([SequenceSpec(kind="custom", table=gapped)])
+    with gallery._shared_pools():
+        for _ in range(2):
+            with pytest.raises(InvalidArgumentError, match="no entry for index 5"):
+                member_pool(seq, grid, 8)
+    assert len(attempts) == 2

@@ -1,6 +1,10 @@
 """Property tests of the paper's inequalities over generated inputs."""
 
+import copy
 import functools
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -19,11 +23,16 @@ from lplab import (
     banach_saks_extract,
     build_uniform_grid,
     check_pointwise_inequality,
+    conjugate_exponent,
+    dual_pairing,
+    holder_minkowski_check,
     jensen_check,
     liminf_verify,
+    lp_norm,
     remainder_term,
     verify_growth_bound,
 )
+from lplab.cli import main
 
 # Bounded example counts keep the whole suite fast; derandomized runs make
 # every failure reproducible.
@@ -173,3 +182,140 @@ def test_growth_bound_margins_on_random_normalized_pools(p, pool):
     report = verify_growth_bound(trace, _constants(p), p)
     assert report.stepwise_ok()
     assert report.aggregate_ok()
+
+
+# values on a 1/8 lattice in [-125, 125]: lp_norm takes |x|^p unscaled, so a
+# field of much smaller or larger magnitude under- or overflows at p = 6
+_samples = st.lists(
+    st.integers(-1000, 1000).map(lambda k: k / 8.0),
+    min_size=_POOL_GRID.node_count, max_size=_POOL_GRID.node_count,
+)
+
+
+@settings(max_examples=60, **_SETTINGS)
+@given(st.floats(1.0, 6.0), _samples, _samples)
+def test_holder_and_minkowski_margins_are_nonnegative(p, f, g):
+    f, g = ScalarField(_POOL_GRID, np.asarray(f)), ScalarField(_POOL_GRID, np.asarray(g))
+    holder, minkowski = holder_minkowski_check(f, g, p)
+    q = conjugate_exponent(p)
+    assert holder >= -1e-12 * (lp_norm(f, p) * lp_norm(g, q) + abs(dual_pairing(f, g)))
+    assert minkowski >= -1e-12 * (lp_norm(f, p) + lp_norm(g, p))
+
+
+_DELETE = object()
+
+# A valid small scenario and, per documented field, values to put in its place:
+# other valid ones, wrong types, out-of-range and non-finite numbers.
+_VALID_SCENARIO = {
+    "name": "fuzz",
+    "grid": {"dimension": 1, "box": [[0.0, 1.0]], "resolution": [64]},
+    "p": 2.0,
+    "m": 1,
+    "sequence": [{"kind": "oscillatory", "amplitude": 1.0, "params": {"base": 1.0}}],
+    "limit": [{"kind": "constant", "amplitude": 0.0, "params": {"value": 0.0}}],
+    "region": {"type": "full"},
+    "horizon": 8,
+    "extraction": "p>1",
+    "levels": 2,
+    "f": {"kind": "squared_norm", "nonnegative": True},
+    "expect": {"probe_verdict": "inconclusive"},
+}
+_FIELD_VALUES = {
+    "name": ["other", "", 5, None, "a/b"],
+    "grid": [
+        {"dimension": 2, "box": [[0.0, 1.0], [0.0, 1.0]], "resolution": [16, 8]},
+        {"box": [[0.0, 1.0]], "resolution": 32},
+        {"box": [[1.0, 0.0]], "resolution": [64]},
+        {"box": [[0.0, 1.0]], "resolution": [0]},
+        {"box": [[0.0, 1.0]], "resolution": [-4]},
+        {"box": [[0.0, float("nan")]], "resolution": [64]},
+        {"box": [[0.0, 1.0]], "resolution": [64], "dimension": 2},
+        {"resolution": [64]},
+        "grid",
+    ],
+    "p": [1.0, 1.5, 3.0, "infinity", "inf", "bogus", 0.5, -1, None, True,
+          float("nan"), float("inf")],
+    "m": [2, 0, -1, "two", 1.5],
+    "sequence": [
+        [{"kind": "rademacher"}],
+        [{"kind": "spike", "amplitude": 2.0}],
+        [{"kind": "constant", "params": {"value": 0.5}}],
+        [{"kind": "oscillatory", "params": {"base": 2.0}}],
+        [{"kind": "oscillatory"}, {"kind": "rademacher"}],
+        [{"kind": "oscillatory", "amplitude": 1e200}],
+        [{"kind": "oscillatory", "amplitude": float("nan")}],
+        [{"kind": "oscillatory", "params": {"base": 0.0}}],
+        [{"kind": "oscillatory", "params": {"base": -1.0}}],
+        [{"kind": "custom", "params": {"table": {"1": [1.0]}}}],
+        [{"kind": "custom", "params": {"table": [1.0]}}],
+        [{"kind": "oscillatory", "amplitude": "big"}],
+        [{"kind": "nope"}],
+        [{}],
+        [],
+    ],
+    "limit": [
+        [{"kind": "constant", "params": {"value": 0.3}}],
+        [{"kind": "oscillatory"}],
+        [{"kind": "constant"}, {"kind": "constant"}],
+        [{"kind": "constant", "params": {"value": float("inf")}}],
+        [],
+    ],
+    "region": [
+        {"type": "ball", "radius": 0.5},
+        {"type": "ball", "radius": -1.0},
+        {"type": "ball"},
+        {"type": "box", "bounds": [[0.0, 0.5]]},
+        {"type": "box", "bounds": [[0.6, 0.4]]},
+        {"type": "box", "bounds": [[0.0, 1.0], [0.0, 1.0]]},
+        {"type": "weird"},
+    ],
+    "horizon": [16, 7, 0, -3, "8", 8.5, 10 ** 9, float("nan")],
+    "extraction": ["p=1", "none", "x", 1],
+    "levels": [1, 8, 0, -1, "3", 2.5],
+    "f": [
+        {"kind": "power", "params": {"power": 3.0}},
+        {"kind": "max_affine", "params": {"planes": [[[1.0], 0.0]]}},
+        {"kind": "max_affine", "params": {"planes": []}},
+        {"kind": "squared_norm", "nonnegative": False},
+        {"kind": "squared_norm", "K": {"kind": "ball", "params": {"radius": 0.1}}},
+        {"kind": "squared_norm", "K": {"kind": "box", "params": {"bounds": [[-1.0, 1.0]]},
+                                       "closed": True}},
+        {"kind": "squared_norm", "K": {"kind": "halfspaces", "params": {"halfspaces": []}}},
+        {"kind": "bogus"},
+        {},
+        None,
+    ],
+    "R_schedule": [[0.5, 2.0], [1.0], [], [2.0, 1.0], [-1.0], [float("nan")],
+                   [float("inf")], "x", 3.0],
+    "expect": [
+        {},
+        {"probe_verdict": "converging", "cesaro_slope": [-1.0, 0.0]},
+        {"tail_inf_range": [0.0, 1.0]},
+        {"liminf_refusal": True},
+        {"cesaro_drop": 0.5},
+        {"probe_verdict": 3},
+        "x",
+    ],
+}
+_mutations = st.lists(
+    st.sampled_from(sorted(_FIELD_VALUES)).flatmap(
+        lambda key: st.tuples(st.just(key), st.sampled_from(_FIELD_VALUES[key] + [_DELETE]))
+    ),
+    min_size=1, max_size=3,
+)
+
+
+@settings(max_examples=120, **_SETTINGS)
+@given(_mutations)
+def test_config_fuzz_exits_with_a_documented_code(mutations):
+    raw = copy.deepcopy(_VALID_SCENARIO)
+    for key, value in mutations:
+        if value is _DELETE:
+            raw.pop(key, None)
+        else:
+            raw[key] = copy.deepcopy(value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps(raw))
+        rc = main(["run", "--config", str(path), "--output-dir", str(Path(tmp) / "out")])
+    assert rc in (0, 1, 2)
