@@ -493,13 +493,18 @@ def run_scenario(cfg: ScenarioConfig, output_dir=None, phases=("probe", "extract
     return manifest
 
 
+def _exit_code(manifest: RunManifest) -> int:
+    """2 if any phase is an error, otherwise 0 if every check passed, else 1."""
+    if any(phase["status"] == "error" for phase in manifest.phases):
+        return 2
+    return 0 if manifest.passed else 1
+
+
 def _cmd_scenario(args, phases) -> int:
     manifest = run_scenario(load_config(args.config), output_dir=args.output_dir, phases=phases)
     for phase in manifest.phases:
         print(f"{manifest.name}: {phase['name']}: {phase['status']} ({phase['detail']})")
-    if any(phase["status"] == "error" for phase in manifest.phases):
-        return 2
-    return 0 if manifest.passed else 1
+    return _exit_code(manifest)
 
 
 def _lemma1_rows(p_list, t_max, step, ab_range, ab_step, samples, seed):
@@ -568,11 +573,10 @@ def _bundled_scenarios():
 def _cmd_suite(args) -> int:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    all_ok = True
 
     rows = _lemma1_rows(list(_LEMMA1_DEFAULT_P), 100.0, 1e-3, 10.0, 0.05, 10000, args.seed)
     lemma_ok = all(_lemma1_ok(worst, dev) for _, _, _, _, worst, dev in rows)
-    all_ok = all_ok and lemma_ok
+    code = 0 if lemma_ok else 1
     _write_csv(
         out / "lemma1.csv",
         ("p", "E_p", "A", "B", "worst_margin", "homogeneity_dev"),
@@ -585,10 +589,10 @@ def _cmd_suite(args) -> int:
         cfg = build_config(raw)
         manifest = run_scenario(cfg, output_dir=out)
         status = "PASS" if manifest.passed else "FAIL"
-        all_ok = all_ok and manifest.passed
+        code = max(code, _exit_code(manifest))
         summary = ", ".join(f"{p['name']}={p['status']}" for p in manifest.phases)
         print(f"scenario {cfg.name}: {status} ({summary})")
-    return 0 if all_ok else 1
+    return code
 
 
 def main(argv=None) -> int:

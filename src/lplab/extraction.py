@@ -286,19 +286,36 @@ def _member_norms(pool: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
     Computed in a two-row scratch block instead of a pool-sized temporary.
     numpy's einsum sums a lone row in another order than a stack of rows, so
     blocks of two keep every norm bitwise equal to one contraction over the
-    whole pool; an odd last row shares its block with the row before it.
+    whole pool; an odd last row shares its block with the row before it.  A
+    member whose sum of p-th powers overflows, or underflows while the member
+    is nonzero, is recomputed as s * (sum w |u/s|^p)^(1/p) with s = max |u|.
     """
     horizon = pool.shape[0]
     size = min(2, horizon)
     block = np.empty((size,) + pool.shape[1:])
-    norms = np.empty(horizon)
+    sums = np.empty(horizon)
     for start in range(0, horizon, 2):
         first = min(start, horizon - size)
         rows = slice(first, first + size)
         np.abs(pool[rows], out=block)
-        block **= p
-        norms[rows] = np.einsum("n,ijn->i", w, block)
-    return norms ** (1.0 / p)
+        with np.errstate(over="ignore"):  # an overflowed member is recomputed below
+            block **= p
+        sums[rows] = np.einsum("n,ijn->i", w, block)
+    norms = sums ** (1.0 / p)
+    for i in np.flatnonzero(~(np.isfinite(sums) & (sums >= np.finfo(float).tiny))):
+        scale = float(np.abs(pool[i]).max())
+        if scale > 0.0:
+            scaled = np.abs(pool[i]) / scale
+            scaled **= p
+            norms[i] = scale * float(np.einsum("n,jn->", w, scaled)) ** (1.0 / p)
+    return norms
+
+
+def _member_row(pool: np.ndarray, factor: float, i: int, out: np.ndarray) -> np.ndarray:
+    """Member i of pool / factor, divided into out when factor is not 1."""
+    if factor == 1.0:
+        return pool[i - 1]
+    return np.divide(pool[i - 1], factor, out=out)
 
 
 def _banach_saks_select(pool: np.ndarray, p: float, w: np.ndarray) -> ExtractionTrace:
@@ -307,12 +324,11 @@ def _banach_saks_select(pool: np.ndarray, p: float, w: np.ndarray) -> Extraction
     member_norms = _member_norms(pool, w, p)
     sup = float(member_norms.max())
     factor = max(1.0, sup)
-    if factor > 1.0:
-        pool = pool / factor
     m = pool.shape[1]
 
     # Two scratch rows hold phi_w = |s|^(p-1) sgn(s) w and |s|^p, each filled
-    # by the same ufuncs in the same order as the expressions they replace.
+    # by the same ufuncs in the same order as the expressions they replace;
+    # a member read when factor > 1 is divided into scratch.
     phi_w = np.empty_like(pool[0])
     scratch = np.empty_like(pool[0])
 
@@ -322,7 +338,7 @@ def _banach_saks_select(pool: np.ndarray, p: float, w: np.ndarray) -> Extraction
         return np.einsum("n,jn->j", w, powered)
 
     indices = [1]
-    s = pool[0].copy()
+    s = _member_row(pool, factor, 1, scratch).copy()
     pairings = [np.zeros(m)]
     partials = [partial_norms()]
     cesaro = [float(partials[0].sum()) ** (1.0 / p)]
@@ -347,7 +363,8 @@ def _banach_saks_select(pool: np.ndarray, p: float, w: np.ndarray) -> Extraction
         phi_w *= w
         accepted = None
         for cand in range(indices[-1] + 1, horizon + 1):
-            t = np.einsum("jn,jn->j", phi_w, pool[cand - 1])
+            u = _member_row(pool, factor, cand, scratch)
+            t = np.einsum("jn,jn->j", phi_w, u)
             if np.all(t <= 1.0 + _PAIRING_SLACK):
                 accepted = (cand, t)
                 break
@@ -359,7 +376,7 @@ def _banach_saks_select(pool: np.ndarray, p: float, w: np.ndarray) -> Extraction
             )
         cand, t = accepted
         indices.append(cand)
-        s += pool[cand - 1]
+        s += u
         k = len(indices)
         pairings.append(t)
         partials.append(partial_norms())
@@ -509,13 +526,13 @@ def _szlenk_select(
     member_norms = _member_norms(pool, w, 1.0)
     sup = float(member_norms.max())
     factor = max(1.0, sup)
-    if factor > 1.0:
-        pool = pool / factor
     m = pool.shape[1]
 
     # One scratch row for every per-candidate and per-pick temporary: on large
     # grids a fresh temporary each time costs several times the arithmetic.
+    # A member read when factor > 1 is divided into its own row.
     scratch = np.empty_like(pool[0])
+    member = np.empty_like(pool[0])
     level_lists = []
     previous = list(range(1, horizon + 1))
     for level in range(1, levels + 1):
@@ -524,11 +541,12 @@ def _szlenk_select(
         s = np.zeros_like(pool[0])
         for idx in previous:
             k = len(chosen) + 1
-            np.add(s, pool[idx - 1], out=scratch)
+            u = _member_row(pool, factor, idx, member)
+            np.add(s, u, out=scratch)
             trial = float(np.einsum("n,jn->", w, np.abs(scratch, out=scratch))) / k
             if trial <= max(target, k ** -0.5) + 1e-12:
                 chosen.append(idx)
-                s += pool[idx - 1]
+                s += u
         if len(chosen) < level:
             raise LevelStalledError(
                 f"level {level} kept only {len(chosen)} members within the pool "
@@ -548,7 +566,7 @@ def _szlenk_select(
     cesaro = []
     prefix_snapshots = {}
     for r, idx in enumerate(diagonal, start=1):
-        u = pool[idx - 1]
+        u = _member_row(pool, factor, idx, member)
         if r == 1:
             pairings.append(np.zeros(m))
         else:

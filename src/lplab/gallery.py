@@ -169,6 +169,22 @@ def _walsh_mask(i: int, max_level: int) -> int:
     )
 
 
+def _walsh_masks(horizon: int, max_level: int) -> list:
+    """Masks of gallery indices 1..horizon, listed in one pass.
+
+    Entry i - 1 equals ``_walsh_mask(i, max_level)``.  The list stops at the
+    last sign pattern, so it is shorter than horizon when the grid cannot
+    resolve every index.
+    """
+    masks = [1 << level for level in range(min(horizon, max_level))]
+    t = 3
+    while len(masks) < horizon and t < 1 << max_level:
+        if t & (t - 1):  # skip pure powers of two, already used
+            masks.append(t)
+        t += 1
+    return masks
+
+
 def _rademacher_mask(i: int, grid: QuadratureGrid) -> int:
     max_level = _max_dyadic_level(grid.axis_resolution(0), grid.axis_length(0))
     if max_level < 1:
@@ -294,10 +310,12 @@ def member_pool(seq: VectorSequenceSpec, grid: QuadratureGrid, horizon: int) -> 
     Row [i-1, j] is bitwise equal to ``generate(seq.components[j], i,
     grid).samples`` and the same errors are raised, in the same index order.
     Rademacher rows are products of one sign row per dyadic level, each
-    computed once per build.  A pool larger than ``POOL_BUDGET_BYTES`` is
-    refused with ``PoolBudgetError`` before anything is allocated.  Each call
-    builds its own pool, except inside one scenario run of the command line,
-    which builds it once for all its phases.
+    computed once per build.  A pool of oscillatory rows, or of oscillatory
+    and Rademacher rows, is filled on up to two threads, with the same bits.
+    A pool larger than ``POOL_BUDGET_BYTES`` is refused with
+    ``PoolBudgetError`` before anything is allocated.  Each call builds its
+    own pool, except inside one scenario run of the command line, which
+    builds it once for all its phases.
     """
     shared = _POOLS.get()
     if shared is not None:
@@ -310,31 +328,80 @@ def member_pool(seq: VectorSequenceSpec, grid: QuadratureGrid, horizon: int) -> 
     return pool
 
 
+def _halves(n: int, work) -> None:
+    """Run work(lo, hi) over [0, n) in two contiguous halves, on two threads.
+
+    The upper half runs on a short-lived thread and the lower half on the
+    calling one; both end before this returns.  When both halves raise, the
+    lower half's error is the one raised, so errors keep their index order.
+    With fewer than two usable CPUs, or n < 2, work(0, n) runs alone.
+    """
+    import os
+    import threading
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if n < 2 or (cpus or 1) < 2:
+        work(0, n)
+        return
+    mid = n // 2
+    upper_error = []
+
+    def upper() -> None:
+        try:
+            work(mid, n)
+        except BaseException as err:
+            upper_error.append(err)
+
+    thread = threading.Thread(target=upper)
+    thread.start()
+    try:
+        work(0, mid)
+    finally:
+        thread.join()
+    if upper_error:
+        raise upper_error[0]
+
+
 def _build_pool(seq: VectorSequenceSpec, grid: QuadratureGrid, horizon: int) -> np.ndarray:
     if horizon < 1:
         raise InvalidArgumentError(f"pool horizon must be >= 1, got {horizon}")
     _check_pool_budget(horizon, seq.m, grid.node_count)
-    n = grid.node_count
-    x1 = grid.nodes[:, 0]
-    levels = {}
+    kinds = {comp.kind for comp in seq.components}
+    masks = []
+    signs = {}
+    if RADEMACHER in kinds:
+        # Indices 1..max_level are the single levels and later masks combine
+        # them, so these are every sign row the fill reads; it never writes one.
+        max_level = _max_dyadic_level(grid.axis_resolution(0), grid.axis_length(0))
+        masks = _walsh_masks(horizon, max_level)
+        for level in range(1, min(horizon, max_level) + 1):
+            signs[level] = _dyadic_sign(grid.nodes[:, 0], level)
 
-    def sign_row(level: int) -> np.ndarray:
-        if level not in levels:
-            levels[level] = _dyadic_sign(x1, level)
-        return levels[level]
+    pool = np.empty((horizon, seq.m, grid.node_count))
 
-    pool = np.empty((horizon, seq.m, n))
-    for i in range(1, horizon + 1):
-        for j, comp in enumerate(seq.components):
-            row = pool[i - 1, j]
-            if comp.kind == RADEMACHER:
-                _walsh_product(_rademacher_mask(i, grid), sign_row, row)
-                row *= comp.amplitude
-            elif comp.kind == OSCILLATORY:
-                _oscillatory_row(comp, i, grid, row)
-            else:
-                row[:] = generate(comp, i, grid).samples
-            ScalarField(grid, row)  # the finite-sample check generate applies
+    def fill(lo: int, hi: int) -> None:
+        for i in range(lo + 1, hi + 1):
+            for j, comp in enumerate(seq.components):
+                row = pool[i - 1, j]
+                if comp.kind == RADEMACHER:
+                    # past the last pattern, _rademacher_mask raises generate's error
+                    mask = masks[i - 1] if i <= len(masks) else _rademacher_mask(i, grid)
+                    _walsh_product(mask, signs.__getitem__, row)
+                    row *= comp.amplitude
+                elif comp.kind == OSCILLATORY:
+                    _oscillatory_row(comp, i, grid, row)
+                else:
+                    row[:] = generate(comp, i, grid).samples
+                ScalarField(grid, row)  # the finite-sample check generate applies
+
+    # Rows of other kinds go through generate, a public entry point, so they
+    # are filled on the calling thread only.  A thread pays for itself through
+    # sin, which releases the GIL for long; a pool of sign products alone
+    # fills no faster on two threads.
+    if kinds <= {OSCILLATORY, RADEMACHER} and OSCILLATORY in kinds:
+        _halves(horizon, fill)
+    else:
+        fill(0, horizon)
     pool.setflags(write=False)
     return pool
 

@@ -315,3 +315,42 @@ def test_cli_internal_error_exits_3_without_traceback(tmp_path, monkeypatch, cap
 def test_cli_verify_lemma1_refused_exponent_exits_2(capsys):
     assert main(["verify-lemma1", "--p", "0.5", "--homogeneity-samples", "0"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_suite_phase_library_error_exits_2(tmp_path, monkeypatch, capsys):
+    def failing_build(*args):
+        raise InvalidArgumentError("pool build refused")
+
+    monkeypatch.setattr(gallery, "_build_pool", failing_build)
+    assert main(["suite", "--output-dir", str(tmp_path)]) == 2
+    assert "=error" in capsys.readouterr().out
+
+
+def _trace_column(path, name):
+    lines = path.read_text().splitlines()
+    column = lines[0].split(",").index(name)
+    return [float(line.split(",")[column]) for line in lines[1:]]
+
+
+def test_cli_run_huge_amplitude_normalizes_like_a_moderate_one(tmp_path, capsys):
+    # Members of amplitude 1e200 have p-th powers past the float range.  Both
+    # runs normalize their members to unit norm (amplitude 2 gives norm
+    # sqrt(2) > 1), so their Cesaro curves agree.
+    curves = {}
+    for amplitude in (2.0, 1e200):
+        path = tmp_path / f"{amplitude}.json"
+        path.write_text(json.dumps(_base_config(
+            grid={"dimension": 1, "box": [[0.0, 1.0]], "resolution": [64]},
+            sequence=[{"kind": "oscillatory", "amplitude": amplitude}],
+            horizon=8,
+            expect={"probe_verdict": "inconclusive"},
+        )))
+        out = tmp_path / f"out-{amplitude}"
+        assert main(["run", "--config", str(path), "--output-dir", str(out)]) == 0
+        manifest = json.loads((out / "unit.manifest.json").read_text())
+        cesaro = [p for p in manifest["phases"] if p["name"] == "cesaro"][0]
+        assert "identically zero" not in cesaro["detail"]
+        curves[amplitude] = _trace_column(out / "unit.trace.csv", "cesaro_norm")
+    capsys.readouterr()
+    assert curves[1e200] == pytest.approx(curves[2.0], rel=1e-12, abs=0.0)
+    assert min(curves[1e200]) > 0.0

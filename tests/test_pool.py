@@ -1,6 +1,12 @@
 import gc
+import importlib.util
 import json
+import os
+import sys
+import threading
+import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,7 +194,7 @@ def test_pool_budget_bounds():
     assert gallery.POOL_BUDGET_BYTES < 256 * 2 * 512 * 512 * 8
 
 
-@pytest.mark.parametrize("horizon", [1, 2, 9])
+@pytest.mark.parametrize("horizon", [1, 2, 3, 5, 9, 17])
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 def test_member_norms_bitwise_equal_to_whole_pool_contraction(p, m, horizon):
@@ -315,3 +321,202 @@ def test_a_failed_build_is_not_shared(tmp_path, monkeypatch, capsys):
             with pytest.raises(InvalidArgumentError, match="no entry for index 5"):
                 member_pool(seq, grid, 8)
     assert len(attempts) == 2
+
+
+def _cpus(monkeypatch, count):
+    """Make the process see `count` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+def _count_threads(monkeypatch):
+    started = []
+    real_start = threading.Thread.start
+
+    def counting_start(self):
+        started.append(self)
+        return real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
+
+
+@pytest.mark.parametrize("max_level", range(1, 11))
+def test_walsh_masks_list_every_index_mask(max_level):
+    patterns = (1 << max_level) - 1
+    masks = gallery._walsh_masks(patterns + 3, max_level)
+    assert masks == [gallery._walsh_mask(i, max_level) for i in range(1, patterns + 1)]
+    assert gallery._walsh_masks(max_level + 2, max_level) == masks[: max_level + 2]
+
+
+@pytest.mark.parametrize(
+    "kinds, horizon, failing",
+    [
+        (["oscillatory"], 40, 0),  # indices past 32 fail in the upper half only
+        (["oscillatory"], 80, 0),  # and in both halves
+        (["oscillatory-slow", "rademacher"], 64, 1),  # index 64 is past the 63 patterns
+        (["oscillatory-slow", "rademacher"], 200, 1),  # before index 129 of component 0
+        (["oscillatory", "rademacher"], 200, 0),  # index 33 before index 64
+    ],
+)
+def test_split_fill_raises_the_serial_error(grid, monkeypatch, kinds, horizon, failing):
+    specs = {
+        "oscillatory": SequenceSpec(kind="oscillatory"),
+        "oscillatory-slow": SequenceSpec(kind="oscillatory", base=0.25),
+        "rademacher": SequenceSpec(kind="rademacher", amplitude=-2.0),
+    }
+    seq = VectorSequenceSpec([specs[k] for k in kinds])
+    messages = []
+    for count in (1, 2):
+        _cpus(monkeypatch, count)
+        started = _count_threads(monkeypatch)
+        with pytest.raises(InvalidArgumentError) as info:
+            member_pool(seq, grid, horizon)
+        messages.append(str(info.value))
+        assert len(started) == count - 1
+        assert not any(t.is_alive() for t in started)
+        monkeypatch.undo()
+    assert messages == [_first_error(seq.components[failing], grid, horizon)] * 2
+
+
+def test_pool_with_a_spike_generates_on_the_calling_thread_only(grid, monkeypatch):
+    # generate is a public entry point; the bench wraps it with a span stack
+    # that is not thread-safe.
+    _cpus(monkeypatch, 2)
+    started = _count_threads(monkeypatch)
+    threads = []
+    real_generate = gallery.generate
+
+    def recording_generate(*args):
+        threads.append(threading.current_thread())
+        return real_generate(*args)
+
+    monkeypatch.setattr(gallery, "generate", recording_generate)
+    seq = VectorSequenceSpec([SequenceSpec(kind="oscillatory"), SequenceSpec(kind="spike")])
+    pool = member_pool(seq, grid, 24)
+    assert started == []
+    assert len(threads) == 24
+    assert all(t is threading.main_thread() for t in threads)
+    for i in range(1, 25):
+        assert np.array_equal(pool[i - 1, 1], real_generate(seq.components[1], i, grid).samples)
+
+
+def test_rademacher_pool_fills_on_the_calling_thread(grid, monkeypatch):
+    _cpus(monkeypatch, 2)
+    started = _count_threads(monkeypatch)
+    member_pool(VectorSequenceSpec([SequenceSpec(kind="rademacher")]), grid, 40)
+    assert started == []
+
+
+def test_one_cpu_fills_without_threads_to_the_same_bits(monkeypatch):
+    grid2 = build_uniform_grid([[0.0, 1.0], [0.0, 1.0]], [256, 32])
+    seq = VectorSequenceSpec([
+        SequenceSpec(kind="oscillatory", amplitude=1.5),
+        SequenceSpec(kind="rademacher", amplitude=-0.5),
+    ])
+    pools = []
+    for count in (2, 1):
+        _cpus(monkeypatch, count)
+        started = _count_threads(monkeypatch)
+        pools.append(member_pool(seq, grid2, 31))
+        assert len(started) == count - 1
+        monkeypatch.undo()
+    assert np.array_equal(pools[0], pools[1])
+
+
+def test_concurrent_split_builds_keep_their_bits(monkeypatch):
+    # Four callers, each splitting its fill, with a short switch interval: a
+    # row written by the wrong half would change the bits.
+    grid2 = build_uniform_grid([[0.0, 1.0], [0.0, 1.0]], [128, 16])
+    seq = VectorSequenceSpec([
+        SequenceSpec(kind="oscillatory", amplitude=1.5),
+        SequenceSpec(kind="rademacher", amplitude=-0.5),
+    ])
+
+    _cpus(monkeypatch, 1)
+    expected = gallery._build_pool(seq, grid2, 15)
+    _cpus(monkeypatch, 2)
+    mismatches = []
+
+    def caller():
+        for _ in range(5):
+            pool = gallery._build_pool(seq, grid2, 15)
+            if not np.array_equal(pool, expected):
+                mismatches.append(pool)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=caller) for _ in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 6.0])
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-310])
+def test_member_norms_rescale_rows_past_the_float_range(p, scale):
+    # 1e-310 is subnormal itself, so its samples keep about 13 digits.
+    rng = np.random.default_rng(3)
+    n = 64
+    unit = rng.uniform(-1.0, 1.0, (3, 2, n))
+    unit[1] = 0.0
+    w = np.full(n, 1.0 / n)
+    expected = extraction._member_norms(unit, w, p)
+    norms = extraction._member_norms(unit * scale, w, p)
+    assert norms == pytest.approx(expected * scale, rel=1e-12, abs=0.0)
+    assert norms[1] == 0.0
+
+
+@pytest.mark.parametrize("route", ["banach_saks", "szlenk"])
+def test_selections_read_a_rescaled_pool_without_a_pool_sized_temporary(route):
+    # Amplitude 2 gives member norms sqrt(2) (p = 2) and 4/pi (p = 1), over 1.
+    grid = build_uniform_grid([[0.0, 1.0]], 4096)
+    seq = VectorSequenceSpec([SequenceSpec(kind="oscillatory", amplitude=2.0)])
+    with gallery._shared_pools():
+        pool = member_pool(seq, grid, 32)
+        tracemalloc.start()
+        try:
+            if route == "banach_saks":
+                trace = extraction.banach_saks_extract(seq, 2.0, grid, 32)
+            else:
+                trace = extraction.szlenk_extract(seq, grid, 2, 32)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert trace.normalization > 1.0
+    assert trace.member_norm_sup <= 1.0
+    assert peak < pool.nbytes
+
+
+def test_bench_spans_stay_balanced_over_the_bundled_scenarios(tmp_path):
+    # The bench's recorder keeps one span stack for the process: a pool or
+    # norm thread calling a wrapped entry point would leave it unbalanced.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    from lplab import cli
+
+    recorder = spans.Recorder()
+    recorder.install()
+    snapshots = []
+    try:
+        for run in range(2):
+            for entry in cli._bundled_scenarios():
+                cfg = cli.build_config(json.loads(entry.read_text()))
+                cli.run_scenario(cfg, output_dir=tmp_path / str(run))
+            snapshots.append((dict(recorder.calls), dict(recorder.counts)))
+    finally:
+        recorder.uninstall()
+    assert recorder.restored()
+    assert recorder._stack == []
+    (calls1, counts1), (calls2, counts2) = snapshots
+    assert calls1 and counts1
+    assert {k: v - calls1.get(k, 0) for k, v in calls2.items()} == calls1
+    assert {k: v - counts1.get(k, 0) for k, v in counts2.items()} == counts1
