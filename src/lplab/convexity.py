@@ -431,22 +431,30 @@ def _verify_on_region(
     K: ConvexSetSpec,
     region: RegionMask,
     probe,
-    replay: CesaroReplay | None,
+    replay: Callable[[], CesaroReplay] | None,
 ) -> LiminfReport:
+    """The tail-infimum comparison on the region; replay runs once every integral is finite."""
     horizon = members.shape[0]
     inc = region.included
-    limit_values = _admissible_values(f, limit.matrix().T[inc], region, K, "the limit field")
     weights = region.grid.weights[inc]
+
+    def integral(points: np.ndarray, where: str) -> float:
+        values = _admissible_values(f, points, region, K, where)
+        value = float(np.dot(weights, values)) if values.size else 0.0
+        if not math.isfinite(value):
+            raise InvalidArgumentError(f"the integral of f over {where} is {value}, not finite")
+        return value
+
+    limit_integral = integral(limit.matrix().T[inc], "the limit field")
     alphas = np.empty(horizon)
     for i in range(1, horizon + 1):
-        values = _admissible_values(f, members[i - 1].T, region, K, f"sequence member {i}")
-        alphas[i - 1] = float(np.dot(weights, values)) if values.size else 0.0
+        alphas[i - 1] = integral(members[i - 1].T, f"sequence member {i}")
+    chain = replay() if replay is not None else None
     tail_infimum = np.minimum.accumulate(alphas[::-1])[::-1]
-    limit_integral = float(np.dot(weights, limit_values)) if limit_values.size else 0.0
     margin = float(alphas[horizon // 2 :].min() - limit_integral)
     passed = margin >= -_PASS_TOL * (1.0 + abs(limit_integral))
-    if replay is not None:
-        passed = passed and replay.ok()
+    if chain is not None:
+        passed = passed and chain.ok()
     return LiminfReport(
         indices=np.arange(1, horizon + 1),
         alphas=alphas,
@@ -455,7 +463,7 @@ def _verify_on_region(
         margin=margin,
         passed=passed,
         probe=probe,
-        replay=replay,
+        replay=chain,
     )
 
 
@@ -472,8 +480,10 @@ def _replay_and_verify(
     # The region's gather is freed on return, before a caller looping over
     # regions makes the next one.
     members = np.compress(region.included, pool, axis=2)
-    replay = _replay(pool, members, limit, f, region, p, szlenk_levels)
-    return _verify_on_region(members, limit, f, K, region, probe, replay)
+    return _verify_on_region(
+        members, limit, f, K, region, probe,
+        lambda: _replay(pool, members, limit, f, region, p, szlenk_levels),
+    )
 
 
 def _check_dimensions(f: ConvexFunctionSpec, K: ConvexSetSpec, m: int) -> None:

@@ -37,6 +37,7 @@ from .errors import (
 )
 from .gallery import VectorSequenceSpec, _loglog_slope, member_pool
 from .grid import QuadratureGrid
+from .norms import _lp_norms
 
 __all__ = [
     "InequalityConstants",
@@ -146,11 +147,7 @@ class InequalityConstants:
             raise InvalidArgumentError(
                 f"e_p must be the largest natural below p, got {self.e_p} for p={self.p}"
             )
-        expected_b = (
-            sum(generalized_binomial(self.p, i) for i in range(2, self.e_p + 1))
-            if self.p > 2.0
-            else 0.0
-        )
+        expected_b = remainder_term(self.p, 1.0, 1.0)
         if abs(self.b - expected_b) > 1e-9 * (1.0 + abs(expected_b)):
             raise InvalidArgumentError(f"b must equal the binomial sum, got {self.b}")
         if self.a < 1.0:
@@ -159,7 +156,7 @@ class InequalityConstants:
     @classmethod
     def build(cls, p: float, t_max: float = 100.0, step: float = 1e-3) -> "InequalityConstants":
         e = floor_exponent(p)
-        b = sum(generalized_binomial(p, i) for i in range(2, e + 1)) if p > 2.0 else 0.0
+        b = remainder_term(p, 1.0, 1.0)
         a = estimate_a_constant(p, t_max=t_max, step=step)
         return cls(p=p, e_p=e, a=a, b=b, scan_range=t_max, scan_step=step)
 
@@ -280,37 +277,6 @@ def banach_saks_extract(
     return _banach_saks_select(member_pool(seq, grid, horizon), p, grid.weights)
 
 
-def _member_norms(pool: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
-    """Product L^p norm of every member, (sum_j integral |u_i^(j)|^p)^(1/p).
-
-    Computed in a two-row scratch block instead of a pool-sized temporary.
-    numpy's einsum sums a lone row in another order than a stack of rows, so
-    blocks of two keep every norm bitwise equal to one contraction over the
-    whole pool; an odd last row shares its block with the row before it.  A
-    member whose sum of p-th powers overflows, or underflows while the member
-    is nonzero, is recomputed as s * (sum w |u/s|^p)^(1/p) with s = max |u|.
-    """
-    horizon = pool.shape[0]
-    size = min(2, horizon)
-    block = np.empty((size,) + pool.shape[1:])
-    sums = np.empty(horizon)
-    for start in range(0, horizon, 2):
-        first = min(start, horizon - size)
-        rows = slice(first, first + size)
-        np.abs(pool[rows], out=block)
-        with np.errstate(over="ignore"):  # an overflowed member is recomputed below
-            block **= p
-        sums[rows] = np.einsum("n,ijn->i", w, block)
-    norms = sums ** (1.0 / p)
-    for i in np.flatnonzero(~(np.isfinite(sums) & (sums >= np.finfo(float).tiny))):
-        scale = float(np.abs(pool[i]).max())
-        if scale > 0.0:
-            scaled = np.abs(pool[i]) / scale
-            scaled **= p
-            norms[i] = scale * float(np.einsum("n,jn->", w, scaled)) ** (1.0 / p)
-    return norms
-
-
 def _member_row(pool: np.ndarray, factor: float, i: int, out: np.ndarray) -> np.ndarray:
     """Member i of pool / factor, divided into out when factor is not 1."""
     if factor == 1.0:
@@ -321,7 +287,7 @@ def _member_row(pool: np.ndarray, factor: float, i: int, out: np.ndarray) -> np.
 def _banach_saks_select(pool: np.ndarray, p: float, w: np.ndarray) -> ExtractionTrace:
     """Recursive threshold selection over a (horizon, m, N) member pool."""
     horizon = pool.shape[0]
-    member_norms = _member_norms(pool, w, p)
+    member_norms = _lp_norms(pool, w, p)
     sup = float(member_norms.max())
     factor = max(1.0, sup)
     m = pool.shape[1]
@@ -523,7 +489,7 @@ def _szlenk_select(
 ) -> tuple[SzlenkSchedule, ExtractionTrace]:
     """Level/diagonal selection over a (horizon, m, N) member pool."""
     horizon = pool.shape[0]
-    member_norms = _member_norms(pool, w, 1.0)
+    member_norms = _lp_norms(pool, w, 1.0)
     sup = float(member_norms.max())
     factor = max(1.0, sup)
     m = pool.shape[1]

@@ -45,6 +45,38 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
+def _lp_norms(rows: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
+    """Product L^p norm (sum_j integral |u_i^(j)|^p)^(1/p) of each row of a (k, m, N) stack.
+
+    Computed in a two-row scratch block instead of a stack-sized temporary.
+    numpy's einsum sums a lone row in another order than a stack of rows, so
+    blocks of two keep every norm bitwise equal to one contraction over the
+    whole stack; an odd last row shares its block with the row before it.  A
+    row whose sum of p-th powers overflows, or underflows while the row is
+    nonzero, is recomputed as s * (sum w |u/s|^p)^(1/p) with s = max |u|.
+    """
+    count = rows.shape[0]
+    size = min(2, count)
+    block = np.empty((size,) + rows.shape[1:])
+    sums = np.empty(count)
+    for start in range(0, count, 2):
+        first = min(start, count - size)
+        pair = slice(first, first + size)
+        np.abs(rows[pair], out=block)
+        if p != 1.0:
+            with np.errstate(over="ignore"):  # an overflowed row is recomputed below
+                block **= p
+        sums[pair] = np.einsum("n,ijn->i", w, block)
+    norms = sums ** (1.0 / p)
+    for i in np.flatnonzero(~(np.isfinite(sums) & (sums >= np.finfo(float).tiny))):
+        scale = float(np.abs(rows[i]).max())
+        if scale > 0.0:
+            scaled = np.abs(rows[i]) / scale
+            scaled **= p
+            norms[i] = scale * float(np.einsum("n,jn->", w, scaled)) ** (1.0 / p)
+    return norms
+
+
 def lp_norm(f: ScalarField, p: float, region: RegionMask | None = None) -> float:
     """(sum w |f|^p)^(1/p) over the included nodes; max |f| when p = INFINITY.
 
@@ -61,7 +93,7 @@ def lp_norm(f: ScalarField, p: float, region: RegionMask | None = None) -> float
         if not carrier.any():
             return 0.0
         return float(np.abs(vals[carrier]).max())
-    return float(np.dot(w, np.abs(vals) ** p) ** (1.0 / p))
+    return float(_lp_norms(vals[None, None], w, p)[0])
 
 
 def product_lp_norm(u: VectorField, p: float) -> float:
@@ -73,11 +105,7 @@ def product_lp_norm(u: VectorField, p: float) -> float:
     p = _check_exponent(p)
     if p == INFINITY:
         return float(sum(lp_norm(c, INFINITY) for c in u.components))
-    w = u.grid.weights
-    total = 0.0
-    for c in u.components:
-        total += float(np.dot(w, np.abs(c.samples) ** p))
-    return float(total ** (1.0 / p))
+    return float(_lp_norms(u.matrix()[None], u.grid.weights, p)[0])
 
 
 def dual_pairing(f: ScalarField, g: ScalarField, region: RegionMask | None = None) -> float:

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -354,3 +355,27 @@ def test_cli_run_huge_amplitude_normalizes_like_a_moderate_one(tmp_path, capsys)
     capsys.readouterr()
     assert curves[1e200] == pytest.approx(curves[2.0], rel=1e-12, abs=0.0)
     assert min(curves[1e200]) > 0.0
+
+
+def test_cli_run_non_finite_integrand_is_an_error_without_warnings(tmp_path, capsys):
+    # f = |u|^2 of members of amplitude 1e200 overflows to inf: the liminf
+    # phase refuses it instead of comparing infinities.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_base_config(
+        grid={"dimension": 1, "box": [[0.0, 1.0]], "resolution": [2048]},
+        sequence=[{"kind": "oscillatory", "amplitude": 1e200}],
+        horizon=128,
+        extraction="none",
+        f={"kind": "squared_norm"},
+    )))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["run", "--config", str(path), "--output-dir", str(out)])
+    assert rc == 2
+    assert caught == []
+    assert "Warning" not in capsys.readouterr().err
+    manifest = json.loads((out / "unit.manifest.json").read_text())
+    liminf = [p for p in manifest["phases"] if p["name"] == "liminf"][0]
+    assert liminf["status"] == "error"
+    assert "sequence member 1" in liminf["detail"] and "not finite" in liminf["detail"]

@@ -67,6 +67,30 @@ def test_lp_norm_zero_iff_zero_and_homogeneous(grid):
         assert lp_norm(f, p) > 0.0
 
 
+def test_lp_norm_of_a_tiny_constant_does_not_underflow():
+    g = build_uniform_grid([[0.0, 1.0]], 32)
+    norm = lp_norm(ScalarField.constant(g, 1e-60), 6.0)
+    assert norm == pytest.approx(1e-60, rel=1e-12, abs=0.0)
+
+
+def test_holder_minkowski_margins_at_extreme_magnitudes_are_finite():
+    # f = 1e-60 and g = 1e60 at one node: both inequalities hold with equality
+    g = build_uniform_grid([[0.0, 1.0]], 32)
+    f, h = np.zeros(32), np.zeros(32)
+    f[3], h[3] = 1e-60, 1e60
+    f, h = ScalarField(g, f), ScalarField(g, h)
+    holder, minkowski = holder_minkowski_check(f, h, 6.0)
+    assert holder == pytest.approx(0.0, abs=1e-12 * dual_pairing(f, h))
+    assert minkowski == pytest.approx(0.0, abs=1e-12 * lp_norm(h, 6.0))
+
+
+def test_product_lp_norm_of_huge_components_does_not_overflow():
+    g = build_uniform_grid([[0.0, 1.0]], 32)
+    u = VectorField([ScalarField.constant(g, 1e200), ScalarField.constant(g, 1e200)])
+    norm = product_lp_norm(u, 2.0)
+    assert norm == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-12, abs=0.0)
+
+
 def test_lp_norm_region_mismatch(grid):
     other = build_uniform_grid([[0.0, 1.0]], 1000)
     with pytest.raises(GridMismatchError):

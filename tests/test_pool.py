@@ -31,6 +31,7 @@ from lplab import (
 from lplab import convexity, extraction, gallery
 from lplab.cli import build_config, main, run_scenario
 from lplab.gallery import _max_dyadic_level
+from lplab.norms import _lp_norms
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +211,7 @@ def test_member_norms_bitwise_equal_to_whole_pool_contraction(p, m, horizon):
         powered = np.abs(pool)
         powered **= p
         expected = np.einsum("n,ijn->i", w, powered) ** (1.0 / p)
-    assert np.array_equal(extraction._member_norms(pool, w, p), expected)
+    assert np.array_equal(_lp_norms(pool, w, p), expected)
 
 
 def _scenario(**overrides):
@@ -467,8 +468,8 @@ def test_member_norms_rescale_rows_past_the_float_range(p, scale):
     unit = rng.uniform(-1.0, 1.0, (3, 2, n))
     unit[1] = 0.0
     w = np.full(n, 1.0 / n)
-    expected = extraction._member_norms(unit, w, p)
-    norms = extraction._member_norms(unit * scale, w, p)
+    expected = _lp_norms(unit, w, p)
+    norms = _lp_norms(unit * scale, w, p)
     assert norms == pytest.approx(expected * scale, rel=1e-12, abs=0.0)
     assert norms[1] == 0.0
 

@@ -7,6 +7,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -184,22 +185,29 @@ def test_growth_bound_margins_on_random_normalized_pools(p, pool):
     assert report.aggregate_ok()
 
 
-# values on a 1/8 lattice in [-125, 125]: lp_norm takes |x|^p unscaled, so a
-# field of much smaller or larger magnitude under- or overflows at p = 6
 _samples = st.lists(
     st.integers(-1000, 1000).map(lambda k: k / 8.0),
     min_size=_POOL_GRID.node_count, max_size=_POOL_GRID.node_count,
 )
+_powers_of_ten = st.integers(-150, 150).map(lambda k: 10.0 ** k)
+_scaled_samples = st.builds(lambda s, scale: np.asarray(s) * scale, _samples, _powers_of_ten)
 
 
 @settings(max_examples=60, **_SETTINGS)
-@given(st.floats(1.0, 6.0), _samples, _samples)
+@given(st.floats(1.0, 6.0), _scaled_samples, _scaled_samples)
 def test_holder_and_minkowski_margins_are_nonnegative(p, f, g):
-    f, g = ScalarField(_POOL_GRID, np.asarray(f)), ScalarField(_POOL_GRID, np.asarray(g))
+    f, g = ScalarField(_POOL_GRID, f), ScalarField(_POOL_GRID, g)
     holder, minkowski = holder_minkowski_check(f, g, p)
     q = conjugate_exponent(p)
     assert holder >= -1e-12 * (lp_norm(f, p) * lp_norm(g, q) + abs(dual_pairing(f, g)))
     assert minkowski >= -1e-12 * (lp_norm(f, p) + lp_norm(g, p))
+
+
+@settings(max_examples=60, **_SETTINGS)
+@given(st.floats(1.0, 6.0), _samples, _powers_of_ten)
+def test_lp_norm_is_absolutely_homogeneous(p, f, lam):
+    f = ScalarField(_POOL_GRID, np.asarray(f))
+    assert lp_norm(f * lam, p) == pytest.approx(lam * lp_norm(f, p), rel=1e-12, abs=0.0)
 
 
 _DELETE = object()
