@@ -38,7 +38,7 @@ from .errors import (
     LevelStalledError,
     PreconditionViolationError,
 )
-from .extraction import _banach_saks_select, _szlenk_select
+from .extraction import ExtractionTrace, _banach_saks_select, _szlenk_select
 from .gallery import (
     CONVERGING,
     VectorSequenceSpec,
@@ -320,90 +320,29 @@ class WeakStarReport:
     passed: bool
 
 
-def _replay(
+def _replay_trace(
     pool: np.ndarray,
     members: np.ndarray,
     limit: VectorField,
-    f: ConvexFunctionSpec,
     region: RegionMask,
     p: float,
     szlenk_levels: int,
-) -> CesaroReplay:
-    """Replay the proof chain; members is the pool at the region's nodes."""
+) -> ExtractionTrace | None:
+    """The extraction the proof chain replays, or None when it stalls before 8 picks.
+
+    members is the pool at the region's nodes.  The p = 1 extraction is
+    restricted to the region: outside it the centred members would be zero
+    and add nothing to any selection sum.  The p > 1 one reads the whole grid.
+    """
     limit_samples = limit.matrix()
-    inc = region.included
-    w = region.grid.weights[inc]
     try:
         if p == 1.0:
-            # The p = 1 extraction is restricted to the region.  Outside it the
-            # centred members would be zero and add nothing to any selection
-            # sum, so the extraction reads the region's nodes only.
-            centred = _centred(members, limit_samples[:, inc])
-            _, trace = _szlenk_select(centred, w, szlenk_levels)
-        else:
-            centred = _centred(pool, limit_samples)
-            trace = _banach_saks_select(centred, p, limit.grid.weights)
+            centred = _centred(members, limit_samples[:, region.included])
+            return _szlenk_select(centred, region.grid.weights[region.included], szlenk_levels)[1]
+        return _banach_saks_select(_centred(pool, limit_samples), p, limit.grid.weights)
     except (ExtractionStalledError, LevelStalledError) as err:
         trace = getattr(err, "trace", None)
-        if trace is None or trace.length < 8:
-            return CesaroReplay(
-                indices=[],
-                cesaro_norms=np.zeros(0),
-                slope=None,
-                converged=False,
-                jensen_margins=np.zeros(0),
-                fatou_margin=None,
-            )
-
-    values = trace.cesaro_norms
-    if float(values.max()) <= 1e-12:
-        slope, converged = None, True
-    else:
-        slope = _loglog_slope(np.arange(1, values.size + 1, dtype=float), values)
-        if slope is None:
-            slope = 0.0
-        converged = slope < -0.05
-
-    # Jensen nodewise along the extracted family, on the region nodes only.
-    length = trace.length
-    running_points = None
-    running_f = None
-    jensen_margins = np.empty(length)
-    tail_start = length // 2
-    tail_min_field = None
-    tail_integral_min = math.inf
-    for k, idx in enumerate(trace.indices, start=1):
-        pts = members[idx - 1].T
-        fv = f(pts)
-        if running_points is None:
-            running_points = pts.copy()
-            running_f = fv.copy()
-        else:
-            running_points += pts
-            running_f += fv
-        if fv.size == 0:
-            jensen_margins[k - 1] = 0.0
-            continue
-        f_mean = f(running_points / k)
-        jensen_margins[k - 1] = float((running_f / k - f_mean).min())
-        if k > tail_start:
-            integral = float(np.dot(w, f_mean))
-            tail_integral_min = min(tail_integral_min, integral)
-            tail_min_field = (
-                f_mean.copy() if tail_min_field is None else np.minimum(tail_min_field, f_mean)
-            )
-    if tail_min_field is not None:
-        fatou_margin = tail_integral_min - float(np.dot(w, tail_min_field))
-    else:
-        fatou_margin = 0.0
-    return CesaroReplay(
-        indices=list(trace.indices),
-        cesaro_norms=values,
-        slope=slope,
-        converged=converged,
-        jensen_margins=jensen_margins,
-        fatou_margin=fatou_margin,
-    )
+        return trace if trace is not None and trace.length >= 8 else None
 
 
 def _admissible_values(
@@ -425,34 +364,87 @@ def _admissible_values(
 
 
 def _verify_on_region(
-    members: np.ndarray,
+    pool: np.ndarray,
     limit: VectorField,
     f: ConvexFunctionSpec,
     K: ConvexSetSpec,
     region: RegionMask,
     probe,
-    replay: Callable[[], CesaroReplay] | None,
+    p: float | None = None,
+    szlenk_levels: int = 3,
 ) -> LiminfReport:
-    """The tail-infimum comparison on the region; replay runs once every integral is finite."""
-    horizon = members.shape[0]
+    """The tail-infimum comparison on the region, replaying the proof chain when p is given.
+
+    The extraction reads only pool values, so it runs first.  One pass over
+    the members then turns each member's admissible f values into alpha_i
+    and, at a pick, feeds the same values to the nodewise Jensen step.
+    """
+    horizon = pool.shape[0]
     inc = region.included
     weights = region.grid.weights[inc]
+    # The region's gather is freed on return, before a caller looping over
+    # regions makes the next one.
+    members = np.compress(inc, pool, axis=2)
+    trace = None if p is None else _replay_trace(pool, members, limit, region, p, szlenk_levels)
 
-    def integral(points: np.ndarray, where: str) -> float:
+    def integrate(points: np.ndarray, where: str) -> tuple[np.ndarray, float]:
         values = _admissible_values(f, points, region, K, where)
         value = float(np.dot(weights, values)) if values.size else 0.0
         if not math.isfinite(value):
             raise InvalidArgumentError(f"the integral of f over {where} is {value}, not finite")
-        return value
+        return values, value
 
-    limit_integral = integral(limit.matrix().T[inc], "the limit field")
+    _, limit_integral = integrate(limit.matrix().T[inc], "the limit field")
+    picks = list(trace.indices) if trace is not None else []
+    jensen_margins = np.empty(len(picks))
+    tail_start = len(picks) // 2
+    tail_min_field = None
+    tail_integral_min = math.inf
     alphas = np.empty(horizon)
+    k = 0
     for i in range(1, horizon + 1):
-        alphas[i - 1] = integral(members[i - 1].T, f"sequence member {i}")
-    chain = replay() if replay is not None else None
+        points = members[i - 1].T
+        fv, alphas[i - 1] = integrate(points, f"sequence member {i}")
+        if k == len(picks) or picks[k] != i:
+            continue
+        k += 1
+        # Jensen nodewise along the extracted family, on the region nodes only.
+        if k == 1:
+            running_points = points.copy()
+            running_f = fv.copy()
+        else:
+            running_points += points
+            running_f += fv
+        if fv.size == 0:
+            jensen_margins[k - 1] = 0.0
+            continue
+        f_mean = f(running_points / k)
+        jensen_margins[k - 1] = float((running_f / k - f_mean).min())
+        if k > tail_start:
+            tail_integral_min = min(tail_integral_min, float(np.dot(weights, f_mean)))
+            tail_min_field = (
+                f_mean.copy() if tail_min_field is None else np.minimum(tail_min_field, f_mean)
+            )
+
     tail_infimum = np.minimum.accumulate(alphas[::-1])[::-1]
     margin = float(alphas[horizon // 2 :].min() - limit_integral)
     passed = margin >= -_PASS_TOL * (1.0 + abs(limit_integral))
+    chain = None
+    if trace is not None:
+        values = trace.cesaro_norms
+        if float(values.max()) <= 1e-12:
+            slope, converged = None, True
+        else:
+            slope = _loglog_slope(np.arange(1, values.size + 1, dtype=float), values)
+            if slope is None:
+                slope = 0.0
+            converged = slope < -0.05
+        fatou_margin = 0.0
+        if tail_min_field is not None:
+            fatou_margin = tail_integral_min - float(np.dot(weights, tail_min_field))
+        chain = CesaroReplay(picks, values, slope, converged, jensen_margins, fatou_margin)
+    elif p is not None:
+        chain = CesaroReplay([], np.zeros(0), None, False, np.zeros(0), None)
     if chain is not None:
         passed = passed and chain.ok()
     return LiminfReport(
@@ -464,25 +456,6 @@ def _verify_on_region(
         passed=passed,
         probe=probe,
         replay=chain,
-    )
-
-
-def _replay_and_verify(
-    pool: np.ndarray,
-    limit: VectorField,
-    f: ConvexFunctionSpec,
-    K: ConvexSetSpec,
-    region: RegionMask,
-    probe,
-    p: float,
-    szlenk_levels: int,
-) -> LiminfReport:
-    # The region's gather is freed on return, before a caller looping over
-    # regions makes the next one.
-    members = np.compress(region.included, pool, axis=2)
-    return _verify_on_region(
-        members, limit, f, K, region, probe,
-        lambda: _replay(pool, members, limit, f, region, p, szlenk_levels),
     )
 
 
@@ -580,7 +553,7 @@ def liminf_verify(
         )
     _require_nonnegative(f)
     pool, probe = _converging_pool(seq, limit, f, K, region, p, horizon, dictionary)
-    return _replay_and_verify(pool, limit, f, K, region, probe, p, szlenk_levels)
+    return _verify_on_region(pool, limit, f, K, region, probe, p, szlenk_levels)
 
 
 def weak_star_verify(
@@ -607,7 +580,7 @@ def weak_star_verify(
     limit_integrals = []
     for radius in radii:
         truncated = truncate_region(region, radius)
-        report = _replay_and_verify(pool, limit, f, K, truncated, probe, 1.0, szlenk_levels)
+        report = _verify_on_region(pool, limit, f, K, truncated, probe, 1.0, szlenk_levels)
         reports.append(report)
         limit_integrals.append(report.limit_integral)
     monotone = all(
@@ -648,5 +621,4 @@ def mazur_scenario_verify(
             hypothesis="closedness of K",
         )
     pool, probe = _converging_pool(seq, limit, f, K, region, INFINITY, horizon, dictionary)
-    members = np.compress(region.included, pool, axis=2)
-    return _verify_on_region(members, limit, f, K, region, probe, None)
+    return _verify_on_region(pool, limit, f, K, region, probe)
