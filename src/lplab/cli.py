@@ -187,6 +187,14 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _integer_field(raw: dict, key: str, default=None) -> int:
+    """raw[key] as an int; a bool, a string or a non-integral number is refused."""
+    value = raw[key] if default is None else raw.get(key, default)
+    if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"field '{key}' must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_expect(expect: dict) -> None:
     """Refuse ``expect`` fields the phases could not compare against."""
     for key in ("cesaro_slope", "tail_inf_range"):
@@ -236,10 +244,10 @@ def build_config(raw: dict) -> ScenarioConfig:
         seq = VectorSequenceSpec(
             [SequenceSpec.from_config(c) for c in raw["sequence"]]
         )
-        m = int(raw.get("m", seq.m))
+        m = _integer_field(raw, "m", seq.m)
         if m != seq.m:
             raise ConfigError(f"field 'm' = {m} disagrees with {seq.m} sequence components")
-        horizon = int(raw["horizon"])
+        horizon = _integer_field(raw, "horizon")
         if horizon < 8:
             raise ConfigError(f"field 'horizon' must be >= 8, got {horizon}")
         # refuse an oversized pool before the grid or any member is allocated
@@ -271,7 +279,7 @@ def build_config(raw: dict) -> ScenarioConfig:
             if p != INFINITY:
                 raise ConfigError("field 'R_schedule' applies to sup-norm scenarios only")
             r_schedule = _check_r_schedule(r_schedule)
-        levels = int(raw.get("levels", 4))
+        levels = _integer_field(raw, "levels", 4)
         if levels < 1:
             raise ConfigError(f"field 'levels' must be >= 1, got {levels}")
         expect = dict(raw.get("expect") or {})
@@ -364,7 +372,8 @@ def _cesaro_phase(cfg: ScenarioConfig, trace):
         detail += f" window={window}"
     drop = cfg.expect.get("cesaro_drop")
     if drop is not None:
-        ratio = float(values[-1] / values[0]) if values[0] > 0 else 0.0
+        positive = values[values > 0.0]
+        ratio = float(values[-1] / positive[0]) if positive.size else 0.0
         ok = ok and ratio <= drop
         detail += f" drop={ratio:.4f}<= {drop}"
     return slope, ok, detail

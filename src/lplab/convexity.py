@@ -400,6 +400,13 @@ def _verify_on_region(
     tail_start = len(picks) // 2
     tail_min_field = None
     tail_integral_min = math.inf
+    # Running means of the picked points and of their f values, each with a
+    # scratch row for the step.  A mean is updated as mean (k-1)/k + x/k, so no
+    # intermediate exceeds max(|mean|, |x|): running sums overflow near the
+    # float limit while every alpha_i is finite.
+    _, m, n = members.shape
+    mean_points, points_step = np.zeros((2, n, m))
+    mean_f, f_step = np.zeros((2, n))
     alphas = np.empty(horizon)
     k = 0
     for i in range(1, horizon + 1):
@@ -409,22 +416,20 @@ def _verify_on_region(
             continue
         k += 1
         # Jensen nodewise along the extracted family, on the region nodes only.
-        if k == 1:
-            running_points = points.copy()
-            running_f = fv.copy()
-        else:
-            running_points += points
-            running_f += fv
+        for mean, x, step in ((mean_points, points, points_step), (mean_f, fv, f_step)):
+            mean *= (k - 1) / k
+            mean += np.divide(x, k, out=step)
         if fv.size == 0:
             jensen_margins[k - 1] = 0.0
             continue
-        f_mean = f(running_points / k)
-        jensen_margins[k - 1] = float((running_f / k - f_mean).min())
+        f_mean = f(mean_points)
+        jensen_margins[k - 1] = float((mean_f - f_mean).min())
         if k > tail_start:
             tail_integral_min = min(tail_integral_min, float(np.dot(weights, f_mean)))
-            tail_min_field = (
-                f_mean.copy() if tail_min_field is None else np.minimum(tail_min_field, f_mean)
-            )
+            if tail_min_field is None:
+                tail_min_field = f_mean.copy()
+            else:
+                np.minimum(tail_min_field, f_mean, out=tail_min_field)
 
     tail_infimum = np.minimum.accumulate(alphas[::-1])[::-1]
     margin = float(alphas[horizon // 2 :].min() - limit_integral)

@@ -25,6 +25,7 @@ partial result, never silently truncated.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -479,8 +480,6 @@ def szlenk_extract(
     Raises ``LevelStalledError`` when a level keeps fewer members than its
     own index (the diagonal could not pass through it).
     """
-    if levels < 1:
-        raise InvalidArgumentError(f"need at least one level, got {levels}")
     return _szlenk_select(member_pool(seq, grid, horizon), grid.weights, levels)
 
 
@@ -488,6 +487,10 @@ def _szlenk_select(
     pool: np.ndarray, w: np.ndarray, levels: int
 ) -> tuple[SzlenkSchedule, ExtractionTrace]:
     """Level/diagonal selection over a (horizon, m, N) member pool."""
+    if isinstance(levels, bool) or not isinstance(levels, numbers.Integral):
+        raise InvalidArgumentError(f"the level count must be an integer, got {levels!r}")
+    if levels < 1:
+        raise InvalidArgumentError(f"need at least one level, got {levels}")
     horizon = pool.shape[0]
     member_norms = _lp_norms(pool, w, 1.0)
     sup = float(member_norms.max())

@@ -2,6 +2,7 @@ import json
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 from lplab import cli, gallery
@@ -95,11 +96,24 @@ def test_config_digest_is_stable():
         _custom_table(drop=5),
         _custom_table(entry=(3, [1.0, 2.0])),
         _custom_table(entry=(6, [float("nan")] * 512)),
+        # integer fields given a non-integral number, a string or a bool
+        {"horizon": 16.5},
+        {"horizon": "16"},
+        {"levels": 2.5},
+        {"levels": "3"},
+        {"levels": True},
+        {"m": 1.5},
     ],
 )
 def test_config_validation_errors(overrides):
     with pytest.raises(ConfigError):
         build_config(_base_config(**overrides))
+
+
+def test_config_accepts_integral_floats_in_integer_fields():
+    cfg = build_config(_base_config(horizon=16.0, levels=3.0, m=1.0))
+    assert (cfg.horizon, cfg.levels, cfg.m) == (16, 3, 1)
+    assert all(type(v) is int for v in (cfg.horizon, cfg.levels, cfg.m))
 
 
 def test_config_accepts_one_component_box_and_ball_for_every_m():
@@ -379,3 +393,72 @@ def test_cli_run_non_finite_integrand_is_an_error_without_warnings(tmp_path, cap
     liminf = [p for p in manifest["phases"] if p["name"] == "liminf"][0]
     assert liminf["status"] == "error"
     assert "sequence member 1" in liminf["detail"] and "not finite" in liminf["detail"]
+
+
+def _run_manifest(tmp_path, raw, rc):
+    path = tmp_path / f"{raw['name']}.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / f"out-{raw['name']}"
+    assert main(["run", "--config", str(path), "--output-dir", str(out)]) == rc
+    return json.loads((out / f"{raw['name']}.manifest.json").read_text())
+
+
+def test_cli_cesaro_drop_divides_by_the_first_positive_value(tmp_path, capsys):
+    # A zero first member gives a zero first Cesaro value; the curve then
+    # falls from 0.354 to 0.171, far above a drop bound of 0.01.
+    x = (np.arange(512) + 0.5) / 512
+    table = {1: [0.0] * 512}
+    table.update({i: np.sin(2.0 * np.pi * i * x).tolist() for i in range(2, 17)})
+    raw = _base_config(
+        name="zero-first",
+        horizon=16,
+        sequence=[{"kind": "custom", "params": {"table": table}}],
+        expect={"probe_verdict": "inconclusive", "cesaro_drop": 0.01},
+    )
+    manifest = _run_manifest(tmp_path, raw, 1)
+    capsys.readouterr()
+    phases = manifest["phases"]
+    assert [(p["name"], p["status"]) for p in phases][-1] == ("cesaro", "fail")
+    assert [p["status"] for p in phases] == ["pass", "pass", "pass", "fail"]
+    assert "drop=0.4841<= 0.01" in phases[-1]["detail"]
+
+
+def test_cli_run_near_float_limit_replays_like_a_moderate_run(tmp_path, monkeypatch, capsys):
+    # f = |u|^2 reaches 1.44e308 at amplitude 1.2e154: every alpha_i is
+    # finite, but a running sum of f along the picks would overflow.  Amplitude
+    # 1 is no reference, since members of norm 1/sqrt(2) are not normalized.
+    reports = {}
+    route = cli.liminf_verify
+
+    def recorded(*args, **kwargs):
+        report = route(*args, **kwargs)
+        reports[args[0].components[0].amplitude] = report
+        return report
+
+    monkeypatch.setattr(cli, "liminf_verify", recorded)
+    for amplitude in (2.0, 1.2e154):
+        raw = _base_config(
+            name=f"amp-{amplitude:g}",
+            grid={"dimension": 1, "box": [[0.0, 1.0]], "resolution": [2048]},
+            sequence=[{"kind": "oscillatory", "amplitude": amplitude}],
+            horizon=128,
+            extraction="none",
+            f={"kind": "squared_norm"},
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _run_manifest(tmp_path, raw, 0)
+        assert caught == []
+    capsys.readouterr()
+    moderate, huge = reports[2.0].replay, reports[1.2e154].replay
+    scale = (1.2e154 / 2.0) ** 2
+    f_max = 4.0  # max of |u|^2 at amplitude 2
+    assert huge.indices == moderate.indices
+    assert np.all(np.isfinite(huge.jensen_margins)) and np.isfinite(huge.fatou_margin)
+    np.testing.assert_allclose(
+        huge.jensen_margins / scale, moderate.jensen_margins, rtol=0.0, atol=1e-12 * f_max
+    )
+    assert huge.fatou_margin / scale == pytest.approx(
+        moderate.fatou_margin, rel=0.0, abs=1e-12 * f_max
+    )
+    assert huge.ok() and moderate.ok()

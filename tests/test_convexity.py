@@ -1,3 +1,6 @@
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -14,11 +17,16 @@ from lplab import (
     VectorSequenceSpec,
     build_uniform_grid,
     evaluate_composite,
+    generate,
     jensen_check,
     liminf_verify,
     mazur_scenario_verify,
+    member_pool,
+    szlenk_extract,
+    truncate_region,
     weak_star_verify,
 )
+from lplab.cli import build_config
 
 
 @pytest.fixture(scope="module")
@@ -435,3 +443,89 @@ def test_routes_refuse_an_empty_dictionary(grid, route):
     with pytest.raises(InvalidArgumentError, match="dictionary must be nonempty"):
         verify(seq, _zero_limit(grid), _squared(), _UNIT_BOX, RegionMask.full(grid), 64, [])
     assert verify(seq, _zero_limit(grid), _squared(), _UNIT_BOX, RegionMask.full(grid), 64).passed
+
+
+def test_weak_star_route_evaluates_f_once_per_member_and_pick(monkeypatch):
+    raw = resources.files("lplab.scenarios").joinpath("a6-rademacher-weakstar.json")
+    cfg = build_config(json.loads(raw.read_text()))
+    calls = []
+    call = ConvexFunctionSpec.__call__
+    monkeypatch.setattr(
+        ConvexFunctionSpec, "__call__", lambda f, points: calls.append(1) or call(f, points)
+    )
+    result = weak_star_verify(
+        cfg.sequence, cfg.limit, cfg.f, cfg.K, cfg.region, cfg.horizon, cfg.r_schedule
+    )
+    # per region: the limit field, every member, and the running mean at each pick
+    picks = [len(r.replay.indices) for r in result.reports]
+    assert min(picks) >= 8
+    assert len(calls) == sum(1 + cfg.horizon + k for k in picks)
+
+
+@pytest.mark.parametrize(
+    "levels, message", [(0, "need at least one level"), (2.5, "must be an integer")]
+)
+def test_every_p1_route_checks_the_level_count(grid, levels, message):
+    seq = VectorSequenceSpec([SequenceSpec(kind="rademacher")])
+    args = (seq, _zero_limit(grid), _squared(), _UNIT_BOX, RegionMask.full(grid))
+    with pytest.raises(InvalidArgumentError, match=message):
+        weak_star_verify(*args, 64, [1.0], szlenk_levels=levels)
+    with pytest.raises(InvalidArgumentError, match=message):
+        liminf_verify(*args, 1.0, 64, szlenk_levels=levels)
+    with pytest.raises(InvalidArgumentError, match=message):
+        szlenk_extract(seq, grid, levels, 64)
+
+
+def _naive_chain(f, points, picks, weights):
+    """Jensen margins at every k and the Fatou margin, each mean summed afresh.
+
+    points[i - 1] holds member i at the region's nodes, shape (n, m).
+    """
+    jensen, tail = [], []
+    for k in range(1, len(picks) + 1):
+        picked = np.stack([points[i - 1] for i in picks[:k]])
+        f_of_mean = f(picked.mean(axis=0))
+        jensen.append((np.mean([f(x) for x in picked], axis=0) - f_of_mean).min())
+        if k > len(picks) // 2:
+            tail.append(f_of_mean)
+    fatou = min(float(weights @ t) for t in tail) - float(weights @ np.min(tail, axis=0))
+    return np.asarray(jensen), fatou
+
+
+def _custom(table_of, horizon):
+    return SequenceSpec(kind="custom", table={i: table_of(i) for i in range(1, horizon + 1)})
+
+
+@pytest.mark.parametrize("case", ["m2-p2-ball", "p1-truncated"])
+def test_replay_matches_a_naive_recomputation(grid, case):
+    x = grid.nodes[:, 0]
+    horizon = 128
+    if case == "m2-p2-ball":
+        centre = [0.5, -0.3]
+        rademacher = SequenceSpec(kind="rademacher")
+        seq = VectorSequenceSpec([
+            _custom(lambda i: 0.5 + np.sin(2.0 * np.pi * i * x), horizon),
+            _custom(lambda i: -0.3 + 0.5 * generate(rademacher, i, grid).samples, horizon),
+        ])
+        f, p = _squared(), 2.0
+        K = ConvexSetSpec(kind="ball", center=centre, radius=2.0)
+        region = truncate_region(RegionMask.full(grid), 0.7)
+    else:
+        centre = [0.25]
+        seq = VectorSequenceSpec([_custom(lambda i: 0.25 + 0.5 * np.sin(2.0 * np.pi * i * x),
+                                          horizon)])
+        f, p = ConvexFunctionSpec(kind="max_affine", planes=[([1.0], 0.0), ([-2.0], 0.1)]), 1.0
+        K = _whole()
+        region = truncate_region(RegionMask.full(grid), 0.6)
+    limit = VectorField([ScalarField.constant(grid, c) for c in centre])
+    report = liminf_verify(seq, limit, f, K, region, p, horizon)
+    replay = report.replay
+    assert len(replay.indices) >= 8
+
+    inc = region.included
+    points = member_pool(seq, grid, horizon)[:, :, inc].transpose(0, 2, 1)
+    jensen, fatou = _naive_chain(f, points, replay.indices, grid.weights[inc])
+    f_max = max(float(f(u).max()) for u in points)
+    np.testing.assert_allclose(replay.jensen_margins, jensen, rtol=0.0, atol=1e-12 * f_max)
+    assert replay.fatou_margin == pytest.approx(fatou, rel=0.0, abs=1e-12 * f_max)
+    assert replay.ok()

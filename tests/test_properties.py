@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lplab import (
@@ -26,6 +26,8 @@ from lplab import (
     check_pointwise_inequality,
     conjugate_exponent,
     dual_pairing,
+    evaluate_composite,
+    generate_vector,
     holder_minkowski_check,
     jensen_check,
     liminf_verify,
@@ -76,7 +78,14 @@ _GRID = build_uniform_grid([[0.0, 1.0]], 256)
 
 @st.composite
 def _liminf_scenarios(draw):
-    """A constant sequence with its own limit, or a sine sequence with limit 0."""
+    """A constant sequence with its own limit, or a sine sequence with limit 0.
+
+    Sine amplitudes are 10^k, k in [-150, 154], with the two ends drawn often:
+    f values up to about 1e308, where running sums along the picks would
+    overflow.  A power |w|^q keeps k q <= 308 so that its values stay finite.
+    """
+    f = draw(_functions(1))
+    scale = 1.0
     if draw(st.booleans()):
         value = draw(st.floats(-3.0, 3.0))
         seq = SequenceSpec(kind="constant", value=value)
@@ -84,28 +93,37 @@ def _liminf_scenarios(draw):
         horizon = draw(st.integers(8, 32))
     else:
         base = draw(st.sampled_from([1.0, 2.0]))
-        seq = SequenceSpec(kind="oscillatory", amplitude=draw(st.floats(0.1, 3.0)), base=base)
+        top = min(154, int(308 / f.power)) if f.kind == "power" else 154
+        scale = 10.0 ** draw(st.sampled_from([-150, top]) | st.integers(-150, top))
+        seq = SequenceSpec(kind="oscillatory", amplitude=scale, base=base)
         limit = 0.0
         # 256 nodes resolve up to 32 cycles
         horizon = draw(st.integers(8, int(32 / base)))
-    f = draw(_functions(1))
     p = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
-    return VectorSequenceSpec([seq]), limit, f, p, horizon
+    return VectorSequenceSpec([seq]), limit, f, p, horizon, scale
 
 
 @settings(max_examples=30, **_SETTINGS)
 @given(_liminf_scenarios())
+@example((  # f values near 1e308 on every pick: running sums would overflow
+    VectorSequenceSpec([SequenceSpec(kind="oscillatory", amplitude=1e154)]),
+    0.0, ConvexFunctionSpec(kind="squared_norm"), 2.0, 12, 1e154,
+))
 def test_tail_infimum_recursion_and_monotonicity(scenario):
-    seq, limit_value, f, p, horizon = scenario
+    seq, limit_value, f, p, horizon, scale = scenario
+    K, region = ConvexSetSpec(kind="whole_space"), RegionMask.full(_GRID)
+    # The probe's zero-residual threshold is absolute, so a sine of amplitude
+    # 1e100 pairs with the constant 1 to rounding noise far above it.  The
+    # dictionary is scaled down with the amplitude; the probe is not under test.
     report = liminf_verify(
         seq,
         VectorField([ScalarField.constant(_GRID, limit_value)]),
         f,
-        ConvexSetSpec(kind="whole_space"),
-        RegionMask.full(_GRID),
+        K,
+        region,
         p,
         horizon,
-        dictionary=[ScalarField.constant(_GRID, 1.0)],
+        dictionary=[ScalarField.constant(_GRID, 1.0 / scale)],
     )
     alphas, tail = report.alphas, report.tail_infimum
     assert tail[-1] == alphas[-1]
@@ -113,6 +131,15 @@ def test_tail_infimum_recursion_and_monotonicity(scenario):
         assert tail[i] == min(alphas[i], tail[i + 1])
     assert np.all(np.diff(tail) >= 0.0)
     assert np.all(tail <= alphas)
+
+    members = [generate_vector(seq, i, _GRID) for i in range(1, horizon + 1)]
+    for i, u in enumerate(members):
+        assert alphas[i] == evaluate_composite(f, u, region, K)
+    f_max = max(float(f(u.matrix().T).max()) for u in members)
+    replay = report.replay
+    assert np.all(replay.jensen_margins >= -1e-12 * f_max)
+    if replay.fatou_margin is not None:
+        assert replay.fatou_margin >= -1e-12 * f_max
 
 
 @functools.lru_cache(maxsize=None)
