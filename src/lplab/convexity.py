@@ -38,11 +38,10 @@ from .errors import (
     LevelStalledError,
     PreconditionViolationError,
 )
-from .extraction import ExtractionTrace, _banach_saks_select, _szlenk_select
+from .extraction import ExtractionTrace, _banach_saks_select, _check_levels, _szlenk_select
 from .gallery import (
     CONVERGING,
     VectorSequenceSpec,
-    _centred,
     _loglog_slope,
     _probed_pool,
     default_probe_dictionary,
@@ -330,16 +329,17 @@ def _replay_trace(
 ) -> ExtractionTrace | None:
     """The extraction the proof chain replays, or None when it stalls before 8 picks.
 
-    members is the pool at the region's nodes.  The p = 1 extraction is
-    restricted to the region: outside it the centred members would be zero
-    and add nothing to any selection sum.  The p > 1 one reads the whole grid.
+    members is the pool at the region's nodes.  Both extractions read the
+    members centred on the limit.  The p = 1 one is restricted to the region:
+    outside it the centred members would be zero and add nothing to any
+    selection sum.  The p > 1 one reads the whole grid.
     """
-    limit_samples = limit.matrix()
+    inc = region.included
     try:
         if p == 1.0:
-            centred = _centred(members, limit_samples[:, region.included])
-            return _szlenk_select(centred, region.grid.weights[region.included], szlenk_levels)[1]
-        return _banach_saks_select(_centred(pool, limit_samples), p, limit.grid.weights)
+            centre = limit.matrix()[:, inc]
+            return _szlenk_select(members, region.grid.weights[inc], szlenk_levels, centre)[1]
+        return _banach_saks_select(pool, p, limit.grid.weights, limit.matrix())
     except (ExtractionStalledError, LevelStalledError) as err:
         trace = getattr(err, "trace", None)
         return trace if trace is not None and trace.length >= 8 else None
@@ -556,6 +556,8 @@ def liminf_verify(
         raise InvalidArgumentError(
             "the sup-norm route is weak_star_verify / mazur_scenario_verify"
         )
+    if p == 1.0:
+        _check_levels(szlenk_levels)
     _require_nonnegative(f)
     pool, probe = _converging_pool(seq, limit, f, K, region, p, horizon, dictionary)
     return _verify_on_region(pool, limit, f, K, region, probe, p, szlenk_levels)
@@ -579,6 +581,7 @@ def weak_star_verify(
     non-decreasing in R, realizing the monotone-convergence step.
     """
     radii = _check_r_schedule(r_schedule)
+    _check_levels(szlenk_levels)
     _require_nonnegative(f)
     pool, probe = _converging_pool(seq, limit, f, K, region, INFINITY, horizon, dictionary)
     reports = []

@@ -13,6 +13,11 @@ Two routes, matching the exponent:
     the plain 1/l target once k >= l^2.  The diagonal walks level r at
     position r and then continues inside the deepest level.
 
+Both routes differ only in the rule that picks the next index.  They share
+one walk over the picks: it reads the normalized members, keeps the partial
+sum s_k, records each pick's pairings, integrals of |s_k|^p and ||s_k/k||,
+and builds the trace.
+
 Also here: the pointwise power inequality |a+b|^p <= |a|^p +
 p|a|^(p-1)sgn(a) b + A|b|^p + B(p,a,b) with computable constants, and the
 per-step growth bound it implies for the partial sums.
@@ -278,77 +283,104 @@ def banach_saks_extract(
     return _banach_saks_select(member_pool(seq, grid, horizon), p, grid.weights)
 
 
-def _member_row(pool: np.ndarray, factor: float, i: int, out: np.ndarray) -> np.ndarray:
-    """Member i of pool / factor, divided into out when factor is not 1."""
-    if factor == 1.0:
-        return pool[i - 1]
-    return np.divide(pool[i - 1], factor, out=out)
+class _CesaroWalk:
+    """Partial sums s_k of picks from a (horizon, m, N) member pool.
 
+    Members are read as (u_i - centre) / factor with factor = max(1, sup of
+    their product L^p norms); a centre that is all zero is not subtracted.
+    Each pick records its pairing with phi_w = |s_(k-1)|^(p-1) sgn(s_(k-1)) w
+    (zero for the first pick), the integrals of |s_k|^p and ||s_k/k||.
+    """
 
-def _banach_saks_select(pool: np.ndarray, p: float, w: np.ndarray) -> ExtractionTrace:
-    """Recursive threshold selection over a (horizon, m, N) member pool."""
-    horizon = pool.shape[0]
-    member_norms = _lp_norms(pool, w, p)
-    sup = float(member_norms.max())
-    factor = max(1.0, sup)
-    m = pool.shape[1]
+    def __init__(self, pool: np.ndarray, w: np.ndarray, p: float, centre=None) -> None:
+        self.pool, self.w, self.p, self.horizon = pool, w, p, pool.shape[0]
+        self.centre = centre if centre is not None and centre.any() else None
+        self.sup = float(_lp_norms(pool, w, p, self.centre).max())
+        self.factor = max(1.0, self.sup)
+        # One row each for s_k, for the member last read, and a scratch row for
+        # phi_w and other temporaries (a scan may use it between picks): on large
+        # grids a fresh temporary each time costs several times the arithmetic.
+        self.s, self.scratch, self._row = np.zeros((3,) + pool.shape[1:])
+        self._held = None
+        self.indices, self.pairings, self.partials, self.cesaro = [], [], [], []
 
-    # Two scratch rows hold phi_w = |s|^(p-1) sgn(s) w and |s|^p, each filled
-    # by the same ufuncs in the same order as the expressions they replace;
-    # a member read when factor > 1 is divided into scratch.
-    phi_w = np.empty_like(pool[0])
-    scratch = np.empty_like(pool[0])
+    def member(self, i: int) -> np.ndarray:
+        """Member i as read by the walk; the pool's own row when reading changes nothing."""
+        if self.centre is None and self.factor == 1.0:
+            return self.pool[i - 1]
+        if self._held != i:
+            if self.centre is None:
+                np.divide(self.pool[i - 1], self.factor, out=self._row)
+            else:
+                np.subtract(self.pool[i - 1], self.centre, out=self._row)
+                if self.factor != 1.0:
+                    self._row /= self.factor
+            self._held = i
+        return self._row
 
-    def partial_norms() -> np.ndarray:
-        powered = np.abs(s, out=scratch)
-        powered **= p
-        return np.einsum("n,jn->j", w, powered)
+    def phi_w(self) -> np.ndarray:
+        """|s_k|^(p-1) sgn(s_k) w, in the scratch row."""
+        if self.p == 1.0:
+            np.sign(self.s, out=self.scratch)
+        else:
+            np.abs(self.s, out=self.scratch)
+            self.scratch **= self.p - 1.0
+            np.copysign(self.scratch, self.s, out=self.scratch)
+        self.scratch *= self.w
+        return self.scratch
 
-    indices = [1]
-    s = _member_row(pool, factor, 1, scratch).copy()
-    pairings = [np.zeros(m)]
-    partials = [partial_norms()]
-    cesaro = [float(partials[0].sum()) ** (1.0 / p)]
+    def add(self, i: int, pairing: np.ndarray | None = None) -> None:
+        """Pick member i; a scan that already paired it with phi_w passes the pairing."""
+        u = self.member(i)
+        if not self.indices:
+            pairing = np.zeros(self.pool.shape[1])
+        elif pairing is None:
+            pairing = np.einsum("jn,jn->j", self.phi_w(), u)
+        self.s += u
+        self.indices.append(i)
+        powered = np.abs(self.s, out=self.scratch)
+        if self.p != 1.0:
+            powered **= self.p
+        partial = np.einsum("n,jn->j", self.w, powered)
+        self.pairings.append(pairing)
+        self.partials.append(partial)
+        self.cesaro.append(float(partial.sum()) ** (1.0 / self.p) / len(self.indices))
 
-    def _trace() -> ExtractionTrace:
+    def trace(self, method: str) -> ExtractionTrace:
         return ExtractionTrace(
-            p=p,
-            method="banach_saks",
-            indices=list(indices),
-            pairings=np.stack(pairings),
-            partial_norms=np.stack(partials),
-            cesaro_norms=np.asarray(cesaro),
-            normalization=factor,
-            member_norm_sup=sup / factor,
-            pool_size=horizon,
+            p=self.p,
+            method=method,
+            indices=list(self.indices),
+            pairings=np.stack(self.pairings),
+            partial_norms=np.stack(self.partials),
+            cesaro_norms=np.asarray(self.cesaro),
+            normalization=self.factor,
+            member_norm_sup=self.sup / self.factor,
+            pool_size=self.horizon,
         )
 
-    while indices[-1] < horizon:
-        np.abs(s, out=phi_w)
-        phi_w **= p - 1.0
-        phi_w *= np.sign(s, out=scratch)
-        phi_w *= w
-        accepted = None
-        for cand in range(indices[-1] + 1, horizon + 1):
-            u = _member_row(pool, factor, cand, scratch)
-            t = np.einsum("jn,jn->j", phi_w, u)
+
+def _banach_saks_select(
+    pool: np.ndarray, p: float, w: np.ndarray, centre: np.ndarray | None = None
+) -> ExtractionTrace:
+    """Recursive threshold selection over a (horizon, m, N) member pool."""
+    walk = _CesaroWalk(pool, w, p, centre)
+    horizon = walk.horizon
+    walk.add(1)
+    while walk.indices[-1] < horizon:
+        phi_w = walk.phi_w()
+        for cand in range(walk.indices[-1] + 1, horizon + 1):
+            t = np.einsum("jn,jn->j", phi_w, walk.member(cand))
             if np.all(t <= 1.0 + _PAIRING_SLACK):
-                accepted = (cand, t)
                 break
-        if accepted is None:
+        else:
             raise ExtractionStalledError(
-                f"no qualifying index after {indices[-1]} within pool of {horizon} "
-                f"(selected {len(indices)} so far); the horizon is too short",
-                trace=_trace(),
+                f"no qualifying index after {walk.indices[-1]} within pool of {horizon} "
+                f"(selected {len(walk.indices)} so far); the horizon is too short",
+                trace=walk.trace("banach_saks"),
             )
-        cand, t = accepted
-        indices.append(cand)
-        s += u
-        k = len(indices)
-        pairings.append(t)
-        partials.append(partial_norms())
-        cesaro.append(float(partials[-1].sum()) ** (1.0 / p) / k)
-    return _trace()
+        walk.add(cand, t)
+    return walk.trace("banach_saks")
 
 
 @dataclass
@@ -463,6 +495,14 @@ def _is_subsequence(sub: list, parent: list) -> bool:
     return all(any(x == y for y in it) for x in sub)
 
 
+def _check_levels(levels) -> None:
+    """Refuse a level count that is not an integer >= 1."""
+    if isinstance(levels, bool) or not isinstance(levels, numbers.Integral):
+        raise InvalidArgumentError(f"the level count must be an integer, got {levels!r}")
+    if levels < 1:
+        raise InvalidArgumentError(f"need at least one level, got {levels}")
+
+
 def szlenk_extract(
     seq: VectorSequenceSpec,
     grid: QuadratureGrid,
@@ -480,39 +520,30 @@ def szlenk_extract(
     Raises ``LevelStalledError`` when a level keeps fewer members than its
     own index (the diagonal could not pass through it).
     """
+    _check_levels(levels)
     return _szlenk_select(member_pool(seq, grid, horizon), grid.weights, levels)
 
 
 def _szlenk_select(
-    pool: np.ndarray, w: np.ndarray, levels: int
+    pool: np.ndarray, w: np.ndarray, levels: int, centre: np.ndarray | None = None
 ) -> tuple[SzlenkSchedule, ExtractionTrace]:
     """Level/diagonal selection over a (horizon, m, N) member pool."""
-    if isinstance(levels, bool) or not isinstance(levels, numbers.Integral):
-        raise InvalidArgumentError(f"the level count must be an integer, got {levels!r}")
-    if levels < 1:
-        raise InvalidArgumentError(f"need at least one level, got {levels}")
-    horizon = pool.shape[0]
-    member_norms = _lp_norms(pool, w, 1.0)
-    sup = float(member_norms.max())
-    factor = max(1.0, sup)
-    m = pool.shape[1]
+    walk = _CesaroWalk(pool, w, 1.0, centre)
+    horizon = walk.horizon
 
-    # One scratch row for every per-candidate and per-pick temporary: on large
-    # grids a fresh temporary each time costs several times the arithmetic.
-    # A member read when factor > 1 is divided into its own row.
-    scratch = np.empty_like(pool[0])
-    member = np.empty_like(pool[0])
+    def l1(rows: np.ndarray, out: np.ndarray | None = None) -> float:
+        return float(np.einsum("n,jn->", w, np.abs(rows, out=out)))
+
     level_lists = []
     previous = list(range(1, horizon + 1))
     for level in range(1, levels + 1):
         target = 1.0 / level
         chosen = []
-        s = np.zeros_like(pool[0])
+        s = np.zeros_like(walk.s)
         for idx in previous:
             k = len(chosen) + 1
-            u = _member_row(pool, factor, idx, member)
-            np.add(s, u, out=scratch)
-            trial = float(np.einsum("n,jn->", w, np.abs(scratch, out=scratch))) / k
+            u = walk.member(idx)
+            trial = l1(np.add(s, u, out=walk.scratch), out=walk.scratch) / k
             if trial <= max(target, k ** -0.5) + 1e-12:
                 chosen.append(idx)
                 s += u
@@ -528,51 +559,23 @@ def _szlenk_select(
 
     length = len(level_lists[-1])
     diagonal = [level_lists[min(r, levels) - 1][r - 1] for r in range(1, length + 1)]
-
-    s = np.zeros_like(pool[0])
-    pairings = []
-    partials = []
-    cesaro = []
-    prefix_snapshots = {}
+    heads = {}
     for r, idx in enumerate(diagonal, start=1):
-        u = _member_row(pool, factor, idx, member)
-        if r == 1:
-            pairings.append(np.zeros(m))
-        else:
-            np.sign(s, out=scratch)
-            scratch *= w
-            pairings.append(np.einsum("jn,jn->j", scratch, u))
-        s += u
-        partial = np.einsum("n,jn->j", w, np.abs(s, out=scratch))
-        partials.append(partial)
-        cesaro.append(float(partial.sum()) / r)
-        if r <= levels:
-            prefix_snapshots[r] = s.copy()
+        walk.add(idx)
+        if r < levels:
+            heads[r] = walk.s.copy()
+    trace = walk.trace("szlenk_diagonal")
+    cesaro = trace.cesaro_norms
 
-    cesaro_arr = np.asarray(cesaro)
     checkpoints = []
     for level in range(1, levels + 1):
         k = min(length, max(level, round(length * level / levels)))
-        checkpoints.append(
-            SzlenkCheckpoint(
-                level=level,
-                k=k,
-                cesaro_norm=float(cesaro_arr[k - 1]),
-                target=1.0 / level,
-            )
-        )
-
+        checkpoints.append(SzlenkCheckpoint(level, k, float(cesaro[k - 1]), 1.0 / level))
     splitting = []
-    for prefix in range(1, levels):
-        if prefix >= length:
-            break
-        head = prefix_snapshots[prefix]
-        tail = s - head
-        lhs = cesaro_arr[length - 1]
-        rhs = float(np.einsum("n,jn->", w, np.abs(head))) / length + float(
-            np.einsum("n,jn->", w, np.abs(tail))
-        ) / (length - prefix)
-        splitting.append(SplitCheck(prefix=prefix, k=length, lhs=float(lhs), rhs=rhs))
+    for prefix in range(1, min(levels, length)):
+        head = heads[prefix]
+        rhs = l1(head) / length + l1(walk.s - head) / (length - prefix)
+        splitting.append(SplitCheck(prefix, length, float(cesaro[-1]), rhs))
 
     schedule = SzlenkSchedule(
         levels=level_lists,
@@ -580,17 +583,6 @@ def _szlenk_select(
         diagonal=diagonal,
         checkpoints=checkpoints,
         splitting_checks=splitting,
-    )
-    trace = ExtractionTrace(
-        p=1.0,
-        method="szlenk_diagonal",
-        indices=diagonal,
-        pairings=np.stack(pairings),
-        partial_norms=np.stack(partials),
-        cesaro_norms=cesaro_arr,
-        normalization=factor,
-        member_norm_sup=sup / factor,
-        pool_size=horizon,
     )
     return schedule, trace
 

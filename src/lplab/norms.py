@@ -45,9 +45,10 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _lp_norms(rows: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
+def _lp_norms(rows: np.ndarray, w: np.ndarray, p: float, centre=None) -> np.ndarray:
     """Product L^p norm (sum_j integral |u_i^(j)|^p)^(1/p) of each row of a (k, m, N) stack.
 
+    With a centre of shape (m, N), each row is read as u_i - centre.
     Computed in a two-row scratch block instead of a stack-sized temporary.
     numpy's einsum sums a lone row in another order than a stack of rows, so
     blocks of two keep every norm bitwise equal to one contraction over the
@@ -62,16 +63,18 @@ def _lp_norms(rows: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
     for start in range(0, count, 2):
         first = min(start, count - size)
         pair = slice(first, first + size)
-        np.abs(rows[pair], out=block)
+        read = rows[pair] if centre is None else np.subtract(rows[pair], centre, out=block)
+        np.abs(read, out=block)
         if p != 1.0:
             with np.errstate(over="ignore"):  # an overflowed row is recomputed below
                 block **= p
         sums[pair] = np.einsum("n,ijn->i", w, block)
     norms = sums ** (1.0 / p)
     for i in np.flatnonzero(~(np.isfinite(sums) & (sums >= np.finfo(float).tiny))):
-        scale = float(np.abs(rows[i]).max())
+        row = np.abs(rows[i] if centre is None else rows[i] - centre)
+        scale = float(row.max())
         if scale > 0.0:
-            scaled = np.abs(rows[i]) / scale
+            scaled = row / scale
             scaled **= p
             norms[i] = scale * float(np.einsum("n,jn->", w, scaled)) ** (1.0 / p)
     return norms

@@ -26,6 +26,7 @@ from lplab import (
     truncate_region,
     weak_star_verify,
 )
+from lplab import gallery
 from lplab.cli import build_config
 
 
@@ -463,9 +464,19 @@ def test_weak_star_route_evaluates_f_once_per_member_and_pick(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "levels, message", [(0, "need at least one level"), (2.5, "must be an integer")]
+    "levels, message",
+    [
+        (0, "need at least one level"),
+        (2.5, "must be an integer"),
+        (-1, "need at least one level"),
+        (True, "must be an integer"),
+    ],
 )
-def test_every_p1_route_checks_the_level_count(grid, levels, message):
+def test_every_p1_route_checks_the_level_count(grid, monkeypatch, levels, message):
+    # The check comes before any member is generated.
+    builds = []
+    real_build = gallery._build_pool
+    monkeypatch.setattr(gallery, "_build_pool", lambda *a: builds.append(a) or real_build(*a))
     seq = VectorSequenceSpec([SequenceSpec(kind="rademacher")])
     args = (seq, _zero_limit(grid), _squared(), _UNIT_BOX, RegionMask.full(grid))
     with pytest.raises(InvalidArgumentError, match=message):
@@ -474,6 +485,7 @@ def test_every_p1_route_checks_the_level_count(grid, levels, message):
         liminf_verify(*args, 1.0, 64, szlenk_levels=levels)
     with pytest.raises(InvalidArgumentError, match=message):
         szlenk_extract(seq, grid, levels, 64)
+    assert builds == []
 
 
 def _naive_chain(f, points, picks, weights):

@@ -2,12 +2,17 @@ import numpy as np
 import pytest
 
 from lplab import (
+    ConvexFunctionSpec,
+    ConvexSetSpec,
     ExtractionStalledError,
     InequalityConstants,
     InvalidArgumentError,
     LevelStalledError,
     PreconditionViolationError,
+    RegionMask,
+    ScalarField,
     SequenceSpec,
+    VectorField,
     VectorSequenceSpec,
     banach_saks_extract,
     build_uniform_grid,
@@ -17,8 +22,12 @@ from lplab import (
     estimate_a_constant,
     floor_exponent,
     generalized_binomial,
+    generate,
+    generate_vector,
+    liminf_verify,
     remainder_term,
     szlenk_extract,
+    truncate_region,
     verify_growth_bound,
 )
 
@@ -303,3 +312,89 @@ def test_extraction_above_two_stalls_honestly(grid):
     assert partial.length >= 8
     assert np.all(np.diff(partial.indices) > 0)
     assert float(partial.pairings.max()) <= 1.0 + 1e-12
+
+
+def _naive_rows(pool, w, p, indices, centre=0.0):
+    """Trace rows recomputed from s_k = sum of (u_i - centre)/factor over the picks."""
+    u = pool - centre
+    norms = ((np.abs(u) ** p) * w).sum(axis=(1, 2)) ** (1.0 / p)
+    sup = float(norms.max())
+    factor = max(1.0, sup)
+    picked = u[np.asarray(indices) - 1] / factor
+    s = np.cumsum(picked, axis=0)
+    previous = np.concatenate([np.zeros_like(s[:1]), s[:-1]])
+    pairings = (np.abs(previous) ** (p - 1.0) * np.sign(previous) * picked * w).sum(axis=2)
+    partials = ((np.abs(s) ** p) * w).sum(axis=2)
+    cesaro = partials.sum(axis=1) ** (1.0 / p) / np.arange(1, len(indices) + 1)
+    return pairings, partials, cesaro, factor, sup / factor
+
+
+def _amplitude_two_pair(grid, horizon):
+    # Amplitude 2 puts every member norm above 1; the cosine offset keeps the
+    # second component's pairings away from zero.
+    x = grid.nodes[:, 0]
+    rademacher = SequenceSpec(kind="rademacher", amplitude=2.0)
+    table = {
+        i: generate(rademacher, i, grid).samples + 0.1 * np.cos(2.0 * np.pi * x)
+        for i in range(1, horizon + 1)
+    }
+    return VectorSequenceSpec(
+        [SequenceSpec(kind="oscillatory", amplitude=2.0), SequenceSpec(kind="custom", table=table)]
+    )
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.5])
+def test_trace_rows_match_a_naive_recomputation(grid, p):
+    horizon = 48
+    seq = _amplitude_two_pair(grid, horizon)
+    if p == 1.0:
+        trace = szlenk_extract(seq, grid, 3, horizon)[1]
+    else:
+        try:
+            trace = banach_saks_extract(seq, p, grid, horizon)
+        except ExtractionStalledError as err:
+            trace = err.trace
+    assert trace.length >= 8
+    pool = np.stack([generate_vector(seq, i, grid).matrix() for i in range(1, horizon + 1)])
+    pairings, partials, cesaro, factor, sup = _naive_rows(pool, grid.weights, p, trace.indices)
+    assert factor > 1.0
+    scale = np.abs(pairings).max()
+    np.testing.assert_allclose(trace.pairings, pairings, rtol=0.0, atol=1e-12 * scale)
+    np.testing.assert_allclose(trace.partial_norms, partials, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(trace.cesaro_norms, cesaro, rtol=1e-12, atol=0.0)
+    assert trace.normalization == pytest.approx(factor, rel=1e-12, abs=0.0)
+    assert trace.member_norm_sup == pytest.approx(sup, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_replay_cesaro_norms_centre_members_on_the_limit(grid, p):
+    horizon = 128
+    x = grid.nodes[:, 0]
+    if p == 1.0:
+        centre = [0.25]
+        tables = [lambda i: 0.25 + 3.0 * np.sin(2.0 * np.pi * i * x)]
+        region = truncate_region(RegionMask.full(grid), 0.6)
+    else:
+        centre = [0.5, -0.3]
+        rademacher = SequenceSpec(kind="rademacher", amplitude=2.0)
+        tables = [
+            lambda i: 0.5 + 2.0 * np.sin(2.0 * np.pi * i * x),
+            lambda i: -0.3 + generate(rademacher, i, grid).samples,
+        ]
+        region = RegionMask.full(grid)
+    seq = VectorSequenceSpec(
+        [SequenceSpec(kind="custom", table={i: t(i) for i in range(1, horizon + 1)}) for t in tables]
+    )
+    limit = VectorField([ScalarField.constant(grid, c) for c in centre])
+    f = ConvexFunctionSpec(kind="squared_norm")
+    K = ConvexSetSpec(kind="whole_space")
+    replay = liminf_verify(seq, limit, f, K, region, p, horizon).replay
+    assert len(replay.indices) >= 8
+
+    # The p = 1 extraction reads the region's nodes, the p > 1 one the whole grid.
+    inc = region.included if p == 1.0 else np.ones(grid.node_count, dtype=bool)
+    pool = np.stack([generate_vector(seq, i, grid).matrix() for i in range(1, horizon + 1)])
+    centre = limit.matrix()[:, inc]
+    *_, cesaro, factor, _ = _naive_rows(pool[:, :, inc], grid.weights[inc], p, replay.indices, centre)
+    assert factor > 1.0
+    np.testing.assert_allclose(replay.cesaro_norms, cesaro, rtol=1e-12, atol=0.0)

@@ -26,6 +26,7 @@ from lplab import (
     dual_pairing,
     generate,
     member_pool,
+    truncate_region,
     weak_probe,
 )
 from lplab import convexity, extraction, gallery
@@ -474,6 +475,32 @@ def test_member_norms_rescale_rows_past_the_float_range(p, scale):
     assert norms[1] == 0.0
 
 
+@pytest.mark.parametrize("region", ["full", "ball"])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("m", [1, 2])
+def test_replay_centres_members_on_read_without_a_pool_sized_copy(m, p, region):
+    grid = build_uniform_grid([[0.0, 1.0]], 4096)
+    x = grid.nodes[:, 0]
+    kinds = ["oscillatory", "rademacher"][:m]
+    seq = VectorSequenceSpec([SequenceSpec(kind=kind) for kind in kinds])
+    limit = VectorField(
+        [ScalarField(grid, 0.4 + 0.3 * (j + 1) * np.cos(2.0 * np.pi * x)) for j in range(m)]
+    )
+    pool = member_pool(seq, grid, 64) + limit.matrix()
+    mask = RegionMask.full(grid)
+    if region == "ball":
+        mask = truncate_region(mask, 0.6)
+    members = np.compress(mask.included, pool, axis=2)
+    tracemalloc.start()
+    try:
+        trace = convexity._replay_trace(pool, members, limit, mask, p, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace is not None
+    assert peak < 0.5 * pool.nbytes
+
+
 @pytest.mark.parametrize("route", ["banach_saks", "szlenk"])
 def test_selections_read_a_rescaled_pool_without_a_pool_sized_temporary(route):
     # Amplitude 2 gives member norms sqrt(2) (p = 2) and 4/pi (p = 1), over 1.
@@ -495,13 +522,19 @@ def test_selections_read_a_rescaled_pool_without_a_pool_sized_temporary(route):
     assert peak < pool.nbytes
 
 
+def _perfbench(module: str):
+    """A module of the bench, loaded from its file; perfbench is not a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{module}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{module}", path)
+    loaded = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(loaded)
+    return loaded
+
+
 def test_bench_spans_stay_balanced_over_the_bundled_scenarios(tmp_path):
     # The bench's recorder keeps one span stack for the process: a pool or
     # norm thread calling a wrapped entry point would leave it unbalanced.
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _perfbench("spans")
     from lplab import cli
 
     recorder = spans.Recorder()
@@ -521,3 +554,18 @@ def test_bench_spans_stay_balanced_over_the_bundled_scenarios(tmp_path):
     assert calls1 and counts1
     assert {k: v - calls1.get(k, 0) for k, v in calls2.items()} == calls1
     assert {k: v - counts1.get(k, 0) for k, v in counts2.items()} == counts1
+
+
+@pytest.mark.parametrize("workload", ["suite", "extract-p2-64k", "weakstar-2d"])
+def test_bench_workloads_match_their_recorded_references(tmp_path, workload):
+    # Variant 0 of each workload, run in this process and compared by the
+    # bench's own equivalence rule.
+    workloads, check = _perfbench("workloads"), _perfbench("check")
+    config = workloads.scenario_config(workload, 0)
+    if config is None:
+        seed = workloads.lplab_seed(workload, 0)
+        code = main(["suite", "--output-dir", str(tmp_path), "--seed", str(seed)])
+    else:
+        code = 0 if run_scenario(build_config(config), output_dir=tmp_path).passed else 1
+    reference = check.load_reference(Path(__file__).resolve().parents[1], workload, 0)
+    assert check.mismatches(code, check.read_outputs(tmp_path), reference) == []
