@@ -382,9 +382,9 @@ def _verify_on_region(
     horizon = pool.shape[0]
     inc = region.included
     weights = region.grid.weights[inc]
-    # The region's gather is freed on return, before a caller looping over
-    # regions makes the next one.
-    members = np.compress(inc, pool, axis=2)
+    # A region that covers the grid reads the pool itself.  A gather is freed
+    # on return, before a caller looping over regions makes the next one.
+    members = pool if inc.all() else np.compress(inc, pool, axis=2)
     trace = None if p is None else _replay_trace(pool, members, limit, region, p, szlenk_levels)
 
     def integrate(points: np.ndarray, where: str) -> tuple[np.ndarray, float]:

@@ -43,7 +43,7 @@ from .errors import (
 )
 from .gallery import VectorSequenceSpec, _loglog_slope, member_pool
 from .grid import QuadratureGrid
-from .norms import _lp_norms
+from .norms import _abs_power, _lp_norms
 
 __all__ = [
     "InequalityConstants",
@@ -290,6 +290,10 @@ class _CesaroWalk:
     their product L^p norms); a centre that is all zero is not subtracted.
     Each pick records its pairing with phi_w = |s_(k-1)|^(p-1) sgn(s_(k-1)) w
     (zero for the first pick), the integrals of |s_k|^p and ||s_k/k||.
+
+    At p = 2, the Hilbert case, phi_w is s w and |s|^2 is s s: copysign(|s|^1, s)
+    is s bit for bit, signed zeros included, and s s rounds as |s| |s| does.
+    One pass each replaces four and two, and every bit of the general formulas stays.
     """
 
     def __init__(self, pool: np.ndarray, w: np.ndarray, p: float, centre=None) -> None:
@@ -320,6 +324,8 @@ class _CesaroWalk:
 
     def phi_w(self) -> np.ndarray:
         """|s_k|^(p-1) sgn(s_k) w, in the scratch row."""
+        if self.p == 2.0:
+            return np.multiply(self.s, self.w, out=self.scratch)
         if self.p == 1.0:
             np.sign(self.s, out=self.scratch)
         else:
@@ -338,10 +344,7 @@ class _CesaroWalk:
             pairing = np.einsum("jn,jn->j", self.phi_w(), u)
         self.s += u
         self.indices.append(i)
-        powered = np.abs(self.s, out=self.scratch)
-        if self.p != 1.0:
-            powered **= self.p
-        partial = np.einsum("n,jn->j", self.w, powered)
+        partial = np.einsum("n,jn->j", self.w, _abs_power(self.s, self.p, self.scratch))
         self.pairings.append(pairing)
         self.partials.append(partial)
         self.cesaro.append(float(partial.sum()) ** (1.0 / self.p) / len(self.indices))

@@ -45,6 +45,16 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
+def _abs_power(x: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
+    """|x|^p into out.  At p = 2 one square: x x rounds as |x| |x| does, the bits of |x|**2."""
+    if p == 2.0:
+        return np.square(x, out=out)
+    np.abs(x, out=out)
+    if p != 1.0:
+        out **= p
+    return out
+
+
 def _lp_norms(rows: np.ndarray, w: np.ndarray, p: float, centre=None) -> np.ndarray:
     """Product L^p norm (sum_j integral |u_i^(j)|^p)^(1/p) of each row of a (k, m, N) stack.
 
@@ -64,10 +74,8 @@ def _lp_norms(rows: np.ndarray, w: np.ndarray, p: float, centre=None) -> np.ndar
         first = min(start, count - size)
         pair = slice(first, first + size)
         read = rows[pair] if centre is None else np.subtract(rows[pair], centre, out=block)
-        np.abs(read, out=block)
-        if p != 1.0:
-            with np.errstate(over="ignore"):  # an overflowed row is recomputed below
-                block **= p
+        with np.errstate(over="ignore"):  # an overflowed row is recomputed below
+            _abs_power(read, p, block)
         sums[pair] = np.einsum("n,ijn->i", w, block)
     norms = sums ** (1.0 / p)
     for i in np.flatnonzero(~(np.isfinite(sums) & (sums >= np.finfo(float).tiny))):

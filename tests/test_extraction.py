@@ -30,6 +30,7 @@ from lplab import (
     truncate_region,
     verify_growth_bound,
 )
+from lplab.extraction import _banach_saks_select
 
 
 @pytest.fixture(scope="module")
@@ -398,3 +399,63 @@ def test_replay_cesaro_norms_centre_members_on_the_limit(grid, p):
     *_, cesaro, factor, _ = _naive_rows(pool[:, :, inc], grid.weights[inc], p, replay.indices, centre)
     assert factor > 1.0
     np.testing.assert_allclose(replay.cesaro_norms, cesaro, rtol=1e-12, atol=0.0)
+
+
+def _general_formula_walk(pool, w, p, centre):
+    """The threshold walk in plain numpy with the general formulas: abs, ** and copysign.
+
+    Returns the trace's arrays and whether the walk stalled before the horizon.
+    """
+    u = pool if centre is None else pool - centre
+    powered = np.abs(u)
+    powered **= p
+    sup = float((np.einsum("n,ijn->i", w, powered) ** (1.0 / p)).max())
+    factor = max(1.0, sup)
+    u = u / factor
+    s = np.zeros(pool.shape[1:])
+    indices, pairings, partials, cesaro = [], [], [], []
+    pick, t = 1, np.zeros(pool.shape[1])
+    while True:
+        s = s + u[pick - 1]
+        indices.append(pick)
+        pairings.append(t)
+        partials.append(np.einsum("n,jn->j", w, np.abs(s) ** p))
+        cesaro.append(float(partials[-1].sum()) ** (1.0 / p) / len(indices))
+        if pick == len(u):
+            break
+        phi_w = np.copysign(np.abs(s) ** (p - 1.0), s) * w
+        for pick in range(indices[-1] + 1, len(u) + 1):
+            t = np.einsum("jn,jn->j", phi_w, u[pick - 1])
+            if np.all(t <= 1.0 + 1e-12):
+                break
+        else:
+            break
+    stalled = indices[-1] < len(u)
+    arrays = (indices, np.stack(pairings), np.stack(partials), np.asarray(cesaro))
+    return arrays, factor, sup / factor, stalled
+
+
+@pytest.mark.parametrize("centred", [False, True])
+def test_hilbert_walk_is_bitwise_the_general_formula_walk(grid, centred):
+    # At p = 2 the walk takes phi_w as s w and |s|^2 as s s; both must keep the
+    # bits of the general formulas, not merely agree to rounding.
+    horizon = 48
+    seq = _amplitude_two_pair(grid, horizon)
+    pool = np.stack([generate_vector(seq, i, grid).matrix() for i in range(1, horizon + 1)])
+    x = grid.nodes[:, 0]
+    centre = np.stack([0.3 * np.cos(2.0 * np.pi * x), -0.2 + 0.1 * x]) if centred else None
+    arrays, factor, sup, stalled = _general_formula_walk(pool, grid.weights, 2.0, centre)
+    try:
+        trace = _banach_saks_select(pool, 2.0, grid.weights, centre)
+        assert not stalled
+    except ExtractionStalledError as err:
+        assert stalled
+        trace = err.trace
+    assert factor > 1.0 and len(arrays[0]) >= 8
+    indices, pairings, partials, cesaro = arrays
+    assert trace.indices == indices
+    assert np.array_equal(trace.pairings, pairings)
+    assert np.array_equal(trace.partial_norms, partials)
+    assert np.array_equal(trace.cesaro_norms, cesaro)
+    assert trace.normalization == factor
+    assert trace.member_norm_sup == sup

@@ -201,18 +201,20 @@ def test_pool_budget_bounds():
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 def test_member_norms_bitwise_equal_to_whole_pool_contraction(p, m, horizon):
     # Past 8192 nodes numpy's einsum sums a lone row in another order than a
-    # stack of rows; the norm decides whether the pool is rescaled.
+    # stack of rows; the norm decides whether the pool is rescaled.  The
+    # centred case is the one the liminf replay reads.
     rng = np.random.default_rng(7)
     n = 3 * 8192 + 5
     pool = rng.standard_normal((horizon, m, n)) * 1.7
     w = rng.uniform(0.5, 1.5, n) / n
-    if p == 1.0:
-        expected = np.einsum("n,ijn->i", w, np.abs(pool))
-    else:
-        powered = np.abs(pool)
-        powered **= p
-        expected = np.einsum("n,ijn->i", w, powered) ** (1.0 / p)
-    assert np.array_equal(_lp_norms(pool, w, p), expected)
+    for centre in (None, rng.standard_normal((m, n)) * 0.5):
+        powered = np.abs(pool if centre is None else pool - centre)
+        if p == 1.0:
+            expected = np.einsum("n,ijn->i", w, powered)
+        else:
+            powered **= p
+            expected = np.einsum("n,ijn->i", w, powered) ** (1.0 / p)
+        assert np.array_equal(_lp_norms(pool, w, p, centre), expected)
 
 
 def _scenario(**overrides):
@@ -501,6 +503,29 @@ def test_replay_centres_members_on_read_without_a_pool_sized_copy(m, p, region):
     assert peak < 0.5 * pool.nbytes
 
 
+@pytest.mark.parametrize("radius", [None, 2.0])
+def test_a_region_covering_the_grid_reads_the_pool_without_a_gather(radius):
+    # R = 2 covers [0, 1] as the full region does; a gather would copy the pool.
+    grid = build_uniform_grid([[0.0, 1.0]], 4096)
+    seq = VectorSequenceSpec([SequenceSpec(kind="rademacher")])
+    limit = VectorField([ScalarField(grid, np.zeros(grid.node_count))])
+    f = ConvexFunctionSpec(kind="squared_norm")
+    K = ConvexSetSpec(kind="box", bounds=[[-1.0, 1.0]])
+    region = RegionMask.full(grid)
+    if radius is not None:
+        region = truncate_region(region, radius)
+    assert region.included.all()
+    pool = member_pool(seq, grid, 64)
+    tracemalloc.start()
+    try:
+        report = convexity._verify_on_region(pool, limit, f, K, region, None, 1.0, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.replay is not None and report.replay.indices
+    assert peak < 0.5 * pool.nbytes
+
+
 @pytest.mark.parametrize("route", ["banach_saks", "szlenk"])
 def test_selections_read_a_rescaled_pool_without_a_pool_sized_temporary(route):
     # Amplitude 2 gives member norms sqrt(2) (p = 2) and 4/pi (p = 1), over 1.
@@ -556,16 +581,25 @@ def test_bench_spans_stay_balanced_over_the_bundled_scenarios(tmp_path):
     assert {k: v - counts1.get(k, 0) for k, v in counts2.items()} == counts1
 
 
-@pytest.mark.parametrize("workload", ["suite", "extract-p2-64k", "weakstar-2d"])
-def test_bench_workloads_match_their_recorded_references(tmp_path, workload):
-    # Variant 0 of each workload, run in this process and compared by the
-    # bench's own equivalence rule.
+@pytest.mark.parametrize(
+    "workload, variant",
+    [
+        pytest.param("suite", 0, id="suite"),
+        pytest.param("extract-p2-64k", 0, id="extract-p2-64k"),
+        *(pytest.param("extract-p2-64k", v, id=f"extract-p2-64k-{v}") for v in (1, 2, 3)),
+        pytest.param("weakstar-2d", 0, id="weakstar-2d"),
+    ],
+)
+def test_bench_workloads_match_their_recorded_references(tmp_path, workload, variant):
+    # Run in this process and compared by the bench's own equivalence rule.
+    # Every p = 2 variant runs: amplitude -1 sends negative members through
+    # the walk's p = 2 identities.
     workloads, check = _perfbench("workloads"), _perfbench("check")
-    config = workloads.scenario_config(workload, 0)
+    config = workloads.scenario_config(workload, variant)
     if config is None:
-        seed = workloads.lplab_seed(workload, 0)
+        seed = workloads.lplab_seed(workload, variant)
         code = main(["suite", "--output-dir", str(tmp_path), "--seed", str(seed)])
     else:
         code = 0 if run_scenario(build_config(config), output_dir=tmp_path).passed else 1
-    reference = check.load_reference(Path(__file__).resolve().parents[1], workload, 0)
+    reference = check.load_reference(Path(__file__).resolve().parents[1], workload, variant)
     assert check.mismatches(code, check.read_outputs(tmp_path), reference) == []
