@@ -36,6 +36,7 @@ from .convexity import (
     ConvexSetSpec,
     _check_dimensions,
     _check_r_schedule,
+    _check_region_nodes,
     liminf_verify,
     mazur_scenario_verify,
     weak_star_verify,
@@ -279,6 +280,7 @@ def build_config(raw: dict) -> ScenarioConfig:
             if p != INFINITY:
                 raise ConfigError("field 'R_schedule' applies to sup-norm scenarios only")
             r_schedule = _check_r_schedule(r_schedule)
+        _check_region_nodes(region, r_schedule[0] if r_schedule else None)
         levels = _integer_field(raw, "levels", 4)
         if levels < 1:
             raise ConfigError(f"field 'levels' must be >= 1, got {levels}")
@@ -385,7 +387,7 @@ def _liminf_phase(cfg: ScenarioConfig):
         if cfg.p == INFINITY and cfg.r_schedule is not None:
             result = weak_star_verify(
                 cfg.sequence, cfg.limit, cfg.f, cfg.K, cfg.region,
-                cfg.horizon, cfg.r_schedule,
+                cfg.horizon, cfg.r_schedule, szlenk_levels=cfg.levels,
             )
             report = result.reports[-1]
             ok = result.passed
@@ -401,7 +403,8 @@ def _liminf_phase(cfg: ScenarioConfig):
             detail = f"margin={report.margin:.6g}"
         else:
             report = liminf_verify(
-                cfg.sequence, cfg.limit, cfg.f, cfg.K, cfg.region, cfg.p, cfg.horizon
+                cfg.sequence, cfg.limit, cfg.f, cfg.K, cfg.region, cfg.p, cfg.horizon,
+                szlenk_levels=cfg.levels,
             )
             ok = report.passed
             detail = f"margin={report.margin:.6g}"

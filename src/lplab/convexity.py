@@ -500,6 +500,19 @@ def _check_r_schedule(r_schedule) -> list:
     return radii
 
 
+def _check_region_nodes(region: RegionMask, first_radius: float | None = None) -> None:
+    """Refuse a region, or its truncation at the first radius, that holds no node.
+
+    Radii increase, so a nonempty first truncation leaves every later one nonempty.
+    """
+    if not region.included.any():
+        raise InvalidArgumentError("the region holds no grid node")
+    if first_radius is not None and not truncate_region(region, first_radius).included.any():
+        raise InvalidArgumentError(
+            f"the region truncated at radius {first_radius:g} holds no grid node"
+        )
+
+
 def _require_nonnegative(f: ConvexFunctionSpec) -> None:
     if not f.nonnegative:
         raise PreconditionViolationError(
@@ -514,11 +527,13 @@ def _converging_pool(
 ):
     """The member pool and its probe report, once the hypotheses every route shares hold.
 
-    f and K must fit values in R^m, with m the limit's component count.  The
-    probe reads weak convergence for finite p and weak* convergence for p = infinity.
+    f and K must fit values in R^m, with m the limit's component count, and the
+    region must hold a node.  The probe reads weak convergence for finite p and
+    weak* convergence for p = infinity.
     """
     _require_region_grid(limit, region)
     _check_dimensions(f, K, limit.m)
+    _check_region_nodes(region)
     if dictionary is None:
         dictionary = default_probe_dictionary(limit.grid)
     pool, probe = _probed_pool(seq, limit, p, dictionary, horizon)
@@ -578,11 +593,13 @@ def weak_star_verify(
 
     Each truncation runs the p = 1 verification with the extraction
     restricted to the truncated region; the limit-side integrals must be
-    non-decreasing in R, realizing the monotone-convergence step.
+    non-decreasing in R, realizing the monotone-convergence step.  A first
+    truncation that holds no node is refused before the pool is built.
     """
     radii = _check_r_schedule(r_schedule)
     _check_levels(szlenk_levels)
     _require_nonnegative(f)
+    _check_region_nodes(region, radii[0])
     pool, probe = _converging_pool(seq, limit, f, K, region, INFINITY, horizon, dictionary)
     reports = []
     limit_integrals = []

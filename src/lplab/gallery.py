@@ -153,28 +153,12 @@ def _max_dyadic_level(n1: int, length: float) -> int:
     return m  # depth m has 2^(m-1) cycles, so the loop tests depth m+1's rate
 
 
-def _walsh_mask(i: int, max_level: int) -> int:
-    """Bit mask of dyadic levels used by gallery index i (1-based)."""
-    if i <= max_level:
-        return 1 << (i - 1)
-    remaining = i - max_level
-    for t in range(3, 1 << max_level):
-        if t & (t - 1):  # skip pure powers of two, already used
-            remaining -= 1
-            if remaining == 0:
-                return t
-    raise InvalidArgumentError(
-        f"grid resolution supports only {(1 << max_level) - 1} dyadic sign "
-        f"patterns; index {i} is out of range"
-    )
-
-
 def _walsh_masks(horizon: int, max_level: int) -> list:
-    """Masks of gallery indices 1..horizon, listed in one pass.
+    """Bit masks of dyadic levels used by gallery indices 1..horizon, in one pass.
 
-    Entry i - 1 equals ``_walsh_mask(i, max_level)``.  The list stops at the
-    last sign pattern, so it is shorter than horizon when the grid cannot
-    resolve every index.
+    Indices 1..max_level are the single levels; later indices take the other
+    masks in increasing order.  The list stops at the last sign pattern, so
+    it is shorter than horizon when the grid cannot resolve every index.
     """
     masks = [1 << level for level in range(min(horizon, max_level))]
     t = 3
@@ -185,42 +169,94 @@ def _walsh_masks(horizon: int, max_level: int) -> list:
     return masks
 
 
-def _rademacher_mask(i: int, grid: QuadratureGrid) -> int:
-    max_level = _max_dyadic_level(grid.axis_resolution(0), grid.axis_length(0))
-    if max_level < 1:
-        raise InvalidArgumentError(
-            f"resolution {grid.axis_resolution(0)} cannot resolve any dyadic sign pattern"
-        )
-    return _walsh_mask(i, max_level)
+def _row_writer(spec: SequenceSpec, grid: QuadratureGrid, indices: range):
+    """``write(i, out)`` that fills out with sample row i of the sequence, i in indices.
 
-
-def _walsh_product(mask: int, sign_row, out: np.ndarray) -> np.ndarray:
-    """Fill out with the product of the mask's level sign rows, lowest level first."""
-    out.fill(1.0)
-    level = 1
-    while mask:
-        if mask & 1:
-            out *= sign_row(level)
-        mask >>= 1
-        level += 1
-    return out
-
-
-def _oscillatory_row(
-    spec: SequenceSpec, i: int, grid: QuadratureGrid, out: np.ndarray
-) -> np.ndarray:
-    """Fill out with amplitude * sin(2*pi*i*base*x1), behind the aliasing guard."""
+    The setup shared by the indices runs here and never raises; write raises,
+    at the index it concerns, when the grid cannot resolve index i (aliasing
+    guard) or a custom table has no usable entry for i.
+    """
+    x1 = grid.nodes[:, 0]
     n1 = grid.axis_resolution(0)
-    cycles = i * spec.base * grid.axis_length(0)
-    if 8.0 * cycles > n1:
-        raise InvalidArgumentError(
-            f"resolution {n1} cannot resolve {cycles:g} cycles "
-            f"(need >= 8 nodes per cycle); refusing index {i}"
-        )
-    np.multiply(2.0 * np.pi * i * spec.base, grid.nodes[:, 0], out=out)
-    np.sin(out, out=out)
-    out *= spec.amplitude
-    return out
+    length = grid.axis_length(0)
+
+    if spec.kind == OSCILLATORY:
+        def write(i: int, out: np.ndarray) -> None:
+            cycles = i * spec.base * length
+            if 8.0 * cycles > n1:
+                raise InvalidArgumentError(
+                    f"resolution {n1} cannot resolve {cycles:g} cycles "
+                    f"(need >= 8 nodes per cycle); refusing index {i}"
+                )
+            np.multiply(2.0 * np.pi * i * spec.base, x1, out=out)
+            np.sin(out, out=out)
+            out *= spec.amplitude
+
+    elif spec.kind == RADEMACHER:
+        max_level = _max_dyadic_level(n1, length)
+        masks = _walsh_masks(indices[-1], max_level)
+        # One sign row per level the indices' masks use, computed here and
+        # only read by write, so fill threads share no mutable state.
+        used = 0
+        for mask in masks[indices[0] - 1 :]:
+            used |= mask
+        signs = {
+            level: _dyadic_sign(x1, level)
+            for level in range(1, used.bit_length() + 1) if used >> (level - 1) & 1
+        }
+
+        def write(i: int, out: np.ndarray) -> None:
+            if max_level < 1:
+                raise InvalidArgumentError(
+                    f"resolution {n1} cannot resolve any dyadic sign pattern"
+                )
+            if i > len(masks):
+                raise InvalidArgumentError(
+                    f"grid resolution supports only {(1 << max_level) - 1} dyadic sign "
+                    f"patterns; index {i} is out of range"
+                )
+            # The product of the mask's level sign rows, lowest level first.
+            mask = masks[i - 1]
+            out.fill(1.0)
+            for level in range(1, mask.bit_length() + 1):
+                if mask >> (level - 1) & 1:
+                    out *= signs[level]
+            out *= spec.amplitude
+
+    elif spec.kind == SPIKE:
+        lo = grid.domain_box[0, 0]
+
+        def write(i: int, out: np.ndarray) -> None:
+            if i > n1:
+                raise InvalidArgumentError(
+                    f"resolution {n1} cannot resolve a width-1/{i} spike"
+                )
+            slab = x1 < lo + length / i
+            mass = float(grid.weights[slab].sum())
+            if mass <= 0.0:
+                raise InvalidArgumentError(f"spike support carries no mass at index {i}")
+            # Height chosen so the slab integrates to `amplitude` exactly; this
+            # equals amplitude * i * indicator when i divides the axis resolution.
+            out.fill(0.0)
+            out[slab] = spec.amplitude / mass
+
+    elif spec.kind == CONSTANT:
+        def write(i: int, out: np.ndarray) -> None:
+            out.fill(spec.amplitude * spec.value)
+
+    else:  # CUSTOM
+        def write(i: int, out: np.ndarray) -> None:
+            try:
+                samples = np.asarray(spec.table[i], dtype=float).ravel()
+            except KeyError:
+                raise InvalidArgumentError(f"custom table has no entry for index {i}") from None
+            if samples.size != grid.node_count:
+                raise InvalidArgumentError(
+                    f"sample length {samples.size} != node count {grid.node_count}"
+                )
+            np.multiply(spec.amplitude, samples, out=out)
+
+    return write
 
 
 def generate(spec: SequenceSpec, i: int, grid: QuadratureGrid) -> ScalarField:
@@ -232,38 +268,9 @@ def generate(spec: SequenceSpec, i: int, grid: QuadratureGrid) -> ScalarField:
     """
     if i < 1:
         raise InvalidArgumentError(f"sequence index must be >= 1, got {i}")
-    x1 = grid.nodes[:, 0]
-    n1 = grid.axis_resolution(0)
-    length = grid.axis_length(0)
-
-    if spec.kind == CONSTANT:
-        samples = np.full(grid.node_count, spec.amplitude * spec.value)
-    elif spec.kind == OSCILLATORY:
-        samples = _oscillatory_row(spec, i, grid, np.empty(grid.node_count))
-    elif spec.kind == RADEMACHER:
-        row = np.empty(grid.node_count)
-        _walsh_product(_rademacher_mask(i, grid), lambda level: _dyadic_sign(x1, level), row)
-        samples = spec.amplitude * row
-    elif spec.kind == SPIKE:
-        if i > n1:
-            raise InvalidArgumentError(
-                f"resolution {n1} cannot resolve a width-1/{i} spike"
-            )
-        lo = grid.domain_box[0, 0]
-        slab = x1 < lo + length / i
-        mass = float(grid.weights[slab].sum())
-        if mass <= 0.0:
-            raise InvalidArgumentError(f"spike support carries no mass at index {i}")
-        # Height chosen so the slab integrates to `amplitude` exactly; this
-        # equals amplitude * i * indicator when i divides the axis resolution.
-        samples = np.where(slab, spec.amplitude / mass, 0.0)
-    else:  # CUSTOM
-        try:
-            samples = np.asarray(spec.table[i], dtype=float)
-        except KeyError:
-            raise InvalidArgumentError(f"custom table has no entry for index {i}") from None
-        samples = spec.amplitude * samples
-    return ScalarField(grid, samples)
+    out = np.empty(grid.node_count)
+    _row_writer(spec, grid, range(i, i + 1))(i, out)
+    return ScalarField(grid, out)
 
 
 def generate_vector(spec: VectorSequenceSpec, i: int, grid: QuadratureGrid) -> VectorField:
@@ -308,10 +315,11 @@ def member_pool(seq: VectorSequenceSpec, grid: QuadratureGrid, horizon: int) -> 
     """Members u_1..u_horizon as one read-only (horizon, m, N) array.
 
     Row [i-1, j] is bitwise equal to ``generate(seq.components[j], i,
-    grid).samples`` and the same errors are raised, in the same index order.
-    Rademacher rows are products of one sign row per dyadic level, each
-    computed once per build.  A pool of oscillatory rows, or of oscillatory
-    and Rademacher rows, is filled on up to two threads, with the same bits.
+    grid).samples`` and the same errors are raised, in the same index order:
+    both write rows through one writer per component.  Rademacher rows are
+    products of one sign row per dyadic level, each computed once per build.
+    A pool with at least one oscillatory component is filled on up to two
+    threads, with the same bits.
     A pool larger than ``POOL_BUDGET_BYTES`` is refused with
     ``PoolBudgetError`` before anything is allocated.  Each call builds its
     own pool, except inside one scenario run of the command line, which
@@ -366,39 +374,18 @@ def _build_pool(seq: VectorSequenceSpec, grid: QuadratureGrid, horizon: int) -> 
     if horizon < 1:
         raise InvalidArgumentError(f"pool horizon must be >= 1, got {horizon}")
     _check_pool_budget(horizon, seq.m, grid.node_count)
-    kinds = {comp.kind for comp in seq.components}
-    masks = []
-    signs = {}
-    if RADEMACHER in kinds:
-        # Indices 1..max_level are the single levels and later masks combine
-        # them, so these are every sign row the fill reads; it never writes one.
-        max_level = _max_dyadic_level(grid.axis_resolution(0), grid.axis_length(0))
-        masks = _walsh_masks(horizon, max_level)
-        for level in range(1, min(horizon, max_level) + 1):
-            signs[level] = _dyadic_sign(grid.nodes[:, 0], level)
-
+    writers = [_row_writer(comp, grid, range(1, horizon + 1)) for comp in seq.components]
     pool = np.empty((horizon, seq.m, grid.node_count))
 
     def fill(lo: int, hi: int) -> None:
         for i in range(lo + 1, hi + 1):
-            for j, comp in enumerate(seq.components):
-                row = pool[i - 1, j]
-                if comp.kind == RADEMACHER:
-                    # past the last pattern, _rademacher_mask raises generate's error
-                    mask = masks[i - 1] if i <= len(masks) else _rademacher_mask(i, grid)
-                    _walsh_product(mask, signs.__getitem__, row)
-                    row *= comp.amplitude
-                elif comp.kind == OSCILLATORY:
-                    _oscillatory_row(comp, i, grid, row)
-                else:
-                    row[:] = generate(comp, i, grid).samples
+            for row, write in zip(pool[i - 1], writers):
+                write(i, row)
                 ScalarField(grid, row)  # the finite-sample check generate applies
 
-    # Rows of other kinds go through generate, a public entry point, so they
-    # are filled on the calling thread only.  A thread pays for itself through
-    # sin, which releases the GIL for long; a pool of sign products alone
-    # fills no faster on two threads.
-    if kinds <= {OSCILLATORY, RADEMACHER} and OSCILLATORY in kinds:
+    # A thread pays for itself through sin, which releases the GIL for long;
+    # a pool of sign products alone fills no faster on two threads.
+    if any(comp.kind == OSCILLATORY for comp in seq.components):
         _halves(horizon, fill)
     else:
         fill(0, horizon)

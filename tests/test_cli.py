@@ -103,6 +103,10 @@ def test_config_digest_is_stable():
         {"levels": "3"},
         {"levels": True},
         {"m": 1.5},
+        # a region, or a first truncation radius, that holds no node
+        {"region": {"type": "ball", "radius": 1e-9}},
+        {"region": {"type": "box", "bounds": [[2.0, 3.0]]}},
+        {"p": "infinity", "extraction": "none", "R_schedule": [1e-9, 1.0]},
     ],
 )
 def test_config_validation_errors(overrides):
@@ -164,6 +168,59 @@ def test_cli_verify_lemma1_smoke(capsys):
     assert "E(p)=1" in out
     assert "B=0" in out
     assert "A=1.01" in out
+
+
+def _weak_star_config(**overrides):
+    """The bundled sup-norm scenario, a6, with overrides."""
+    entry = next(e for e in cli._bundled_scenarios() if e.name.startswith("a6-"))
+    raw = json.loads(entry.read_text())
+    raw.update(overrides)
+    return raw
+
+
+@pytest.mark.parametrize(
+    "overrides, replays",
+    [
+        ({}, 3),  # one p = 1 replay per truncation radius
+        ({"p": 1.0, "R_schedule": None}, 1),  # the finite-p route at p = 1
+    ],
+    ids=["weak_star", "liminf-p1"],
+)
+def test_cli_run_selects_with_the_configured_level_count(
+    tmp_path, monkeypatch, overrides, replays
+):
+    from lplab import convexity
+
+    received = []
+    real_select = convexity._szlenk_select
+
+    def recording_select(members, weights, levels, *rest):
+        received.append(levels)
+        return real_select(members, weights, levels, *rest)
+
+    monkeypatch.setattr(convexity, "_szlenk_select", recording_select)
+    raw = {k: v for k, v in _weak_star_config(levels=5, **overrides).items() if v is not None}
+    cli.run_scenario(build_config(raw), output_dir=tmp_path)
+    assert received == [5] * replays
+
+
+@pytest.mark.parametrize(
+    "raw, named",
+    [
+        (_weak_star_config(p=1.0, R_schedule=None, region={"type": "ball", "radius": 1e-9}),
+         "the region holds no grid node"),
+        (_weak_star_config(grid={"dimension": 1, "box": [[3.0, 4.0]], "resolution": [4096]}),
+         "the region truncated at radius 0.5 holds no grid node"),
+    ],
+    ids=["liminf-p1-ball", "weak_star-shifted-box"],
+)
+def test_cli_run_empty_region_exits_2_and_writes_nothing(tmp_path, capsys, raw, named):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({k: v for k, v in raw.items() if v is not None}))
+    rc = main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_oscillatory_scenario(tmp_path, capsys):

@@ -353,6 +353,48 @@ _UNIT_BOX = ConvexSetSpec(kind="box", bounds=[[-1.0, 1.0]])
 _FIRST_COORDINATE = dict(kind="custom", evaluator=lambda pts: pts[:, 0])
 
 
+def _refuse_pool_builds(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a member pool was built")
+
+    monkeypatch.setattr(gallery, "_build_pool", refuse)
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_routes_refuse_an_empty_region_before_building_the_pool(grid, monkeypatch, route):
+    verify, _ = _ROUTES[route]
+    _refuse_pool_builds(monkeypatch)
+    seq = VectorSequenceSpec([SequenceSpec(kind="rademacher")])
+    with pytest.raises(InvalidArgumentError, match="the region holds no grid node"):
+        verify(seq, _zero_limit(grid), _squared(), _UNIT_BOX, RegionMask.empty(grid), 64)
+
+
+def test_liminf_p1_refuses_a_ball_holding_no_node(grid, monkeypatch):
+    _refuse_pool_builds(monkeypatch)
+    seq = VectorSequenceSpec([SequenceSpec(kind="rademacher")])
+    region = truncate_region(RegionMask.full(grid), 1e-9)
+    with pytest.raises(InvalidArgumentError, match="the region holds no grid node"):
+        liminf_verify(seq, _zero_limit(grid), _squared(), _UNIT_BOX, region, 1.0, 64)
+
+
+@pytest.mark.parametrize(
+    "box, radii, named",
+    [
+        ([[3.0, 4.0]], [0.5, 1.0, 2.0], 0.5),  # every ball about the origin misses the box
+        ([[0.0, 1.0]], [1e-9, 0.5, 2.0], 1e-9),  # the first ball alone holds no node
+    ],
+)
+def test_weak_star_refuses_an_empty_first_truncation(monkeypatch, box, radii, named):
+    grid = build_uniform_grid(box, 4096)
+    _refuse_pool_builds(monkeypatch)
+    seq = VectorSequenceSpec([SequenceSpec(kind="rademacher")])
+    with pytest.raises(InvalidArgumentError) as info:
+        weak_star_verify(
+            seq, _zero_limit(grid), _squared(), _UNIT_BOX, RegionMask.full(grid), 64, radii
+        )
+    assert str(info.value) == f"the region truncated at radius {named:g} holds no grid node"
+
+
 @pytest.mark.parametrize("route", sorted(_ROUTES))
 def test_routes_refuse_spike_with_their_probe(grid, route):
     verify, probe_hypothesis = _ROUTES[route]

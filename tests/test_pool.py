@@ -345,12 +345,36 @@ def _count_threads(monkeypatch):
     return started
 
 
+def _walsh_mask(i, max_level):
+    """Mask of index i by the per-index rule: the single levels, then every other mask in order."""
+    if i <= max_level:
+        return 1 << (i - 1)
+    return [t for t in range(3, 1 << max_level) if t & (t - 1)][i - max_level - 1]
+
+
 @pytest.mark.parametrize("max_level", range(1, 11))
 def test_walsh_masks_list_every_index_mask(max_level):
     patterns = (1 << max_level) - 1
     masks = gallery._walsh_masks(patterns + 3, max_level)
-    assert masks == [gallery._walsh_mask(i, max_level) for i in range(1, patterns + 1)]
+    assert masks == [_walsh_mask(i, max_level) for i in range(1, patterns + 1)]
     assert gallery._walsh_masks(max_level + 2, max_level) == masks[: max_level + 2]
+
+
+def test_generate_computes_only_the_sign_rows_of_its_mask(grid, monkeypatch):
+    levels = []
+    real_sign = gallery._dyadic_sign
+
+    def recording_sign(x, level):
+        levels.append(level)
+        return real_sign(x, level)
+
+    monkeypatch.setattr(gallery, "_dyadic_sign", recording_sign)
+    spec = SequenceSpec(kind="rademacher")
+    for i in (1, 6, 7, 48, 63):
+        levels.clear()
+        generate(spec, i, grid)
+        mask = _walsh_mask(i, 6)
+        assert levels == [lv for lv in range(1, 7) if mask >> (lv - 1) & 1], i
 
 
 @pytest.mark.parametrize(
@@ -370,6 +394,22 @@ def test_split_fill_raises_the_serial_error(grid, monkeypatch, kinds, horizon, f
         "rademacher": SequenceSpec(kind="rademacher", amplitude=-2.0),
     }
     seq = VectorSequenceSpec([specs[k] for k in kinds])
+    _assert_serial_error(monkeypatch, seq, grid, horizon, failing)
+
+
+def test_split_fill_raises_an_earlier_error_on_a_grid_with_no_sign_pattern(monkeypatch):
+    # 4 nodes resolve no sign pattern, but index 1 of the table fails first.
+    grid = build_uniform_grid([[0.0, 1.0]], 4)
+    seq = VectorSequenceSpec([
+        SequenceSpec(kind="oscillatory", base=0.25),
+        SequenceSpec(kind="custom", table={2: np.ones(4)}),
+        SequenceSpec(kind="rademacher"),
+    ])
+    _assert_serial_error(monkeypatch, seq, grid, 2, 1)
+
+
+def _assert_serial_error(monkeypatch, seq, grid, horizon, failing):
+    """On 1 and 2 CPUs the pool raises the first error of component `failing` generate raises."""
     messages = []
     for count in (1, 2):
         _cpus(monkeypatch, count)
@@ -383,26 +423,31 @@ def test_split_fill_raises_the_serial_error(grid, monkeypatch, kinds, horizon, f
     assert messages == [_first_error(seq.components[failing], grid, horizon)] * 2
 
 
-def test_pool_with_a_spike_generates_on_the_calling_thread_only(grid, monkeypatch):
-    # generate is a public entry point; the bench wraps it with a span stack
-    # that is not thread-safe.
-    _cpus(monkeypatch, 2)
-    started = _count_threads(monkeypatch)
-    threads = []
-    real_generate = gallery.generate
+def test_pool_never_calls_generate(grid, monkeypatch):
+    seq = VectorSequenceSpec(_every_kind(grid))
+    expected = [[generate(comp, i, grid).samples for comp in seq.components] for i in range(1, 41)]
 
-    def recording_generate(*args):
-        threads.append(threading.current_thread())
-        return real_generate(*args)
+    def refuse(*args):
+        raise AssertionError("the pool fill called generate")
 
-    monkeypatch.setattr(gallery, "generate", recording_generate)
-    seq = VectorSequenceSpec([SequenceSpec(kind="oscillatory"), SequenceSpec(kind="spike")])
-    pool = member_pool(seq, grid, 24)
-    assert started == []
-    assert len(threads) == 24
-    assert all(t is threading.main_thread() for t in threads)
-    for i in range(1, 25):
-        assert np.array_equal(pool[i - 1, 1], real_generate(seq.components[1], i, grid).samples)
+    monkeypatch.setattr(gallery, "generate", refuse)
+    assert np.array_equal(member_pool(seq, grid, 40), np.array(expected))
+
+
+@pytest.mark.parametrize(
+    "kinds", [["oscillatory", "spike"], ["oscillatory", "constant", "custom"]], ids="+".join
+)
+def test_mixed_pool_fills_on_two_threads_to_the_one_cpu_bits(grid, monkeypatch, kinds):
+    specs = {spec.kind: spec for spec in _every_kind(grid)}
+    seq = VectorSequenceSpec([specs[k] for k in kinds])
+    pools = []
+    for count in (1, 2):
+        _cpus(monkeypatch, count)
+        started = _count_threads(monkeypatch)
+        pools.append(member_pool(seq, grid, 24))
+        assert len(started) == count - 1
+        monkeypatch.undo()
+    assert np.array_equal(pools[0], pools[1])
 
 
 def test_rademacher_pool_fills_on_the_calling_thread(grid, monkeypatch):
@@ -435,6 +480,7 @@ def test_concurrent_split_builds_keep_their_bits(monkeypatch):
     seq = VectorSequenceSpec([
         SequenceSpec(kind="oscillatory", amplitude=1.5),
         SequenceSpec(kind="rademacher", amplitude=-0.5),
+        SequenceSpec(kind="spike", amplitude=2.0),
     ])
 
     _cpus(monkeypatch, 1)
@@ -579,6 +625,24 @@ def test_bench_spans_stay_balanced_over_the_bundled_scenarios(tmp_path):
     assert calls1 and counts1
     assert {k: v - calls1.get(k, 0) for k, v in calls2.items()} == calls1
     assert {k: v - counts1.get(k, 0) for k, v in counts2.items()} == counts1
+
+
+def test_bench_spans_stay_balanced_over_a_split_mixed_pool(grid, monkeypatch):
+    # A spike row written on the fill's second thread must not enter a span.
+    spans = _perfbench("spans")
+    _cpus(monkeypatch, 2)
+    started = _count_threads(monkeypatch)
+    seq = VectorSequenceSpec([SequenceSpec(kind="oscillatory"), SequenceSpec(kind="spike")])
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        gallery.weak_probe(seq, _zero_limit(grid, 2), 2.0, default_probe_dictionary(grid), 24)
+    finally:
+        recorder.uninstall()
+    assert len(started) == 1
+    assert recorder.restored()
+    assert recorder._stack == []
+    assert recorder.calls == {"gallery.probe": 1}
 
 
 @pytest.mark.parametrize(
