@@ -65,6 +65,7 @@ from .gallery import (
     SequenceSpec,
     VectorSequenceSpec,
     _check_pool_budget,
+    _index_guard,
     _loglog_slope,
     _shared_pools,
     default_probe_dictionary,
@@ -287,12 +288,16 @@ def build_config(raw: dict) -> ScenarioConfig:
         expect = dict(raw.get("expect") or {})
         _check_expect(expect)
         output_dir = str(raw.get("output_dir", "."))
-        # surface generation refusals as configuration errors up front.  The
-        # aliasing guard refuses from some index on, so the horizon covers it;
-        # a custom table can lack or spoil any entry, and each one is cheap.
+        # surface generation refusals as configuration errors up front.  Every
+        # refusal of the other kinds holds from some index on, so the guard at
+        # the horizon covers them without writing a row; a custom table can
+        # lack or spoil any entry, and each one is cheap.
         for comp in seq.components:
-            for i in range(1, horizon + 1) if comp.kind == CUSTOM else (horizon,):
-                generate(comp, i, grid)
+            if comp.kind == CUSTOM:
+                for i in range(1, horizon + 1):
+                    generate(comp, i, grid)
+            else:
+                _index_guard(comp, grid)(horizon)
     except KeyError as err:
         raise ConfigError(f"missing config field {err.args[0]!r}") from None
     except AttributeError as err:  # a string or number where an object belongs

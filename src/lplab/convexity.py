@@ -25,6 +25,7 @@ integrals.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -42,11 +43,12 @@ from .extraction import ExtractionTrace, _banach_saks_select, _check_levels, _sz
 from .gallery import (
     CONVERGING,
     VectorSequenceSpec,
+    _halves,
     _loglog_slope,
     _probed_pool,
     default_probe_dictionary,
 )
-from .grid import RegionMask, VectorField, truncate_region
+from .grid import RegionMask, VectorField, _weighted_sum, truncate_region
 from .norms import INFINITY, _check_exponent
 
 __all__ = [
@@ -84,6 +86,11 @@ _MEMBERSHIP_TOL = 1e-12
 _JENSEN_TOL = 1e-12
 _PASS_TOL = 1e-6  # relative tolerance of the final liminf margin
 
+# Held while a custom evaluator runs.  weak_star_verify evaluates f on two
+# threads, and a user's evaluator may keep state or be shared by several
+# specs; reentrant, so an evaluator may call another custom spec.
+_EVALUATOR_LOCK = threading.RLock()
+
 
 @dataclass
 class ConvexFunctionSpec:
@@ -91,7 +98,8 @@ class ConvexFunctionSpec:
 
     Kinds: ``squared_norm`` (|w|^2), ``power`` (|w|^q for q >= 1),
     ``max_affine`` (max(0, max_i a_i . w + b_i)), or ``custom`` with a
-    vectorized evaluator mapping an (N, m) array to an (N,) array.
+    vectorized evaluator mapping an (N, m) array to an (N,) array.  The
+    evaluator is never called on two threads at once.
     """
 
     kind: str
@@ -123,7 +131,8 @@ class ConvexFunctionSpec:
             for a, b in self.planes:
                 vals = np.maximum(vals, points @ a + b)
             return vals
-        out = np.asarray(self.evaluator(points), dtype=float).ravel()
+        with _EVALUATOR_LOCK:
+            out = np.asarray(self.evaluator(points), dtype=float).ravel()
         if out.shape[0] != points.shape[0]:
             raise InvalidArgumentError("custom evaluator returned the wrong length")
         return out
@@ -246,9 +255,7 @@ def evaluate_composite(
     _require_region_grid(u, region)
     points = u.matrix().T[region.included]
     values = _composite_values(f, points, region, K, "composite integrand")
-    if values.size == 0:
-        return 0.0
-    return float(np.dot(region.grid.weights[region.included], values))
+    return _weighted_sum(region.grid.weights[region.included], values)
 
 
 def jensen_check(f: ConvexFunctionSpec, points, K: ConvexSetSpec | None = None) -> float:
@@ -383,13 +390,13 @@ def _verify_on_region(
     inc = region.included
     weights = region.grid.weights[inc]
     # A region that covers the grid reads the pool itself.  A gather is freed
-    # on return, before a caller looping over regions makes the next one.
-    members = pool if inc.all() else np.compress(inc, pool, axis=2)
+    # on return; take with the node list gathers faster than compress.
+    members = pool if inc.all() else np.take(pool, np.flatnonzero(inc), axis=2)
     trace = None if p is None else _replay_trace(pool, members, limit, region, p, szlenk_levels)
 
     def integrate(points: np.ndarray, where: str) -> tuple[np.ndarray, float]:
         values = _admissible_values(f, points, region, K, where)
-        value = float(np.dot(weights, values)) if values.size else 0.0
+        value = _weighted_sum(weights, values)
         if not math.isfinite(value):
             raise InvalidArgumentError(f"the integral of f over {where} is {value}, not finite")
         return values, value
@@ -425,7 +432,7 @@ def _verify_on_region(
         f_mean = f(mean_points)
         jensen_margins[k - 1] = float((mean_f - f_mean).min())
         if k > tail_start:
-            tail_integral_min = min(tail_integral_min, float(np.dot(weights, f_mean)))
+            tail_integral_min = min(tail_integral_min, _weighted_sum(weights, f_mean))
             if tail_min_field is None:
                 tail_min_field = f_mean.copy()
             else:
@@ -446,7 +453,7 @@ def _verify_on_region(
             converged = slope < -0.05
         fatou_margin = 0.0
         if tail_min_field is not None:
-            fatou_margin = tail_integral_min - float(np.dot(weights, tail_min_field))
+            fatou_margin = tail_integral_min - _weighted_sum(weights, tail_min_field)
         chain = CesaroReplay(picks, values, slope, converged, jensen_margins, fatou_margin)
     elif p is not None:
         chain = CesaroReplay([], np.zeros(0), None, False, np.zeros(0), None)
@@ -595,19 +602,27 @@ def weak_star_verify(
     restricted to the truncated region; the limit-side integrals must be
     non-decreasing in R, realizing the monotone-convergence step.  A first
     truncation that holds no node is refused before the pool is built.
+    The truncations are verified on up to two threads, split by node count,
+    with the reports and errors of a run in radius order.
     """
     radii = _check_r_schedule(r_schedule)
     _check_levels(szlenk_levels)
     _require_nonnegative(f)
     _check_region_nodes(region, radii[0])
     pool, probe = _converging_pool(seq, limit, f, K, region, INFINITY, horizon, dictionary)
-    reports = []
-    limit_integrals = []
-    for radius in radii:
-        truncated = truncate_region(region, radius)
-        report = _verify_on_region(pool, limit, f, K, truncated, probe, 1.0, szlenk_levels)
-        reports.append(report)
-        limit_integrals.append(report.limit_integral)
+    truncations = [truncate_region(region, radius) for radius in radii]
+    reports = [None] * len(radii)
+
+    def verify(lo: int, hi: int) -> None:
+        # Everything the verification reads is passed in: a worker thread
+        # does not see the caller's context variables.
+        for k in range(lo, hi):
+            reports[k] = _verify_on_region(
+                pool, limit, f, K, truncations[k], probe, 1.0, szlenk_levels
+            )
+
+    _halves([int(t.included.sum()) for t in truncations], verify)
+    limit_integrals = [report.limit_integral for report in reports]
     monotone = all(
         b >= a - 1e-12 * (1.0 + abs(a))
         for a, b in zip(limit_integrals, limit_integrals[1:])

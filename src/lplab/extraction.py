@@ -29,6 +29,7 @@ partial result, never silently truncated.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -123,6 +124,12 @@ def estimate_a_constant(
         raise InvalidArgumentError(f"the constant is defined for p > 1, got {p}")
     if t_max <= 0 or step <= 0:
         raise InvalidArgumentError("scan range and step must be positive")
+    return _a_constant(float(p), float(t_max), float(step), float(safety))
+
+
+@functools.lru_cache(maxsize=64)
+def _a_constant(p: float, t_max: float, step: float, safety: float) -> float:
+    """The scan behind estimate_a_constant, cached: a suite asks for A(2) five times."""
     count = int(round(2.0 * t_max / step)) + 1
     t = np.linspace(-t_max, t_max, count)
     g = (

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, InvalidArgumentError, PoolBudgetError
-from .grid import QuadratureGrid, ScalarField, VectorField
+from .grid import QuadratureGrid, ScalarField, VectorField, _require_finite
 from .norms import INFINITY, _check_exponent
 
 __all__ = [
@@ -169,31 +169,103 @@ def _walsh_masks(horizon: int, max_level: int) -> list:
     return masks
 
 
-def _row_writer(spec: SequenceSpec, grid: QuadratureGrid, indices: range):
-    """``write(i, out)`` that fills out with sample row i of the sequence, i in indices.
+def _index_guard(spec: SequenceSpec, grid: QuadratureGrid):
+    """``check(i)`` that raises generate's refusal of index i without writing row i.
 
-    The setup shared by the indices runs here and never raises; write raises,
-    at the index it concerns, when the grid cannot resolve index i (aliasing
-    guard) or a custom table has no usable entry for i.
+    It raises when the grid cannot resolve index i (aliasing guard), when a
+    custom table has no usable entry for i, and, for the other kinds, when
+    row i would hold a non-finite sample.  It returns what writing the row
+    needs: the spike's slab and height, or the custom table's samples.
     """
     x1 = grid.nodes[:, 0]
     n1 = grid.axis_resolution(0)
     length = grid.axis_length(0)
 
     if spec.kind == OSCILLATORY:
-        def write(i: int, out: np.ndarray) -> None:
+        # The phase is linear in x1: finite at the extreme nodes, finite at every node.
+        ends = np.array([x1.min(), x1.max()])
+
+        def check(i: int) -> None:
             cycles = i * spec.base * length
             if 8.0 * cycles > n1:
                 raise InvalidArgumentError(
                     f"resolution {n1} cannot resolve {cycles:g} cycles "
                     f"(need >= 8 nodes per cycle); refusing index {i}"
                 )
+            phase = np.multiply(2.0 * np.pi * i * spec.base, ends)
+            _require_finite(np.sin(phase) * spec.amplitude)
+
+    elif spec.kind == RADEMACHER:
+        max_level = _max_dyadic_level(n1, length)
+
+        def check(i: int) -> None:
+            if max_level < 1:
+                raise InvalidArgumentError(
+                    f"resolution {n1} cannot resolve any dyadic sign pattern"
+                )
+            if i >= 1 << max_level:
+                raise InvalidArgumentError(
+                    f"grid resolution supports only {(1 << max_level) - 1} dyadic sign "
+                    f"patterns; index {i} is out of range"
+                )
+            _require_finite(spec.amplitude)
+
+    elif spec.kind == SPIKE:
+        lo = grid.domain_box[0, 0]
+
+        def check(i: int) -> tuple[np.ndarray, float]:
+            if i > n1:
+                raise InvalidArgumentError(
+                    f"resolution {n1} cannot resolve a width-1/{i} spike"
+                )
+            slab = x1 < lo + length / i
+            mass = float(grid.weights[slab].sum())
+            if mass <= 0.0:
+                raise InvalidArgumentError(f"spike support carries no mass at index {i}")
+            # Height chosen so the slab integrates to `amplitude` exactly; this
+            # equals amplitude * i * indicator when i divides the axis resolution.
+            height = spec.amplitude / mass
+            _require_finite(height)
+            return slab, height
+
+    elif spec.kind == CONSTANT:
+        def check(i: int) -> None:
+            _require_finite(spec.amplitude * spec.value)
+
+    else:  # CUSTOM
+        def check(i: int) -> np.ndarray:
+            try:
+                samples = np.asarray(spec.table[i], dtype=float).ravel()
+            except KeyError:
+                raise InvalidArgumentError(f"custom table has no entry for index {i}") from None
+            if samples.size != grid.node_count:
+                raise InvalidArgumentError(
+                    f"sample length {samples.size} != node count {grid.node_count}"
+                )
+            return samples
+
+    return check
+
+
+def _row_writer(spec: SequenceSpec, grid: QuadratureGrid, indices: range):
+    """``write(i, out)`` that fills out with sample row i of the sequence, i in indices.
+
+    The setup shared by the indices runs here and never raises; write first
+    runs the index's guard (``_index_guard``), so it raises at the index it
+    concerns.
+    """
+    check = _index_guard(spec, grid)
+    x1 = grid.nodes[:, 0]
+
+    if spec.kind == OSCILLATORY:
+        def write(i: int, out: np.ndarray) -> None:
+            check(i)
             np.multiply(2.0 * np.pi * i * spec.base, x1, out=out)
             np.sin(out, out=out)
             out *= spec.amplitude
 
     elif spec.kind == RADEMACHER:
-        max_level = _max_dyadic_level(n1, length)
+        max_level = _max_dyadic_level(grid.axis_resolution(0), grid.axis_length(0))
         masks = _walsh_masks(indices[-1], max_level)
         # One sign row per level the indices' masks use, computed here and
         # only read by write, so fill threads share no mutable state.
@@ -206,15 +278,7 @@ def _row_writer(spec: SequenceSpec, grid: QuadratureGrid, indices: range):
         }
 
         def write(i: int, out: np.ndarray) -> None:
-            if max_level < 1:
-                raise InvalidArgumentError(
-                    f"resolution {n1} cannot resolve any dyadic sign pattern"
-                )
-            if i > len(masks):
-                raise InvalidArgumentError(
-                    f"grid resolution supports only {(1 << max_level) - 1} dyadic sign "
-                    f"patterns; index {i} is out of range"
-                )
+            check(i)
             # The product of the mask's level sign rows, lowest level first.
             mask = masks[i - 1]
             out.fill(1.0)
@@ -224,37 +288,19 @@ def _row_writer(spec: SequenceSpec, grid: QuadratureGrid, indices: range):
             out *= spec.amplitude
 
     elif spec.kind == SPIKE:
-        lo = grid.domain_box[0, 0]
-
         def write(i: int, out: np.ndarray) -> None:
-            if i > n1:
-                raise InvalidArgumentError(
-                    f"resolution {n1} cannot resolve a width-1/{i} spike"
-                )
-            slab = x1 < lo + length / i
-            mass = float(grid.weights[slab].sum())
-            if mass <= 0.0:
-                raise InvalidArgumentError(f"spike support carries no mass at index {i}")
-            # Height chosen so the slab integrates to `amplitude` exactly; this
-            # equals amplitude * i * indicator when i divides the axis resolution.
+            slab, height = check(i)
             out.fill(0.0)
-            out[slab] = spec.amplitude / mass
+            out[slab] = height
 
     elif spec.kind == CONSTANT:
         def write(i: int, out: np.ndarray) -> None:
+            check(i)
             out.fill(spec.amplitude * spec.value)
 
     else:  # CUSTOM
         def write(i: int, out: np.ndarray) -> None:
-            try:
-                samples = np.asarray(spec.table[i], dtype=float).ravel()
-            except KeyError:
-                raise InvalidArgumentError(f"custom table has no entry for index {i}") from None
-            if samples.size != grid.node_count:
-                raise InvalidArgumentError(
-                    f"sample length {samples.size} != node count {grid.node_count}"
-                )
-            np.multiply(spec.amplitude, samples, out=out)
+            np.multiply(spec.amplitude, check(i), out=out)
 
     return write
 
@@ -291,24 +337,29 @@ def _check_pool_budget(horizon: int, m: int, node_count: int) -> None:
         )
 
 
-# Pools built inside a _shared_pools() scope, as (seq, grid, horizon, pool);
-# None outside every scope.
+# Pools built inside a _shared_pools() scope, as (seq, grid, horizon, pool),
+# and reports of probes made there with the default dictionary, as (seq,
+# limit, horizon, report); None outside every scope.
 _POOLS: contextvars.ContextVar = contextvars.ContextVar("lplab_member_pools", default=None)
+_PROBES: contextvars.ContextVar = contextvars.ContextVar("lplab_probe_reports", default=None)
 
 
 @contextlib.contextmanager
 def _shared_pools():
-    """Scope in which member_pool builds each pool once.
+    """Scope in which member_pool builds each pool once and each probe runs once.
 
     Inside it, a call with the same seq and grid objects and an equal horizon
-    returns the pool already built; the scope keeps them until it closes.  A
-    build that raises stores nothing, so a later call raises again.
+    returns the pool already built, and a probe of the same seq and limit
+    objects and an equal horizon, with a dictionary equal to the default one,
+    returns the report already made; the scope keeps them until it closes.  A
+    build or probe that raises stores nothing, so a later call raises again.
     """
-    token = _POOLS.set([])
+    pools, probes = _POOLS.set([]), _PROBES.set([])
     try:
         yield
     finally:
-        _POOLS.reset(token)
+        _PROBES.reset(probes)
+        _POOLS.reset(pools)
 
 
 def member_pool(seq: VectorSequenceSpec, grid: QuadratureGrid, horizon: int) -> np.ndarray:
@@ -336,22 +387,27 @@ def member_pool(seq: VectorSequenceSpec, grid: QuadratureGrid, horizon: int) -> 
     return pool
 
 
-def _halves(n: int, work) -> None:
-    """Run work(lo, hi) over [0, n) in two contiguous halves, on two threads.
+def _halves(costs: list, work) -> None:
+    """Run work(lo, hi) over len(costs) items in two contiguous halves, on two threads.
 
-    The upper half runs on a short-lived thread and the lower half on the
-    calling one; both end before this returns.  When both halves raise, the
-    lower half's error is the one raised, so errors keep their index order.
-    With fewer than two usable CPUs, or n < 2, work(0, n) runs alone.
+    The split leaves the costlier half as cheap as it can, at the lower index
+    on a tie, so n equal costs split at n // 2.  The upper half runs on a
+    short-lived thread and the lower half on the calling one; both end before
+    this returns.  When both halves raise, the lower half's error is the one
+    raised, so errors keep their index order.  With fewer than two usable
+    CPUs, or n < 2, work(0, n) runs alone.
     """
+    import itertools
     import os
     import threading
 
+    n = len(costs)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     if n < 2 or (cpus or 1) < 2:
         work(0, n)
         return
-    mid = n // 2
+    below = list(itertools.accumulate(costs, initial=0))
+    mid = min(range(1, n), key=lambda k: max(below[k], below[n] - below[k]))
     upper_error = []
 
     def upper() -> None:
@@ -386,7 +442,7 @@ def _build_pool(seq: VectorSequenceSpec, grid: QuadratureGrid, horizon: int) -> 
     # A thread pays for itself through sin, which releases the GIL for long;
     # a pool of sign products alone fills no faster on two threads.
     if any(comp.kind == OSCILLATORY for comp in seq.components):
-        _halves(horizon, fill)
+        _halves([1] * horizon, fill)
     else:
         fill(0, horizon)
     pool.setflags(write=False)
@@ -439,6 +495,11 @@ def _centred(samples: np.ndarray, limit_samples: np.ndarray) -> np.ndarray:
     return samples - limit_samples if limit_samples.any() else samples
 
 
+def _same_samples(a: list, b: list) -> bool:
+    """Whether two lists of fields on one grid hold equal samples, in order."""
+    return len(a) == len(b) and all(np.array_equal(x.samples, y.samples) for x, y in zip(a, b))
+
+
 def _probed_pool(
     seq: VectorSequenceSpec,
     limit: VectorField,
@@ -462,6 +523,16 @@ def _probed_pool(
             raise GridMismatchError("dictionary fields live on a different grid")
 
     pool = member_pool(seq, grid, horizon)
+    # The residuals do not depend on p, which only names the dual space.  The
+    # scope keeps no dictionary, which would stay allocated for the whole run;
+    # a fresh default one tells whether this probe's report is shared.
+    shared = _PROBES.get()
+    if shared is not None and not _same_samples(dictionary, default_probe_dictionary(grid)):
+        shared = None
+    if shared is not None:
+        for s, u, h, report in shared:
+            if s is seq and u is limit and h == horizon:
+                return pool, report
     weighted = np.stack([v.samples for v in dictionary], axis=1) * grid.weights[:, None]
     residuals = np.zeros(horizon)
     for j, lim in enumerate(limit.components):
@@ -471,7 +542,10 @@ def _probed_pool(
     if slope is None:
         slope = 0.0
     verdict = _classify(residuals, slope)
-    return pool, ProbeReport(np.arange(1, horizon + 1), residuals, verdict, slope)
+    report = ProbeReport(np.arange(1, horizon + 1), residuals, verdict, slope)
+    if shared is not None:
+        shared.append((seq, limit, horizon, report))
+    return pool, report
 
 
 def weak_probe(

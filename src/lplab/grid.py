@@ -168,6 +168,12 @@ class RegionMask:
         return float(self.grid.weights[self.included].sum())
 
 
+def _require_finite(samples) -> None:
+    """Refuse samples, an array or a number, that hold a NaN or an infinity."""
+    if not np.all(np.isfinite(samples)):
+        raise InvalidArgumentError("field samples must be finite (no NaN/Inf)")
+
+
 @dataclass
 class ScalarField:
     """Real-valued function sampled at the grid nodes. Samples must be finite."""
@@ -181,8 +187,7 @@ class ScalarField:
             raise InvalidArgumentError(
                 f"sample length {samples.shape[0]} != node count {self.grid.node_count}"
             )
-        if not np.all(np.isfinite(samples)):
-            raise InvalidArgumentError("field samples must be finite (no NaN/Inf)")
+        _require_finite(samples)
         self.samples = _frozen(samples)
 
     @classmethod
@@ -260,10 +265,20 @@ def _require_shared_grid(f: ScalarField, region: RegionMask | None):
     return region.included
 
 
+def _weighted_sum(w: np.ndarray, v: np.ndarray) -> float:
+    """sum_j w_j v_j, the one quadrature sum of the package.
+
+    numpy's add.reduce sums pairwise, so the rounding error grows like
+    log N rather than N, and it calls no BLAS: the bits do not depend on the
+    BLAS thread count, and callers on two threads start no BLAS threads.
+    """
+    return float(np.add.reduce(w * v))
+
+
 def integrate(f: ScalarField, region: RegionMask | None = None) -> float:
     """Weighted sum of the samples over the included nodes. Linear in f."""
     inc = _require_shared_grid(f, region)
-    return float(np.dot(f.grid.weights[inc], f.samples[inc]))
+    return _weighted_sum(f.grid.weights[inc], f.samples[inc])
 
 
 def truncate_region(region: RegionMask, radius: float) -> RegionMask:

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import GridMismatchError, InvalidArgumentError
-from .grid import RegionMask, ScalarField, VectorField, _require_shared_grid
+from .grid import RegionMask, ScalarField, VectorField, _require_shared_grid, _weighted_sum
 
 __all__ = [
     "INFINITY",
@@ -124,8 +124,7 @@ def dual_pairing(f: ScalarField, g: ScalarField, region: RegionMask | None = Non
     if g.grid is not f.grid:
         raise GridMismatchError("paired fields live on different grids")
     inc = _require_shared_grid(f, region)
-    w = f.grid.weights[inc]
-    return float(np.dot(w, f.samples[inc] * g.samples[inc]))
+    return _weighted_sum(f.grid.weights[inc], f.samples[inc] * g.samples[inc])
 
 
 def holder_minkowski_check(f: ScalarField, g: ScalarField, p: float) -> tuple[float, float]:

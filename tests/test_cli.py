@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lplab import cli, gallery
+from lplab import SequenceSpec, build_uniform_grid, cli, gallery, generate
 from lplab.cli import build_config, load_config, main
 from lplab.errors import ConfigError, InvalidArgumentError
 
@@ -519,3 +519,55 @@ def test_cli_run_near_float_limit_replays_like_a_moderate_run(tmp_path, monkeypa
         moderate.fatou_margin, rel=0.0, abs=1e-12 * f_max
     )
     assert huge.ok() and moderate.ok()
+
+
+def test_build_config_writes_no_row_for_the_guard_of_a_non_custom_kind(monkeypatch):
+    x = (np.arange(512) + 0.5) / 512
+    table = {str(i): np.cos(i * x).tolist() for i in range(1, 17)}
+    kinds = ["oscillatory", "rademacher", "spike", "constant"]
+    raw = _base_config(
+        m=5,
+        horizon=16,
+        extraction="none",
+        sequence=[{"kind": k} for k in kinds] + [{"kind": "custom", "params": {"table": table}}],
+        limit=[{"kind": "constant"}] * 5,
+    )
+    written = []
+    real_writer = gallery._row_writer
+
+    def recording_writer(spec, grid, indices):
+        written.append((spec, list(indices)))
+        return real_writer(spec, grid, indices)
+
+    monkeypatch.setattr(gallery, "_row_writer", recording_writer)
+    cfg = build_config(raw)
+    rows = [(s.kind, i) for s, i in written if any(s is c for c in cfg.sequence.components)]
+    assert rows == [("custom", [i]) for i in range(1, 17)]
+
+
+@pytest.mark.parametrize(
+    "component, resolution",
+    [
+        ({"kind": "oscillatory", "params": {"base": 40.0}}, 512),  # 32 x 40 cycles alias
+        ({"kind": "oscillatory", "amplitude": float("nan")}, 512),
+        ({"kind": "oscillatory", "params": {"base": float("nan")}}, 512),
+        ({"kind": "oscillatory", "params": {"base": -1e307}}, 512),  # the phase overflows
+        ({"kind": "rademacher"}, 64),  # 64 nodes resolve 15 sign patterns
+        ({"kind": "rademacher"}, 8),  # and 8 nodes none
+        ({"kind": "rademacher", "amplitude": float("nan")}, 512),
+        ({"kind": "spike"}, 16),  # a width-1/32 spike
+        ({"kind": "spike", "amplitude": 1e307}, 512),  # its height overflows
+        ({"kind": "constant", "amplitude": 1e200, "params": {"value": 1e200}}, 512),
+    ],
+)
+def test_build_config_refuses_what_generate_refuses(component, resolution):
+    raw = _base_config(sequence=[component], extraction="none")
+    raw["grid"]["resolution"] = [resolution]
+    grid = build_uniform_grid([[0.0, 1.0]], resolution)
+    with pytest.raises(InvalidArgumentError) as expected:
+        with np.errstate(invalid="ignore", over="ignore"):
+            generate(SequenceSpec.from_config(component), 32, grid)
+    with pytest.raises(ConfigError) as info:
+        with np.errstate(invalid="ignore", over="ignore"):
+            build_config(raw)
+    assert str(info.value) == f"invalid config value: {expected.value}"

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -583,3 +587,30 @@ def test_replay_matches_a_naive_recomputation(grid, case):
     np.testing.assert_allclose(replay.jensen_margins, jensen, rtol=0.0, atol=1e-12 * f_max)
     assert replay.fatou_margin == pytest.approx(fatou, rel=0.0, abs=1e-12 * f_max)
     assert replay.ok()
+
+
+_BLAS_RUN = """
+from lplab import *
+grid = build_uniform_grid([[0.0, 1.0]], 16384)
+seq = VectorSequenceSpec([SequenceSpec(kind="oscillatory", amplitude=1.3)])
+limit = VectorField([ScalarField.constant(grid, 0.0)])
+f, K = ConvexFunctionSpec(kind="squared_norm"), ConvexSetSpec(kind="whole_space")
+report = liminf_verify(seq, limit, f, K, RegionMask.full(grid), 2.0, 128)
+print(repr(report.alphas.tolist()), repr(report.margin))
+"""
+
+
+def test_integrals_do_not_depend_on_the_blas_thread_count():
+    # Above 10 000 nodes OpenBLAS splits a dot product over its threads, which
+    # changes the order of the sum; the package's weighted sums call no BLAS.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+        done = subprocess.run(
+            [sys.executable, "-c", _BLAS_RUN], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]

@@ -30,6 +30,7 @@ from lplab import (
     truncate_region,
     verify_growth_bound,
 )
+from lplab import extraction
 from lplab.extraction import _banach_saks_select
 
 
@@ -67,6 +68,15 @@ def test_remainder_term():
 def test_constant_a_for_p2_is_exact():
     # (t+1)^2 - t^2 - 2t = 1 identically, so the scan supremum is 1
     assert estimate_a_constant(2.0) == pytest.approx(1.01, abs=1e-9)
+
+
+def test_constant_a_is_scanned_once_per_argument_tuple():
+    first = estimate_a_constant(2.5, t_max=20.0)
+    hits = extraction._a_constant.cache_info().hits
+    assert estimate_a_constant(2.5, 20, 1e-3, 1.01) == first
+    assert extraction._a_constant.cache_info().hits == hits + 1
+    # the cached value is the scan's, bit for bit
+    assert extraction._a_constant.__wrapped__(2.5, 20.0, 1e-3, 1.01) == first
 
 
 @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 2.5, 3.0, 3.5])

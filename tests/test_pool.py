@@ -1,11 +1,14 @@
+import dataclasses
 import gc
 import importlib.util
 import json
 import os
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,7 @@ from lplab import (
     ConvexSetSpec,
     InvalidArgumentError,
     PoolBudgetError,
+    PreconditionViolationError,
     RegionMask,
     ScalarField,
     SequenceSpec,
@@ -28,8 +32,9 @@ from lplab import (
     member_pool,
     truncate_region,
     weak_probe,
+    weak_star_verify,
 )
-from lplab import convexity, extraction, gallery
+from lplab import cli, convexity, extraction, gallery
 from lplab.cli import build_config, main, run_scenario
 from lplab.gallery import _max_dyadic_level
 from lplab.norms import _lp_norms
@@ -667,3 +672,212 @@ def test_bench_workloads_match_their_recorded_references(tmp_path, workload, var
         code = 0 if run_scenario(build_config(config), output_dir=tmp_path).passed else 1
     reference = check.load_reference(Path(__file__).resolve().parents[1], workload, variant)
     assert check.mismatches(code, check.read_outputs(tmp_path), reference) == []
+
+
+@pytest.mark.parametrize(
+    "costs, mid",
+    [([12867, 51473, 65536], 2), *(([1] * n, n // 2) for n in (2, 3, 4, 5, 48))],
+)
+def test_halves_splits_where_the_cumulative_cost_crosses_half(monkeypatch, costs, mid):
+    # The first costs are weakstar-2d's truncations at R = 0.5, 1 and 2.
+    _cpus(monkeypatch, 2)
+    calls = []
+    gallery._halves(costs, lambda lo, hi: calls.append((lo, hi)))
+    assert sorted(calls) == [(0, mid), (mid, len(costs))]
+
+
+def _bits(value):
+    """value with every float and array replaced by its bits, for a bitwise comparison."""
+    if dataclasses.is_dataclass(value):
+        return tuple(_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
+def _weak_star_case(K_kind="box", m=1, bumps=None):
+    """Rademacher families about a nonzero constant limit on a 256 x 4 grid, horizon 24.
+
+    bumps maps a member index i to a radius: member i leaves K at the nodes
+    of at least that norm.
+    """
+    grid2 = build_uniform_grid([[0.0, 1.0], [0.0, 1.0]], [256, 4])
+    norms = np.linalg.norm(grid2.nodes, axis=1)
+    rademacher = SequenceSpec(kind="rademacher")
+    horizon = 24
+    centres, amplitudes = [0.25, -0.5][:m], [0.5, 0.25][:m]
+
+    def member(i, centre, amplitude):
+        row = centre + amplitude * generate(rademacher, i, grid2).samples
+        if bumps and i in bumps:
+            row = row + 5.0 * (norms >= bumps[i])
+        return row
+
+    seq = VectorSequenceSpec([
+        SequenceSpec(kind="custom", table={i: member(i, c, a) for i in range(1, horizon + 1)})
+        for c, a in zip(centres, amplitudes)
+    ])
+    limit = VectorField([ScalarField.constant(grid2, c) for c in centres])
+    if K_kind == "box":
+        K = ConvexSetSpec(kind="box", bounds=[[-1.0, 1.0]])
+    else:
+        K = ConvexSetSpec(kind="ball", center=[0.0], radius=1.5)
+    f = ConvexFunctionSpec(kind="squared_norm")
+    return seq, limit, f, K, RegionMask.full(grid2), horizon
+
+
+@pytest.mark.parametrize(
+    "radii", [[0.5, 1.0, 2.0], [0.25, 0.5, 1.0, 2.0], [1.0]], ids=["3-radii", "4-radii", "1-radius"]
+)
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("K_kind", ["box", "ball"])
+def test_weak_star_reports_are_bitwise_equal_on_one_and_two_cpus(monkeypatch, K_kind, m, radii):
+    case = _weak_star_case(K_kind, m)
+    results = []
+    for count in (1, 2):
+        _cpus(monkeypatch, count)
+        started = _count_threads(monkeypatch)
+        results.append(weak_star_verify(*case, radii))
+        # the custom pool fills on the calling thread: a thread here is the truncations'
+        assert len(started) == (count - 1 if len(radii) > 1 else 0)
+        assert not any(t.is_alive() for t in started)
+        monkeypatch.undo()
+    assert results[0].passed
+    assert all(r.replay is not None for r in results[0].reports)
+    assert _bits(results[0]) == _bits(results[1])
+
+
+@pytest.mark.parametrize(
+    "bumps, member",
+    [
+        ({1: 1.0, 2: 0.5}, 2),  # K is left only outside Omega_0.5; R = 2 alone fails at member 1
+        ({1: 1.0, 2: 0.5, 3: 0.0}, 3),  # K is left in every truncation, first at member 3 in R = 0.5
+    ],
+    ids=["outside-0.5", "every-truncation"],
+)
+def test_weak_star_raises_the_one_cpu_error_on_two_cpus(monkeypatch, bumps, member):
+    # Two CPUs split [0.5, 1, 2] into {0.5, 1} and {2}, whose errors differ.
+    case = _weak_star_case(bumps=bumps)
+    errors = []
+    for count in (1, 2):
+        _cpus(monkeypatch, count)
+        started = _count_threads(monkeypatch)
+        with pytest.raises(PreconditionViolationError) as info:
+            weak_star_verify(*case, [0.5, 1.0, 2.0])
+        errors.append((type(info.value), str(info.value)))
+        assert len(started) == count - 1
+        assert not any(t.is_alive() for t in started)
+        monkeypatch.undo()
+    assert errors[0] == errors[1]
+    assert f"sequence member {member}: " in errors[0][1]
+
+
+def test_a_custom_evaluator_never_runs_on_two_threads(monkeypatch):
+    inside, seen = [], []
+
+    def evaluator(points):
+        inside.append(threading.get_ident())
+        seen.append(len(inside))
+        time.sleep(1e-4)  # room for the other thread to come in
+        values = np.einsum("ij,ij->i", points, points)
+        inside.pop()
+        return values
+
+    seq, limit, _, K, region, horizon = _weak_star_case()
+    f = ConvexFunctionSpec(kind="custom", evaluator=evaluator)
+    _cpus(monkeypatch, 2)
+    started = _count_threads(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        result = weak_star_verify(seq, limit, f, K, region, horizon, [0.5, 1.0, 2.0])
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(started) == 1
+    assert result.passed
+    assert seen and max(seen) == 1
+
+
+def test_concurrent_weak_star_calls_keep_their_bits(monkeypatch):
+    # Four callers, each splitting its truncations, with a short switch
+    # interval: a report stored at the wrong radius would change the bits.
+    case = _weak_star_case("ball", 2)
+    radii = [0.25, 0.5, 1.0, 2.0]
+    _cpus(monkeypatch, 1)
+    expected = _bits(weak_star_verify(*case, radii))
+    _cpus(monkeypatch, 2)
+    mismatches = []
+
+    def caller():
+        for _ in range(3):
+            bits = _bits(weak_star_verify(*case, radii))
+            if bits != expected:
+                mismatches.append(bits)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=caller) for _ in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert mismatches == []
+
+
+def _count_probe_pairings(monkeypatch):
+    """Calls of the probe's pairing step: one per component of each probe computed."""
+    calls = []
+    real_centred = gallery._centred
+    monkeypatch.setattr(gallery, "_centred", lambda *a: calls.append(1) or real_centred(*a))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "scenario", ["weakstar-2d", "a4-composite-liminf", "a6-rademacher-weakstar"]
+)
+def test_a_scenario_run_probes_once(tmp_path, monkeypatch, scenario):
+    if scenario == "weakstar-2d":
+        raw = _perfbench("workloads").scenario_config(scenario, 0, tiny=True)
+    else:
+        entry = resources.files("lplab.scenarios").joinpath(f"{scenario}.json")
+        raw = json.loads(entry.read_text())
+    cfg = build_config(raw)
+    pairings = _count_probe_pairings(monkeypatch)
+    probes = []
+    real_probe = cli.weak_probe
+    monkeypatch.setattr(cli, "weak_probe", lambda *a: probes.append(1) or real_probe(*a))
+    manifest = run_scenario(cfg, output_dir=tmp_path)
+    assert manifest.passed
+    assert [p["name"] for p in manifest.phases][-1] == "liminf"
+    assert len(probes) == 1  # the probe phase calls weak_probe by name
+    assert len(pairings) == cfg.m
+
+
+def test_library_probes_outside_a_run_compute_each_time(grid, monkeypatch):
+    pairings = _count_probe_pairings(monkeypatch)
+    seq = VectorSequenceSpec([SequenceSpec(kind="rademacher")])
+    limit = _zero_limit(grid)
+    f, K = ConvexFunctionSpec(kind="squared_norm"), ConvexSetSpec(kind="box", bounds=[[-1, 1]])
+    first = weak_probe(seq, limit, 2.0, default_probe_dictionary(grid), 32)
+    second = weak_probe(seq, limit, 2.0, default_probe_dictionary(grid), 32)
+    report = convexity.liminf_verify(seq, limit, f, K, RegionMask.full(grid), 2.0, 32)
+    assert len(pairings) == 3
+    assert _bits(first) == _bits(second) == _bits(report.probe)
+    # Inside a scope only a probe with the default dictionary is shared.
+    pairings.clear()
+    one = [ScalarField.constant(grid, 1.0)]
+    with gallery._shared_pools():
+        for dictionary in (default_probe_dictionary(grid), one, one, None):
+            if dictionary is None:
+                convexity.liminf_verify(seq, limit, f, K, RegionMask.full(grid), 2.0, 32)
+            else:
+                weak_probe(seq, limit, 2.0, dictionary, 32)
+    assert len(pairings) == 3
