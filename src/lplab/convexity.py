@@ -46,6 +46,7 @@ from .gallery import (
     _halves,
     _loglog_slope,
     _probed_pool,
+    _shared_selection,
     default_probe_dictionary,
 )
 from .grid import RegionMask, VectorField, _weighted_sum, truncate_region
@@ -339,14 +340,24 @@ def _replay_trace(
     members is the pool at the region's nodes.  Both extractions read the
     members centred on the limit.  The p = 1 one is restricted to the region:
     outside it the centred members would be zero and add nothing to any
-    selection sum.  The p > 1 one reads the whole grid.
+    selection sum.  The p > 1 one reads the whole grid.  With an all-zero
+    limit and, at p = 1, a region that covers the grid, it is the extraction
+    phase's selection, which a run computes once.
     """
     inc = region.included
-    try:
+    centre = limit.matrix()
+
+    def select():
         if p == 1.0:
-            centre = limit.matrix()[:, inc]
-            return _szlenk_select(members, region.grid.weights[inc], szlenk_levels, centre)[1]
-        return _banach_saks_select(pool, p, limit.grid.weights, limit.matrix())
+            return _szlenk_select(members, region.grid.weights[inc], szlenk_levels, centre[:, inc])
+        return _banach_saks_select(pool, p, limit.grid.weights, centre)
+
+    try:
+        if centre.any() or (p == 1.0 and not inc.all()):
+            result = select()
+        else:
+            result = _shared_selection(pool, p, szlenk_levels if p == 1.0 else None, select)
+        return result[1] if p == 1.0 else result
     except (ExtractionStalledError, LevelStalledError) as err:
         trace = getattr(err, "trace", None)
         return trace if trace is not None and trace.length >= 8 else None

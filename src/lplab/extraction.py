@@ -42,7 +42,7 @@ from .errors import (
     LevelStalledError,
     PreconditionViolationError,
 )
-from .gallery import VectorSequenceSpec, _loglog_slope, member_pool
+from .gallery import VectorSequenceSpec, _loglog_slope, _shared_selection, member_pool
 from .grid import QuadratureGrid
 from .norms import _abs_power, _lp_norms
 
@@ -287,7 +287,8 @@ def banach_saks_extract(
             f"recursive selection needs finite p > 1 (got {p}); the p = 1 route "
             "is szlenk_extract"
         )
-    return _banach_saks_select(member_pool(seq, grid, horizon), p, grid.weights)
+    pool = member_pool(seq, grid, horizon)
+    return _shared_selection(pool, p, None, lambda: _banach_saks_select(pool, p, grid.weights))
 
 
 class _CesaroWalk:
@@ -527,11 +528,25 @@ def szlenk_extract(
     max(1/l, k^(-1/2)); level targets are certified on the diagonal at the
     checkpoints k = round(K l/levels) and the prefix/tail splitting
     inequality is evaluated at the final k for every prefix l < levels.
-    Raises ``LevelStalledError`` when a level keeps fewer members than its
-    own index (the diagonal could not pass through it).
+    Each running mean is computed once: until its first rejection a level
+    holds the sums the level above held, so it reuses that level's means
+    and re-reads members only from the rejection on, with the picks
+    unchanged.  Raises ``LevelStalledError`` when a level keeps fewer members
+    than its own index (the diagonal could not pass through it).
     """
     _check_levels(levels)
-    return _szlenk_select(member_pool(seq, grid, horizon), grid.weights, levels)
+    pool = member_pool(seq, grid, horizon)
+    return _shared_selection(pool, 1.0, levels, lambda: _szlenk_select(pool, grid.weights, levels))
+
+
+def _l1(w: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None) -> float:
+    """Product L^1 norm of an (m, N) array; out, if given, takes |rows|."""
+    return float(np.einsum("n,jn->", w, np.abs(rows, out=out)))
+
+
+def _szlenk_trial(w: np.ndarray, s: np.ndarray, u: np.ndarray, k: int, out: np.ndarray) -> float:
+    """||s + u||_1 / k, the running Cesaro mean a level scan tests; out is scratch."""
+    return _l1(w, np.add(s, u, out=out), out) / k
 
 
 def _szlenk_select(
@@ -541,22 +556,33 @@ def _szlenk_select(
     walk = _CesaroWalk(pool, w, 1.0, centre)
     horizon = walk.horizon
 
-    def l1(rows: np.ndarray, out: np.ndarray | None = None) -> float:
-        return float(np.einsum("n,jn->", w, np.abs(rows, out=out)))
-
+    # While a level keeps every candidate, its sum before candidate j is the
+    # sum the level above held before it: the same members, added in place in
+    # the same order.  So is k, and its trial is the float the level above
+    # recorded; only the threshold changes.  From its first rejection the
+    # level builds its sum from the kept prefix and computes its own trials.
     level_lists = []
-    previous = list(range(1, horizon + 1))
+    previous, trials = list(range(1, horizon + 1)), None
     for level in range(1, levels + 1):
         target = 1.0 / level
-        chosen = []
-        s = np.zeros_like(walk.s)
-        for idx in previous:
+        chosen, chosen_trials = [], []
+        s = np.zeros_like(walk.s) if trials is None else None
+        for j, idx in enumerate(previous):
             k = len(chosen) + 1
-            u = walk.member(idx)
-            trial = l1(np.add(s, u, out=walk.scratch), out=walk.scratch) / k
+            if s is None:
+                trial = trials[j]
+            else:
+                u = walk.member(idx)
+                trial = _szlenk_trial(w, s, u, k, walk.scratch)
             if trial <= max(target, k ** -0.5) + 1e-12:
                 chosen.append(idx)
-                s += u
+                chosen_trials.append(trial)
+                if s is not None:
+                    s += u
+            elif s is None:
+                s = np.zeros_like(walk.s)
+                for i in chosen:
+                    s += walk.member(i)
         if len(chosen) < level:
             raise LevelStalledError(
                 f"level {level} kept only {len(chosen)} members within the pool "
@@ -565,7 +591,7 @@ def _szlenk_select(
                 completed=level_lists,
             )
         level_lists.append(chosen)
-        previous = chosen
+        previous, trials = chosen, chosen_trials
 
     length = len(level_lists[-1])
     diagonal = [level_lists[min(r, levels) - 1][r - 1] for r in range(1, length + 1)]
@@ -584,7 +610,7 @@ def _szlenk_select(
     splitting = []
     for prefix in range(1, min(levels, length)):
         head = heads[prefix]
-        rhs = l1(head) / length + l1(walk.s - head) / (length - prefix)
+        rhs = _l1(w, head) / length + _l1(w, walk.s - head) / (length - prefix)
         splitting.append(SplitCheck(prefix, length, float(cesaro[-1]), rhs))
 
     schedule = SzlenkSchedule(

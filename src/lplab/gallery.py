@@ -186,7 +186,8 @@ def _index_guard(spec: SequenceSpec, grid: QuadratureGrid):
         ends = np.array([x1.min(), x1.max()])
 
         def check(i: int) -> None:
-            cycles = i * spec.base * length
+            # A negative base aliases as its absolute value does: sin is odd.
+            cycles = abs(i * spec.base * length)
             if 8.0 * cycles > n1:
                 raise InvalidArgumentError(
                     f"resolution {n1} cannot resolve {cycles:g} cycles "
@@ -338,26 +339,32 @@ def _check_pool_budget(horizon: int, m: int, node_count: int) -> None:
 
 
 # Pools built inside a _shared_pools() scope, as (seq, grid, horizon, pool),
-# and reports of probes made there with the default dictionary, as (seq,
-# limit, horizon, report); None outside every scope.
+# reports of probes made there with the default dictionary, as (seq, limit,
+# horizon, report), and the results of whole-grid uncentred selections over
+# those pools, as (pool, key, result); None outside every scope.
 _POOLS: contextvars.ContextVar = contextvars.ContextVar("lplab_member_pools", default=None)
 _PROBES: contextvars.ContextVar = contextvars.ContextVar("lplab_probe_reports", default=None)
+_SELECTIONS: contextvars.ContextVar = contextvars.ContextVar("lplab_selections", default=None)
 
 
 @contextlib.contextmanager
 def _shared_pools():
-    """Scope in which member_pool builds each pool once and each probe runs once.
+    """Scope in which member_pool builds each pool once, each probe runs once
+    and each selection runs once.
 
     Inside it, a call with the same seq and grid objects and an equal horizon
-    returns the pool already built, and a probe of the same seq and limit
-    objects and an equal horizon, with a dictionary equal to the default one,
-    returns the report already made; the scope keeps them until it closes.  A
-    build or probe that raises stores nothing, so a later call raises again.
+    returns the pool already built, a probe of the same seq and limit objects
+    and an equal horizon, with a dictionary equal to the default one, returns
+    the report already made, and a selection over the same pool with equal p
+    and level count (``_shared_selection``) returns the result already
+    computed; the scope keeps them until it closes.  A build, probe or
+    selection that raises stores nothing, so a later call raises again.
     """
-    pools, probes = _POOLS.set([]), _PROBES.set([])
+    pools, probes, selections = _POOLS.set([]), _PROBES.set([]), _SELECTIONS.set([])
     try:
         yield
     finally:
+        _SELECTIONS.reset(selections)
         _PROBES.reset(probes)
         _POOLS.reset(pools)
 
@@ -385,6 +392,26 @@ def member_pool(seq: VectorSequenceSpec, grid: QuadratureGrid, horizon: int) -> 
     if shared is not None:
         shared.append((seq, grid, horizon, pool))
     return pool
+
+
+def _shared_selection(pool: np.ndarray, p: float, levels: int | None, select):
+    """select(), the uncentred selection over the whole grid of a pool, at p.
+
+    Inside a ``_shared_pools`` scope it runs once per pool object, p and
+    level count (None above p = 1), and a later call returns its result; one
+    that raises stores nothing.  Outside every scope it runs each time.
+    Callers share only selections that read the pool itself, with no centre
+    or an all-zero one, so one key gives one result, bit for bit.
+    """
+    shared = _SELECTIONS.get()
+    if shared is not None:
+        for s, key, result in shared:
+            if s is pool and key == (p, levels):
+                return result
+    result = select()
+    if shared is not None:
+        shared.append((pool, (p, levels), result))
+    return result
 
 
 def _halves(costs: list, work) -> None:

@@ -12,6 +12,7 @@ safe to use concurrently.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,11 @@ class QuadratureGrid:
         self.domain_box = _frozen(box)
         if self.resolution is not None:
             self.resolution = tuple(int(r) for r in self.resolution)
+
+    @functools.cached_property
+    def _node_norms(self) -> np.ndarray:
+        """Euclidean norm of every node, computed once per grid (truncate_region reads it)."""
+        return _frozen(np.linalg.norm(self.nodes, axis=1))
 
     @property
     def node_count(self) -> int:
@@ -288,5 +294,4 @@ def truncate_region(region: RegionMask, radius: float) -> RegionMask:
     """
     if not np.isfinite(radius) or radius <= 0.0:
         raise InvalidArgumentError(f"truncation radius must be positive, got {radius}")
-    norms = np.linalg.norm(region.grid.nodes, axis=1)
-    return RegionMask(region.grid, region.included & (norms < radius))
+    return RegionMask(region.grid, region.included & (region.grid._node_norms < radius))

@@ -551,7 +551,7 @@ def test_build_config_writes_no_row_for_the_guard_of_a_non_custom_kind(monkeypat
         ({"kind": "oscillatory", "params": {"base": 40.0}}, 512),  # 32 x 40 cycles alias
         ({"kind": "oscillatory", "amplitude": float("nan")}, 512),
         ({"kind": "oscillatory", "params": {"base": float("nan")}}, 512),
-        ({"kind": "oscillatory", "params": {"base": -1e307}}, 512),  # the phase overflows
+        ({"kind": "oscillatory", "params": {"base": -1e307}}, 512),  # aliases: |base| counts
         ({"kind": "rademacher"}, 64),  # 64 nodes resolve 15 sign patterns
         ({"kind": "rademacher"}, 8),  # and 8 nodes none
         ({"kind": "rademacher", "amplitude": float("nan")}, 512),
@@ -571,3 +571,31 @@ def test_build_config_refuses_what_generate_refuses(component, resolution):
         with np.errstate(invalid="ignore", over="ignore"):
             build_config(raw)
     assert str(info.value) == f"invalid config value: {expected.value}"
+
+
+def test_a_negative_base_is_refused_like_its_absolute_value(tmp_path):
+    # sin is odd, so base -63 aliases on 64 nodes exactly as base 63 does.
+    grid = build_uniform_grid([[0.0, 1.0]], 64)
+
+    def refusal(call, *args):
+        with pytest.raises((InvalidArgumentError, ConfigError)) as info:
+            call(*args)
+        return str(info.value)
+
+    def config(base):
+        raw = _base_config(sequence=[{"kind": "oscillatory", "params": {"base": base}}])
+        raw["grid"]["resolution"] = [64]
+        return raw
+
+    positive, negative = (SequenceSpec(kind="oscillatory", base=b) for b in (63.0, -63.0))
+    message = refusal(generate, positive, 1, grid)
+    assert "cannot resolve 63 cycles" in message
+    assert refusal(generate, negative, 1, grid) == message
+    assert refusal(gallery.member_pool, gallery.VectorSequenceSpec([negative]), grid, 4) == message
+    # build_config checks the horizon's index, here 32.
+    assert refusal(build_config, config(-63.0)) == refusal(build_config, config(63.0)) == (
+        f"invalid config value: {refusal(generate, positive, 32, grid)}"
+    )
+    path = tmp_path / "negative-base.json"
+    path.write_text(json.dumps(config(-63.0)))
+    assert main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 2

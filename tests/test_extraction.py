@@ -1,5 +1,10 @@
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lplab import (
     ConvexFunctionSpec,
@@ -30,7 +35,7 @@ from lplab import (
     truncate_region,
     verify_growth_bound,
 )
-from lplab import extraction
+from lplab import convexity, extraction, gallery
 from lplab.extraction import _banach_saks_select
 
 
@@ -469,3 +474,269 @@ def test_hilbert_walk_is_bitwise_the_general_formula_walk(grid, centred):
     assert np.array_equal(trace.cesaro_norms, cesaro)
     assert trace.normalization == factor
     assert trace.member_norm_sup == sup
+
+
+def _bits(value):
+    """value with every float and array replaced by its bits, for a bitwise comparison."""
+    if dataclasses.is_dataclass(value):
+        return tuple(_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
+def _szlenk_select_rescanning_every_level(pool, w, levels, centre=None):
+    """The level/diagonal selection with every level computing every trial itself."""
+    walk = extraction._CesaroWalk(pool, w, 1.0, centre)
+    horizon = walk.horizon
+
+    def l1(rows, out=None):
+        return float(np.einsum("n,jn->", w, np.abs(rows, out=out)))
+
+    level_lists = []
+    previous = list(range(1, horizon + 1))
+    for level in range(1, levels + 1):
+        target = 1.0 / level
+        chosen = []
+        s = np.zeros_like(walk.s)
+        for idx in previous:
+            k = len(chosen) + 1
+            u = walk.member(idx)
+            trial = l1(np.add(s, u, out=walk.scratch), out=walk.scratch) / k
+            if trial <= max(target, k ** -0.5) + 1e-12:
+                chosen.append(idx)
+                s += u
+        if len(chosen) < level:
+            raise LevelStalledError(
+                f"level {level} kept only {len(chosen)} members within the pool "
+                f"of {horizon}; cannot host the diagonal",
+                level=level,
+                completed=level_lists,
+            )
+        level_lists.append(chosen)
+        previous = chosen
+
+    length = len(level_lists[-1])
+    diagonal = [level_lists[min(r, levels) - 1][r - 1] for r in range(1, length + 1)]
+    heads = {}
+    for r, idx in enumerate(diagonal, start=1):
+        walk.add(idx)
+        if r < levels:
+            heads[r] = walk.s.copy()
+    trace = walk.trace("szlenk_diagonal")
+    cesaro = trace.cesaro_norms
+    checkpoints = []
+    for level in range(1, levels + 1):
+        k = min(length, max(level, round(length * level / levels)))
+        checkpoints.append(
+            extraction.SzlenkCheckpoint(level, k, float(cesaro[k - 1]), 1.0 / level)
+        )
+    splitting = []
+    for prefix in range(1, min(levels, length)):
+        head = heads[prefix]
+        rhs = l1(head) / length + l1(walk.s - head) / (length - prefix)
+        splitting.append(extraction.SplitCheck(prefix, length, float(cesaro[-1]), rhs))
+    schedule = extraction.SzlenkSchedule(
+        levels=level_lists,
+        targets=[1.0 / level for level in range(1, levels + 1)],
+        diagonal=diagonal,
+        checkpoints=checkpoints,
+        splitting_checks=splitting,
+    )
+    return schedule, trace
+
+
+def _oracle_pool(kind, m, horizon, n, seed, centred):
+    """A (horizon, m, n) pool of ±1 signs, offset Gaussians or spikes, weights and a centre."""
+    rng = np.random.default_rng(seed)
+    if kind == "signs":
+        pool = rng.choice([-1.0, 1.0], size=(horizon, m, n))
+    elif kind == "gaussian":
+        pool = rng.normal(loc=rng.uniform(-0.5, 0.5), size=(horizon, m, n))
+    else:
+        pool = np.zeros((horizon, m, n))
+        for i in range(horizon):
+            pool[i, rng.integers(m), rng.integers(n)] = rng.uniform(0.5, 2.0) * n
+    w = rng.uniform(0.5, 1.5, n) / n
+    centre = rng.normal(scale=0.2, size=(m, n)) if centred else None
+    return pool, w, centre
+
+
+def _select_or_stall(select, pool, w, levels, centre):
+    try:
+        return "selected", _bits(select(pool, w, levels, centre))
+    except LevelStalledError as err:
+        return "stalled", str(err), err.level, _bits(err.completed)
+
+
+def _recomputed_trials(level_lists, horizon):
+    """Trials a level scan computes when each level reuses the trials of the level above."""
+    count = horizon
+    for above, below in zip(level_lists, level_lists[1:]):
+        kept = next((j for j, (a, b) in enumerate(zip(above, below)) if a != b), len(below))
+        if kept < len(above):  # the first rejection is candidate `kept` of the level above
+            count += len(above) - kept - 1
+    return count
+
+
+_ORACLE_CASES = dict(
+    kind=st.sampled_from(["signs", "gaussian", "spikes"]),
+    m=st.integers(1, 3),
+    horizon=st.integers(2, 40),
+    n=st.integers(8, 64),
+    seed=st.integers(0, 2**32 - 1),
+    centred=st.booleans(),
+    levels=st.integers(1, 6),
+)
+# Each reaches a path of the scan: a level that keeps every member, a level that
+# rejects after reusing a prefix, and a stall.
+_ORACLE_EXAMPLES = [
+    ("signs", 1, 40, 64, 0, False, 4),
+    ("gaussian", 2, 30, 32, 1, True, 3),
+    ("spikes", 3, 40, 16, 2, False, 6),
+    ("spikes", 1, 8, 8, 0, False, 6),
+    ("gaussian", 3, 30, 32, 3, True, 6),
+]
+
+
+def _with_oracle_examples(test):
+    for case in _ORACLE_EXAMPLES:
+        test = example(**dict(zip(_ORACLE_CASES, case)))(test)
+    return test
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(**_ORACLE_CASES)
+@_with_oracle_examples
+def test_szlenk_select_is_bitwise_the_scan_that_rescans_every_level(
+    kind, m, horizon, n, seed, centred, levels
+):
+    # A level reuses the trials of the level above until its first rejection;
+    # the picks, the trace and every stall must stay those of a full rescan.
+    pool, w, centre = _oracle_pool(kind, m, horizon, n, seed, centred)
+    calls = []
+    real_trial = extraction._szlenk_trial
+    with mock.patch.object(
+        extraction, "_szlenk_trial", lambda *a: calls.append(1) or real_trial(*a)
+    ):
+        got = _select_or_stall(extraction._szlenk_select, pool, w, levels, centre)
+    assert got == _select_or_stall(_szlenk_select_rescanning_every_level, pool, w, levels, centre)
+    if got[0] == "selected":
+        level_lists = extraction._szlenk_select(pool, w, levels, centre)[0].levels
+        assert len(calls) == _recomputed_trials(level_lists, horizon)
+
+
+def test_oracle_examples_reach_every_path_of_the_level_scan():
+    partial_reuse = stalled = False
+    for kind, m, horizon, n, seed, centred, levels in _ORACLE_EXAMPLES:
+        pool, w, centre = _oracle_pool(kind, m, horizon, n, seed, centred)
+        try:
+            level_lists = extraction._szlenk_select(pool, w, levels, centre)[0].levels
+        except LevelStalledError:
+            stalled = True
+            continue
+        for above, below in zip(level_lists, level_lists[1:]):
+            partial_reuse |= 0 < len(below) < len(above) and below[0] == above[0]
+    assert partial_reuse and stalled
+
+
+def test_levels_that_keep_every_member_compute_each_trial_once(monkeypatch):
+    # Walsh functions: ||s_k||_1 <= ||s_k||_2 = sqrt(k), so every level keeps
+    # every member and levels 2..4 compute no trial of their own.
+    grid = build_uniform_grid([[0.0, 1.0]], 256)
+    horizon, levels = 48, 4
+    calls = []
+    real_trial = extraction._szlenk_trial
+    monkeypatch.setattr(extraction, "_szlenk_trial", lambda *a: calls.append(1) or real_trial(*a))
+    seq = VectorSequenceSpec([SequenceSpec(kind="rademacher")])
+    schedule, _ = szlenk_extract(seq, grid, levels, horizon)
+    assert schedule.levels == [list(range(1, horizon + 1))] * levels
+    assert len(calls) == horizon
+
+
+def _count_selections(monkeypatch, name):
+    """Pools passed to the named selection, by the library or by the liminf replay."""
+    calls = []
+    real = getattr(extraction, name)
+
+    def counting(pool, *rest):
+        calls.append(pool)
+        return real(pool, *rest)
+
+    monkeypatch.setattr(extraction, name, counting)
+    monkeypatch.setattr(convexity, name, counting)
+    return calls
+
+
+def test_library_selections_compute_each_time_outside_a_run(grid, monkeypatch):
+    calls = _count_selections(monkeypatch, "_banach_saks_select")
+    seq = VectorSequenceSpec([SequenceSpec(kind="oscillatory")])
+    first = banach_saks_extract(seq, 2.0, grid, 32)
+    second = banach_saks_extract(seq, 2.0, grid, 32)
+    assert len(calls) == 2 and _bits(first) == _bits(second)
+    calls.clear()
+    with gallery._shared_pools():
+        shared = [banach_saks_extract(seq, 2.0, grid, 32) for _ in range(2)]
+        banach_saks_extract(seq, 3.0, grid, 32)  # another p is another selection
+    assert len(calls) == 2 and shared[0] is shared[1]
+    assert _bits(shared[0]) == _bits(first)
+
+
+def test_a_stalled_selection_is_not_kept(grid, monkeypatch):
+    calls = _count_selections(monkeypatch, "_banach_saks_select")
+    seq = VectorSequenceSpec([SequenceSpec(kind="constant", value=1.0)])
+    with gallery._shared_pools():
+        for _ in range(2):
+            with pytest.raises(ExtractionStalledError):
+                banach_saks_extract(seq, 2.0, grid, 16)
+    assert len(calls) == 2
+
+
+def test_a_p1_replay_over_the_whole_grid_shares_the_selection(grid, monkeypatch):
+    # Either call may come first in a scope; the one selection it keeps has
+    # the bits each call computes alone, the replay's copied weights included.
+    seq = VectorSequenceSpec([SequenceSpec(kind="rademacher")])
+    limit = VectorField([ScalarField.constant(grid, 0.0)])
+    f, K = ConvexFunctionSpec(kind="squared_norm"), ConvexSetSpec(kind="box", bounds=[[-1, 1]])
+    region = RegionMask.full(grid)
+    alone = szlenk_extract(seq, grid, 4, 64)
+    report = liminf_verify(seq, limit, f, K, region, 1.0, 64, szlenk_levels=4)
+    calls = _count_selections(monkeypatch, "_szlenk_select")
+    for replay_first in (False, True):
+        with gallery._shared_pools():
+            if replay_first:
+                shared = liminf_verify(seq, limit, f, K, region, 1.0, 64, szlenk_levels=4)
+            extracted = szlenk_extract(seq, grid, 4, 64)
+            if not replay_first:
+                shared = liminf_verify(seq, limit, f, K, region, 1.0, 64, szlenk_levels=4)
+            liminf_verify(seq, limit, f, K, region, 1.0, 64, szlenk_levels=3)
+        assert _bits(extracted) == _bits(alone)
+        assert _bits(shared) == _bits(report)
+    assert len(calls) == 4  # levels 4 and 3, in each scope
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_a_replay_centred_on_a_nonzero_limit_selects_for_itself(grid, monkeypatch, p):
+    # Small enough an offset that the uncentred selection does not stall.
+    horizon = 128
+    x = grid.nodes[:, 0]
+    table = {i: 0.05 + np.sin(2.0 * np.pi * i * x) for i in range(1, horizon + 1)}
+    seq = VectorSequenceSpec([SequenceSpec(kind="custom", table=table)])
+    limit = VectorField([ScalarField.constant(grid, 0.05)])
+    f, K = ConvexFunctionSpec(kind="squared_norm"), ConvexSetSpec(kind="whole_space")
+    region = RegionMask.full(grid)
+    alone = liminf_verify(seq, limit, f, K, region, p, horizon)
+    name = "_szlenk_select" if p == 1.0 else "_banach_saks_select"
+    calls = _count_selections(monkeypatch, name)
+    with gallery._shared_pools():
+        if p == 1.0:
+            szlenk_extract(seq, grid, 3, horizon)
+        else:
+            banach_saks_extract(seq, p, grid, horizon)
+        shared = liminf_verify(seq, limit, f, K, region, p, horizon)
+    assert len(calls) == 2
+    assert _bits(shared) == _bits(alone)

@@ -197,3 +197,22 @@ def test_values_are_immutable():
         f.samples[0] = 2.0
     with pytest.raises(ValueError):
         g.weights[0] = 2.0
+
+
+def test_node_norms_are_computed_once_per_grid(monkeypatch):
+    calls = []
+    real_norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(1) or real_norm(*a, **k))
+    grid = build_uniform_grid([[-1.0, 1.0], [-1.0, 1.0]], 16)
+    full = RegionMask.full(grid)
+    cuts = [truncate_region(full, radius) for radius in (0.5, 1.0, 2.0)]
+    cuts.append(truncate_region(cuts[-1], 0.75))
+    assert len(calls) == 1
+    truncate_region(RegionMask.full(build_uniform_grid([[-1.0, 1.0], [-1.0, 1.0]], 16)), 1.0)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    norms = np.linalg.norm(grid.nodes, axis=1)
+    for cut, radius in zip(cuts, (0.5, 1.0, 2.0)):
+        assert np.array_equal(cut.included, norms < radius)
+    assert np.array_equal(cuts[-1].included, norms < 0.75)
+    assert not grid._node_norms.flags.writeable

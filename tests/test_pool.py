@@ -657,12 +657,14 @@ def test_bench_spans_stay_balanced_over_a_split_mixed_pool(grid, monkeypatch):
         pytest.param("extract-p2-64k", 0, id="extract-p2-64k"),
         *(pytest.param("extract-p2-64k", v, id=f"extract-p2-64k-{v}") for v in (1, 2, 3)),
         pytest.param("weakstar-2d", 0, id="weakstar-2d"),
+        *(pytest.param("weakstar-2d", v, id=f"weakstar-2d-{v}") for v in (1, 2, 3)),
     ],
 )
 def test_bench_workloads_match_their_recorded_references(tmp_path, workload, variant):
     # Run in this process and compared by the bench's own equivalence rule.
     # Every p = 2 variant runs: amplitude -1 sends negative members through
-    # the walk's p = 2 identities.
+    # the walk's p = 2 identities.  Every weak* variant runs too: ball K and
+    # amplitude -1 reach the level scans and the truncations.
     workloads, check = _perfbench("workloads"), _perfbench("check")
     config = workloads.scenario_config(workload, variant)
     if config is None:
@@ -881,3 +883,47 @@ def test_library_probes_outside_a_run_compute_each_time(grid, monkeypatch):
             else:
                 weak_probe(seq, limit, 2.0, dictionary, 32)
     assert len(pairings) == 3
+
+
+def _count_selections(monkeypatch, name):
+    """Calls of the named selection, by the extraction phase or by the liminf replay."""
+    calls = []
+    real = getattr(extraction, name)
+    monkeypatch.setattr(extraction, name, lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(convexity, name, lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def _csv_bodies(directory):
+    return {path.name: path.read_bytes() for path in sorted(Path(directory).glob("*.csv"))}
+
+
+def test_a_suite_replays_the_extraction_phase_selection(tmp_path, monkeypatch):
+    # composite-liminf and zero-smoke have zero limits, so the liminf replay is
+    # the extraction phase's selection: 4 p > 1 selections instead of 6, with
+    # the CSVs of a suite that selects every time.
+    calls = _count_selections(monkeypatch, "_banach_saks_select")
+    assert main(["suite", "--output-dir", str(tmp_path / "shared")]) == 0
+    assert len(calls) == 4
+    calls.clear()
+    monkeypatch.setattr(extraction, "_shared_selection", lambda pool, p, levels, select: select())
+    monkeypatch.setattr(convexity, "_shared_selection", lambda pool, p, levels, select: select())
+    assert main(["suite", "--output-dir", str(tmp_path / "each")]) == 0
+    assert len(calls) == 6
+    assert _csv_bodies(tmp_path / "shared") == _csv_bodies(tmp_path / "each")
+
+
+def test_a_p1_run_replays_the_extraction_phase_selection(tmp_path, monkeypatch):
+    entry = resources.files("lplab.scenarios").joinpath("a6-rademacher-weakstar.json")
+    raw = dict(json.loads(entry.read_text()), p=1.0, extraction="p=1", levels=4)
+    del raw["R_schedule"]
+    calls = _count_selections(monkeypatch, "_szlenk_select")
+    manifest = run_scenario(build_config(raw), output_dir=tmp_path / "shared")
+    assert [p["status"] for p in manifest.phases] == ["pass"] * 4  # probe, extraction, cesaro, liminf
+    assert len(calls) == 1
+    calls.clear()
+    monkeypatch.setattr(extraction, "_shared_selection", lambda pool, p, levels, select: select())
+    monkeypatch.setattr(convexity, "_shared_selection", lambda pool, p, levels, select: select())
+    run_scenario(build_config(raw), output_dir=tmp_path / "each")
+    assert len(calls) == 2
+    assert _csv_bodies(tmp_path / "shared") == _csv_bodies(tmp_path / "each")
