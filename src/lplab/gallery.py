@@ -527,6 +527,30 @@ def _same_samples(a: list, b: list) -> bool:
     return len(a) == len(b) and all(np.array_equal(x.samples, y.samples) for x, y in zip(a, b))
 
 
+def _probe_pairings(pool: np.ndarray, limit: VectorField, weighted: np.ndarray) -> np.ndarray:
+    """Pairings <u_i^(j) - u^(j), v> as an (m, horizon, d) array.
+
+    weighted is the (d, N) stack of dictionary samples times the weights.
+    The members are split over up to two threads (``_halves``).  einsum sums
+    a stack of two rows or more in the order it sums each row of the whole
+    pool (a lone row with one field it sums in another order), and a probe's
+    horizon is at least 8, so the pairings are the same bits on one CPU.  No
+    BLAS call is made: a threaded BLAS call leaves a worker busy-waiting for
+    about 0.1 s of CPU, which the weak* truncation threads that follow would
+    compete with.
+    """
+    horizon, m = pool.shape[:2]
+    pairings = np.empty((m, horizon, weighted.shape[0]))
+
+    def pair(lo: int, hi: int) -> None:
+        for j, lim in enumerate(limit.components):
+            rows = _centred(pool[lo:hi, j], lim.samples)
+            np.einsum("in,dn->id", rows, weighted, out=pairings[j, lo:hi])
+
+    _halves([1] * horizon, pair)
+    return pairings
+
+
 def _probed_pool(
     seq: VectorSequenceSpec,
     limit: VectorField,
@@ -560,11 +584,8 @@ def _probed_pool(
         for s, u, h, report in shared:
             if s is seq and u is limit and h == horizon:
                 return pool, report
-    weighted = np.stack([v.samples for v in dictionary], axis=1) * grid.weights[:, None]
-    residuals = np.zeros(horizon)
-    for j, lim in enumerate(limit.components):
-        pairings = _centred(pool[:, j], lim.samples) @ weighted
-        residuals = np.maximum(residuals, np.abs(pairings).max(axis=1))
+    weighted = np.stack([v.samples for v in dictionary]) * grid.weights
+    residuals = np.abs(_probe_pairings(pool, limit, weighted)).max(axis=(0, 2))
     slope = _loglog_slope(np.arange(1, horizon + 1, dtype=float), residuals)
     if slope is None:
         slope = 0.0
@@ -589,6 +610,9 @@ def weak_probe(
     fitted slope is negative and the final residual has dropped below 1e-2 of
     the initial one, ``not-converging`` when the curve is flat and bounded
     away from zero over the last half of the horizon, else ``inconclusive``.
+    The pairings are split by member over up to two threads and call no
+    BLAS, so the residuals are the same bits on one CPU or two and under any
+    BLAS thread count.
     """
     return _probed_pool(seq, limit, p, dictionary, horizon)[1]
 

@@ -597,12 +597,14 @@ limit = VectorField([ScalarField.constant(grid, 0.0)])
 f, K = ConvexFunctionSpec(kind="squared_norm"), ConvexSetSpec(kind="whole_space")
 report = liminf_verify(seq, limit, f, K, RegionMask.full(grid), 2.0, 128)
 print(repr(report.alphas.tolist()), repr(report.margin))
+print(repr(report.probe.residuals.tolist()))
 """
 
 
 def test_integrals_do_not_depend_on_the_blas_thread_count():
     # Above 10 000 nodes OpenBLAS splits a dot product over its threads, which
-    # changes the order of the sum; the package's weighted sums call no BLAS.
+    # changes the order of the sum; the package's weighted sums and the
+    # probe's pairings call no BLAS.
     src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = []
     for threads in ("1", "2"):

@@ -3,6 +3,7 @@ import gc
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -126,6 +127,86 @@ def test_pool_probe_matches_per_member_reference():
             for v in dictionary:
                 reference[i - 1] = max(reference[i - 1], abs(dual_pairing(diff, v)))
     assert np.allclose(report.residuals, reference, rtol=1e-12, atol=0.0)
+
+
+def _usable_cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@pytest.mark.parametrize("horizon", [9, 33])
+@pytest.mark.parametrize("fields", ["default", "one-field"])
+@pytest.mark.parametrize("centre", ["zero", "nonzero"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_probe_residuals_are_bitwise_equal_on_one_and_two_cpus(
+    monkeypatch, m, centre, fields, horizon
+):
+    # Past 8192 nodes einsum sums a lone one-field row in another order than a
+    # stack; each half of a probe holds at least 4 rows.
+    grid16k = build_uniform_grid([[0.0, 1.0]], 16384)
+    x = grid16k.nodes[:, 0]
+    seq = VectorSequenceSpec([
+        SequenceSpec(kind="oscillatory", amplitude=1.5),
+        SequenceSpec(kind="rademacher", amplitude=-0.5),
+    ][:m])
+    if centre == "zero":
+        limit = _zero_limit(grid16k, m)
+    else:
+        limit = VectorField([ScalarField(grid16k, 0.1 * x), ScalarField(grid16k, np.cos(x))][:m])
+    if fields == "default":
+        dictionary = default_probe_dictionary(grid16k)
+    else:
+        dictionary = [ScalarField(grid16k, x.copy())]
+    reports = []
+    for count in (1, 2):
+        _cpus(monkeypatch, count)
+        started = _count_threads(monkeypatch)
+        reports.append(weak_probe(seq, limit, 2.0, dictionary, horizon))
+        assert len(started) == 2 * (count - 1)  # the fill's and the probe's
+        assert not any(t.is_alive() for t in started)
+        monkeypatch.undo()
+    assert _bits(reports[0]) == _bits(reports[1])
+    # The two halves equal one contraction over the whole stack.
+    _cpus(monkeypatch, 2)
+    pool = member_pool(seq, grid16k, horizon)
+    weighted = np.stack([v.samples for v in dictionary]) * grid16k.weights
+    whole = [
+        np.einsum("in,dn->id", gallery._centred(pool[:, j], lim.samples), weighted)
+        for j, lim in enumerate(limit.components)
+    ]
+    assert np.array_equal(gallery._probe_pairings(pool, limit, weighted), np.array(whole))
+
+
+_SPIN_RUN = """
+import resource, time
+from lplab import *
+
+def cpu_seconds():
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
+
+time.sleep(0.3)  # OpenBLAS also spins for a while right after numpy is imported
+grid = build_uniform_grid([[0.0, 1.0]], 65536)
+seq = VectorSequenceSpec([SequenceSpec(kind="oscillatory")])
+limit = VectorField([ScalarField.constant(grid, 0.0)])
+weak_probe(seq, limit, 2.0, default_probe_dictionary(grid), 32)
+before = cpu_seconds()
+time.sleep(0.2)
+print(cpu_seconds() - before)
+"""
+
+
+@pytest.mark.skipif(_usable_cpus() < 2, reason="a BLAS worker spins only beside another CPU")
+def test_no_worker_keeps_spinning_after_a_probe():
+    # A threaded BLAS matmul over this pool leaves an OpenBLAS worker
+    # busy-waiting for about 0.1 s of CPU after it returns.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    done = subprocess.run(
+        [sys.executable, "-c", _SPIN_RUN], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert float(done.stdout) < 0.02
 
 
 def _count_pools(monkeypatch):
@@ -633,7 +714,8 @@ def test_bench_spans_stay_balanced_over_the_bundled_scenarios(tmp_path):
 
 
 def test_bench_spans_stay_balanced_over_a_split_mixed_pool(grid, monkeypatch):
-    # A spike row written on the fill's second thread must not enter a span.
+    # Neither a spike row written on the fill's second thread nor a pairing
+    # made on the probe's may enter a span.
     spans = _perfbench("spans")
     _cpus(monkeypatch, 2)
     started = _count_threads(monkeypatch)
@@ -644,7 +726,7 @@ def test_bench_spans_stay_balanced_over_a_split_mixed_pool(grid, monkeypatch):
         gallery.weak_probe(seq, _zero_limit(grid, 2), 2.0, default_probe_dictionary(grid), 24)
     finally:
         recorder.uninstall()
-    assert len(started) == 1
+    assert len(started) == 2  # the fill's and the probe's
     assert recorder.restored()
     assert recorder._stack == []
     assert recorder.calls == {"gallery.probe": 1}
@@ -744,8 +826,9 @@ def test_weak_star_reports_are_bitwise_equal_on_one_and_two_cpus(monkeypatch, K_
         _cpus(monkeypatch, count)
         started = _count_threads(monkeypatch)
         results.append(weak_star_verify(*case, radii))
-        # the custom pool fills on the calling thread: a thread here is the truncations'
-        assert len(started) == (count - 1 if len(radii) > 1 else 0)
+        # the custom pool fills on the calling thread: one thread is the
+        # probe's, one the truncations'
+        assert len(started) == (count - 1) * (2 if len(radii) > 1 else 1)
         assert not any(t.is_alive() for t in started)
         monkeypatch.undo()
     assert results[0].passed
@@ -771,7 +854,7 @@ def test_weak_star_raises_the_one_cpu_error_on_two_cpus(monkeypatch, bumps, memb
         with pytest.raises(PreconditionViolationError) as info:
             weak_star_verify(*case, [0.5, 1.0, 2.0])
         errors.append((type(info.value), str(info.value)))
-        assert len(started) == count - 1
+        assert len(started) == 2 * (count - 1)  # the probe's and the truncations'
         assert not any(t.is_alive() for t in started)
         monkeypatch.undo()
     assert errors[0] == errors[1]
@@ -799,7 +882,7 @@ def test_a_custom_evaluator_never_runs_on_two_threads(monkeypatch):
         result = weak_star_verify(seq, limit, f, K, region, horizon, [0.5, 1.0, 2.0])
     finally:
         sys.setswitchinterval(interval)
-    assert len(started) == 1
+    assert len(started) == 2  # the probe's and the truncations'
     assert result.passed
     assert seen and max(seen) == 1
 
@@ -835,10 +918,10 @@ def test_concurrent_weak_star_calls_keep_their_bits(monkeypatch):
 
 
 def _count_probe_pairings(monkeypatch):
-    """Calls of the probe's pairing step: one per component of each probe computed."""
+    """Calls of the probe's pairing step: one per probe computed."""
     calls = []
-    real_centred = gallery._centred
-    monkeypatch.setattr(gallery, "_centred", lambda *a: calls.append(1) or real_centred(*a))
+    real_pairings = gallery._probe_pairings
+    monkeypatch.setattr(gallery, "_probe_pairings", lambda *a: calls.append(1) or real_pairings(*a))
     return calls
 
 
@@ -860,7 +943,7 @@ def test_a_scenario_run_probes_once(tmp_path, monkeypatch, scenario):
     assert manifest.passed
     assert [p["name"] for p in manifest.phases][-1] == "liminf"
     assert len(probes) == 1  # the probe phase calls weak_probe by name
-    assert len(pairings) == cfg.m
+    assert len(pairings) == 1
 
 
 def test_library_probes_outside_a_run_compute_each_time(grid, monkeypatch):
