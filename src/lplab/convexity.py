@@ -373,7 +373,7 @@ def _admissible_values(
         raise PreconditionViolationError(
             f"values-in-K hypothesis failed: {err}", hypothesis="values in K"
         ) from err
-    if f.nonnegative and values.size and values.min() < -_MEMBERSHIP_TOL:
+    if f.nonnegative and values.min() < -_MEMBERSHIP_TOL:
         raise PreconditionViolationError(
             f"nonnegativity hypothesis failed: f reaches {values.min()} on {where}",
             hypothesis="nonnegativity of f",
@@ -437,9 +437,6 @@ def _verify_on_region(
         for mean, x, step in ((mean_points, points, points_step), (mean_f, fv, f_step)):
             mean *= (k - 1) / k
             mean += np.divide(x, k, out=step)
-        if fv.size == 0:
-            jensen_margins[k - 1] = 0.0
-            continue
         f_mean = f(mean_points)
         jensen_margins[k - 1] = float((mean_f - f_mean).min())
         if k > tail_start:
@@ -626,7 +623,8 @@ def weak_star_verify(
 
     def verify(lo: int, hi: int) -> None:
         # Everything the verification reads is passed in: a worker thread
-        # does not see the caller's context variables.
+        # does not see the caller's run memo, so its _shared calls compute
+        # without storing.
         for k in range(lo, hi):
             reports[k] = _verify_on_region(
                 pool, limit, f, K, truncations[k], probe, 1.0, szlenk_levels

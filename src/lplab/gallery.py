@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -338,35 +339,40 @@ def _check_pool_budget(horizon: int, m: int, node_count: int) -> None:
         )
 
 
-# Pools built inside a _shared_pools() scope, as (seq, grid, horizon, pool),
-# reports of probes made there with the default dictionary, as (seq, limit,
-# horizon, report), and the results of whole-grid uncentred selections over
-# those pools, as (pool, key, result); None outside every scope.
-_POOLS: contextvars.ContextVar = contextvars.ContextVar("lplab_member_pools", default=None)
-_PROBES: contextvars.ContextVar = contextvars.ContextVar("lplab_probe_reports", default=None)
-_SELECTIONS: contextvars.ContextVar = contextvars.ContextVar("lplab_selections", default=None)
+# The run memo: results computed inside a _shared_pools() scope, keyed as
+# _shared matches them; None outside every scope.
+_MEMO: contextvars.ContextVar = contextvars.ContextVar("lplab_run_memo", default=None)
 
 
 @contextlib.contextmanager
 def _shared_pools():
-    """Scope in which member_pool builds each pool once, each probe runs once
-    and each selection runs once.
-
-    Inside it, a call with the same seq and grid objects and an equal horizon
-    returns the pool already built, a probe of the same seq and limit objects
-    and an equal horizon, with a dictionary equal to the default one, returns
-    the report already made, and a selection over the same pool with equal p
-    and level count (``_shared_selection``) returns the result already
-    computed; the scope keeps them until it closes.  A build, probe or
-    selection that raises stores nothing, so a later call raises again.
-    """
-    pools, probes, selections = _POOLS.set([]), _PROBES.set([]), _SELECTIONS.set([])
+    """Scope in which ``_shared`` computes each result once, kept until it closes."""
+    token = _MEMO.set({})
     try:
         yield
     finally:
-        _SELECTIONS.reset(selections)
-        _PROBES.reset(probes)
-        _POOLS.reset(pools)
+        _MEMO.reset(token)
+
+
+def _shared(compute, *key):
+    """compute(), computed once per key inside a ``_shared_pools`` scope.
+
+    Numbers, strings and None in the key match by value, any other object by
+    identity.  The memo keeps each key beside its result, so no object a key
+    names is freed, and its id reused, while the scope lasts.  A compute that
+    raises stores nothing, so a later call raises again.  Outside every
+    scope, and on a worker thread, which does not see the caller's context,
+    it computes on every call.
+    """
+    memo = _MEMO.get()
+    if memo is None:
+        return compute()
+    match = tuple(
+        k if k is None or isinstance(k, (numbers.Number, str)) else (id(k),) for k in key
+    )
+    if match not in memo:
+        memo[match] = (key, compute())
+    return memo[match][1]
 
 
 def member_pool(seq: VectorSequenceSpec, grid: QuadratureGrid, horizon: int) -> np.ndarray:
@@ -383,35 +389,17 @@ def member_pool(seq: VectorSequenceSpec, grid: QuadratureGrid, horizon: int) -> 
     own pool, except inside one scenario run of the command line, which
     builds it once for all its phases.
     """
-    shared = _POOLS.get()
-    if shared is not None:
-        for s, g, h, pool in shared:
-            if s is seq and g is grid and h == horizon:
-                return pool
-    pool = _build_pool(seq, grid, horizon)
-    if shared is not None:
-        shared.append((seq, grid, horizon, pool))
-    return pool
+    return _shared(lambda: _build_pool(seq, grid, horizon), "pool", seq, grid, horizon)
 
 
 def _shared_selection(pool: np.ndarray, p: float, levels: int | None, select):
     """select(), the uncentred selection over the whole grid of a pool, at p.
 
-    Inside a ``_shared_pools`` scope it runs once per pool object, p and
-    level count (None above p = 1), and a later call returns its result; one
-    that raises stores nothing.  Outside every scope it runs each time.
+    A run computes it once per pool, p and level count (None above p = 1).
     Callers share only selections that read the pool itself, with no centre
     or an all-zero one, so one key gives one result, bit for bit.
     """
-    shared = _SELECTIONS.get()
-    if shared is not None:
-        for s, key, result in shared:
-            if s is pool and key == (p, levels):
-                return result
-    result = select()
-    if shared is not None:
-        shared.append((pool, (p, levels), result))
-    return result
+    return _shared(select, "selection", pool, p, levels)
 
 
 def _halves(costs: list, work) -> None:
@@ -479,13 +467,19 @@ def _build_pool(seq: VectorSequenceSpec, grid: QuadratureGrid, horizon: int) -> 
 def default_probe_dictionary(grid: QuadratureGrid) -> list:
     """Constant 1, every coordinate function, and x1^2.
 
-    Bounded on the box, hence in every L^q there, including L^1.
+    Bounded on the box, hence in every L^q there, including L^1.  Inside one
+    scenario run of the command line every call on a grid returns one list,
+    so the phases' probes share it.
     """
-    fields = [ScalarField.constant(grid, 1.0)]
-    for axis in range(grid.dimension):
-        fields.append(ScalarField(grid, grid.nodes[:, axis].copy()))
-    fields.append(ScalarField(grid, grid.nodes[:, 0] ** 2))
-    return fields
+
+    def build() -> list:
+        fields = [ScalarField.constant(grid, 1.0)]
+        for axis in range(grid.dimension):
+            fields.append(ScalarField(grid, grid.nodes[:, axis].copy()))
+        fields.append(ScalarField(grid, grid.nodes[:, 0] ** 2))
+        return fields
+
+    return _shared(build, "dictionary", grid)
 
 
 def _loglog_slope(ks: np.ndarray, values: np.ndarray) -> float | None:
@@ -520,11 +514,6 @@ def _centred(samples: np.ndarray, limit_samples: np.ndarray) -> np.ndarray:
     are instead of through a pool-sized temporary.
     """
     return samples - limit_samples if limit_samples.any() else samples
-
-
-def _same_samples(a: list, b: list) -> bool:
-    """Whether two lists of fields on one grid hold equal samples, in order."""
-    return len(a) == len(b) and all(np.array_equal(x.samples, y.samples) for x, y in zip(a, b))
 
 
 def _probe_pairings(pool: np.ndarray, limit: VectorField, weighted: np.ndarray) -> np.ndarray:
@@ -574,26 +563,18 @@ def _probed_pool(
             raise GridMismatchError("dictionary fields live on a different grid")
 
     pool = member_pool(seq, grid, horizon)
-    # The residuals do not depend on p, which only names the dual space.  The
-    # scope keeps no dictionary, which would stay allocated for the whole run;
-    # a fresh default one tells whether this probe's report is shared.
-    shared = _PROBES.get()
-    if shared is not None and not _same_samples(dictionary, default_probe_dictionary(grid)):
-        shared = None
-    if shared is not None:
-        for s, u, h, report in shared:
-            if s is seq and u is limit and h == horizon:
-                return pool, report
-    weighted = np.stack([v.samples for v in dictionary]) * grid.weights
-    residuals = np.abs(_probe_pairings(pool, limit, weighted)).max(axis=(0, 2))
-    slope = _loglog_slope(np.arange(1, horizon + 1, dtype=float), residuals)
-    if slope is None:
-        slope = 0.0
-    verdict = _classify(residuals, slope)
-    report = ProbeReport(np.arange(1, horizon + 1), residuals, verdict, slope)
-    if shared is not None:
-        shared.append((seq, limit, horizon, report))
-    return pool, report
+
+    def probe() -> ProbeReport:
+        weighted = np.stack([v.samples for v in dictionary]) * grid.weights
+        residuals = np.abs(_probe_pairings(pool, limit, weighted)).max(axis=(0, 2))
+        slope = _loglog_slope(np.arange(1, horizon + 1, dtype=float), residuals)
+        if slope is None:
+            slope = 0.0
+        verdict = _classify(residuals, slope)
+        return ProbeReport(np.arange(1, horizon + 1), residuals, verdict, slope)
+
+    # The residuals do not depend on p, which only names the dual space.
+    return pool, _shared(probe, "probe", seq, limit, horizon, dictionary)
 
 
 def weak_probe(

@@ -362,7 +362,7 @@ def test_run_scenario_builds_one_pool_for_all_phases(route, tmp_path, monkeypatc
     assert len([p for p in manifest.phases if p["name"] in ("probe", "extraction", "liminf")]) >= 2
     assert len(built) == 1
     # the run's scope is closed and nothing else holds the pool
-    assert gallery._POOLS.get() is None
+    assert gallery._MEMO.get() is None
     gc.collect()
     assert built[0]() is None
 
@@ -411,6 +411,72 @@ def test_a_failed_build_is_not_shared(tmp_path, monkeypatch, capsys):
             with pytest.raises(InvalidArgumentError, match="no entry for index 5"):
                 member_pool(seq, grid, 8)
     assert len(attempts) == 2
+
+
+def test_equal_but_distinct_specs_build_their_own_pools(grid, monkeypatch):
+    # Specs match by identity.  The memo keeps each temporary alive, so its
+    # id cannot be reused by the next one while the scope lasts.
+    built = _count_builds(monkeypatch)
+    with gallery._shared_pools():
+        for _ in range(3):
+            member_pool(VectorSequenceSpec([SequenceSpec(kind="oscillatory")]), grid, 16)
+        assert all(ref() is not None for ref in built)
+    assert len(built) == 3
+
+
+def test_a_scope_builds_the_default_dictionary_once_per_grid(grid):
+    with gallery._shared_pools():
+        assert default_probe_dictionary(grid) is default_probe_dictionary(grid)
+    assert default_probe_dictionary(grid) is not default_probe_dictionary(grid)
+
+
+def test_a_worker_thread_computes_without_storing(monkeypatch):
+    _cpus(monkeypatch, 2)
+    computed = []
+
+    def work(lo, hi):
+        for _ in range(2):
+            gallery._shared(lambda: computed.append(lo) or lo, "half", lo)
+
+    with gallery._shared_pools():
+        gallery._halves([1, 1], work)
+        # The calling thread stored its half; the worker stored nothing.
+        assert gallery._shared(lambda: "again", "half", 0) == 0
+        assert gallery._shared(lambda: "again", "half", 1) == "again"
+    assert sorted(computed) == [0, 1, 1]
+
+
+def test_a_run_that_raises_closes_its_scope_and_frees_its_pool(tmp_path, monkeypatch):
+    built = _count_builds(monkeypatch)
+
+    def failing_pairings(*args):
+        raise RuntimeError("pairing failed")
+
+    monkeypatch.setattr(gallery, "_probe_pairings", failing_pairings)
+    try:
+        run_scenario(_scenario(), output_dir=tmp_path)
+    except RuntimeError as err:
+        assert str(err) == "pairing failed"
+    else:
+        pytest.fail("the run did not raise")
+    assert len(built) == 1
+    assert gallery._MEMO.get() is None
+    gc.collect()
+    assert built[0]() is None
+
+
+def test_the_package_holds_one_context_variable():
+    # The run memo is the one run-scope cache; another would need its own.
+    import ast
+
+    calls = 0
+    for path in sorted(Path(gallery.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                calls += name == "ContextVar"
+    assert calls == 1
 
 
 def _cpus(monkeypatch, count):
@@ -956,7 +1022,9 @@ def test_library_probes_outside_a_run_compute_each_time(grid, monkeypatch):
     report = convexity.liminf_verify(seq, limit, f, K, RegionMask.full(grid), 2.0, 32)
     assert len(pairings) == 3
     assert _bits(first) == _bits(second) == _bits(report.probe)
-    # Inside a scope only a probe with the default dictionary is shared.
+    # Inside a scope a probe is shared by the dictionary object: the same
+    # list twice is one probe, and the liminf gate's default dictionary is
+    # the scope's one list.  The default dictionary and `one` are two probes.
     pairings.clear()
     one = [ScalarField.constant(grid, 1.0)]
     with gallery._shared_pools():
@@ -965,7 +1033,7 @@ def test_library_probes_outside_a_run_compute_each_time(grid, monkeypatch):
                 convexity.liminf_verify(seq, limit, f, K, RegionMask.full(grid), 2.0, 32)
             else:
                 weak_probe(seq, limit, 2.0, dictionary, 32)
-    assert len(pairings) == 3
+    assert len(pairings) == 2
 
 
 def _count_selections(monkeypatch, name):
