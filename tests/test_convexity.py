@@ -30,7 +30,7 @@ from lplab import (
     truncate_region,
     weak_star_verify,
 )
-from lplab import gallery
+from lplab import convexity, gallery
 from lplab.cli import build_config
 
 
@@ -616,3 +616,50 @@ def test_integrals_do_not_depend_on_the_blas_thread_count():
         )
         outputs.append(done.stdout)
     assert outputs[0] and outputs[0] == outputs[1]
+
+
+def _left_half(grid):
+    return RegionMask(grid, grid.nodes[:, 0] < 0.5)
+
+
+def test_a_replay_with_one_positive_cesaro_mean_fits_no_slope_and_fails(grid):
+    # u_1 = 1, u_2 = -1, then zeros: every Szlenk level keeps every member and
+    # s_k = 0 from k = 2 on, so one Cesaro mean is positive and no line is fit.
+    horizon = 16
+    pool = np.zeros((horizon, 1, grid.node_count))
+    pool[0], pool[1] = 1.0, -1.0
+    region = _left_half(grid)
+    measure = region.measure()
+    report = convexity._verify_on_region(
+        pool, _zero_limit(grid), _squared(), _whole(), region, None, 1.0, 3
+    )
+    replay = report.replay
+    assert replay.indices == list(range(1, horizon + 1))
+    assert replay.cesaro_norms.tolist() == [measure] + [0.0] * (horizon - 1)
+    assert replay.slope == 0.0 and replay.converged is False
+    assert not replay.ok() and report.passed is False
+    assert report.alphas.tolist() == [measure, measure] + [0.0] * (horizon - 2)
+    assert report.margin == 0.0 and report.limit_integral == 0.0
+    assert replay.jensen_margins.min() >= 0.0
+    assert replay.fatou_margin == 0.0
+
+
+def test_a_replay_that_stalls_before_eight_picks_reports_an_empty_chain(grid):
+    # Every member is 2 on a region of measure 1/2, so of unit L^1 norm: level
+    # 2 keeps only member 1, since the mean of two stays at 1 > max(1/2,
+    # 2^(-1/2)).  The stall carries no trace, so the chain is empty.
+    horizon = 16
+    pool = np.full((horizon, 1, grid.node_count), 2.0)
+    region = _left_half(grid)
+    measure = region.measure()
+    report = convexity._verify_on_region(
+        pool, _zero_limit(grid), _squared(), _whole(), region, None, 1.0, 3
+    )
+    replay = report.replay
+    assert replay.indices == [] and replay.cesaro_norms.size == 0
+    assert replay.slope is None and replay.converged is False
+    assert replay.jensen_margins.size == 0 and replay.fatou_margin is None
+    assert report.passed is False
+    assert report.alphas.tolist() == [4.0 * measure] * horizon
+    assert report.tail_infimum.tolist() == [4.0 * measure] * horizon
+    assert report.margin == 4.0 * measure
