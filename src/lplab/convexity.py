@@ -50,7 +50,7 @@ from .gallery import (
     default_probe_dictionary,
 )
 from .grid import RegionMask, VectorField, _weighted_sum, truncate_region
-from .norms import INFINITY, _check_exponent
+from .norms import INFINITY, _check_exponent, _gather
 
 __all__ = [
     "SQUARED_NORM",
@@ -329,7 +329,7 @@ class WeakStarReport:
 
 def _replay_trace(
     pool: np.ndarray,
-    members: np.ndarray,
+    nodes: np.ndarray | None,
     limit: VectorField,
     region: RegionMask,
     p: float,
@@ -337,10 +337,11 @@ def _replay_trace(
 ) -> ExtractionTrace | None:
     """The extraction the proof chain replays, or None when it stalls before 8 picks.
 
-    members is the pool at the region's nodes.  Both extractions read the
-    members centred on the limit.  The p = 1 one is restricted to the region:
-    outside it the centred members would be zero and add nothing to any
-    selection sum.  The p > 1 one reads the whole grid.  With an all-zero
+    nodes lists the region's nodes, or is None when the region covers the
+    grid.  Both extractions read the members centred on the limit.  The p = 1
+    one is restricted to the region and reads each member at its nodes as it
+    goes: outside them the centred members would be zero and add nothing to
+    any selection sum.  The p > 1 one reads the whole grid.  With an all-zero
     limit and, at p = 1, a region that covers the grid, it is the extraction
     phase's selection, which a run computes once.
     """
@@ -349,11 +350,12 @@ def _replay_trace(
 
     def select():
         if p == 1.0:
-            return _szlenk_select(members, region.grid.weights[inc], szlenk_levels, centre[:, inc])
+            w = region.grid.weights[inc]
+            return _szlenk_select(pool, w, szlenk_levels, centre[:, inc], nodes)
         return _banach_saks_select(pool, p, limit.grid.weights, centre)
 
     try:
-        if centre.any() or (p == 1.0 and not inc.all()):
+        if centre.any() or (p == 1.0 and nodes is not None):
             result = select()
         else:
             result = _shared_selection(pool, p, szlenk_levels if p == 1.0 else None, select)
@@ -396,14 +398,14 @@ def _verify_on_region(
     The extraction reads only pool values, so it runs first.  One pass over
     the members then turns each member's admissible f values into alpha_i
     and, at a pick, feeds the same values to the nodewise Jensen step.
+    A region that covers the grid reads the pool's rows; any other reads
+    each member at its nodes into one scratch row, never a copy of the pool.
     """
-    horizon = pool.shape[0]
+    horizon, m = pool.shape[:2]
     inc = region.included
     weights = region.grid.weights[inc]
-    # A region that covers the grid reads the pool itself.  A gather is freed
-    # on return; take with the node list gathers faster than compress.
-    members = pool if inc.all() else np.take(pool, np.flatnonzero(inc), axis=2)
-    trace = None if p is None else _replay_trace(pool, members, limit, region, p, szlenk_levels)
+    nodes = None if inc.all() else np.flatnonzero(inc)
+    trace = None if p is None else _replay_trace(pool, nodes, limit, region, p, szlenk_levels)
 
     def integrate(points: np.ndarray, where: str) -> tuple[np.ndarray, float]:
         values = _admissible_values(f, points, region, K, where)
@@ -422,13 +424,14 @@ def _verify_on_region(
     # scratch row for the step.  A mean is updated as mean (k-1)/k + x/k, so no
     # intermediate exceeds max(|mean|, |x|): running sums overflow near the
     # float limit while every alpha_i is finite.
-    _, m, n = members.shape
+    n = weights.size
     mean_points, points_step = np.zeros((2, n, m))
     mean_f, f_step = np.zeros((2, n))
+    row = None if nodes is None else np.empty((m, n))
     alphas = np.empty(horizon)
     k = 0
     for i in range(1, horizon + 1):
-        points = members[i - 1].T
+        points = (pool[i - 1] if nodes is None else _gather(pool[i - 1], nodes, row)).T
         fv, alphas[i - 1] = integrate(points, f"sequence member {i}")
         if k == len(picks) or picks[k] != i:
             continue

@@ -44,7 +44,7 @@ from .errors import (
 )
 from .gallery import VectorSequenceSpec, _loglog_slope, _shared_selection, member_pool
 from .grid import QuadratureGrid
-from .norms import _abs_power, _lp_norms
+from .norms import _abs_power, _gather, _lp_norms
 
 __all__ = [
     "InequalityConstants",
@@ -296,6 +296,8 @@ class _CesaroWalk:
 
     Members are read as (u_i - centre) / factor with factor = max(1, sup of
     their product L^p norms); a centre that is all zero is not subtracted.
+    With a node list, members are read at those nodes only, gathered row by
+    row on read, and w and the centre hold one entry per listed node.
     Each pick records its pairing with phi_w = |s_(k-1)|^(p-1) sgn(s_(k-1)) w
     (zero for the first pick), the integrals of |s_k|^p and ||s_k/k||.
 
@@ -304,29 +306,34 @@ class _CesaroWalk:
     One pass each replaces four and two, and every bit of the general formulas stays.
     """
 
-    def __init__(self, pool: np.ndarray, w: np.ndarray, p: float, centre=None) -> None:
+    def __init__(
+        self, pool: np.ndarray, w: np.ndarray, p: float, centre=None, nodes=None
+    ) -> None:
         self.pool, self.w, self.p, self.horizon = pool, w, p, pool.shape[0]
         self.centre = centre if centre is not None and centre.any() else None
-        self.sup = float(_lp_norms(pool, w, p, self.centre).max())
+        self.nodes = nodes
+        self.sup = float(_lp_norms(pool, w, p, self.centre, nodes).max())
         self.factor = max(1.0, self.sup)
         # One row each for s_k, for the member last read, and a scratch row for
         # phi_w and other temporaries (a scan may use it between picks): on large
         # grids a fresh temporary each time costs several times the arithmetic.
-        self.s, self.scratch, self._row = np.zeros((3,) + pool.shape[1:])
+        n = pool.shape[2] if nodes is None else nodes.size
+        self.s, self.scratch, self._row = np.zeros((3, pool.shape[1], n))
         self._held = None
         self.indices, self.pairings, self.partials, self.cesaro = [], [], [], []
 
     def member(self, i: int) -> np.ndarray:
         """Member i as read by the walk; the pool's own row when reading changes nothing."""
-        if self.centre is None and self.factor == 1.0:
+        if self.nodes is None and self.centre is None and self.factor == 1.0:
             return self.pool[i - 1]
         if self._held != i:
-            if self.centre is None:
-                np.divide(self.pool[i - 1], self.factor, out=self._row)
-            else:
-                np.subtract(self.pool[i - 1], self.centre, out=self._row)
-                if self.factor != 1.0:
-                    self._row /= self.factor
+            row = self.pool[i - 1]
+            if self.nodes is not None:
+                row = _gather(row, self.nodes, self._row)
+            if self.centre is not None:
+                row = np.subtract(row, self.centre, out=self._row)
+            if self.factor != 1.0:
+                np.divide(row, self.factor, out=self._row)
             self._held = i
         return self._row
 
@@ -550,10 +557,14 @@ def _szlenk_trial(w: np.ndarray, s: np.ndarray, u: np.ndarray, k: int, out: np.n
 
 
 def _szlenk_select(
-    pool: np.ndarray, w: np.ndarray, levels: int, centre: np.ndarray | None = None
+    pool: np.ndarray,
+    w: np.ndarray,
+    levels: int,
+    centre: np.ndarray | None = None,
+    nodes: np.ndarray | None = None,
 ) -> tuple[SzlenkSchedule, ExtractionTrace]:
-    """Level/diagonal selection over a (horizon, m, N) member pool."""
-    walk = _CesaroWalk(pool, w, 1.0, centre)
+    """Level/diagonal selection over a (horizon, m, N) member pool, read at nodes if given."""
+    walk = _CesaroWalk(pool, w, 1.0, centre, nodes)
     horizon = walk.horizon
 
     # While a level keeps every candidate, its sum before candidate j is the

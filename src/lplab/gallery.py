@@ -142,8 +142,12 @@ class ProbeReport:
 
 def _dyadic_sign(x: np.ndarray, level: int) -> np.ndarray:
     # Parity of floor(2^level * x); ldexp is an exact power-of-two scaling.
+    # The integer y is even exactly when floor(y / 2) * 2 gives y back, every
+    # step exact, and this costs a fraction of the float remainder y % 2.
     y = np.floor(np.ldexp(x, level))
-    return np.where(y % 2 == 0, 1.0, -1.0)
+    half = np.floor(np.ldexp(y, -1))
+    half *= 2.0
+    return np.where(half == y, 1.0, -1.0)
 
 
 def _max_dyadic_level(n1: int, length: float) -> int:
@@ -281,13 +285,16 @@ def _row_writer(spec: SequenceSpec, grid: QuadratureGrid, indices: range):
 
         def write(i: int, out: np.ndarray) -> None:
             check(i)
-            # The product of the mask's level sign rows, lowest level first.
+            # The amplitude times the mask's level sign rows, lowest level
+            # first.  Every factor is +-1, so each product is exact and the
+            # row is +-amplitude whatever the order, signed zeros included.
             mask = masks[i - 1]
-            out.fill(1.0)
-            for level in range(1, mask.bit_length() + 1):
-                if mask >> (level - 1) & 1:
-                    out *= signs[level]
-            out *= spec.amplitude
+            first, *rest = [
+                level for level in range(1, mask.bit_length() + 1) if mask >> (level - 1) & 1
+            ]
+            np.multiply(signs[first], spec.amplitude, out=out)
+            for level in rest:
+                out *= signs[level]
 
     elif spec.kind == SPIKE:
         def write(i: int, out: np.ndarray) -> None:

@@ -55,31 +55,48 @@ def _abs_power(x: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lp_norms(rows: np.ndarray, w: np.ndarray, p: float, centre=None) -> np.ndarray:
+def _gather(rows: np.ndarray, nodes: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """rows at the listed nodes (the last axis), written into out.
+
+    In numpy's default "raise" mode take writes through a hidden temporary
+    the size of out; the nodes are valid indices, so "clip" changes no value.
+    """
+    return np.take(rows, nodes, axis=-1, out=out, mode="clip")
+
+
+def _lp_norms(
+    rows: np.ndarray, w: np.ndarray, p: float, centre=None, nodes=None
+) -> np.ndarray:
     """Product L^p norm (sum_j integral |u_i^(j)|^p)^(1/p) of each row of a (k, m, N) stack.
 
-    With a centre of shape (m, N), each row is read as u_i - centre.
-    Computed in a two-row scratch block instead of a stack-sized temporary.
+    With a node list, each row is read at those nodes only, and w and the
+    centre hold one entry per listed node.  With a centre of shape (m, n),
+    each row is read as u_i - centre.
+    Computed in a two-row scratch block instead of a stack-sized temporary,
+    and a pair read at a node list is gathered straight into that block.
     numpy's einsum sums a lone row in another order than a stack of rows, so
     blocks of two keep every norm bitwise equal to one contraction over the
     whole stack; an odd last row shares its block with the row before it.  A
     row whose sum of p-th powers overflows, or underflows while the row is
     nonzero, is recomputed as s * (sum w |u/s|^p)^(1/p) with s = max |u|.
     """
-    count = rows.shape[0]
+    count, m = rows.shape[:2]
     size = min(2, count)
-    block = np.empty((size,) + rows.shape[1:])
+    block = np.empty((size, m, rows.shape[2] if nodes is None else nodes.size))
     sums = np.empty(count)
     for start in range(0, count, 2):
         first = min(start, count - size)
         pair = slice(first, first + size)
-        read = rows[pair] if centre is None else np.subtract(rows[pair], centre, out=block)
+        read = rows[pair] if nodes is None else _gather(rows[pair], nodes, block)
+        if centre is not None:
+            read = np.subtract(read, centre, out=block)
         with np.errstate(over="ignore"):  # an overflowed row is recomputed below
             _abs_power(read, p, block)
         sums[pair] = np.einsum("n,ijn->i", w, block)
     norms = sums ** (1.0 / p)
     for i in np.flatnonzero(~(np.isfinite(sums) & (sums >= np.finfo(float).tiny))):
-        row = np.abs(rows[i] if centre is None else rows[i] - centre)
+        row = rows[i] if nodes is None else rows[i][:, nodes]
+        row = np.abs(row if centre is None else row - centre)
         scale = float(row.max())
         if scale > 0.0:
             scaled = row / scale

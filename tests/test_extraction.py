@@ -37,6 +37,7 @@ from lplab import (
 )
 from lplab import convexity, extraction, gallery
 from lplab.extraction import _banach_saks_select
+from lplab.norms import _lp_norms
 
 
 @pytest.fixture(scope="module")
@@ -642,6 +643,43 @@ def test_oracle_examples_reach_every_path_of_the_level_scan():
         for above, below in zip(level_lists, level_lists[1:]):
             partial_reuse |= 0 < len(below) < len(above) and below[0] == above[0]
     assert partial_reuse and stalled
+
+
+@pytest.mark.parametrize("horizon", [33, 48])
+@pytest.mark.parametrize("amplitude", [1.0, 2.0])
+@pytest.mark.parametrize("centred", [False, True])
+@pytest.mark.parametrize("m", [1, 2])
+def test_reads_at_a_node_list_are_bitwise_reads_of_the_gathered_pool(
+    m, centred, amplitude, horizon
+):
+    # A region's members are gathered row by row on read; every norm, pick and
+    # trace must be that of the same call on the region's copy of the pool.
+    # Past 8192 nodes einsum's summation order depends on the layout it reads.
+    grid = build_uniform_grid([[0.0, 1.0]], 32768)
+    x = grid.nodes[:, 0]
+    kinds = ["rademacher", "oscillatory"][:m]
+    seq = VectorSequenceSpec([SequenceSpec(kind=k, amplitude=amplitude) for k in kinds])
+    pool = gallery.member_pool(seq, grid, horizon)
+    nodes = np.flatnonzero((x < 0.3) | (x > 0.6))
+    w = grid.weights[nodes]
+    centre = np.zeros((m, nodes.size))
+    if centred:
+        centre += 0.3 * np.cos(2.0 * np.pi * x[nodes])
+    gathered = np.take(pool, nodes, axis=2)
+    for p in (1.0, 1.5, 2.0):
+        for c in (None, centre):
+            got = _lp_norms(pool, w, p, c, nodes)
+            assert _bits(got) == _bits(_lp_norms(gathered, w, p, c)), (p, c is None)
+    factor = extraction._CesaroWalk(pool, w, 1.0, centre, nodes).factor
+    assert factor == extraction._CesaroWalk(gathered, w, 1.0, centre).factor
+    assert (factor > 1.0) == (m == 2 or amplitude == 2.0)
+    expected = _select_or_stall(extraction._szlenk_select, gathered, w, 3, centre)
+    assert expected[0] == "selected"
+
+    def select_at_nodes(*args):
+        return extraction._szlenk_select(*args, nodes)
+
+    assert _select_or_stall(select_at_nodes, pool, w, 3, centre) == expected
 
 
 def test_levels_that_keep_every_member_compute_each_trial_once(monkeypatch):

@@ -17,6 +17,7 @@ from lplab import (
     weak_probe,
     weak_star_probe,
 )
+from lplab import gallery
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +87,46 @@ def test_dyadic_signs_match_sine_formula(grid):
         f = generate(spec, i, grid)
         expected = np.sign(np.sin(2.0 ** i * np.pi * grid.nodes[:, 0]))
         assert np.array_equal(f.samples, expected)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def _dyadic_sign_by_remainder(x, level):
+    y = np.floor(np.ldexp(x, level))
+    return np.where(y % 2 == 0, 1.0, -1.0)
+
+
+def test_dyadic_parity_equals_the_float_remainder():
+    rng = np.random.default_rng(20261019)
+    x = rng.uniform(-1e3, 1e3, 4096)
+    x[:4] = [0.0, -0.0, 1e3, -1e3]
+    nodes = build_uniform_grid([[0.0, 1.0], [0.0, 1.0]], [256, 256]).nodes[:, 0]
+    for samples in (x, nodes):
+        for level in range(61):
+            got = gallery._dyadic_sign(samples, level)
+            assert np.array_equal(_bits(got), _bits(_dyadic_sign_by_remainder(samples, level)))
+
+
+@pytest.mark.parametrize("amplitude", [1.0, -1.0, 0.75, -2.5e-300, 0.0, -0.0])
+def test_rademacher_rows_are_bitwise_the_fill_then_multiply_writer(amplitude):
+    # The writer this one replaced: a row of ones, each level's signs multiplied
+    # in, lowest level first, then the amplitude.
+    grid2 = build_uniform_grid([[0.0, 1.0], [0.0, 1.0]], [256, 4])
+    x1 = grid2.nodes[:, 0]
+    max_level = gallery._max_dyadic_level(256, 1.0)
+    masks = gallery._walsh_masks(63, max_level)
+    spec = SequenceSpec(kind="rademacher", amplitude=amplitude)
+    pool = gallery.member_pool(VectorSequenceSpec([spec]), grid2, 63)
+    for i in range(1, 64):
+        expected = np.ones(grid2.node_count)
+        for level in range(1, masks[i - 1].bit_length() + 1):
+            if masks[i - 1] >> (level - 1) & 1:
+                expected *= _dyadic_sign_by_remainder(x1, level)
+        expected *= amplitude
+        assert np.array_equal(_bits(pool[i - 1, 0]), _bits(expected)), i
+        assert np.array_equal(_bits(generate(spec, i, grid2).samples), _bits(expected)), i
 
 
 def test_dyadic_family_is_orthonormal(grid):

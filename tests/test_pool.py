@@ -690,15 +690,38 @@ def test_replay_centres_members_on_read_without_a_pool_sized_copy(m, p, region):
     mask = RegionMask.full(grid)
     if region == "ball":
         mask = truncate_region(mask, 0.6)
-    members = np.compress(mask.included, pool, axis=2)
+    nodes = None if mask.included.all() else np.flatnonzero(mask.included)
     tracemalloc.start()
     try:
-        trace = convexity._replay_trace(pool, members, limit, mask, p, 3)
+        trace = convexity._replay_trace(pool, nodes, limit, mask, p, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert trace is not None
     assert peak < 0.5 * pool.nbytes
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_liminf_on_a_half_grid_region_reads_rows_without_a_region_copy(m):
+    # A copy of the pool at the region's nodes would be 0.5 x the pool; the
+    # scratch rows of the replay and of the integral loop are a few rows each.
+    grid = build_uniform_grid([[0.0, 1.0]], 4096)
+    seq = VectorSequenceSpec(
+        [SequenceSpec(kind=kind) for kind in ["rademacher", "oscillatory"][:m]]
+    )
+    limit = VectorField([ScalarField(grid, np.zeros(grid.node_count)) for _ in range(m)])
+    f = ConvexFunctionSpec(kind="squared_norm")
+    K = ConvexSetSpec(kind="box", bounds=[[-1.0, 1.0]])
+    region = RegionMask(grid, grid.nodes[:, 0] < 0.5)
+    pool = member_pool(seq, grid, 64)
+    tracemalloc.start()
+    try:
+        report = convexity._verify_on_region(pool, limit, f, K, region, None, 1.0, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.replay is not None and len(report.replay.indices) >= 8
+    assert peak < 0.25 * pool.nbytes
 
 
 @pytest.mark.parametrize("radius", [None, 2.0])
