@@ -47,10 +47,18 @@ from .gallery import (
     _loglog_slope,
     _probed_pool,
     _shared_selection,
+    _zero_curve,
     default_probe_dictionary,
 )
-from .grid import RegionMask, VectorField, _weighted_sum, truncate_region
-from .norms import INFINITY, _check_exponent, _gather
+from .grid import (
+    RegionMask,
+    VectorField,
+    _require_shared_grid,
+    _rounding_budget,
+    _weighted_sum,
+    truncate_region,
+)
+from .norms import INFINITY, _check_exponent, _gather, _lp_norms
 
 __all__ = [
     "SQUARED_NORM",
@@ -83,9 +91,10 @@ BOX = "box"
 BALL = "ball"
 HALFSPACES = "halfspaces"
 
-_MEMBERSHIP_TOL = 1e-12
-_JENSEN_TOL = 1e-12
-_PASS_TOL = 1e-6  # relative tolerance of the final liminf margin
+# Finite-horizon slack of the final liminf margin, relative to the integrals
+# it compares: a tail infimum over a finite horizon only approximates the
+# liminf.  Every other cutoff here is a rounding budget (grid._rounding_budget).
+_PASS_TOL = 1e-6
 
 # Held while a custom evaluator runs.  weak_star_verify evaluates f on two
 # threads, and a user's evaluator may keep state or be shared by several
@@ -141,13 +150,10 @@ class ConvexFunctionSpec:
     @classmethod
     def from_config(cls, raw: dict) -> "ConvexFunctionSpec":
         params = dict(raw.get("params") or {})
-        planes = params.get("planes")
-        if planes is not None:
-            planes = [(np.asarray(a, dtype=float), float(b)) for a, b in planes]
         return cls(
             kind=str(raw["kind"]).lower(),
             power=float(params.get("power", 2.0)),
-            planes=planes,
+            planes=params.get("planes"),
             nonnegative=bool(raw.get("nonnegative", True)),
         )
 
@@ -180,18 +186,34 @@ class ConvexSetSpec:
             ]
 
     def contains(self, points: np.ndarray) -> np.ndarray:
+        """Membership of each point in K, up to the rounding of the point and the test.
+
+        Each comparison is exact first.  Only if one fails is it repeated with
+        the slack gamma_(m+2) times K's own scale: the bounds of a box, the
+        radius plus the centre of a ball, |a|.|x| for a halfspace a.x <= b.
+        """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.kind == WHOLE_SPACE:
             return np.ones(points.shape[0], dtype=bool)
+
+        def at_most(value, bound, scale):
+            ok = value <= bound
+            if ok.all():
+                return ok
+            return value <= bound + _rounding_budget(points.shape[1] + 2, scale())
+
         if self.kind == BOX:
-            lo = self.bounds[:, 0] - _MEMBERSHIP_TOL
-            hi = self.bounds[:, 1] + _MEMBERSHIP_TOL
-            return np.all((points >= lo) & (points <= hi), axis=1)
+            def extent():
+                return np.abs(self.bounds).max(axis=1)
+
+            lo, hi = self.bounds[:, 0], self.bounds[:, 1]
+            return np.all(at_most(lo, points, extent) & at_most(points, hi, extent), axis=1)
         if self.kind == BALL:
-            return np.linalg.norm(points - self.center, axis=1) <= self.radius + _MEMBERSHIP_TOL
+            distance = np.linalg.norm(points - self.center, axis=1)
+            return at_most(distance, self.radius, lambda: self.radius + np.abs(self.center).max())
         ok = np.ones(points.shape[0], dtype=bool)
         for a, b in self.halfspaces:
-            ok &= points @ a <= b + _MEMBERSHIP_TOL
+            ok &= at_most(points @ a, b, lambda: np.abs(points) @ np.abs(a))
         return ok
 
     @classmethod
@@ -221,11 +243,6 @@ def _check_membership(points: np.ndarray, K: ConvexSetSpec, region: RegionMask, 
         )
 
 
-def _require_region_grid(u: VectorField, region: RegionMask) -> None:
-    if region.grid is not u.grid:
-        raise InvalidArgumentError("field and region live on different grids")
-
-
 def _composite_values(
     f: ConvexFunctionSpec,
     points: np.ndarray,
@@ -253,7 +270,7 @@ def evaluate_composite(
     violation names the offending node.
     """
     region = region if region is not None else RegionMask.full(u.grid)
-    _require_region_grid(u, region)
+    _require_shared_grid(u, region)
     points = u.matrix().T[region.included]
     values = _composite_values(f, points, region, K, "composite integrand")
     return _weighted_sum(region.grid.weights[region.included], values)
@@ -278,7 +295,12 @@ def jensen_check(f: ConvexFunctionSpec, points, K: ConvexSetSpec | None = None) 
 
 @dataclass
 class CesaroReplay:
-    """Proof-chain replay along an extracted subsequence."""
+    """Proof-chain replay along an extracted subsequence.
+
+    ``jensen_slack[k]`` and ``fatou_slack`` are the rounding budgets a
+    negative margin is held to; each is zero where its margin is not
+    negative, since it is computed only for a negative one.
+    """
 
     indices: list
     cesaro_norms: np.ndarray
@@ -286,13 +308,13 @@ class CesaroReplay:
     converged: bool
     jensen_margins: np.ndarray
     fatou_margin: float | None
+    jensen_slack: np.ndarray | float = 0.0
+    fatou_slack: float = 0.0
 
     def ok(self) -> bool:
-        checks = [self.converged]
-        if self.jensen_margins.size:
-            checks.append(bool(self.jensen_margins.min() >= -_JENSEN_TOL))
+        checks = [self.converged, bool(np.all(self.jensen_margins >= -self.jensen_slack))]
         if self.fatou_margin is not None:
-            checks.append(self.fatou_margin >= -_JENSEN_TOL)
+            checks.append(self.fatou_margin >= -self.fatou_slack)
         return all(checks)
 
 
@@ -375,7 +397,10 @@ def _admissible_values(
         raise PreconditionViolationError(
             f"values-in-K hypothesis failed: {err}", hypothesis="values in K"
         ) from err
-    if f.nonnegative and values.min() < -_MEMBERSHIP_TOL:
+    # f may dip below zero by the rounding of its largest value, no further.
+    if f.nonnegative and values.min() < 0.0 and values.min() < -_rounding_budget(
+        points.shape[1] + 2, float(np.abs(values).max())
+    ):
         raise PreconditionViolationError(
             f"nonnegativity hypothesis failed: f reaches {values.min()} on {where}",
             hypothesis="nonnegativity of f",
@@ -414,9 +439,11 @@ def _verify_on_region(
             raise InvalidArgumentError(f"the integral of f over {where} is {value}, not finite")
         return values, value
 
-    _, limit_integral = integrate(limit.matrix().T[inc], "the limit field")
+    centre = limit.matrix()
+    _, limit_integral = integrate(centre.T[inc], "the limit field")
     picks = list(trace.indices) if trace is not None else []
     jensen_margins = np.empty(len(picks))
+    jensen_slack = np.zeros(len(picks))
     tail_start = len(picks) // 2
     tail_min_field = None
     tail_integral_min = math.inf
@@ -442,6 +469,10 @@ def _verify_on_region(
             mean += np.divide(x, k, out=step)
         f_mean = f(mean_points)
         jensen_margins[k - 1] = float((mean_f - f_mean).min())
+        if jensen_margins[k - 1] < 0.0:
+            # Both means take 4 roundings per update, and |w|^2 of a mean
+            # doubles its error and adds m: within gamma_(12k+m) of mean f.
+            jensen_slack[k - 1] = _rounding_budget(12 * k + m, float(mean_f.max()))
         if k > tail_start:
             tail_integral_min = min(tail_integral_min, _weighted_sum(weights, f_mean))
             if tail_min_field is None:
@@ -451,21 +482,32 @@ def _verify_on_region(
 
     tail_infimum = np.minimum.accumulate(alphas[::-1])[::-1]
     margin = float(alphas[horizon // 2 :].min() - limit_integral)
-    passed = margin >= -_PASS_TOL * (1.0 + abs(limit_integral))
+    passed = margin >= 0.0 or margin >= -_PASS_TOL * max(
+        abs(limit_integral), float(alphas.max())
+    )
     chain = None
     if trace is not None:
         values = trace.cesaro_norms
-        if float(values.max()) <= 1e-12:
+        scale = trace.member_norm_sup
+        if centre.any():  # the members were read as u_i - u
+            scale += 2.0 * _lp_norms(centre[None], limit.grid.weights, p)[0] / trace.normalization
+        if _zero_curve(values, scale):
             slope, converged = None, True
         else:
             slope = _loglog_slope(np.arange(1, values.size + 1, dtype=float), values)
             if slope is None:
                 slope = 0.0
             converged = slope < -0.05
-        fatou_margin = 0.0
+        fatou_margin, fatou_slack = 0.0, 0.0
         if tail_min_field is not None:
             fatou_margin = tail_integral_min - _weighted_sum(weights, tail_min_field)
-        chain = CesaroReplay(picks, values, slope, converged, jensen_margins, fatou_margin)
+            if fatou_margin < 0.0:
+                # Two sums of n nonnegative terms, neither above tail_integral_min.
+                fatou_slack = _rounding_budget(2 * n + 2, tail_integral_min)
+        chain = CesaroReplay(
+            picks, values, slope, converged, jensen_margins, fatou_margin,
+            jensen_slack, fatou_slack,
+        )
     elif p is not None:
         chain = CesaroReplay([], np.zeros(0), None, False, np.zeros(0), None)
     if chain is not None:
@@ -549,7 +591,7 @@ def _converging_pool(
     region must hold a node.  The probe reads weak convergence for finite p and
     weak* convergence for p = infinity.
     """
-    _require_region_grid(limit, region)
+    _require_shared_grid(limit, region)
     _check_dimensions(f, K, limit.m)
     _check_region_nodes(region)
     if dictionary is None:
@@ -635,8 +677,10 @@ def weak_star_verify(
 
     _halves([int(t.included.sum()) for t in truncations], verify)
     limit_integrals = [report.limit_integral for report in reports]
+    # Each integral sums at most N terms w f, f rounded m + 1 times.
+    n = limit.grid.node_count + limit.m + 2
     monotone = all(
-        b >= a - 1e-12 * (1.0 + abs(a))
+        b >= a or b >= a - _rounding_budget(n, abs(a) + abs(b))
         for a, b in zip(limit_integrals, limit_integrals[1:])
     )
     if not monotone:

@@ -31,7 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, InvalidArgumentError, PoolBudgetError
-from .grid import QuadratureGrid, ScalarField, VectorField, _require_finite
+from .grid import (
+    QuadratureGrid,
+    ScalarField,
+    VectorField,
+    _require_finite,
+    _rounding_budget,
+    _weighted_sum,
+)
 from .norms import INFINITY, _check_exponent
 
 __all__ = [
@@ -69,7 +76,6 @@ INCONCLUSIVE = "inconclusive"
 # a flat curve bounded below by the same floor reads "not-converging".
 _DECAY_FACTOR = 1e-2
 _FLAT_SLOPE = -0.05
-_ZERO_RESIDUAL = 1e-12
 
 # Largest member pool, in bytes, that member_pool allocates.  A larger pool is
 # refused before anything is allocated, never chunked: every stage reads the
@@ -500,13 +506,30 @@ def _loglog_slope(ks: np.ndarray, values: np.ndarray) -> float | None:
     return float(np.polyfit(np.log(ks[pos]), np.log(values[pos]), 1)[0])
 
 
-def _classify(residuals: np.ndarray, slope: float) -> str:
-    if residuals.max() <= _ZERO_RESIDUAL:
-        return CONVERGING
+def _zero_curve(values: np.ndarray, scale: float) -> bool:
+    """Whether a Cesaro curve ||s_k / k|| is zero up to rounding.
+
+    scale bounds the norms of the members the curve averages, plus twice the
+    norm of a centre they were read against.  Each s_k / k is then within
+    gamma_(k+2) scale of its exact value, so a curve that is exactly zero
+    reads at most the budget of its last k: an all-zero pool reads zero, and
+    a pool of tiny members fits its slope.
+    """
+    return float(values.max()) <= _rounding_budget(values.size + 2, scale)
+
+
+def _classify(residuals: np.ndarray, slope: float, zero_floor) -> str:
+    """Verdict of a probe's residual curve from its shape.
+
+    A curve whose shape does not read ``converging`` still does when every
+    residual is rounding noise, at most zero_floor(); it is called only then.
+    """
     first_pos = int(np.argmax(residuals > 0.0))
     initial = residuals[first_pos]
     final = residuals[-1]
     if slope < 0.0 and final < _DECAY_FACTOR * initial:
+        return CONVERGING
+    if residuals.max() <= zero_floor():
         return CONVERGING
     tail_floor = residuals[residuals.size // 2 :].min()
     if slope >= _FLAT_SLOPE and tail_floor >= _DECAY_FACTOR * initial:
@@ -571,13 +594,22 @@ def _probed_pool(
 
     pool = member_pool(seq, grid, horizon)
 
+    def zero_floor() -> float:
+        # A pairing sums N terms w v (u - l), each rounded three times, with
+        # |u - l| <= S and sum w |v| <= V.
+        size = max(pool.max(), -pool.min()) + max(
+            max(lim.samples.max(), -lim.samples.min()) for lim in limit.components
+        )
+        reach = max(_weighted_sum(grid.weights, np.abs(v.samples)) for v in dictionary)
+        return _rounding_budget(grid.node_count + 3, float(size) * reach)
+
     def probe() -> ProbeReport:
         weighted = np.stack([v.samples for v in dictionary]) * grid.weights
         residuals = np.abs(_probe_pairings(pool, limit, weighted)).max(axis=(0, 2))
         slope = _loglog_slope(np.arange(1, horizon + 1, dtype=float), residuals)
         if slope is None:
             slope = 0.0
-        verdict = _classify(residuals, slope)
+        verdict = _classify(residuals, slope, zero_floor)
         return ProbeReport(np.arange(1, horizon + 1), residuals, verdict, slope)
 
     # The residuals do not depend on p, which only names the dual space.
@@ -598,6 +630,12 @@ def weak_probe(
     fitted slope is negative and the final residual has dropped below 1e-2 of
     the initial one, ``not-converging`` when the curve is flat and bounded
     away from zero over the last half of the horizon, else ``inconclusive``.
+    A curve of rounding noise reads ``converging`` too: the zero floor is
+    gamma_(N+3) S V, the rounding budget of one pairing on N nodes, with S =
+    max |u_i| + max |u| over the members and the limit and V the largest
+    sum_n w_n |v_n| over the dictionary.  It scales with the data, so the
+    verdict of lambda u_i is the verdict of u_i, and it is computed only for
+    a curve whose shape does not already read ``converging``.
     The pairings are split by member over up to two threads and call no
     BLAS, so the residuals are the same bits on one CPU or two and under any
     BLAS thread count.

@@ -281,6 +281,24 @@ def _weighted_sum(w: np.ndarray, v: np.ndarray) -> float:
     return float(np.add.reduce(w * v))
 
 
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+
+
+def _rounding_budget(n: int, scale):
+    """gamma_n * scale, with gamma_n = n u / (1 - n u) and u the unit roundoff.
+
+    A sum of n terms whose absolute values add up to at most scale, summed
+    in any order, is within this of its exact value (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., section 3.1); n also counts
+    the roundings that made each term.  Every verdict that asks "is this
+    difference rounding noise?" compares it with this budget, computed from
+    the data it compares, so the verdict is the same for lambda times that
+    data.  scale may be an array.
+    """
+    nu = n * _UNIT_ROUNDOFF
+    return nu / (1.0 - nu) * scale
+
+
 def integrate(f: ScalarField, region: RegionMask | None = None) -> float:
     """Weighted sum of the samples over the included nodes. Linear in f."""
     inc = _require_shared_grid(f, region)

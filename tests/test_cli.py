@@ -299,7 +299,7 @@ def test_cli_verify_lemma1_json_export(tmp_path):
     out = tmp_path / "constants.json"
     rc = main([
         "verify-lemma1", "--p", "2", "3",
-        "--homogeneity-samples", "0", "--json", str(out),
+        "--homogeneity-samples", "1", "--json", str(out),
     ])
     assert rc == 0
     consts = json.loads(out.read_text())
@@ -385,8 +385,32 @@ def test_cli_internal_error_exits_3_without_traceback(tmp_path, monkeypatch, cap
 
 
 def test_cli_verify_lemma1_refused_exponent_exits_2(capsys):
-    assert main(["verify-lemma1", "--p", "0.5", "--homogeneity-samples", "0"]) == 2
+    assert main(["verify-lemma1", "--p", "0.5", "--homogeneity-samples", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+_LEMMA1_REFUSALS = [
+    (["--ab-step", "0"], "--ab-step"),
+    (["--ab-step", "-0.05"], "--ab-step"),
+    (["--ab-range", "-1"], "--ab-range"),
+    (["--ab-range", "0"], "--ab-range"),
+    (["--ab-range", "nan"], "--ab-range"),
+    (["--range", "nan"], "--range"),
+    (["--step", "nan"], "--step"),
+    (["--homogeneity-samples", "0"], "--homogeneity-samples"),
+    (["--homogeneity-samples", "-1"], "--homogeneity-samples"),
+    (["--ab-range", "1", "--ab-step", "10"], "single point"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, flag", _LEMMA1_REFUSALS, ids=[" ".join(args) for args, _ in _LEMMA1_REFUSALS]
+)
+def test_cli_verify_lemma1_refuses_an_empty_or_undefined_check(args, flag, capsys):
+    # Each ran into an internal error (exit 3) or passed on no margin (exit 0).
+    assert main(["verify-lemma1", "--p", "2", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
 
 
 def test_cli_suite_phase_library_error_exits_2(tmp_path, monkeypatch, capsys):

@@ -126,6 +126,20 @@ def test_membership_midpoint_convexity():
         assert K.contains(mids).all()
 
 
+@pytest.mark.parametrize("lam", [1e-150, 1e-13, 1.0, 1e100])
+@pytest.mark.parametrize("kind", ["box", "ball", "halfspaces"])
+def test_membership_slack_scales_with_K(kind, lam):
+    # K scaled by lam: a point one ulp past the boundary is rounding and
+    # belongs; a point twice as far out as the boundary never does.
+    K = {
+        "box": ConvexSetSpec(kind="box", bounds=[[-lam, lam], [-lam, lam]]),
+        "ball": ConvexSetSpec(kind="ball", center=[0.0, 0.0], radius=lam),
+        "halfspaces": ConvexSetSpec(kind="halfspaces", halfspaces=[([1.0, 1.0], lam)]),
+    }[kind]
+    assert K.contains([[np.nextafter(lam, np.inf), 0.0]]).all()
+    assert not K.contains([[2.0 * lam, 0.0]]).any()
+
+
 def test_liminf_constant_sequence_margin_zero(grid):
     seq = VectorSequenceSpec([SequenceSpec(kind="constant", value=2.0)])
     limit = VectorField([ScalarField.constant(grid, 2.0)])

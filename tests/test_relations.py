@@ -1,0 +1,144 @@
+"""Metamorphic relations of the bundled scenarios.
+
+The paper's statements are homogeneous: if u_i converges weakly to u, then
+lambda u_i converges weakly to lambda u, and the liminf inequality for a
+degree-d integrand holds for lambda u_i exactly when it holds for u_i.  So
+every verdict of a scenario must be the same after every amplitude, and the
+convex set K, is multiplied by lambda.  Negating the sequence, with a
+symmetric f and K, must leave every output unchanged.
+"""
+
+import copy
+import json
+import re
+
+import numpy as np
+import pytest
+
+from lplab import (
+    ScalarField,
+    SequenceSpec,
+    VectorSequenceSpec,
+    build_uniform_grid,
+    cli,
+    generate_vector,
+)
+from lplab.gallery import CONVERGING, _loglog_slope, weak_probe
+
+_SCENARIOS = {
+    entry.name.split("-")[0]: json.loads(entry.read_text()) for entry in cli._bundled_scenarios()
+}
+_LAMBDAS = (1e-150, 1e-13, 1e-6, 1e3, 1e100)
+
+
+def _scaled(raw: dict, lam: float) -> dict:
+    """raw with every amplitude and K scaled by lam, and the tail window by lam^(deg f)."""
+    raw = copy.deepcopy(raw)
+    for comp in raw["sequence"] + raw["limit"]:
+        comp["amplitude"] = lam * comp.get("amplitude", 1.0)
+    f = raw.get("f")
+    if f is None:
+        return raw
+    K = f.get("K", {"kind": "whole_space"})
+    params = K.setdefault("params", {})
+    if K["kind"] == "box":
+        params["bounds"] = [[lam * lo, lam * hi] for lo, hi in params["bounds"]]
+    elif K["kind"] == "ball":
+        params["center"] = [lam * c for c in params.get("center", [0.0])]
+        params["radius"] = lam * params.get("radius", 1.0)
+    elif K["kind"] == "halfspaces":
+        params["halfspaces"] = [[a, lam * b] for a, b in params["halfspaces"]]
+    window = raw.get("expect", {}).get("tail_inf_range")
+    if window is not None:
+        degree = {"squared_norm": 2.0, "power": f.get("params", {}).get("power", 2.0)}[f["kind"]]
+        raw["expect"]["tail_inf_range"] = [lam ** degree * x for x in window]
+    return raw
+
+
+def _outcome(raw: dict, out) -> tuple[dict, float | None]:
+    """Phase statuses, probe verdict and refusal hypothesis of one run, and its Cesaro slope.
+
+    The slope is refitted from the trace's full-precision column, and is None
+    when the run fitted none.
+    """
+    manifest = cli.run_scenario(cli.build_config(raw), output_dir=out)
+    details = {phase["name"]: phase["detail"] for phase in manifest.phases}
+    refusal = re.match(r"refused(?: as expected)?: (.*?) hypothesis failed", details.get("liminf", ""))
+    outcome = {
+        "statuses": [(phase["name"], phase["status"]) for phase in manifest.phases],
+        "verdict": re.search(r"verdict=(\S+)", details["probe"]).group(1),
+        "hypothesis": refusal.group(1) if refusal else None,
+    }
+    slope = None
+    if details.get("cesaro", "").startswith("slope="):
+        lines = (out / f"{raw['name']}.trace.csv").read_text().splitlines()
+        column = lines[0].split(",").index("cesaro_norm")
+        values = np.array([float(line.split(",")[column]) for line in lines[1:]])
+        slope = _loglog_slope(np.arange(1, values.size + 1, dtype=float), values)
+    return outcome, slope
+
+
+@pytest.fixture(scope="module")
+def unscaled(tmp_path_factory):
+    """run(key): output directory, outcome and slope of a bundled scenario, run once."""
+    runs = {}
+
+    def run(key: str):
+        if key not in runs:
+            out = tmp_path_factory.mktemp(key)
+            runs[key] = (out, *_outcome(_SCENARIOS[key], out))
+        return runs[key]
+
+    return run
+
+
+@pytest.mark.parametrize("key", sorted(_SCENARIOS))
+def test_every_verdict_is_invariant_under_scaling(key, unscaled, tmp_path):
+    raw = _SCENARIOS[key]
+    _, expected, expected_slope = unscaled(key)
+    for lam in _LAMBDAS:
+        outcome, slope = _outcome(_scaled(raw, lam), tmp_path / f"{lam:g}")
+        assert outcome == expected, f"lambda = {lam:g}"
+        if expected_slope is not None:
+            assert slope == pytest.approx(expected_slope, rel=0.0, abs=1e-9), f"lambda = {lam:g}"
+
+
+def test_values_outside_a_scaled_box_are_refused_at_every_scale(tmp_path):
+    # a6 at amplitude 2 leaves K = [-1, 1]; scaled together, lambda K never
+    # holds the members of amplitude 2 lambda.
+    raw = copy.deepcopy(_SCENARIOS["a6"])
+    raw["sequence"][0]["amplitude"] = 2.0
+    for lam in (1.0,) + _LAMBDAS:
+        outcome, _ = _outcome(_scaled(raw, lam), tmp_path / f"{lam:g}")
+        assert outcome["hypothesis"] == "values-in-K", f"lambda = {lam:g}"
+        assert ("liminf", "fail") in outcome["statuses"], f"lambda = {lam:g}"
+
+
+@pytest.mark.parametrize("base", [1.0, 2.0])
+def test_a_large_sine_reads_as_a_unit_sine(base):
+    grid = build_uniform_grid([[0.0, 1.0]], 256)
+    limit = generate_vector(
+        VectorSequenceSpec([SequenceSpec(kind="constant", amplitude=0.0)]), 1, grid
+    )
+    dictionary = [ScalarField.constant(grid, 1.0)]
+    verdicts = [
+        weak_probe(
+            VectorSequenceSpec([SequenceSpec(kind="oscillatory", amplitude=amplitude, base=base)]),
+            limit, 2.0, dictionary, 16,
+        ).verdict
+        for amplitude in (1.0, 1e50)
+    ]
+    assert verdicts == [CONVERGING, CONVERGING]
+
+
+@pytest.mark.parametrize("key", sorted(_SCENARIOS))
+def test_every_csv_is_invariant_under_a_sign_flip(key, unscaled, tmp_path):
+    flipped = copy.deepcopy(_SCENARIOS[key])
+    for comp in flipped["sequence"]:
+        comp["amplitude"] = -comp.get("amplitude", 1.0)
+    cli.run_scenario(cli.build_config(flipped), output_dir=tmp_path)
+    plus = unscaled(key)[0]
+    csvs = sorted(path.name for path in plus.glob("*.csv"))
+    assert csvs
+    for name in csvs:
+        assert (tmp_path / name).read_bytes() == (plus / name).read_bytes()
