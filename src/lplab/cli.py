@@ -51,6 +51,8 @@ from .errors import (
     PreconditionViolationError,
 )
 from .extraction import (
+    _SCAN_RANGE,
+    _SCAN_STEP,
     InequalityConstants,
     banach_saks_extract,
     check_pointwise_inequality,
@@ -64,11 +66,10 @@ from .gallery import (
     NOT_CONVERGING,
     SequenceSpec,
     VectorSequenceSpec,
+    _check_array_budget,
     _check_pool_budget,
     _index_guard,
-    _loglog_slope,
     _shared_pools,
-    _zero_curve,
     default_probe_dictionary,
     generate,
     generate_vector,
@@ -79,7 +80,11 @@ from .norms import INFINITY
 
 __all__ = ["ScenarioConfig", "RunManifest", "load_config", "run_scenario", "main"]
 
-_LEMMA1_DEFAULT_P = (1.1, 1.5, 2.0, 2.5, 3.0, 3.5)
+# verify-lemma1's defaults; the suite's lemma-1 rows use them too, with its own --seed.
+_LEMMA1_DEFAULTS = {
+    "p": (1.1, 1.5, 2.0, 2.5, 3.0, 3.5), "range": _SCAN_RANGE, "step": _SCAN_STEP,
+    "ab_range": 10.0, "ab_step": 0.05, "homogeneity_samples": 10000, "seed": 20260810,
+}
 _GRID_MARGIN_TOL = 1e-9
 _HOMOGENEITY_TOL = 1e-9
 
@@ -367,15 +372,13 @@ def _growth_phase(cfg: ScenarioConfig, trace):
 
 def _cesaro_phase(cfg: ScenarioConfig, trace):
     values = trace.cesaro_norms
-    if _zero_curve(values, trace.member_norm_sup):
-        slope = None
+    zero, slope = trace._cesaro_slope()
+    if zero:
         detail = "curve identically zero (convergence exact)"
+    elif slope is None:
+        detail = "fewer than two positive points; no slope fit"
     else:
-        slope = _loglog_slope(np.arange(1, values.size + 1, dtype=float), values)
-        if slope is None:
-            detail = "fewer than two positive points; no slope fit"
-        else:
-            detail = f"slope={slope:.4f}"
+        detail = f"slope={slope:.4f}"
     ok = True
     window = cfg.expect.get("cesaro_slope")
     if window is not None and slope is not None:
@@ -528,47 +531,58 @@ def _cmd_scenario(args, phases) -> int:
     return _exit_code(manifest)
 
 
-def _lemma1_rows(p_list, t_max, step, ab_range, ab_step, samples, seed):
-    """One lemma-1 row per p, once every scan argument is in range.
+def _lemma1_rows(args):
+    """(constants, worst grid margin, homogeneity deviation) per p of verify-lemma1's args.
 
-    Ranges and steps must be finite and positive, at least one homogeneity
-    sample is drawn, and the (a, b) grid must hold more than one point; any
-    other value is refused before a scan starts.
+    Every argument is checked before a scan starts: ranges and steps must be
+    finite and positive, the seed >= 0, at least one homogeneity sample is
+    drawn, and the (a, b) grid must hold more than one point.  An array over
+    the pool budget is refused before it is allocated, and a p whose terms
+    overflow the float range is refused, not failed.
     """
-    for flag, value in (
-        ("--range", t_max), ("--step", step), ("--ab-range", ab_range), ("--ab-step", ab_step)
-    ):
+    for flag in ("--range", "--step", "--ab-range", "--ab-step"):
+        value = getattr(args, flag[2:].replace("-", "_"))
         if not (math.isfinite(value) and value > 0.0):
             raise InvalidArgumentError(f"{flag} must be finite and positive, got {value}")
+    ab_range, ab_step, samples = args.ab_range, args.ab_step, args.homogeneity_samples
     if samples < 1:
         raise InvalidArgumentError(f"--homogeneity-samples must be >= 1, got {samples}")
+    if args.seed < 0:
+        raise InvalidArgumentError(f"--seed must be >= 0, got {args.seed}")
+    side = 2.0 * ab_range / ab_step + 1.0
+    grid_name = f"the (a, b) grid of --ab-range {ab_range:g} and --ab-step {ab_step:g}"
+    _check_array_budget(grid_name, side * side)
+    _check_array_budget(f"--homogeneity-samples {samples}", samples)
     grid_1d = np.arange(-ab_range, ab_range + ab_step / 2, ab_step)
     if grid_1d.size < 2:
-        raise InvalidArgumentError(
-            f"the (a, b) grid of --ab-range {ab_range:g} and --ab-step {ab_step:g} "
-            "holds a single point"
-        )
+        raise InvalidArgumentError(f"{grid_name} holds a single point")
     a, b = np.meshgrid(grid_1d, grid_1d, indexing="ij")
     rows = []
-    rng = np.random.default_rng(seed)
-    for p in p_list:
-        consts = InequalityConstants.build(p, t_max=t_max, step=step)
-        margins = check_pointwise_inequality(p, a.ravel(), b.ravel(), consts)
-        worst = float(margins.min())
-        ra = rng.uniform(-ab_range, ab_range, samples)
-        rb = rng.uniform(-ab_range, ab_range, samples)
-        lam = rng.uniform(0.1, 10.0, samples)
-        scaled = check_pointwise_inequality(p, lam * ra, lam * rb, consts)
-        base = check_pointwise_inequality(p, ra, rb, consts)
-        scale = lam ** p * (
-            np.abs(ra) ** p
-            + p * np.abs(ra) ** (p - 1.0) * np.abs(rb)
-            + consts.a * np.abs(rb) ** p
-            + np.abs(ra + rb) ** p
-            + 1e-300
-        )
-        dev = float(np.max(np.abs(scaled - lam ** p * base) / scale))
-        rows.append((p, consts.e_p, consts.a, consts.b, worst, dev))
+    rng = np.random.default_rng(args.seed)
+    for p in args.p:
+        consts = InequalityConstants.build(p, t_max=args.range, step=args.step)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            margins = check_pointwise_inequality(p, a.ravel(), b.ravel(), consts)
+            worst = float(margins.min())
+            ra = rng.uniform(-ab_range, ab_range, samples)
+            rb = rng.uniform(-ab_range, ab_range, samples)
+            lam = rng.uniform(0.1, 10.0, samples)
+            scaled = check_pointwise_inequality(p, lam * ra, lam * rb, consts)
+            base = check_pointwise_inequality(p, ra, rb, consts)
+            scale = lam ** p * (
+                np.abs(ra) ** p
+                + p * np.abs(ra) ** (p - 1.0) * np.abs(rb)
+                + consts.a * np.abs(rb) ** p
+                + np.abs(ra + rb) ** p
+                + 1e-300
+            )
+            dev = float(np.max(np.abs(scaled - lam ** p * base) / scale))
+        if not (math.isfinite(worst) and math.isfinite(dev)):
+            raise InvalidArgumentError(
+                f"the lemma-1 check at p = {p:g} is not finite (worst margin {worst}, "
+                f"homogeneity deviation {dev}): its terms overflow the float range"
+            )
+        rows.append((consts, worst, dev))
     return rows
 
 
@@ -578,23 +592,17 @@ def _lemma1_ok(worst: float, dev: float) -> bool:
 
 
 def _cmd_verify_lemma1(args) -> int:
-    rows = _lemma1_rows(
-        args.p, args.range, args.step, args.ab_range, args.ab_step,
-        args.homogeneity_samples, args.seed,
-    )
+    rows = _lemma1_rows(args)
     ok = True
-    for p, e_p, a, b, worst, dev in rows:
+    for c, worst, dev in rows:
         line_ok = _lemma1_ok(worst, dev)
         ok = ok and line_ok
         print(
-            f"p={p:g} E(p)={e_p} A={a:.6g} B={b:.6g} worst_margin={worst:.3e} "
+            f"p={c.p:g} E(p)={c.e_p} A={c.a:.6g} B={c.b:.6g} worst_margin={worst:.3e} "
             f"homogeneity_dev={dev:.3e} [{'ok' if line_ok else 'FAIL'}]"
         )
     if args.json:
-        consts = [
-            InequalityConstants.build(p, t_max=args.range, step=args.step).to_json_dict()
-            for p in args.p
-        ]
+        consts = [c.to_json_dict() for c, _, _ in rows]
         Path(args.json).write_text(json.dumps(consts, indent=2) + "\n")
     return 0 if ok else 1
 
@@ -608,16 +616,17 @@ def _bundled_scenarios():
 
 
 def _cmd_suite(args) -> int:
+    # The rows check --seed first, so a refused seed makes no output directory.
+    rows = _lemma1_rows(argparse.Namespace(**{**_LEMMA1_DEFAULTS, "seed": args.seed}))
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    rows = _lemma1_rows(list(_LEMMA1_DEFAULT_P), 100.0, 1e-3, 10.0, 0.05, 10000, args.seed)
-    lemma_ok = all(_lemma1_ok(worst, dev) for _, _, _, _, worst, dev in rows)
+    lemma_ok = all(_lemma1_ok(worst, dev) for _, worst, dev in rows)
     code = 0 if lemma_ok else 1
     _write_csv(
         out / "lemma1.csv",
         ("p", "E_p", "A", "B", "worst_margin", "homogeneity_dev"),
-        rows,
+        [(c.p, c.e_p, c.a, c.b, worst, dev) for c, worst, dev in rows],
     )
     print(f"lemma1 constants and grid check: {'PASS' if lemma_ok else 'FAIL'}")
 
@@ -641,15 +650,15 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     lem = sub.add_parser("verify-lemma1", help="pointwise inequality constants and grid check")
-    lem.add_argument("--p", type=float, nargs="+", default=list(_LEMMA1_DEFAULT_P))
-    lem.add_argument("--range", type=float, default=100.0, help="scan half-range for A")
-    lem.add_argument("--step", type=float, default=1e-3, help="scan step for A")
-    lem.add_argument("--ab-range", type=float, default=10.0)
-    lem.add_argument("--ab-step", type=float, default=0.05)
-    lem.add_argument("--homogeneity-samples", type=int, default=10000)
-    lem.add_argument("--seed", type=int, default=20260810)
+    lem.add_argument("--p", type=float, nargs="+")
+    lem.add_argument("--range", type=float, help="scan half-range for A")
+    lem.add_argument("--step", type=float, help="scan step for A")
+    lem.add_argument("--ab-range", type=float)
+    lem.add_argument("--ab-step", type=float)
+    lem.add_argument("--homogeneity-samples", type=int)
+    lem.add_argument("--seed", type=int)
     lem.add_argument("--json", default=None, help="write the constants to this JSON file")
-    lem.set_defaults(func=_cmd_verify_lemma1)
+    lem.set_defaults(func=_cmd_verify_lemma1, **_LEMMA1_DEFAULTS)
 
     for name, phases, help_text in (
         ("probe", ("probe",), "weak/weak* probe only"),
@@ -664,7 +673,7 @@ def main(argv=None) -> int:
 
     suite = sub.add_parser("suite", help="run all bundled scenarios")
     suite.add_argument("--output-dir", default="suite-out")
-    suite.add_argument("--seed", type=int, default=20260810)
+    suite.add_argument("--seed", type=int, default=_LEMMA1_DEFAULTS["seed"])
     suite.set_defaults(func=_cmd_suite)
 
     try:

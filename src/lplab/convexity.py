@@ -41,13 +41,12 @@ from .errors import (
 )
 from .extraction import ExtractionTrace, _banach_saks_select, _check_levels, _szlenk_select
 from .gallery import (
+    _FLAT_SLOPE,
     CONVERGING,
     VectorSequenceSpec,
     _halves,
-    _loglog_slope,
     _probed_pool,
     _shared_selection,
-    _zero_curve,
     default_probe_dictionary,
 )
 from .grid import (
@@ -481,23 +480,18 @@ def _verify_on_region(
                 np.minimum(tail_min_field, f_mean, out=tail_min_field)
 
     tail_infimum = np.minimum.accumulate(alphas[::-1])[::-1]
-    margin = float(alphas[horizon // 2 :].min() - limit_integral)
+    margin = float(tail_infimum[horizon // 2] - limit_integral)
     passed = margin >= 0.0 or margin >= -_PASS_TOL * max(
         abs(limit_integral), float(alphas.max())
     )
     chain = None
     if trace is not None:
-        values = trace.cesaro_norms
-        scale = trace.member_norm_sup
-        if centre.any():  # the members were read as u_i - u
-            scale += 2.0 * _lp_norms(centre[None], limit.grid.weights, p)[0] / trace.normalization
-        if _zero_curve(values, scale):
-            slope, converged = None, True
-        else:
-            slope = _loglog_slope(np.arange(1, values.size + 1, dtype=float), values)
-            if slope is None:
-                slope = 0.0
-            converged = slope < -0.05
+        # A centred replay read the members as u_i - u.
+        centre_norm = _lp_norms(centre[None], limit.grid.weights, p)[0] if centre.any() else 0.0
+        zero, slope = trace._cesaro_slope(centre_norm)
+        if not zero and slope is None:  # no fit: read as flat
+            slope = 0.0
+        converged = zero or slope < _FLAT_SLOPE
         fatou_margin, fatou_slack = 0.0, 0.0
         if tail_min_field is not None:
             fatou_margin = tail_integral_min - _weighted_sum(weights, tail_min_field)
@@ -505,7 +499,7 @@ def _verify_on_region(
                 # Two sums of n nonnegative terms, neither above tail_integral_min.
                 fatou_slack = _rounding_budget(2 * n + 2, tail_integral_min)
         chain = CesaroReplay(
-            picks, values, slope, converged, jensen_margins, fatou_margin,
+            picks, trace.cesaro_norms, slope, converged, jensen_margins, fatou_margin,
             jensen_slack, fatou_slack,
         )
     elif p is not None:

@@ -42,8 +42,14 @@ from .errors import (
     LevelStalledError,
     PreconditionViolationError,
 )
-from .gallery import VectorSequenceSpec, _loglog_slope, _shared_selection, member_pool
-from .grid import QuadratureGrid
+from .gallery import (
+    VectorSequenceSpec,
+    _check_array_budget,
+    _loglog_slope,
+    _shared_selection,
+    member_pool,
+)
+from .grid import QuadratureGrid, _rounding_budget
 from .norms import _abs_power, _gather, _lp_norms
 
 __all__ = [
@@ -63,7 +69,12 @@ __all__ = [
     "decay_rate_fit",
 ]
 
-_PAIRING_SLACK = 1e-12  # absolute float slack on the selection threshold 1
+# Absolute float slack on a selection threshold: normalized members are
+# compared with 1 (p > 1) or with a level's 1/l (p = 1).
+_SELECTION_SLACK = 1e-12
+
+# Default half-range and step of the A scan, for library and command line alike.
+_SCAN_RANGE, _SCAN_STEP = 100.0, 1e-3
 
 
 def generalized_binomial(p: float, i: int) -> float:
@@ -106,8 +117,8 @@ def remainder_term(p: float, a, b):
 
 def estimate_a_constant(
     p: float,
-    t_max: float = 100.0,
-    step: float = 1e-3,
+    t_max: float = _SCAN_RANGE,
+    step: float = _SCAN_STEP,
     safety: float = 1.01,
 ) -> float:
     """Constant A making the pointwise power inequality hold.
@@ -118,12 +129,17 @@ def estimate_a_constant(
         |t+1|^p - |t|^p - p |t|^(p-1) sgn(t) - B(p, t, 1)
 
     scanned at the given step and multiplied by a safety factor.  The value
-    a = 0, b = 1 forces A >= 1.
+    a = 0, b = 1 forces A >= 1.  A scan whose points take more than
+    ``POOL_BUDGET_BYTES`` is refused before it is allocated, and one whose
+    terms overflow the float range is refused as diverged.
     """
     if not (math.isfinite(p) and p > 1.0):
         raise InvalidArgumentError(f"the constant is defined for p > 1, got {p}")
-    if t_max <= 0 or step <= 0:
+    if not (t_max > 0 and step > 0):  # NaN included
         raise InvalidArgumentError("scan range and step must be positive")
+    _check_array_budget(
+        f"the A scan over [-{t_max:g}, {t_max:g}] at step {step:g}", 2.0 * t_max / step + 1.0
+    )
     return _a_constant(float(p), float(t_max), float(step), float(safety))
 
 
@@ -132,12 +148,13 @@ def _a_constant(p: float, t_max: float, step: float, safety: float) -> float:
     """The scan behind estimate_a_constant, cached: a suite asks for A(2) five times."""
     count = int(round(2.0 * t_max / step)) + 1
     t = np.linspace(-t_max, t_max, count)
-    g = (
-        np.abs(t + 1.0) ** p
-        - np.abs(t) ** p
-        - p * np.abs(t) ** (p - 1.0) * np.sign(t)
-        - remainder_term(p, t, 1.0)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as divergence
+        g = (
+            np.abs(t + 1.0) ** p
+            - np.abs(t) ** p
+            - p * np.abs(t) ** (p - 1.0) * np.sign(t)
+            - remainder_term(p, t, 1.0)
+        )
     sup = float(g.max())
     if not math.isfinite(sup):
         raise InvalidArgumentError(f"residual scan diverged for p = {p}")
@@ -167,7 +184,9 @@ class InequalityConstants:
             raise InvalidArgumentError(f"a must be >= 1, got {self.a}")
 
     @classmethod
-    def build(cls, p: float, t_max: float = 100.0, step: float = 1e-3) -> "InequalityConstants":
+    def build(
+        cls, p: float, t_max: float = _SCAN_RANGE, step: float = _SCAN_STEP
+    ) -> "InequalityConstants":
         e = floor_exponent(p)
         b = remainder_term(p, 1.0, 1.0)
         a = estimate_a_constant(p, t_max=t_max, step=step)
@@ -234,7 +253,7 @@ class ExtractionTrace:
             raise InvalidArgumentError("selected indices must be strictly increasing")
         if idx[0] < 1 or idx[-1] > self.pool_size:
             raise InvalidArgumentError("selected indices must come from the pool")
-        if np.any(self.pairings > 1.0 + _PAIRING_SLACK):
+        if np.any(self.pairings > 1.0 + _SELECTION_SLACK):
             raise InvalidArgumentError("a stored pairing exceeds the threshold 1")
         self.indices = [int(i) for i in idx]
 
@@ -245,6 +264,24 @@ class ExtractionTrace:
     @property
     def m(self) -> int:
         return self.pairings.shape[1]
+
+    def _cesaro_slope(self, centre_norm: float = 0.0) -> tuple[bool, float | None]:
+        """(zero, slope): how the recorded Cesaro curve ||s_k / k|| reads.
+
+        zero says whether the curve is zero up to rounding.  Its scale bounds
+        the norms of the members the curve averages: member_norm_sup, plus
+        twice centre_norm / normalization when they were read as u_i - u
+        with ||u|| = centre_norm.  Each s_k / k is then within gamma_(k+2)
+        scale of its exact value, so a curve that is exactly zero reads at
+        most the budget of its last k: an all-zero pool reads zero, and a
+        pool of tiny members fits its slope.  Otherwise slope is the log-log
+        slope of the curve, None when fewer than two values are positive.
+        """
+        values = self.cesaro_norms
+        scale = self.member_norm_sup + 2.0 * centre_norm / self.normalization
+        if float(values.max()) <= _rounding_budget(values.size + 2, scale):
+            return True, None
+        return False, _loglog_slope(np.arange(1, values.size + 1, dtype=float), values)
 
     def rows(self, bound_margins: np.ndarray | None = None):
         """CSV-ready rows (k, selected_index, max_pairing, partial_norm_p,
@@ -389,7 +426,7 @@ def _banach_saks_select(
         phi_w = walk.phi_w()
         for cand in range(walk.indices[-1] + 1, horizon + 1):
             t = np.einsum("jn,jn->j", phi_w, walk.member(cand))
-            if np.all(t <= 1.0 + _PAIRING_SLACK):
+            if np.all(t <= 1.0 + _SELECTION_SLACK):
                 break
         else:
             raise ExtractionStalledError(
@@ -585,7 +622,7 @@ def _szlenk_select(
             else:
                 u = walk.member(idx)
                 trial = _szlenk_trial(w, s, u, k, walk.scratch)
-            if trial <= max(target, k ** -0.5) + 1e-12:
+            if trial <= max(target, k ** -0.5) + _SELECTION_SLACK:
                 chosen.append(idx)
                 chosen_trials.append(trial)
                 if s is not None:

@@ -73,7 +73,8 @@ NOT_CONVERGING = "not-converging"
 INCONCLUSIVE = "inconclusive"
 
 # Verdict thresholds: residual must drop by this factor for "converging";
-# a flat curve bounded below by the same floor reads "not-converging".
+# a flat curve bounded below by the same floor reads "not-converging".  The
+# liminf replay reads a Cesaro curve as decaying below the same flat slope.
 _DECAY_FACTOR = 1e-2
 _FLAT_SLOPE = -0.05
 
@@ -184,9 +185,10 @@ def _index_guard(spec: SequenceSpec, grid: QuadratureGrid):
     """``check(i)`` that raises generate's refusal of index i without writing row i.
 
     It raises when the grid cannot resolve index i (aliasing guard), when a
-    custom table has no usable entry for i, and, for the other kinds, when
-    row i would hold a non-finite sample.  It returns what writing the row
-    needs: the spike's slab and height, or the custom table's samples.
+    custom table has no usable entry for i, and when row i would hold a
+    non-finite sample, so a row it passes is finite.  It returns what
+    writing the row needs: the spike's slab and height, or the custom
+    table's samples.
     """
     x1 = grid.nodes[:, 0]
     n1 = grid.axis_resolution(0)
@@ -254,6 +256,8 @@ def _index_guard(spec: SequenceSpec, grid: QuadratureGrid):
                 raise InvalidArgumentError(
                     f"sample length {samples.size} != node count {grid.node_count}"
                 )
+            # amplitude * max |sample| bounds every product, exactly: rounding is monotone.
+            _require_finite(spec.amplitude * float(max(samples.max(), -samples.min())))
             return samples
 
     return check
@@ -336,6 +340,15 @@ def generate(spec: SequenceSpec, i: int, grid: QuadratureGrid) -> ScalarField:
 
 def generate_vector(spec: VectorSequenceSpec, i: int, grid: QuadratureGrid) -> VectorField:
     return VectorField([generate(c, i, grid) for c in spec.components])
+
+
+def _check_array_budget(what: str, count: float) -> None:
+    """Refuse an array of count float64 values over POOL_BUDGET_BYTES before it is allocated."""
+    requested = 8.0 * count
+    if not requested <= POOL_BUDGET_BYTES:
+        raise InvalidArgumentError(
+            f"{what} needs {requested:.4g} bytes, over the budget of {POOL_BUDGET_BYTES} bytes"
+        )
 
 
 def _check_pool_budget(horizon: int, m: int, node_count: int) -> None:
@@ -465,7 +478,6 @@ def _build_pool(seq: VectorSequenceSpec, grid: QuadratureGrid, horizon: int) -> 
         for i in range(lo + 1, hi + 1):
             for row, write in zip(pool[i - 1], writers):
                 write(i, row)
-                ScalarField(grid, row)  # the finite-sample check generate applies
 
     # A thread pays for itself through sin, which releases the GIL for long;
     # a pool of sign products alone fills no faster on two threads.
@@ -504,18 +516,6 @@ def _loglog_slope(ks: np.ndarray, values: np.ndarray) -> float | None:
     if int(pos.sum()) < 2:
         return None
     return float(np.polyfit(np.log(ks[pos]), np.log(values[pos]), 1)[0])
-
-
-def _zero_curve(values: np.ndarray, scale: float) -> bool:
-    """Whether a Cesaro curve ||s_k / k|| is zero up to rounding.
-
-    scale bounds the norms of the members the curve averages, plus twice the
-    norm of a centre they were read against.  Each s_k / k is then within
-    gamma_(k+2) scale of its exact value, so a curve that is exactly zero
-    reads at most the budget of its last k: an all-zero pool reads zero, and
-    a pool of tiny members fits its slope.
-    """
-    return float(values.max()) <= _rounding_budget(values.size + 2, scale)
 
 
 def _classify(residuals: np.ndarray, slope: float, zero_floor) -> str:

@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 from lplab import SequenceSpec, build_uniform_grid, cli, gallery, generate
 from lplab.cli import build_config, load_config, main
 from lplab.errors import ConfigError, InvalidArgumentError
+from lplab.extraction import InequalityConstants
 
 
 def _custom_table(drop=None, entry=None):
@@ -411,6 +413,60 @@ def test_cli_verify_lemma1_refuses_an_empty_or_undefined_check(args, flag, capsy
     assert main(["verify-lemma1", "--p", "2", *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err
+
+
+@pytest.mark.parametrize("command", ["verify-lemma1", "suite"])
+def test_cli_negative_seed_is_refused_before_any_work(command, tmp_path, capsys):
+    # numpy's generator refused it mid-run, an internal error (exit 3).
+    argv = [command, "--seed", "-1"]
+    argv += ["--p", "2"] if command == "verify-lemma1" else ["--output-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--step", "1e-9"],  # an A scan of 1.46 TiB
+        ["--range", "1e300"],  # more A scan points than numpy can index
+        ["--ab-step", "1e-4"],  # a 298 GiB (a, b) grid
+        ["--homogeneity-samples", "100000000000"],  # 745 GiB of samples
+    ],
+    ids=lambda args: " ".join(args),
+)
+def test_cli_verify_lemma1_refuses_an_oversized_array_before_allocating_it(args, capsys):
+    # Each asked numpy for the array and died with a MemoryError or a
+    # ValueError, an internal error (exit 3).
+    start = time.perf_counter()
+    assert main(["verify-lemma1", "--p", "2", *args]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"bytes, over the budget of {gallery.POOL_BUDGET_BYTES} bytes" in err
+
+
+@pytest.mark.parametrize("p", ["140", "160"])
+def test_cli_verify_lemma1_overflow_is_an_error_not_a_verdict(p, capsys):
+    # |t|^p or |lambda (a + b)|^p overflows: numpy warned, and p = 140 then
+    # failed on homogeneity_dev=nan (exit 1), p = 160 refused the scan.
+    assert main(["verify-lemma1", "--p", p]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and f"p = {p}" in err
+
+
+def test_cli_verify_lemma1_json_reuses_the_constants_it_checked(tmp_path, monkeypatch):
+    built = []
+    real_build = InequalityConstants.build.__func__
+
+    def counting_build(cls, p, *args, **kwargs):
+        built.append(p)
+        return real_build(cls, p, *args, **kwargs)
+
+    monkeypatch.setattr(InequalityConstants, "build", classmethod(counting_build))
+    argv = ["verify-lemma1", "--p", "2", "3", "--json", str(tmp_path / "c.json")]
+    assert main(argv) == 0
+    assert built == [2.0, 3.0]
 
 
 def test_cli_suite_phase_library_error_exits_2(tmp_path, monkeypatch, capsys):

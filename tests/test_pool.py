@@ -99,9 +99,13 @@ def _first_error(spec, grid, horizon) -> str:
         (SequenceSpec(kind="custom", table={1: np.ones(256), 2: np.ones(256)}), 8),
         (SequenceSpec(kind="custom", table={1: np.full(256, np.nan)}), 8),
         (SequenceSpec(kind="rademacher", amplitude=np.nan), 8),
+        # the custom guard refuses a product that overflows, before writing it
+        (SequenceSpec(kind="custom", amplitude=1e300, table={1: np.full(256, 1e10)}), 8),
+        (SequenceSpec(kind="custom", amplitude=0.0, table={1: np.full(256, np.inf)}), 8),
     ],
     ids=["aliasing-oscillatory", "aliasing-rademacher", "aliasing-spike",
-         "missing-table", "nan-table", "nan-amplitude"],
+         "missing-table", "nan-table", "nan-amplitude", "overflowing-custom",
+         "zero-times-inf-custom"],
 )
 def test_pool_raises_the_errors_generate_raises(grid, spec, horizon):
     seq = VectorSequenceSpec([SequenceSpec(kind="constant"), spec])

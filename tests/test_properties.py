@@ -1,14 +1,17 @@
 """Property tests of the paper's inequalities over generated inputs."""
 
+import contextlib
 import copy
 import functools
+import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lplab import (
@@ -354,3 +357,71 @@ def test_config_fuzz_exits_with_a_documented_code(mutations):
         path.write_text(json.dumps(raw))
         rc = main(["run", "--config", str(path), "--output-dir", str(Path(tmp) / "out")])
     assert rc in (0, 1, 2)
+
+
+# A valid verify-lemma1 argv, flag by flag, and values to replace it with.
+# Valid values keep the A scan at or below 2 001 points, the (a, b) grid at
+# or below 41 x 41 and the samples at or below 100, so no draw starts a long
+# scan.  Invalid ones are zero, negative, NaN, infinite or past the pool
+# budget, and p reaches 400, where the inequality's terms overflow.
+_VALID_LEMMA1_ARGV = {
+    "--p": ["2"], "--range": ["10"], "--step": ["0.01"], "--ab-range": ["2"],
+    "--ab-step": ["0.1"], "--homogeneity-samples": ["100"], "--seed": ["7"],
+}
+_LEMMA1_ARGV_VALUES = {
+    "--p": [["1.5", "3"], ["1.0001"], ["12"], ["140"], ["160"], ["400"], ["1"], ["0.5"],
+            ["0"], ["-2"], ["nan"], ["inf"]],
+    "--range": [["1"], ["0"], ["-1"], ["nan"], ["inf"], ["1e300"]],
+    "--step": [["0.1"], ["0"], ["-0.01"], ["nan"], ["inf"], ["1e-300"]],
+    "--ab-range": [["1"], ["0"], ["-1"], ["nan"], ["inf"], ["1e300"]],
+    "--ab-step": [["0.5"], ["0"], ["-0.1"], ["nan"], ["inf"], ["1e-300"], ["1e300"]],
+    "--homogeneity-samples": [["1"], ["0"], ["-1"], [str(10 ** 30)], ["x"]],
+    "--seed": [["0"], ["-1"], ["-20260810"], [str(2 ** 70)], ["x"]],
+}
+_lemma1_argv_mutations = st.lists(
+    st.sampled_from(sorted(_LEMMA1_ARGV_VALUES)).flatmap(
+        lambda flag: st.tuples(st.just(flag), st.sampled_from(_LEMMA1_ARGV_VALUES[flag]))
+    ),
+    min_size=1, max_size=3,
+)
+
+
+def _main_quietly(argv):
+    """main(argv) -> (exit code, stdout, stderr, warnings raised)."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    return rc, out.getvalue(), err.getvalue(), caught
+
+
+def _assert_documented_exit(rc, err, caught):
+    assert rc in (0, 1, 2)
+    assert "internal error" not in err and "Warning" not in err
+    assert not caught, [str(w.message) for w in caught]
+
+
+@settings(max_examples=120, **_SETTINGS)
+@given(_lemma1_argv_mutations)
+def test_verify_lemma1_argv_fuzz_exits_with_a_documented_code(mutations):
+    flags = {**_VALID_LEMMA1_ARGV, **dict(mutations)}
+    argv = ["verify-lemma1"] + [arg for flag, values in flags.items() for arg in (flag, *values)]
+    rc, _, err, caught = _main_quietly(argv)
+    _assert_documented_exit(rc, err, caught)
+
+
+@settings(max_examples=8, **_SETTINGS)
+@given(st.integers(-(2 ** 70), 2 ** 70), st.booleans())
+def test_suite_argv_fuzz_refuses_before_any_scenario_runs(seed, into_a_file):
+    # Only draws refused before a scenario runs: a negative seed, or an
+    # output directory that is a file.
+    assume(seed < 0 or into_a_file)
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "out"
+        if into_a_file:
+            target.write_text("")
+        argv = ["suite", "--output-dir", str(target), "--seed", str(seed)]
+        rc, out, err, caught = _main_quietly(argv)
+    _assert_documented_exit(rc, err, caught)
+    assert rc == 2 and out == ""
