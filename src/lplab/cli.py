@@ -71,7 +71,6 @@ from .gallery import (
     _index_guard,
     _shared_pools,
     default_probe_dictionary,
-    generate,
     generate_vector,
     weak_probe,
 )
@@ -294,16 +293,14 @@ def build_config(raw: dict) -> ScenarioConfig:
         expect = dict(raw.get("expect") or {})
         _check_expect(expect)
         output_dir = str(raw.get("output_dir", "."))
-        # surface generation refusals as configuration errors up front.  Every
-        # refusal of the other kinds holds from some index on, so the guard at
-        # the horizon covers them without writing a row; a custom table can
-        # lack or spoil any entry, and each one is cheap.
+        # surface generation refusals as configuration errors up front, through
+        # the guards, which write no row.  Every refusal of the other kinds
+        # holds from some index on, so the guard at the horizon covers them; a
+        # custom table can lack or spoil any entry, so each index is guarded.
         for comp in seq.components:
-            if comp.kind == CUSTOM:
-                for i in range(1, horizon + 1):
-                    generate(comp, i, grid)
-            else:
-                _index_guard(comp, grid)(horizon)
+            check = _index_guard(comp, grid)
+            for i in range(1, horizon + 1) if comp.kind == CUSTOM else [horizon]:
+                check(i)
     except KeyError as err:
         raise ConfigError(f"missing config field {err.args[0]!r}") from None
     except AttributeError as err:  # a string or number where an object belongs

@@ -190,6 +190,8 @@ class ConvexSetSpec:
         Each comparison is exact first.  Only if one fails is it repeated with
         the slack gamma_(m+2) times K's own scale: the bounds of a box, the
         radius plus the centre of a ball, |a|.|x| for a halfspace a.x <= b.
+        Every point lies in a box when each component's extremes do, which
+        the same exact comparisons decide from 2m values.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.kind == WHOLE_SPACE:
@@ -206,9 +208,15 @@ class ConvexSetSpec:
                 return np.abs(self.bounds).max(axis=1)
 
             lo, hi = self.bounds[:, 0], self.bounds[:, 1]
+            if points.size and np.all(lo <= points.min(axis=0)) and np.all(
+                points.max(axis=0) <= hi
+            ):
+                return np.ones(points.shape[0], dtype=bool)
             return np.all(at_most(lo, points, extent) & at_most(points, hi, extent), axis=1)
         if self.kind == BALL:
-            distance = np.linalg.norm(points - self.center, axis=1)
+            # np.linalg.norm's formula for real rows, without its copy for the conjugate.
+            offset = np.subtract(points, self.center)
+            distance = np.sqrt(np.add.reduce(np.multiply(offset, offset, out=offset), axis=1))
             return at_most(distance, self.radius, lambda: self.radius + np.abs(self.center).max())
         ok = np.ones(points.shape[0], dtype=bool)
         for a, b in self.halfspaces:

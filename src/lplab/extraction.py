@@ -108,8 +108,12 @@ def remainder_term(p: float, a, b):
     b = np.asarray(b, dtype=float)
     total = np.zeros(np.broadcast(a, b).shape)
     if p > 2.0:
+        # binom(p, i) carried from one term to the next: generalized_binomial's
+        # multiplications in its order, one per term instead of i.
+        binomial = p  # binom(p, 1), exactly as generalized_binomial forms it
         for i in range(2, floor_exponent(p) + 1):
-            total = total + generalized_binomial(p, i) * np.abs(a) ** (p - i) * np.abs(b) ** i
+            binomial *= (p - (i - 1)) / i
+            total = total + binomial * np.abs(a) ** (p - i) * np.abs(b) ** i
     if total.ndim == 0:
         return float(total)
     return total
@@ -131,7 +135,8 @@ def estimate_a_constant(
     scanned at the given step and multiplied by a safety factor.  The value
     a = 0, b = 1 forces A >= 1.  A scan whose points take more than
     ``POOL_BUDGET_BYTES`` is refused before it is allocated, and one whose
-    terms overflow the float range is refused as diverged.
+    terms overflow the float range is refused as diverged: at once when its
+    end point's term (t_max + 1)^p does, before any binomial is formed.
     """
     if not (math.isfinite(p) and p > 1.0):
         raise InvalidArgumentError(f"the constant is defined for p > 1, got {p}")
@@ -140,6 +145,13 @@ def estimate_a_constant(
     _check_array_budget(
         f"the A scan over [-{t_max:g}, {t_max:g}] at step {step:g}", 2.0 * t_max / step + 1.0
     )
+    with np.errstate(over="ignore"):
+        end = np.power(t_max + 1.0, p)
+    if not math.isfinite(end):
+        raise InvalidArgumentError(
+            f"the A scan at p = {p:g} is not finite: its term (t_max + 1)^p at t_max = "
+            f"{t_max:g} overflows the float range"
+        )
     return _a_constant(float(p), float(t_max), float(step), float(safety))
 
 
@@ -188,8 +200,8 @@ class InequalityConstants:
         cls, p: float, t_max: float = _SCAN_RANGE, step: float = _SCAN_STEP
     ) -> "InequalityConstants":
         e = floor_exponent(p)
+        a = estimate_a_constant(p, t_max=t_max, step=step)  # refuses an overflowing p first
         b = remainder_term(p, 1.0, 1.0)
-        a = estimate_a_constant(p, t_max=t_max, step=step)
         return cls(p=p, e_p=e, a=a, b=b, scan_range=t_max, scan_step=step)
 
     def to_json_dict(self) -> dict:
@@ -387,19 +399,29 @@ class _CesaroWalk:
         self.scratch *= self.w
         return self.scratch
 
-    def add(self, i: int, pairing: np.ndarray | None = None) -> None:
-        """Pick member i; a scan that already paired it with phi_w passes the pairing."""
+    def add(self, i: int, pairing: np.ndarray | None = None, ahead=None) -> np.ndarray | None:
+        """Pick member i; a scan that already paired it with phi_w passes the pairing.
+
+        A scan that already holds s + u_i in a row of its own and the integrals
+        of |s + u_i|^p passes them as ahead = (row, integrals): the row becomes
+        s, and the row that held s is returned for the scan's next sum.
+        """
         u = self.member(i)
         if not self.indices:
             pairing = np.zeros(self.pool.shape[1])
         elif pairing is None:
             pairing = np.einsum("jn,jn->j", self.phi_w(), u)
-        self.s += u
+        spare = None
+        if ahead is None:
+            self.s += u
+            partial = np.einsum("n,jn->j", self.w, _abs_power(self.s, self.p, self.scratch))
+        else:
+            (self.s, partial), spare = ahead, self.s
         self.indices.append(i)
-        partial = np.einsum("n,jn->j", self.w, _abs_power(self.s, self.p, self.scratch))
         self.pairings.append(pairing)
         self.partials.append(partial)
         self.cesaro.append(float(partial.sum()) ** (1.0 / self.p) / len(self.indices))
+        return spare
 
     def trace(self, method: str) -> ExtractionTrace:
         return ExtractionTrace(
@@ -575,8 +597,10 @@ def szlenk_extract(
     Each running mean is computed once: until its first rejection a level
     holds the sums the level above held, so it reuses that level's means
     and re-reads members only from the rejection on, with the picks
-    unchanged.  Raises ``LevelStalledError`` when a level keeps fewer members
-    than its own index (the diagonal could not pass through it).
+    unchanged.  Level 1 is picked by the diagonal's own walk, so the
+    diagonal re-reads members only from where it leaves level 1's list.
+    Raises ``LevelStalledError`` when a level keeps fewer members than its
+    own index (the diagonal could not pass through it).
     """
     _check_levels(levels)
     pool = member_pool(seq, grid, horizon)
@@ -588,9 +612,93 @@ def _l1(w: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None) -> float
     return float(np.einsum("n,jn->", w, np.abs(rows, out=out)))
 
 
-def _szlenk_trial(w: np.ndarray, s: np.ndarray, u: np.ndarray, k: int, out: np.ndarray) -> float:
-    """||s + u||_1 / k, the running Cesaro mean a level scan tests; out is scratch."""
-    return _l1(w, np.add(s, u, out=out), out) / k
+def _szlenk_trial(
+    w: np.ndarray, s: np.ndarray, u: np.ndarray, k: int, out: np.ndarray, total=None
+) -> tuple[float, np.ndarray]:
+    """(||s + u||_1 / k, the integrals of |s + u| per component): a level scan's running mean.
+
+    s + u goes to total, or to the scratch row out when total is None; out
+    takes |s + u|.  The norm adds the components' integrals in order, which
+    is _l1's scalar contraction bit for bit (numpy's pairwise sum is not,
+    from m = 8 on).
+    """
+    total = np.add(s, u, out=out if total is None else total)
+    integrals = np.einsum("n,jn->j", w, np.abs(total, out=out))
+    norm = 0.0
+    for value in integrals.tolist():
+        norm += value
+    return norm / k, integrals
+
+
+def _walk_first_level(walk: _CesaroWalk, levels: int) -> tuple[list, list, dict]:
+    """Level 1 of the selection, picked by the diagonal's walk as far as the diagonal follows it.
+
+    Returns level 1's list and trials, and s after each pick r < levels the
+    walk made.  Until the deepest level rejects a candidate level 1 keeps,
+    every level holds level 1's list, and so does the diagonal.  Meanwhile a
+    trial sums s + u in a row of its own and integrates |s + u| per
+    component, which is what the walk records at a pick, so a kept
+    candidate hands both to the walk.  The first such rejection, at pick k,
+    is where the diagonal leaves: the shallowest level l rejecting it lies
+    below one whose larger threshold is 1/(l - 1) > k^(-1/2), so l <= k, and
+    the diagonal reads level min(k, levels) >= l there.  From that candidate
+    on, level 1 sums in a row of its own and the walk keeps its s for the
+    diagonal to walk on.  Level 1's threshold max(1, k^(-1/2)) is 1.
+    """
+    deepest = 1.0 / levels
+    ahead, chosen, trials, heads = np.zeros_like(walk.s), [], [], {}
+    s = walk.s
+    for idx in range(1, walk.horizon + 1):
+        k = len(trials) + 1
+        u = walk.member(idx)
+        walking = s is walk.s
+        trial, integrals = _szlenk_trial(walk.w, s, u, k, walk.scratch, ahead if walking else None)
+        if trial > 1.0 + _SELECTION_SLACK:
+            continue
+        chosen.append(idx)
+        trials.append(trial)
+        if not walking:
+            s += u
+        elif trial <= max(deepest, k ** -0.5) + _SELECTION_SLACK:
+            ahead = walk.add(idx, ahead=(ahead, integrals))
+            s = walk.s
+            if k < levels:
+                heads[k] = walk.s.copy()
+        else:
+            s = ahead
+    return chosen, trials, heads
+
+
+def _next_level(
+    walk: _CesaroWalk, previous: list, trials: list, target: float
+) -> tuple[list, list]:
+    """The candidates of the level above whose running means stay below max(target, k^(-1/2)).
+
+    While a level keeps every candidate, its sum before candidate j is the
+    sum the level above held before it: the same members, added in place in
+    the same order.  So is k, and its trial is the float the level above
+    recorded; only the threshold changes.  From its first rejection the
+    level builds its sum from the kept prefix and computes its own trials.
+    Returns the kept indices and their trials.
+    """
+    chosen, chosen_trials, s = [], [], None
+    for j, idx in enumerate(previous):
+        k = len(chosen) + 1
+        if s is None:
+            trial = trials[j]
+        else:
+            u = walk.member(idx)
+            trial = _szlenk_trial(walk.w, s, u, k, walk.scratch)[0]
+        if trial <= max(target, k ** -0.5) + _SELECTION_SLACK:
+            chosen.append(idx)
+            chosen_trials.append(trial)
+            if s is not None:
+                s += u
+        elif s is None:
+            s = np.zeros_like(walk.s)
+            for i in chosen:
+                s += walk.member(i)
+    return chosen, chosen_trials
 
 
 def _szlenk_select(
@@ -603,34 +711,12 @@ def _szlenk_select(
     """Level/diagonal selection over a (horizon, m, N) member pool, read at nodes if given."""
     walk = _CesaroWalk(pool, w, 1.0, centre, nodes)
     horizon = walk.horizon
+    chosen, trials, heads = _walk_first_level(walk, levels)
 
-    # While a level keeps every candidate, its sum before candidate j is the
-    # sum the level above held before it: the same members, added in place in
-    # the same order.  So is k, and its trial is the float the level above
-    # recorded; only the threshold changes.  From its first rejection the
-    # level builds its sum from the kept prefix and computes its own trials.
     level_lists = []
-    previous, trials = list(range(1, horizon + 1)), None
     for level in range(1, levels + 1):
-        target = 1.0 / level
-        chosen, chosen_trials = [], []
-        s = np.zeros_like(walk.s) if trials is None else None
-        for j, idx in enumerate(previous):
-            k = len(chosen) + 1
-            if s is None:
-                trial = trials[j]
-            else:
-                u = walk.member(idx)
-                trial = _szlenk_trial(w, s, u, k, walk.scratch)
-            if trial <= max(target, k ** -0.5) + _SELECTION_SLACK:
-                chosen.append(idx)
-                chosen_trials.append(trial)
-                if s is not None:
-                    s += u
-            elif s is None:
-                s = np.zeros_like(walk.s)
-                for i in chosen:
-                    s += walk.member(i)
+        if level > 1:
+            chosen, trials = _next_level(walk, chosen, trials, 1.0 / level)
         if len(chosen) < level:
             raise LevelStalledError(
                 f"level {level} kept only {len(chosen)} members within the pool "
@@ -639,12 +725,12 @@ def _szlenk_select(
                 completed=level_lists,
             )
         level_lists.append(chosen)
-        previous, trials = chosen, chosen_trials
 
+    # The walk holds the diagonal's picks up to where it leaves level 1's list.
     length = len(level_lists[-1])
     diagonal = [level_lists[min(r, levels) - 1][r - 1] for r in range(1, length + 1)]
-    heads = {}
-    for r, idx in enumerate(diagonal, start=1):
+    shared = len(walk.indices)
+    for r, idx in enumerate(diagonal[shared:], start=shared + 1):
         walk.add(idx)
         if r < levels:
             heads[r] = walk.s.copy()

@@ -408,8 +408,7 @@ def member_pool(seq: VectorSequenceSpec, grid: QuadratureGrid, horizon: int) -> 
     grid).samples`` and the same errors are raised, in the same index order:
     both write rows through one writer per component.  Rademacher rows are
     products of one sign row per dyadic level, each computed once per build.
-    A pool with at least one oscillatory component is filled on up to two
-    threads, with the same bits.
+    The pool is filled on up to two threads, with the same bits.
     A pool larger than ``POOL_BUDGET_BYTES`` is refused with
     ``PoolBudgetError`` before anything is allocated.  Each call builds its
     own pool, except inside one scenario run of the command line, which
@@ -479,12 +478,7 @@ def _build_pool(seq: VectorSequenceSpec, grid: QuadratureGrid, horizon: int) -> 
             for row, write in zip(pool[i - 1], writers):
                 write(i, row)
 
-    # A thread pays for itself through sin, which releases the GIL for long;
-    # a pool of sign products alone fills no faster on two threads.
-    if any(comp.kind == OSCILLATORY for comp in seq.components):
-        _halves([1] * horizon, fill)
-    else:
-        fill(0, horizon)
+    _halves([1] * horizon, fill)
     pool.setflags(write=False)
     return pool
 

@@ -455,6 +455,26 @@ def test_cli_verify_lemma1_overflow_is_an_error_not_a_verdict(p, capsys):
     assert err.count("\n") == 1 and err.startswith("error: ") and f"p = {p}" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--p", "100000", "--range", "1", "--step", "1", "--ab-range", "1", "--ab-step", "1",
+         "--homogeneity-samples", "1"],
+        ["--p", "1e300"],
+    ],
+    ids=["p=1e5", "p=1e300"],
+)
+def test_cli_verify_lemma1_refuses_an_overflowing_p_before_its_binomials(args, capsys):
+    # (t_max + 1)^p overflows: the binomial loop over E(p) terms ran for
+    # minutes (p = 1e5) or would never end (p = 1e300) before the refusal.
+    start = time.perf_counter()
+    assert main(["verify-lemma1", *args]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "is not finite" in err and f"p = {float(args[1]):g}" in err
+
+
 def test_cli_verify_lemma1_json_reuses_the_constants_it_checked(tmp_path, monkeypatch):
     built = []
     real_build = InequalityConstants.build.__func__
@@ -621,8 +641,9 @@ def test_build_config_writes_no_row_for_the_guard_of_a_non_custom_kind(monkeypat
 
     monkeypatch.setattr(gallery, "_row_writer", recording_writer)
     cfg = build_config(raw)
-    rows = [(s.kind, i) for s, i in written if any(s is c for c in cfg.sequence.components)]
-    assert rows == [("custom", [i]) for i in range(1, 17)]
+    # A custom table is checked entry by entry through its guard, which writes no row either.
+    assert len(cfg.sequence.components) == 5
+    assert [(s.kind, i) for s, i in written if any(s is c for c in cfg.sequence.components)] == []
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lplab import (
     ConvexFunctionSpec,
@@ -32,6 +34,7 @@ from lplab import (
 )
 from lplab import convexity, gallery
 from lplab.cli import build_config
+from lplab.grid import _rounding_budget
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +141,69 @@ def test_membership_slack_scales_with_K(kind, lam):
     }[kind]
     assert K.contains([[np.nextafter(lam, np.inf), 0.0]]).all()
     assert not K.contains([[2.0 * lam, 0.0]]).any()
+
+
+def _per_node_membership(K, points):
+    """Membership of each point by the per-node formula: exact, then with K's slack."""
+    def at_most(value, bound, scale):
+        ok = value <= bound
+        return ok if ok.all() else value <= bound + _rounding_budget(points.shape[1] + 2, scale)
+
+    if K.kind == "box":
+        extent = np.abs(K.bounds).max(axis=1)
+        lo, hi = K.bounds[:, 0], K.bounds[:, 1]
+        return np.all(at_most(lo, points, extent) & at_most(points, hi, extent), axis=1)
+    distance = np.linalg.norm(points - K.center, axis=1)
+    return at_most(distance, K.radius, K.radius + np.abs(K.center).max())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["box", "ball"]),
+    m=st.integers(1, 9),
+    lam=st.sampled_from([1e-150, 1e-13, 1.0, 1e100]),
+    places=st.lists(
+        st.sampled_from(["inside", "boundary", "ulp-out", "out"]), min_size=1, max_size=12
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    one_row=st.booleans(),
+    transposed=st.booleans(),
+)
+def test_membership_decides_and_names_a_node_as_the_per_node_formula(
+    kind, m, lam, places, seed, one_row, transposed
+):
+    # Values exactly on the boundary of K = lam [-1, 1]^m or the ball of
+    # radius lam, one ulp outside it or twice as far: the decision for the
+    # whole region and the node a violation names are those of the per-node test.
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-0.5, 0.5, (len(places), m)) * (lam / m)
+    edge = {"boundary": lam, "ulp-out": np.nextafter(lam, np.inf), "out": 2.0 * lam}
+    for row, place in zip(points, places):
+        if place != "inside":
+            row[rng.integers(m)] = rng.choice([-1.0, 1.0]) * edge[place]
+    if transposed:  # the layout of a member row read at the region's nodes
+        points = np.ascontiguousarray(points.T).T
+    if kind == "box":
+        K = ConvexSetSpec(kind="box", bounds=[[-lam, lam]] * (1 if one_row else m))
+    else:
+        K = ConvexSetSpec(kind="ball", center=[0.0] * (1 if one_row else m), radius=lam)
+    expected = _per_node_membership(K, points)
+    assert np.array_equal(K.contains(points), expected)
+
+    grid2 = build_uniform_grid([[0.0, 1.0]], 2 * len(places))
+    region = RegionMask(grid2, np.arange(grid2.node_count) % 2 == 1)
+    if expected.all():
+        convexity._check_membership(points, K, region, "member 3")
+        return
+    local = int(np.argmin(expected))
+    node = 2 * local + 1
+    with pytest.raises(DomainViolationError) as info:
+        convexity._check_membership(points, K, region, "member 3")
+    assert str(info.value) == (
+        f"member 3: sample {points[local].tolist()} at node {node} "
+        f"{grid2.nodes[node].tolist()} is outside K"
+    )
+    assert info.value.node_index == node
 
 
 def test_liminf_constant_sequence_margin_zero(grid):

@@ -34,6 +34,7 @@ from lplab import (
     szlenk_extract,
     truncate_region,
     verify_growth_bound,
+    weak_star_verify,
 )
 from lplab import convexity, extraction, gallery
 from lplab.extraction import _banach_saks_select
@@ -69,6 +70,16 @@ def test_remainder_term():
     assert remainder_term(3.0, 0.0, 5.0) == 0.0
     out = remainder_term(3.0, np.array([2.0, 0.0]), np.array([1.0, 5.0]))
     assert np.allclose(out, [6.0, 0.0])
+
+
+def test_remainder_term_keeps_the_bits_of_its_binomials():
+    # The binomials are carried from term to term; each must be generalized_binomial's.
+    a, b = np.linspace(-3.0, 3.0, 61), 0.75
+    for p in (2.5, 3.0, 7.3, 12.0, 57.5):
+        expected = np.zeros(a.shape)
+        for i in range(2, floor_exponent(p) + 1):
+            expected = expected + generalized_binomial(p, i) * np.abs(a) ** (p - i) * b ** i
+        assert np.array_equal(remainder_term(p, a, b), expected), p
 
 
 def test_constant_a_for_p2_is_exact():
@@ -586,7 +597,7 @@ def _recomputed_trials(level_lists, horizon):
 
 _ORACLE_CASES = dict(
     kind=st.sampled_from(["signs", "gaussian", "spikes"]),
-    m=st.integers(1, 3),
+    m=st.integers(1, 12),
     horizon=st.integers(2, 40),
     n=st.integers(8, 64),
     seed=st.integers(0, 2**32 - 1),
@@ -594,13 +605,19 @@ _ORACLE_CASES = dict(
     levels=st.integers(1, 6),
 )
 # Each reaches a path of the scan: a level that keeps every member, a level that
-# rejects after reusing a prefix, and a stall.
+# rejects after reusing a prefix, and a stall.  The last four end the diagonal's
+# share of level 1's list at pick 1, at pick 2, mid-list, and at the diagonal's
+# own end, short of level 1's.
 _ORACLE_EXAMPLES = [
     ("signs", 1, 40, 64, 0, False, 4),
     ("gaussian", 2, 30, 32, 1, True, 3),
     ("spikes", 3, 40, 16, 2, False, 6),
     ("spikes", 1, 8, 8, 0, False, 6),
     ("gaussian", 3, 30, 32, 3, True, 6),
+    ("gaussian", 1, 40, 32, 3, True, 2),
+    ("gaussian", 8, 40, 32, 11, False, 2),
+    ("signs", 8, 40, 32, 2, True, 4),
+    ("signs", 12, 40, 32, 34, True, 6),
 ]
 
 
@@ -633,16 +650,25 @@ def test_szlenk_select_is_bitwise_the_scan_that_rescans_every_level(
 
 def test_oracle_examples_reach_every_path_of_the_level_scan():
     partial_reuse = stalled = False
+    shares = set()  # (picks the diagonal shares with level 1, diagonal length, level 1 length)
     for kind, m, horizon, n, seed, centred, levels in _ORACLE_EXAMPLES:
         pool, w, centre = _oracle_pool(kind, m, horizon, n, seed, centred)
         try:
-            level_lists = extraction._szlenk_select(pool, w, levels, centre)[0].levels
+            schedule = extraction._szlenk_select(pool, w, levels, centre)[0]
         except LevelStalledError:
             stalled = True
             continue
+        level_lists = schedule.levels
         for above, below in zip(level_lists, level_lists[1:]):
             partial_reuse |= 0 < len(below) < len(above) and below[0] == above[0]
+        diagonal, first = schedule.diagonal, level_lists[0]
+        shared = next((r for r, (a, b) in enumerate(zip(diagonal, first)) if a != b), len(diagonal))
+        shares.add((shared, len(diagonal), len(first)))
     assert partial_reuse and stalled
+    left = {shared for shared, length, _ in shares if shared < length}
+    assert {1, 2} <= left and any(2 < shared < length - 2 for shared, length, _ in shares)
+    assert any(shared == length < first for shared, length, first in shares)
+    assert any(shared == length == first for shared, length, first in shares)
 
 
 @pytest.mark.parametrize("horizon", [33, 48])
@@ -694,6 +720,26 @@ def test_levels_that_keep_every_member_compute_each_trial_once(monkeypatch):
     schedule, _ = szlenk_extract(seq, grid, levels, horizon)
     assert schedule.levels == [list(range(1, horizon + 1))] * levels
     assert len(calls) == horizon
+
+
+def test_a_weak_star_run_gathers_each_truncation_row_once_per_pass(monkeypatch):
+    # Rademacher signs on 256 x 256 nodes at horizon 48, as the weak* bench
+    # runs them: R = 0.5 and 1 hold part of the grid and are read by gathers,
+    # R = 2 holds it all.  Per truncation: 24 pair reads for the member norms,
+    # 48 in level 1, which is the diagonal, and 48 in the integral loop; the
+    # diagonal re-reading level 1's picks took 48 more.
+    grid2 = build_uniform_grid([[0.0, 1.0], [0.0, 1.0]], [256, 256])
+    seq = VectorSequenceSpec([SequenceSpec(kind="rademacher")])
+    limit = VectorField([ScalarField.constant(grid2, 0.0)])
+    f = ConvexFunctionSpec(kind="squared_norm")
+    K = ConvexSetSpec(kind="box", bounds=[[-1.0, 1.0]])
+    takes = []
+    real_take = np.take
+    monkeypatch.setattr(np, "take", lambda *a, **k: takes.append(1) or real_take(*a, **k))
+    report = weak_star_verify(seq, limit, f, K, RegionMask.full(grid2), 48, [0.5, 1.0, 2.0])
+    assert report.passed
+    assert all(r.replay.indices == list(range(1, 49)) for r in report.reports)
+    assert len(takes) == 2 * (24 + 48 + 48)
 
 
 def _count_selections(monkeypatch, name):

@@ -606,11 +606,19 @@ def test_mixed_pool_fills_on_two_threads_to_the_one_cpu_bits(grid, monkeypatch, 
     assert np.array_equal(pools[0], pools[1])
 
 
-def test_rademacher_pool_fills_on_the_calling_thread(grid, monkeypatch):
-    _cpus(monkeypatch, 2)
-    started = _count_threads(monkeypatch)
-    member_pool(VectorSequenceSpec([SequenceSpec(kind="rademacher")]), grid, 40)
-    assert started == []
+def test_rademacher_pool_fills_on_two_threads_to_the_one_cpu_bits(grid, monkeypatch):
+    # A pool of sign products alone splits too: the page faults of a fresh
+    # pool are shared by both threads.
+    seq = VectorSequenceSpec([SequenceSpec(kind="rademacher", amplitude=-0.5)])
+    pools = []
+    for count in (2, 1):
+        _cpus(monkeypatch, count)
+        started = _count_threads(monkeypatch)
+        pools.append(member_pool(seq, grid, 40))
+        assert len(started) == count - 1
+        assert not any(t.is_alive() for t in started)
+        monkeypatch.undo()
+    assert np.array_equal(pools[0], pools[1])
 
 
 def test_one_cpu_fills_without_threads_to_the_same_bits(monkeypatch):
@@ -919,9 +927,8 @@ def test_weak_star_reports_are_bitwise_equal_on_one_and_two_cpus(monkeypatch, K_
         _cpus(monkeypatch, count)
         started = _count_threads(monkeypatch)
         results.append(weak_star_verify(*case, radii))
-        # the custom pool fills on the calling thread: one thread is the
-        # probe's, one the truncations'
-        assert len(started) == (count - 1) * (2 if len(radii) > 1 else 1)
+        # one thread each for the pool fill, the probe and the truncations
+        assert len(started) == (count - 1) * (3 if len(radii) > 1 else 2)
         assert not any(t.is_alive() for t in started)
         monkeypatch.undo()
     assert results[0].passed
@@ -947,7 +954,7 @@ def test_weak_star_raises_the_one_cpu_error_on_two_cpus(monkeypatch, bumps, memb
         with pytest.raises(PreconditionViolationError) as info:
             weak_star_verify(*case, [0.5, 1.0, 2.0])
         errors.append((type(info.value), str(info.value)))
-        assert len(started) == 2 * (count - 1)  # the probe's and the truncations'
+        assert len(started) == 3 * (count - 1)  # the pool's, the probe's and the truncations'
         assert not any(t.is_alive() for t in started)
         monkeypatch.undo()
     assert errors[0] == errors[1]
@@ -975,7 +982,7 @@ def test_a_custom_evaluator_never_runs_on_two_threads(monkeypatch):
         result = weak_star_verify(seq, limit, f, K, region, horizon, [0.5, 1.0, 2.0])
     finally:
         sys.setswitchinterval(interval)
-    assert len(started) == 2  # the probe's and the truncations'
+    assert len(started) == 3  # the pool's, the probe's and the truncations'
     assert result.passed
     assert seen and max(seen) == 1
 
