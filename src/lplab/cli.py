@@ -61,14 +61,13 @@ from .extraction import (
 )
 from .gallery import (
     CONVERGING,
-    CUSTOM,
     INCONCLUSIVE,
     NOT_CONVERGING,
     SequenceSpec,
     VectorSequenceSpec,
     _check_array_budget,
+    _check_members,
     _check_pool_budget,
-    _index_guard,
     _shared_pools,
     default_probe_dictionary,
     generate_vector,
@@ -293,14 +292,8 @@ def build_config(raw: dict) -> ScenarioConfig:
         expect = dict(raw.get("expect") or {})
         _check_expect(expect)
         output_dir = str(raw.get("output_dir", "."))
-        # surface generation refusals as configuration errors up front, through
-        # the guards, which write no row.  Every refusal of the other kinds
-        # holds from some index on, so the guard at the horizon covers them; a
-        # custom table can lack or spoil any entry, so each index is guarded.
-        for comp in seq.components:
-            check = _index_guard(comp, grid)
-            for i in range(1, horizon + 1) if comp.kind == CUSTOM else [horizon]:
-                check(i)
+        # surface generation refusals as configuration errors up front
+        _check_members(seq, grid, horizon)
     except KeyError as err:
         raise ConfigError(f"missing config field {err.args[0]!r}") from None
     except AttributeError as err:  # a string or number where an object belongs

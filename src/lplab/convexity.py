@@ -461,11 +461,11 @@ def _verify_on_region(
     n = weights.size
     mean_points, points_step = np.zeros((2, n, m))
     mean_f, f_step = np.zeros((2, n))
-    row = None if nodes is None else np.empty((m, n))
+    row = np.empty((m, n))
     alphas = np.empty(horizon)
     k = 0
     for i in range(1, horizon + 1):
-        points = (pool[i - 1] if nodes is None else _gather(pool[i - 1], nodes, row)).T
+        points = _gather(pool[i - 1], nodes, row).T
         fv, alphas[i - 1] = integrate(points, f"sequence member {i}")
         if k == len(picks) or picks[k] != i:
             continue

@@ -200,6 +200,10 @@ class InequalityConstants:
         cls, p: float, t_max: float = _SCAN_RANGE, step: float = _SCAN_STEP
     ) -> "InequalityConstants":
         e = floor_exponent(p)
+        # 2^p sums every binom(p, i), and B(p) leaves out only terms far below it.
+        with np.errstate(over="ignore"):
+            if not math.isfinite(np.power(2.0, p)):
+                raise InvalidArgumentError(f"B(p) at p = {p:g} is not finite: 2^p overflows")
         a = estimate_a_constant(p, t_max=t_max, step=step)  # refuses an overflowing p first
         b = remainder_term(p, 1.0, 1.0)
         return cls(p=p, e_p=e, a=a, b=b, scan_range=t_max, scan_step=step)
@@ -366,25 +370,21 @@ class _CesaroWalk:
         # One row each for s_k, for the member last read, and a scratch row for
         # phi_w and other temporaries (a scan may use it between picks): on large
         # grids a fresh temporary each time costs several times the arithmetic.
-        n = pool.shape[2] if nodes is None else nodes.size
-        self.s, self.scratch, self._row = np.zeros((3, pool.shape[1], n))
-        self._held = None
+        self.s, self.scratch, self._row = np.zeros((3, pool.shape[1], w.size))
+        # Member _held as read: the pool's own row when reading changes nothing.
+        self._held, self._read = None, None
         self.indices, self.pairings, self.partials, self.cesaro = [], [], [], []
 
     def member(self, i: int) -> np.ndarray:
         """Member i as read by the walk; the pool's own row when reading changes nothing."""
-        if self.nodes is None and self.centre is None and self.factor == 1.0:
-            return self.pool[i - 1]
         if self._held != i:
-            row = self.pool[i - 1]
-            if self.nodes is not None:
-                row = _gather(row, self.nodes, self._row)
+            row = _gather(self.pool[i - 1], self.nodes, self._row)
             if self.centre is not None:
                 row = np.subtract(row, self.centre, out=self._row)
             if self.factor != 1.0:
-                np.divide(row, self.factor, out=self._row)
-            self._held = i
-        return self._row
+                row = np.divide(row, self.factor, out=self._row)
+            self._held, self._read = i, row
+        return self._read
 
     def phi_w(self) -> np.ndarray:
         """|s_k|^(p-1) sgn(s_k) w, in the scratch row."""

@@ -8,12 +8,13 @@ The gallery provides deterministic families indexed by i >= 1:
   * ``constant``     amplitude * value, independent of i,
   * ``custom``       caller-supplied sample table per index.
 
-The dyadic family equals sign(sin(2^i * pi * x1)) while the grid can resolve
-that depth; deeper indices continue with products of the resolvable sign
-patterns, which keeps values in {-1, +1}, keeps the family weakly null, and
-keeps it exactly orthogonal on dyadic grids.  A resolution guard refuses any
-index whose finest oscillation the grid cannot represent (at least 8 nodes
-per cycle), so that aliasing cannot fake convergence.
+The dyadic family equals sign(sin(2^i * pi * t)) of the box's unit coordinate
+t = (x1 - lo) / length while the grid can resolve that depth; deeper indices
+continue with products of the resolvable sign patterns, which keeps values in
+{-1, +1}, keeps the family weakly null, and keeps it exactly orthogonal on
+dyadic grids of any box.  A resolution guard refuses any index whose finest
+oscillation the grid cannot represent (at least 8 nodes per cycle), so that
+aliasing cannot fake convergence.
 
 Weak convergence against all of L^q is undecidable numerically; the probes
 test a finite dictionary and classify the residual decay, reporting
@@ -157,12 +158,10 @@ def _dyadic_sign(x: np.ndarray, level: int) -> np.ndarray:
     return np.where(half == y, 1.0, -1.0)
 
 
-def _max_dyadic_level(n1: int, length: float) -> int:
-    # Largest depth whose 2^(m-1) cycles over `length` keep >= 8 nodes per cycle.
-    m = 0
-    while 8.0 * (2.0 ** m) * length <= n1:
-        m += 1
-    return m  # depth m has 2^(m-1) cycles, so the loop tests depth m+1's rate
+def _max_dyadic_level(n1: int) -> int:
+    # Deepest level m whose 2^(m-1) cycles over the unit box keep >= 8 nodes
+    # per cycle: 2^(m-1) <= n1 / 8 exactly when 2^(m-1) <= n1 // 8.
+    return (n1 // 8).bit_length()
 
 
 def _walsh_masks(horizon: int, max_level: int) -> list:
@@ -181,18 +180,19 @@ def _walsh_masks(horizon: int, max_level: int) -> list:
     return masks
 
 
-def _index_guard(spec: SequenceSpec, grid: QuadratureGrid):
-    """``check(i)`` that raises generate's refusal of index i without writing row i.
+def _kind_rows(spec: SequenceSpec, grid: QuadratureGrid, indices: range):
+    """``(check, write)`` for sample rows i in indices of the sequence, one branch per kind.
 
-    It raises when the grid cannot resolve index i (aliasing guard), when a
-    custom table has no usable entry for i, and when row i would hold a
-    non-finite sample, so a row it passes is finite.  It returns what
-    writing the row needs: the spike's slab and height, or the custom
-    table's samples.
+    ``check(i)`` raises generate's refusal of any index i without writing
+    row i: the grid cannot resolve i (aliasing guard), a custom table has no
+    usable entry for i, or row i would hold a non-finite sample.  It returns
+    what writing the row needs.  ``write(i, out)``, i in the step-1 range
+    indices, runs check(i) first, then fills out with row i.  The setup
+    shared by the indices runs here and never raises.
     """
     x1 = grid.nodes[:, 0]
     n1 = grid.axis_resolution(0)
-    length = grid.axis_length(0)
+    lo, length = grid.domain_box[0, 0], grid.axis_length(0)
 
     if spec.kind == OSCILLATORY:
         # The phase is linear in x1: finite at the extreme nodes, finite at every node.
@@ -209,8 +209,18 @@ def _index_guard(spec: SequenceSpec, grid: QuadratureGrid):
             phase = np.multiply(2.0 * np.pi * i * spec.base, ends)
             _require_finite(np.sin(phase) * spec.amplitude)
 
+        def write(i: int, out: np.ndarray) -> None:
+            check(i)
+            np.multiply(2.0 * np.pi * i * spec.base, x1, out=out)
+            np.sin(out, out=out)
+            out *= spec.amplitude
+
     elif spec.kind == RADEMACHER:
-        max_level = _max_dyadic_level(n1, length)
+        # The signs read the box's own unit coordinate, so every box carries
+        # the same family; on [0, 1] it is x1 bit for bit.
+        unit = x1 - lo
+        unit /= length
+        max_level = _max_dyadic_level(n1)
 
         def check(i: int) -> None:
             if max_level < 1:
@@ -224,72 +234,14 @@ def _index_guard(spec: SequenceSpec, grid: QuadratureGrid):
                 )
             _require_finite(spec.amplitude)
 
-    elif spec.kind == SPIKE:
-        lo = grid.domain_box[0, 0]
-
-        def check(i: int) -> tuple[np.ndarray, float]:
-            if i > n1:
-                raise InvalidArgumentError(
-                    f"resolution {n1} cannot resolve a width-1/{i} spike"
-                )
-            slab = x1 < lo + length / i
-            mass = float(grid.weights[slab].sum())
-            if mass <= 0.0:
-                raise InvalidArgumentError(f"spike support carries no mass at index {i}")
-            # Height chosen so the slab integrates to `amplitude` exactly; this
-            # equals amplitude * i * indicator when i divides the axis resolution.
-            height = spec.amplitude / mass
-            _require_finite(height)
-            return slab, height
-
-    elif spec.kind == CONSTANT:
-        def check(i: int) -> None:
-            _require_finite(spec.amplitude * spec.value)
-
-    else:  # CUSTOM
-        def check(i: int) -> np.ndarray:
-            try:
-                samples = np.asarray(spec.table[i], dtype=float).ravel()
-            except KeyError:
-                raise InvalidArgumentError(f"custom table has no entry for index {i}") from None
-            if samples.size != grid.node_count:
-                raise InvalidArgumentError(
-                    f"sample length {samples.size} != node count {grid.node_count}"
-                )
-            # amplitude * max |sample| bounds every product, exactly: rounding is monotone.
-            _require_finite(spec.amplitude * float(max(samples.max(), -samples.min())))
-            return samples
-
-    return check
-
-
-def _row_writer(spec: SequenceSpec, grid: QuadratureGrid, indices: range):
-    """``write(i, out)`` that fills out with sample row i of the sequence, i in indices.
-
-    The setup shared by the indices runs here and never raises; write first
-    runs the index's guard (``_index_guard``), so it raises at the index it
-    concerns.
-    """
-    check = _index_guard(spec, grid)
-    x1 = grid.nodes[:, 0]
-
-    if spec.kind == OSCILLATORY:
-        def write(i: int, out: np.ndarray) -> None:
-            check(i)
-            np.multiply(2.0 * np.pi * i * spec.base, x1, out=out)
-            np.sin(out, out=out)
-            out *= spec.amplitude
-
-    elif spec.kind == RADEMACHER:
-        max_level = _max_dyadic_level(grid.axis_resolution(0), grid.axis_length(0))
-        masks = _walsh_masks(indices[-1], max_level)
+        masks = _walsh_masks(indices.stop - 1, max_level)
         # One sign row per level the indices' masks use, computed here and
         # only read by write, so fill threads share no mutable state.
         used = 0
-        for mask in masks[indices[0] - 1 :]:
+        for mask in masks[indices.start - 1 :]:
             used |= mask
         signs = {
-            level: _dyadic_sign(x1, level)
+            level: _dyadic_sign(unit, level)
             for level in range(1, used.bit_length() + 1) if used >> (level - 1) & 1
         }
 
@@ -307,21 +259,64 @@ def _row_writer(spec: SequenceSpec, grid: QuadratureGrid, indices: range):
                 out *= signs[level]
 
     elif spec.kind == SPIKE:
+        def check(i: int) -> tuple[np.ndarray, float]:
+            if i > n1:
+                raise InvalidArgumentError(
+                    f"resolution {n1} cannot resolve a width-1/{i} spike"
+                )
+            slab = x1 < lo + length / i
+            mass = float(grid.weights[slab].sum())
+            if mass <= 0.0:
+                raise InvalidArgumentError(f"spike support carries no mass at index {i}")
+            # Height chosen so the slab integrates to `amplitude` exactly; this
+            # equals amplitude * i * indicator when i divides the axis resolution.
+            height = spec.amplitude / mass
+            _require_finite(height)
+            return slab, height
+
         def write(i: int, out: np.ndarray) -> None:
             slab, height = check(i)
             out.fill(0.0)
             out[slab] = height
 
     elif spec.kind == CONSTANT:
+        def check(i: int) -> None:
+            _require_finite(spec.amplitude * spec.value)
+
         def write(i: int, out: np.ndarray) -> None:
             check(i)
             out.fill(spec.amplitude * spec.value)
 
     else:  # CUSTOM
+        def check(i: int) -> np.ndarray:
+            try:
+                samples = np.asarray(spec.table[i], dtype=float).ravel()
+            except KeyError:
+                raise InvalidArgumentError(f"custom table has no entry for index {i}") from None
+            if samples.size != grid.node_count:
+                raise InvalidArgumentError(
+                    f"sample length {samples.size} != node count {grid.node_count}"
+                )
+            # amplitude * max |sample| bounds every product, exactly: rounding is monotone.
+            _require_finite(spec.amplitude * float(max(samples.max(), -samples.min())))
+            return samples
+
         def write(i: int, out: np.ndarray) -> None:
             np.multiply(spec.amplitude, check(i), out=out)
 
-    return write
+    return check, write
+
+
+def _check_members(seq: VectorSequenceSpec, grid: QuadratureGrid, horizon: int) -> None:
+    """Raise generate's refusal of a member 1..horizon through the guards, writing no row.
+
+    Other kinds refuse from some index on, so the horizon's guard covers them;
+    a custom table can lack or spoil any entry, so each of its indices is guarded.
+    """
+    for spec in seq.components:
+        check, _ = _kind_rows(spec, grid, range(1, 1))  # no row to write, none to set up
+        for i in range(1, horizon + 1) if spec.kind == CUSTOM else [horizon]:
+            check(i)
 
 
 def generate(spec: SequenceSpec, i: int, grid: QuadratureGrid) -> ScalarField:
@@ -334,7 +329,7 @@ def generate(spec: SequenceSpec, i: int, grid: QuadratureGrid) -> ScalarField:
     if i < 1:
         raise InvalidArgumentError(f"sequence index must be >= 1, got {i}")
     out = np.empty(grid.node_count)
-    _row_writer(spec, grid, range(i, i + 1))(i, out)
+    _kind_rows(spec, grid, range(i, i + 1))[1](i, out)
     return ScalarField(grid, out)
 
 
@@ -470,7 +465,7 @@ def _build_pool(seq: VectorSequenceSpec, grid: QuadratureGrid, horizon: int) -> 
     if horizon < 1:
         raise InvalidArgumentError(f"pool horizon must be >= 1, got {horizon}")
     _check_pool_budget(horizon, seq.m, grid.node_count)
-    writers = [_row_writer(comp, grid, range(1, horizon + 1)) for comp in seq.components]
+    writers = [_kind_rows(comp, grid, range(1, horizon + 1))[1] for comp in seq.components]
     pool = np.empty((horizon, seq.m, grid.node_count))
 
     def fill(lo: int, hi: int) -> None:

@@ -55,12 +55,15 @@ def _abs_power(x: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gather(rows: np.ndarray, nodes: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """rows at the listed nodes (the last axis), written into out.
+def _gather(rows: np.ndarray, nodes: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+    """rows at a region's nodes (the last axis), the one read of member rows on a region.
 
-    In numpy's default "raise" mode take writes through a hidden temporary
-    the size of out; the nodes are valid indices, so "clip" changes no value.
+    rows themselves when nodes is None (the whole grid); otherwise gathered
+    into out.  In numpy's default "raise" mode take writes through a hidden
+    temporary the size of out; the nodes are valid indices, so "clip" changes no value.
     """
+    if nodes is None:
+        return rows
     return np.take(rows, nodes, axis=-1, out=out, mode="clip")
 
 
@@ -82,12 +85,12 @@ def _lp_norms(
     """
     count, m = rows.shape[:2]
     size = min(2, count)
-    block = np.empty((size, m, rows.shape[2] if nodes is None else nodes.size))
+    block = np.empty((size, m, w.size))
     sums = np.empty(count)
     for start in range(0, count, 2):
         first = min(start, count - size)
         pair = slice(first, first + size)
-        read = rows[pair] if nodes is None else _gather(rows[pair], nodes, block)
+        read = _gather(rows[pair], nodes, block)
         if centre is not None:
             read = np.subtract(read, centre, out=block)
         with np.errstate(over="ignore"):  # an overflowed row is recomputed below
@@ -95,7 +98,7 @@ def _lp_norms(
         sums[pair] = np.einsum("n,ijn->i", w, block)
     norms = sums ** (1.0 / p)
     for i in np.flatnonzero(~(np.isfinite(sums) & (sums >= np.finfo(float).tiny))):
-        row = rows[i] if nodes is None else rows[i][:, nodes]
+        row = _gather(rows[i], nodes, block[0])
         row = np.abs(row if centre is None else row - centre)
         scale = float(row.max())
         if scale > 0.0:

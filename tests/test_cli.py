@@ -461,12 +461,15 @@ def test_cli_verify_lemma1_overflow_is_an_error_not_a_verdict(p, capsys):
         ["--p", "100000", "--range", "1", "--step", "1", "--ab-range", "1", "--ab-step", "1",
          "--homogeneity-samples", "1"],
         ["--p", "1e300"],
+        ["--p", "1e7", "--range", "1e-300", "--step", "1e-300", "--ab-range", "1",
+         "--ab-step", "1", "--homogeneity-samples", "1"],
     ],
-    ids=["p=1e5", "p=1e300"],
+    ids=["p=1e5", "p=1e300", "p=1e7-tiny-range"],
 )
 def test_cli_verify_lemma1_refuses_an_overflowing_p_before_its_binomials(args, capsys):
-    # (t_max + 1)^p overflows: the binomial loop over E(p) terms ran for
-    # minutes (p = 1e5) or would never end (p = 1e300) before the refusal.
+    # B(p) = sum binom(p, i) is not finite: the binomial loop over E(p) terms
+    # ran for minutes (p = 1e5) or would never end (p = 1e300, and p = 1e7 on
+    # a range whose (t_max + 1)^p stays finite) before the refusal.
     start = time.perf_counter()
     assert main(["verify-lemma1", *args]) == 2
     assert time.perf_counter() - start < 1.0
@@ -632,18 +635,27 @@ def test_build_config_writes_no_row_for_the_guard_of_a_non_custom_kind(monkeypat
         sequence=[{"kind": k} for k in kinds] + [{"kind": "custom", "params": {"table": table}}],
         limit=[{"kind": "constant"}] * 5,
     )
-    written = []
-    real_writer = gallery._row_writer
+    guarded, written = [], []
+    real_rows = gallery._kind_rows
 
-    def recording_writer(spec, grid, indices):
-        written.append((spec, list(indices)))
-        return real_writer(spec, grid, indices)
+    def recording_rows(spec, grid, indices):
+        check, write = real_rows(spec, grid, indices)
+        guarded.append(spec)
 
-    monkeypatch.setattr(gallery, "_row_writer", recording_writer)
+        def recording_write(i, out):
+            written.append((spec, i))
+            write(i, out)
+
+        return check, recording_write
+
+    for module in (gallery, cli):
+        if hasattr(module, "_kind_rows"):
+            monkeypatch.setattr(module, "_kind_rows", recording_rows)
     cfg = build_config(raw)
     # A custom table is checked entry by entry through its guard, which writes no row either.
-    assert len(cfg.sequence.components) == 5
-    assert [(s.kind, i) for s, i in written if any(s is c for c in cfg.sequence.components)] == []
+    members = cfg.sequence.components
+    assert [s.kind for s in guarded if any(s is c for c in members)] == kinds + ["custom"]
+    assert [(s.kind, i) for s, i in written if any(s is c for c in members)] == []
 
 
 @pytest.mark.parametrize(

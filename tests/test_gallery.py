@@ -115,7 +115,7 @@ def test_rademacher_rows_are_bitwise_the_fill_then_multiply_writer(amplitude):
     # in, lowest level first, then the amplitude.
     grid2 = build_uniform_grid([[0.0, 1.0], [0.0, 1.0]], [256, 4])
     x1 = grid2.nodes[:, 0]
-    max_level = gallery._max_dyadic_level(256, 1.0)
+    max_level = gallery._max_dyadic_level(256)
     masks = gallery._walsh_masks(63, max_level)
     spec = SequenceSpec(kind="rademacher", amplitude=amplitude)
     pool = gallery.member_pool(VectorSequenceSpec([spec]), grid2, 63)
@@ -138,6 +138,25 @@ def test_dyadic_family_is_orthonormal(grid):
             inner = float(np.dot(w, members[a].samples * members[b].samples))
             assert inner == pytest.approx(1.0 if a == b else 0.0, abs=1e-12)
     assert all(np.all(np.abs(m.samples) == 1.0) for m in members)
+
+
+@pytest.mark.parametrize("box", [[0.0, 0.5], [0.25, 0.75], [0.0, 2.0]])
+def test_dyadic_family_is_orthogonal_on_every_box(box):
+    # The signs read the box's own unit coordinate: 4096 nodes resolve 10
+    # levels on any box, and all 1023 sign patterns are distinct and
+    # orthogonal there.  Every Gram entry sums +-w terms exactly.
+    boxed = build_uniform_grid([box], 4096)
+    max_level = gallery._max_dyadic_level(4096)
+    count = (1 << max_level) - 1
+    assert count == 1023
+    spec = SequenceSpec(kind="rademacher")
+    rows = gallery.member_pool(VectorSequenceSpec([spec]), boxed, count)[:, 0]
+    assert len({row.tobytes() for row in rows}) == count
+    gram = (rows * boxed.weights) @ rows.T
+    length = box[1] - box[0]
+    assert np.array_equal(gram, length * np.eye(count))
+    with pytest.raises(InvalidArgumentError, match="index 1024 is out of range"):
+        generate(spec, count + 1, boxed)
 
 
 def test_weak_probe_oscillatory_converges(grid):

@@ -63,7 +63,7 @@ def _every_kind(grid):
 
 def test_pool_rows_equal_generate_for_every_kind(grid):
     # 256 nodes resolve 6 dyadic levels, so indices 7..40 are Walsh products
-    assert _max_dyadic_level(256, 1.0) == 6
+    assert _max_dyadic_level(256) == 6
     seq = VectorSequenceSpec(_every_kind(grid))
     pool = member_pool(seq, grid, 40)
     assert pool.shape == (40, 5, grid.node_count)
@@ -252,7 +252,7 @@ def test_each_entry_point_builds_one_pool(grid, monkeypatch):
         lambda: convexity.weak_star_verify(rad, _zero_limit(grid), f, K, full, 48, [0.5, 2.0]),
         lambda: convexity.mazur_scenario_verify(rad, _zero_limit(grid), f, K, full, 48),
     ]
-    max_level = _max_dyadic_level(256, 1.0)
+    max_level = _max_dyadic_level(256)
     for call in calls:
         builds, signs = _count_pools(monkeypatch)
         call()

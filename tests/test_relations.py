@@ -5,7 +5,9 @@ lambda u_i converges weakly to lambda u, and the liminf inequality for a
 degree-d integrand holds for lambda u_i exactly when it holds for u_i.  So
 every verdict of a scenario must be the same after every amplitude, and the
 convex set K, is multiplied by lambda.  Negating the sequence, with a
-symmetric f and K, must leave every output unchanged.
+symmetric f and K, must leave every output unchanged.  Dilating the domain
+x -> c x, with the truncation radii, maps a dyadic family onto itself, so
+the Rademacher scenarios keep every verdict and their Cesaro slope.
 """
 
 import copy
@@ -142,3 +144,22 @@ def test_every_csv_is_invariant_under_a_sign_flip(key, unscaled, tmp_path):
     assert csvs
     for name in csvs:
         assert (tmp_path / name).read_bytes() == (plus / name).read_bytes()
+
+
+def _dilated(raw: dict, c: float) -> dict:
+    """raw with the grid box and the truncation radii multiplied by c."""
+    raw = copy.deepcopy(raw)
+    raw["grid"]["box"] = [[c * lo, c * hi] for lo, hi in raw["grid"]["box"]]
+    if "R_schedule" in raw:
+        raw["R_schedule"] = [c * r for r in raw["R_schedule"]]
+    return raw
+
+
+@pytest.mark.parametrize("key", ["a3", "a6"])
+def test_every_rademacher_verdict_is_invariant_under_dilation(key, unscaled, tmp_path):
+    _, expected, expected_slope = unscaled(key)
+    for c in (1e-100, 2.0 ** -8, 0.25, 0.5, 2.0, 3.0, 4.0):
+        outcome, slope = _outcome(_dilated(_SCENARIOS[key], c), tmp_path / f"{c:g}")
+        assert outcome == expected, f"c = {c:g}"
+        if expected_slope is not None:
+            assert slope == pytest.approx(expected_slope, rel=0.0, abs=1e-9), f"c = {c:g}"
