@@ -83,7 +83,6 @@ _LEMMA1_DEFAULTS = {
     "p": (1.1, 1.5, 2.0, 2.5, 3.0, 3.5), "range": _SCAN_RANGE, "step": _SCAN_STEP,
     "ab_range": 10.0, "ab_step": 0.05, "homogeneity_samples": 10000, "seed": 20260810,
 }
-_GRID_MARGIN_TOL = 1e-9
 _HOMOGENEITY_TOL = 1e-9
 
 
@@ -215,7 +214,7 @@ def _check_expect(expect: dict) -> None:
                 f"field 'expect.{key}' must be two numbers [lo, hi] with lo <= hi, got {window!r}"
             )
     drop = expect.get("cesaro_drop")
-    if drop is not None and not _is_number(drop):
+    if drop is not None and (not _is_number(drop) or math.isnan(drop)):
         raise ConfigError(f"field 'expect.cesaro_drop' must be a number, got {drop!r}")
     verdict = expect.get("probe_verdict")
     if verdict is not None and verdict not in (CONVERGING, NOT_CONVERGING, INCONCLUSIVE):
@@ -521,8 +520,26 @@ def _cmd_scenario(args, phases) -> int:
     return _exit_code(manifest)
 
 
+def _lemma1_scale(p: float, a, b, A: float):
+    """|a|^p + p|a|^(p-1)|b| + A|b|^p + |a+b|^p: the size of the lemma-1 terms at (a, b)."""
+    return (
+        np.abs(a) ** p
+        + p * np.abs(a) ** (p - 1.0) * np.abs(b)
+        + A * np.abs(b) ** p
+        + np.abs(a + b) ** p
+    )
+
+
 def _lemma1_rows(args):
-    """(constants, worst grid margin, homogeneity deviation) per p of verify-lemma1's args.
+    """(constants, worst grid margin, homogeneity deviation, pass) per p of verify-lemma1's args.
+
+    A grid margin passes at >= 0, or within the rounding budget of its terms
+    at n = 2E(p) + 5, the most roundings behind any term: B's last term
+    takes 2E(p) + 2 from its binomial, powers and products and three from
+    the sums; p|a|^(p-1) sgn(a) b takes 3 + 4; and |a+b|^p takes
+    ceil(p) + 2 = E(p) + 3, since its rounded a + b is raised to the p.  At
+    a negative margin B <= |a+b|^p + p|a|^(p-1)|b|, so the scale bounds B
+    too.  The homogeneity deviation passes at <= 1e-9.
 
     Every argument is checked before a scan starts: ranges and steps must be
     finite and positive, the seed >= 0, at least one homogeneity sample is
@@ -546,53 +563,45 @@ def _lemma1_rows(args):
     grid_1d = np.arange(-ab_range, ab_range + ab_step / 2, ab_step)
     if grid_1d.size < 2:
         raise InvalidArgumentError(f"{grid_name} holds a single point")
-    a, b = np.meshgrid(grid_1d, grid_1d, indexing="ij")
+    a, b = (axis.ravel() for axis in np.meshgrid(grid_1d, grid_1d, indexing="ij"))
     rows = []
     rng = np.random.default_rng(args.seed)
     for p in args.p:
         consts = InequalityConstants.build(p, t_max=args.range, step=args.step)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            margins = check_pointwise_inequality(p, a.ravel(), b.ravel(), consts)
+            margins = check_pointwise_inequality(p, a, b, consts)
             worst = float(margins.min())
+            low = np.flatnonzero(margins < 0.0)  # only these compute the scale of their terms
+            sizes = _lemma1_scale(p, a[low], b[low], consts.a)
+            budget = _rounding_budget(2 * consts.e_p + 5, sizes)
+            grid_ok = bool(np.all(margins[low] >= -budget))
             ra = rng.uniform(-ab_range, ab_range, samples)
             rb = rng.uniform(-ab_range, ab_range, samples)
             lam = rng.uniform(0.1, 10.0, samples)
             scaled = check_pointwise_inequality(p, lam * ra, lam * rb, consts)
             base = check_pointwise_inequality(p, ra, rb, consts)
-            scale = lam ** p * (
-                np.abs(ra) ** p
-                + p * np.abs(ra) ** (p - 1.0) * np.abs(rb)
-                + consts.a * np.abs(rb) ** p
-                + np.abs(ra + rb) ** p
-                + 1e-300
-            )
+            scale = lam ** p * (_lemma1_scale(p, ra, rb, consts.a) + 1e-300)
             dev = float(np.max(np.abs(scaled - lam ** p * base) / scale))
         if not (math.isfinite(worst) and math.isfinite(dev)):
             raise InvalidArgumentError(
                 f"the lemma-1 check at p = {p:g} is not finite (worst margin {worst}, "
                 f"homogeneity deviation {dev}): its terms overflow the float range"
             )
-        rows.append((consts, worst, dev))
+        rows.append((consts, worst, dev, grid_ok and dev <= _HOMOGENEITY_TOL))
     return rows
-
-
-def _lemma1_ok(worst: float, dev: float) -> bool:
-    """Pass rule of one lemma-1 line: grid margin and homogeneity deviation within tolerance."""
-    return worst >= -_GRID_MARGIN_TOL and dev <= _HOMOGENEITY_TOL
 
 
 def _cmd_verify_lemma1(args) -> int:
     rows = _lemma1_rows(args)
     ok = True
-    for c, worst, dev in rows:
-        line_ok = _lemma1_ok(worst, dev)
+    for c, worst, dev, line_ok in rows:
         ok = ok and line_ok
         print(
             f"p={c.p:g} E(p)={c.e_p} A={c.a:.6g} B={c.b:.6g} worst_margin={worst:.3e} "
             f"homogeneity_dev={dev:.3e} [{'ok' if line_ok else 'FAIL'}]"
         )
     if args.json:
-        consts = [c.to_json_dict() for c, _, _ in rows]
+        consts = [row[0].to_json_dict() for row in rows]
         Path(args.json).write_text(json.dumps(consts, indent=2) + "\n")
     return 0 if ok else 1
 
@@ -611,12 +620,12 @@ def _cmd_suite(args) -> int:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    lemma_ok = all(_lemma1_ok(worst, dev) for _, worst, dev in rows)
+    lemma_ok = all(row[3] for row in rows)
     code = 0 if lemma_ok else 1
     _write_csv(
         out / "lemma1.csv",
         ("p", "E_p", "A", "B", "worst_margin", "homogeneity_dev"),
-        [(c.p, c.e_p, c.a, c.b, worst, dev) for c, worst, dev in rows],
+        [(c.p, c.e_p, c.a, c.b, worst, dev) for c, worst, dev, _ in rows],
     )
     print(f"lemma1 constants and grid check: {'PASS' if lemma_ok else 'FAIL'}")
 

@@ -100,10 +100,15 @@ def floor_exponent(p: float) -> int:
 def remainder_term(p: float, a, b):
     """Higher-order remainder sum_{i=2}^{E(p)} binom(p,i) |a|^(p-i) |b|^i.
 
-    Identically zero for p in (1, 2].  Accepts scalars or arrays.
+    Identically zero for p in (1, 2].  Accepts scalars or arrays.  A p whose
+    2^p overflows (p >= 1024) is refused before any binomial is formed: 2^p
+    sums every binom(p, i), and B(p) leaves out only terms far below it.
     """
     if not (math.isfinite(p) and p > 1.0):
         raise InvalidArgumentError(f"remainder term needs finite p > 1, got {p}")
+    with np.errstate(over="ignore"):
+        if not math.isfinite(np.power(2.0, p)):
+            raise InvalidArgumentError(f"B(p) at p = {p:g} is not finite: 2^p overflows")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     total = np.zeros(np.broadcast(a, b).shape)
@@ -136,7 +141,7 @@ def estimate_a_constant(
     a = 0, b = 1 forces A >= 1.  A scan whose points take more than
     ``POOL_BUDGET_BYTES`` is refused before it is allocated, and one whose
     terms overflow the float range is refused as diverged: at once when its
-    end point's term (t_max + 1)^p does, before any binomial is formed.
+    end point's term (t_max + 1)^p or 2^p does, before any binomial is formed.
     """
     if not (math.isfinite(p) and p > 1.0):
         raise InvalidArgumentError(f"the constant is defined for p > 1, got {p}")
@@ -200,10 +205,6 @@ class InequalityConstants:
         cls, p: float, t_max: float = _SCAN_RANGE, step: float = _SCAN_STEP
     ) -> "InequalityConstants":
         e = floor_exponent(p)
-        # 2^p sums every binom(p, i), and B(p) leaves out only terms far below it.
-        with np.errstate(over="ignore"):
-            if not math.isfinite(np.power(2.0, p)):
-                raise InvalidArgumentError(f"B(p) at p = {p:g} is not finite: 2^p overflows")
         a = estimate_a_constant(p, t_max=t_max, step=step)  # refuses an overflowing p first
         b = remainder_term(p, 1.0, 1.0)
         return cls(p=p, e_p=e, a=a, b=b, scan_range=t_max, scan_step=step)
@@ -594,13 +595,14 @@ def szlenk_extract(
     max(1/l, k^(-1/2)); level targets are certified on the diagonal at the
     checkpoints k = round(K l/levels) and the prefix/tail splitting
     inequality is evaluated at the final k for every prefix l < levels.
-    Each running mean is computed once: until its first rejection a level
-    holds the sums the level above held, so it reuses that level's means
-    and re-reads members only from the rejection on, with the picks
-    unchanged.  Level 1 is picked by the diagonal's own walk, so the
-    diagonal re-reads members only from where it leaves level 1's list.
-    Raises ``LevelStalledError`` when a level keeps fewer members than its
-    own index (the diagonal could not pass through it).
+    One pass over the pool reads each member once and offers it down the
+    chain of levels: level 1 first, then each level the members it keeps.
+    Levels that have kept the same members share one running sum and
+    compute one running mean per offered member; the levels that reject it
+    split off with a copy of the sum.  The diagonal's walk records each pick
+    as the level it reads keeps it.  Raises ``LevelStalledError`` when a
+    level keeps fewer members than its own index (the diagonal could not
+    pass through it).
     """
     _check_levels(levels)
     pool = member_pool(seq, grid, horizon)
@@ -630,77 +632,6 @@ def _szlenk_trial(
     return norm / k, integrals
 
 
-def _walk_first_level(walk: _CesaroWalk, levels: int) -> tuple[list, list, dict]:
-    """Level 1 of the selection, picked by the diagonal's walk as far as the diagonal follows it.
-
-    Returns level 1's list and trials, and s after each pick r < levels the
-    walk made.  Until the deepest level rejects a candidate level 1 keeps,
-    every level holds level 1's list, and so does the diagonal.  Meanwhile a
-    trial sums s + u in a row of its own and integrates |s + u| per
-    component, which is what the walk records at a pick, so a kept
-    candidate hands both to the walk.  The first such rejection, at pick k,
-    is where the diagonal leaves: the shallowest level l rejecting it lies
-    below one whose larger threshold is 1/(l - 1) > k^(-1/2), so l <= k, and
-    the diagonal reads level min(k, levels) >= l there.  From that candidate
-    on, level 1 sums in a row of its own and the walk keeps its s for the
-    diagonal to walk on.  Level 1's threshold max(1, k^(-1/2)) is 1.
-    """
-    deepest = 1.0 / levels
-    ahead, chosen, trials, heads = np.zeros_like(walk.s), [], [], {}
-    s = walk.s
-    for idx in range(1, walk.horizon + 1):
-        k = len(trials) + 1
-        u = walk.member(idx)
-        walking = s is walk.s
-        trial, integrals = _szlenk_trial(walk.w, s, u, k, walk.scratch, ahead if walking else None)
-        if trial > 1.0 + _SELECTION_SLACK:
-            continue
-        chosen.append(idx)
-        trials.append(trial)
-        if not walking:
-            s += u
-        elif trial <= max(deepest, k ** -0.5) + _SELECTION_SLACK:
-            ahead = walk.add(idx, ahead=(ahead, integrals))
-            s = walk.s
-            if k < levels:
-                heads[k] = walk.s.copy()
-        else:
-            s = ahead
-    return chosen, trials, heads
-
-
-def _next_level(
-    walk: _CesaroWalk, previous: list, trials: list, target: float
-) -> tuple[list, list]:
-    """The candidates of the level above whose running means stay below max(target, k^(-1/2)).
-
-    While a level keeps every candidate, its sum before candidate j is the
-    sum the level above held before it: the same members, added in place in
-    the same order.  So is k, and its trial is the float the level above
-    recorded; only the threshold changes.  From its first rejection the
-    level builds its sum from the kept prefix and computes its own trials.
-    Returns the kept indices and their trials.
-    """
-    chosen, chosen_trials, s = [], [], None
-    for j, idx in enumerate(previous):
-        k = len(chosen) + 1
-        if s is None:
-            trial = trials[j]
-        else:
-            u = walk.member(idx)
-            trial = _szlenk_trial(walk.w, s, u, k, walk.scratch)[0]
-        if trial <= max(target, k ** -0.5) + _SELECTION_SLACK:
-            chosen.append(idx)
-            chosen_trials.append(trial)
-            if s is not None:
-                s += u
-        elif s is None:
-            s = np.zeros_like(walk.s)
-            for i in chosen:
-                s += walk.member(i)
-    return chosen, chosen_trials
-
-
 def _szlenk_select(
     pool: np.ndarray,
     w: np.ndarray,
@@ -708,34 +639,64 @@ def _szlenk_select(
     centre: np.ndarray | None = None,
     nodes: np.ndarray | None = None,
 ) -> tuple[SzlenkSchedule, ExtractionTrace]:
-    """Level/diagonal selection over a (horizon, m, N) member pool, read at nodes if given."""
-    walk = _CesaroWalk(pool, w, 1.0, centre, nodes)
-    horizon = walk.horizon
-    chosen, trials, heads = _walk_first_level(walk, levels)
+    """Level/diagonal selection over a (horizon, m, N) member pool, read at nodes if given.
 
-    level_lists = []
-    for level in range(1, levels + 1):
-        if level > 1:
-            chosen, trials = _next_level(walk, chosen, trials, 1.0 / level)
+    One pass reads each member once and offers it to level 1; each level
+    offers the members it keeps to the next.  Levels that have kept the same
+    members form a band: one sum, one trial per offered member, compared with
+    each level's threshold.  The thresholds fall with the level, so the
+    levels that keep a member are a leading run of the band, and the rest go
+    on as a band of their own with a copy of the sum before it: the same
+    in-place adds from zero that a rescan of their list makes.  While one
+    band holds every level, its sum is the walk's s and a kept member's s + u
+    goes to the walk.  At the first split the keepers take that row and the
+    walk keeps s; from then on the walk adds the diagonal's k-th pick, level
+    min(k, levels)'s k-th member, where that level keeps it.
+    """
+    walk = _CesaroWalk(pool, w, 1.0, centre, nodes)
+    # [first level, last level, kept members, their sum] per band, in level order.
+    bands, ahead, heads = [[1, levels, [], walk.s]], np.zeros_like(walk.s), {}
+    for idx in range(1, walk.horizon + 1):
+        u = walk.member(idx)
+        for b, band in enumerate(bands):
+            first, last, chosen, s = band
+            k, walking = len(chosen) + 1, len(bands) == 1
+            trial, integrals = _szlenk_trial(w, s, u, k, walk.scratch, ahead if walking else None)
+            root, kept = k ** -0.5, first
+            while kept <= last and trial <= max(1.0 / kept, root) + _SELECTION_SLACK:
+                kept += 1
+            if kept == first:
+                break
+            if kept <= last:  # levels kept..last reject u and go on as a band of their own
+                bands.insert(b + 1, [kept, last, list(chosen), s.copy()])
+                band[1] = kept - 1
+            chosen.append(idx)
+            diagonal = first <= min(k, levels) < kept  # u is the diagonal's k-th pick
+            if not walking:
+                s += u
+                if diagonal:
+                    walk.add(idx)
+            elif diagonal:
+                ahead = walk.add(idx, ahead=(ahead, integrals))
+                band[3] = walk.s
+            else:  # the first split: a level l <= k rejects u, as 1/(l - 1) > k^(-1/2)
+                band[3] = ahead
+            if diagonal and k < levels:
+                heads[k] = walk.s.copy()
+            if kept <= last:
+                break
+
+    level_lists = [list(band[2]) for band in bands for _ in range(band[0], band[1] + 1)]
+    for level, chosen in enumerate(level_lists, start=1):
         if len(chosen) < level:
             raise LevelStalledError(
                 f"level {level} kept only {len(chosen)} members within the pool "
-                f"of {horizon}; cannot host the diagonal",
+                f"of {walk.horizon}; cannot host the diagonal",
                 level=level,
-                completed=level_lists,
+                completed=level_lists[: level - 1],
             )
-        level_lists.append(chosen)
-
-    # The walk holds the diagonal's picks up to where it leaves level 1's list.
-    length = len(level_lists[-1])
-    diagonal = [level_lists[min(r, levels) - 1][r - 1] for r in range(1, length + 1)]
-    shared = len(walk.indices)
-    for r, idx in enumerate(diagonal[shared:], start=shared + 1):
-        walk.add(idx)
-        if r < levels:
-            heads[r] = walk.s.copy()
     trace = walk.trace("szlenk_diagonal")
-    cesaro = trace.cesaro_norms
+    cesaro, length = trace.cesaro_norms, trace.length
 
     checkpoints = []
     for level in range(1, levels + 1):
@@ -750,7 +711,7 @@ def _szlenk_select(
     schedule = SzlenkSchedule(
         levels=level_lists,
         targets=[1.0 / level for level in range(1, levels + 1)],
-        diagonal=diagonal,
+        diagonal=list(walk.indices),
         checkpoints=checkpoints,
         splitting_checks=splitting,
     )

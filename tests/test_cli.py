@@ -109,6 +109,8 @@ def test_config_digest_is_stable():
         {"region": {"type": "ball", "radius": 1e-9}},
         {"region": {"type": "box", "bounds": [[2.0, 3.0]]}},
         {"p": "infinity", "extraction": "none", "R_schedule": [1e-9, 1.0]},
+        # a drop that no Cesaro curve can be compared with (json reads NaN)
+        {"expect": {"cesaro_drop": float("nan")}},
     ],
 )
 def test_config_validation_errors(overrides):
@@ -170,6 +172,25 @@ def test_cli_verify_lemma1_smoke(capsys):
     assert "E(p)=1" in out
     assert "B=0" in out
     assert "A=1.01" in out
+
+
+def test_cli_verify_lemma1_grid_margins_are_read_at_the_scale_of_their_terms(capsys):
+    # The terms grow like 20^p: at p = 7 the worst margin, -1.863e-09, is
+    # rounding noise, and an absolute tolerance of 1e-9 read it as [FAIL].
+    assert main(["verify-lemma1", "--p", "7", "7.5", "8", "12", "20"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("[ok]") == 5 and "worst_margin=-1.863e-09" in out
+
+
+def test_cli_verify_lemma1_fails_an_a_below_the_scanned_sup(monkeypatch, capsys):
+    # At p = 1.5 the sup of the b = 1 residual is about 1.31; A = 1 is too small.
+    def build(cls, p, t_max=100.0, step=1e-3):
+        return InequalityConstants(p=p, e_p=1, a=1.0, b=0.0, scan_range=t_max, scan_step=step)
+
+    monkeypatch.setattr(InequalityConstants, "build", classmethod(build))
+    assert main(["verify-lemma1", "--p", "1.5"]) == 1
+    out = capsys.readouterr().out
+    assert "A=1 " in out and out.rstrip().endswith("[FAIL]")
 
 
 def _weak_star_config(**overrides):

@@ -1,4 +1,6 @@
 import dataclasses
+import time
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -80,6 +82,25 @@ def test_remainder_term_keeps_the_bits_of_its_binomials():
         for i in range(2, floor_exponent(p) + 1):
             expected = expected + generalized_binomial(p, i) * np.abs(a) ** (p - i) * b ** i
         assert np.array_equal(remainder_term(p, a, b), expected), p
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: estimate_a_constant(1e7, 1e-300, 1e-300),
+        lambda: remainder_term(1029.5, 1e-3, 1e-3),
+    ],
+    ids=["a-scan-p=1e7-tiny-range", "remainder-p=1029.5"],
+)
+def test_a_p_whose_2_to_the_p_overflows_is_refused_before_its_binomials(call):
+    # (t_max + 1)^p stays finite on a tiny range, but B(p) does not: the loop
+    # over E(p) binomials ran past 5 s, or returned NaN with a numpy warning.
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match="is not finite"):
+            call()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_constant_a_for_p2_is_exact():
@@ -633,16 +654,24 @@ def _with_oracle_examples(test):
 def test_szlenk_select_is_bitwise_the_scan_that_rescans_every_level(
     kind, m, horizon, n, seed, centred, levels
 ):
-    # A level reuses the trials of the level above until its first rejection;
-    # the picks, the trace and every stall must stay those of a full rescan.
+    # Levels that have kept the same members share one trial per member; the
+    # picks, the trace and every stall must stay those of a full rescan, and
+    # each member is read once, whether the selection stalls or not.
     pool, w, centre = _oracle_pool(kind, m, horizon, n, seed, centred)
-    calls = []
+    calls, reads = [], []
     real_trial = extraction._szlenk_trial
+    real_member = extraction._CesaroWalk.member
+
+    def member(walk, i):
+        reads.append(walk._held != i)
+        return real_member(walk, i)
+
     with mock.patch.object(
         extraction, "_szlenk_trial", lambda *a: calls.append(1) or real_trial(*a)
-    ):
+    ), mock.patch.object(extraction._CesaroWalk, "member", member):
         got = _select_or_stall(extraction._szlenk_select, pool, w, levels, centre)
     assert got == _select_or_stall(_szlenk_select_rescanning_every_level, pool, w, levels, centre)
+    assert sum(reads) == horizon
     if got[0] == "selected":
         level_lists = extraction._szlenk_select(pool, w, levels, centre)[0].levels
         assert len(calls) == _recomputed_trials(level_lists, horizon)
