@@ -214,8 +214,8 @@ def _check_expect(expect: dict) -> None:
                 f"field 'expect.{key}' must be two numbers [lo, hi] with lo <= hi, got {window!r}"
             )
     drop = expect.get("cesaro_drop")
-    if drop is not None and (not _is_number(drop) or math.isnan(drop)):
-        raise ConfigError(f"field 'expect.cesaro_drop' must be a number, got {drop!r}")
+    if drop is not None and not (_is_number(drop) and drop >= 0.0):  # NaN included
+        raise ConfigError(f"field 'expect.cesaro_drop' must be a number >= 0, got {drop!r}")
     verdict = expect.get("probe_verdict")
     if verdict is not None and verdict not in (CONVERGING, NOT_CONVERGING, INCONCLUSIVE):
         raise ConfigError(f"field 'expect.probe_verdict': unknown verdict {verdict!r}")

@@ -39,14 +39,13 @@ from .errors import (
     LevelStalledError,
     PreconditionViolationError,
 )
-from .extraction import ExtractionTrace, _banach_saks_select, _check_levels, _szlenk_select
+from .extraction import ExtractionTrace, _check_levels, _select
 from .gallery import (
     _FLAT_SLOPE,
     CONVERGING,
     VectorSequenceSpec,
     _halves,
     _probed_pool,
-    _shared_selection,
     default_probe_dictionary,
 )
 from .grid import (
@@ -370,25 +369,17 @@ def _replay_trace(
     grid.  Both extractions read the members centred on the limit.  The p = 1
     one is restricted to the region and reads each member at its nodes as it
     goes: outside them the centred members would be zero and add nothing to
-    any selection sum.  The p > 1 one reads the whole grid.  With an all-zero
-    limit and, at p = 1, a region that covers the grid, it is the extraction
-    phase's selection, which a run computes once.
+    any selection sum.  The p > 1 one reads the whole grid.  _select decides
+    whether a run shares the selection with its extraction phase.
     """
-    inc = region.included
     centre = limit.matrix()
-
-    def select():
-        if p == 1.0:
-            w = region.grid.weights[inc]
-            return _szlenk_select(pool, w, szlenk_levels, centre[:, inc], nodes)
-        return _banach_saks_select(pool, p, limit.grid.weights, centre)
-
+    if p == 1.0:
+        inc = region.included
+        w, centre, levels = region.grid.weights[inc], centre[:, inc], szlenk_levels
+    else:
+        w, nodes, levels = limit.grid.weights, None, None
     try:
-        if centre.any() or (p == 1.0 and nodes is not None):
-            result = select()
-        else:
-            result = _shared_selection(pool, p, szlenk_levels if p == 1.0 else None, select)
-        return result[1] if p == 1.0 else result
+        return _select(pool, p, w, levels, centre, nodes)[1]
     except (ExtractionStalledError, LevelStalledError) as err:
         trace = getattr(err, "trace", None)
         return trace if trace is not None and trace.length >= 8 else None
@@ -452,7 +443,6 @@ def _verify_on_region(
     jensen_margins = np.empty(len(picks))
     jensen_slack = np.zeros(len(picks))
     tail_start = len(picks) // 2
-    tail_min_field = None
     tail_integral_min = math.inf
     # Running means of the picked points and of their f values, each with a
     # scratch row for the step.  A mean is updated as mean (k-1)/k + x/k, so no
@@ -461,6 +451,8 @@ def _verify_on_region(
     n = weights.size
     mean_points, points_step = np.zeros((2, n, m))
     mean_f, f_step = np.zeros((2, n))
+    # Both tail minima start at +inf; a trace's last pick lies in the tail half.
+    tail_min_field = np.full(n, math.inf)
     row = np.empty((m, n))
     alphas = np.empty(horizon)
     k = 0
@@ -482,17 +474,15 @@ def _verify_on_region(
             jensen_slack[k - 1] = _rounding_budget(12 * k + m, float(mean_f.max()))
         if k > tail_start:
             tail_integral_min = min(tail_integral_min, _weighted_sum(weights, f_mean))
-            if tail_min_field is None:
-                tail_min_field = f_mean.copy()
-            else:
-                np.minimum(tail_min_field, f_mean, out=tail_min_field)
+            np.minimum(tail_min_field, f_mean, out=tail_min_field)
 
     tail_infimum = np.minimum.accumulate(alphas[::-1])[::-1]
     margin = float(tail_infimum[horizon // 2] - limit_integral)
     passed = margin >= 0.0 or margin >= -_PASS_TOL * max(
         abs(limit_integral), float(alphas.max())
     )
-    chain = None
+    # A replay that stalled before 8 picks reads as an empty one, which fails.
+    chain = None if p is None else CesaroReplay([], np.zeros(0), None, False, np.zeros(0), None)
     if trace is not None:
         # A centred replay read the members as u_i - u.
         centre_norm = _lp_norms(centre[None], limit.grid.weights, p)[0] if centre.any() else 0.0
@@ -500,18 +490,14 @@ def _verify_on_region(
         if not zero and slope is None:  # no fit: read as flat
             slope = 0.0
         converged = zero or slope < _FLAT_SLOPE
-        fatou_margin, fatou_slack = 0.0, 0.0
-        if tail_min_field is not None:
-            fatou_margin = tail_integral_min - _weighted_sum(weights, tail_min_field)
-            if fatou_margin < 0.0:
-                # Two sums of n nonnegative terms, neither above tail_integral_min.
-                fatou_slack = _rounding_budget(2 * n + 2, tail_integral_min)
+        fatou_margin, fatou_slack = tail_integral_min - _weighted_sum(weights, tail_min_field), 0.0
+        if fatou_margin < 0.0:
+            # Two sums of n nonnegative terms, neither above tail_integral_min.
+            fatou_slack = _rounding_budget(2 * n + 2, tail_integral_min)
         chain = CesaroReplay(
             picks, trace.cesaro_norms, slope, converged, jensen_margins, fatou_margin,
             jensen_slack, fatou_slack,
         )
-    elif p is not None:
-        chain = CesaroReplay([], np.zeros(0), None, False, np.zeros(0), None)
     if chain is not None:
         passed = passed and chain.ok()
     return LiminfReport(

@@ -46,7 +46,7 @@ from .gallery import (
     VectorSequenceSpec,
     _check_array_budget,
     _loglog_slope,
-    _shared_selection,
+    _shared,
     member_pool,
 )
 from .grid import QuadratureGrid, _rounding_budget
@@ -341,8 +341,7 @@ def banach_saks_extract(
             f"recursive selection needs finite p > 1 (got {p}); the p = 1 route "
             "is szlenk_extract"
         )
-    pool = member_pool(seq, grid, horizon)
-    return _shared_selection(pool, p, None, lambda: _banach_saks_select(pool, p, grid.weights))
+    return _select(member_pool(seq, grid, horizon), p, grid.weights)[1]
 
 
 class _CesaroWalk:
@@ -415,13 +414,21 @@ class _CesaroWalk:
         spare = None
         if ahead is None:
             self.s += u
-            partial = np.einsum("n,jn->j", self.w, _abs_power(self.s, self.p, self.scratch))
+            with np.errstate(over="ignore"):  # an overflow is refused below
+                partial = np.einsum("n,jn->j", self.w, _abs_power(self.s, self.p, self.scratch))
         else:
             (self.s, partial), spare = ahead, self.s
+        # The integrals of |s_k|^p are nonnegative: their sum is finite exactly when
+        # each is, and a finite integral keeps |s_k|^(p-1), and so phi_w, finite.
+        total = float(partial.sum())
+        if not math.isfinite(total):
+            raise InvalidArgumentError(
+                f"the Cesaro walk at p = {self.p:g} overflows at pick k = {len(self.indices) + 1}"
+            )
         self.indices.append(i)
         self.pairings.append(pairing)
         self.partials.append(partial)
-        self.cesaro.append(float(partial.sum()) ** (1.0 / self.p) / len(self.indices))
+        self.cesaro.append(total ** (1.0 / self.p) / len(self.indices))
         return spare
 
     def trace(self, method: str) -> ExtractionTrace:
@@ -605,13 +612,22 @@ def szlenk_extract(
     pass through it).
     """
     _check_levels(levels)
-    pool = member_pool(seq, grid, horizon)
-    return _shared_selection(pool, 1.0, levels, lambda: _szlenk_select(pool, grid.weights, levels))
+    return _select(member_pool(seq, grid, horizon), 1.0, grid.weights, levels)
 
 
-def _l1(w: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None) -> float:
-    """Product L^1 norm of an (m, N) array; out, if given, takes |rows|."""
-    return float(np.einsum("n,jn->", w, np.abs(rows, out=out)))
+def _l1(w: np.ndarray, rows: np.ndarray, out=None) -> tuple[float, np.ndarray]:
+    """(Product L^1 norm of an (m, N) array, the integrals of |rows| per component).
+
+    out, if given, takes |rows|.  The norm adds the integrals in order, one
+    reading for the level scans and the splitting checks on every region:
+    numpy's scalar contraction sums another way on a region of one node, and
+    numpy's pairwise sum does from m = 8 on.
+    """
+    integrals = np.einsum("n,jn->j", w, np.abs(rows, out=out))
+    norm = 0.0
+    for value in integrals.tolist():
+        norm += value
+    return norm, integrals
 
 
 def _szlenk_trial(
@@ -620,15 +636,9 @@ def _szlenk_trial(
     """(||s + u||_1 / k, the integrals of |s + u| per component): a level scan's running mean.
 
     s + u goes to total, or to the scratch row out when total is None; out
-    takes |s + u|.  The norm adds the components' integrals in order, which
-    is _l1's scalar contraction bit for bit (numpy's pairwise sum is not,
-    from m = 8 on).
+    takes |s + u|.
     """
-    total = np.add(s, u, out=out if total is None else total)
-    integrals = np.einsum("n,jn->j", w, np.abs(total, out=out))
-    norm = 0.0
-    for value in integrals.tolist():
-        norm += value
+    norm, integrals = _l1(w, np.add(s, u, out=out if total is None else total), out)
     return norm / k, integrals
 
 
@@ -705,7 +715,7 @@ def _szlenk_select(
     splitting = []
     for prefix in range(1, min(levels, length)):
         head = heads[prefix]
-        rhs = _l1(w, head) / length + _l1(w, walk.s - head) / (length - prefix)
+        rhs = _l1(w, head)[0] / length + _l1(w, walk.s - head)[0] / (length - prefix)
         splitting.append(SplitCheck(prefix, length, float(cesaro[-1]), rhs))
 
     schedule = SzlenkSchedule(
@@ -716,6 +726,29 @@ def _szlenk_select(
         splitting_checks=splitting,
     )
     return schedule, trace
+
+
+def _select(
+    pool: np.ndarray, p: float, w: np.ndarray, levels: int | None = None, centre=None, nodes=None
+) -> tuple[SzlenkSchedule | None, ExtractionTrace]:
+    """(schedule, trace) of the selection at p over a (horizon, m, N) member pool.
+
+    p = 1 runs the level/diagonal selection with the given level count,
+    p > 1 the recursive threshold selection, whose schedule is None.  A
+    selection that reads the pool itself, on the whole grid (nodes None) with
+    no centre or an all-zero one, is computed once per run, per pool, p and
+    level count: one key gives one result, bit for bit.  Any other selection
+    is computed on every call.
+    """
+
+    def select():
+        if p == 1.0:
+            return _szlenk_select(pool, w, levels, centre, nodes)
+        return None, _banach_saks_select(pool, p, w, centre)
+
+    if nodes is None and (centre is None or not centre.any()):
+        return _shared(select, "selection", pool, p, levels)
+    return select()
 
 
 def cesaro_curve(trace: ExtractionTrace, p: float | None = None) -> list:

@@ -412,16 +412,6 @@ def member_pool(seq: VectorSequenceSpec, grid: QuadratureGrid, horizon: int) -> 
     return _shared(lambda: _build_pool(seq, grid, horizon), "pool", seq, grid, horizon)
 
 
-def _shared_selection(pool: np.ndarray, p: float, levels: int | None, select):
-    """select(), the uncentred selection over the whole grid of a pool, at p.
-
-    A run computes it once per pool, p and level count (None above p = 1).
-    Callers share only selections that read the pool itself, with no centre
-    or an all-zero one, so one key gives one result, bit for bit.
-    """
-    return _shared(select, "selection", pool, p, levels)
-
-
 def _halves(costs: list, work) -> None:
     """Run work(lo, hi) over len(costs) items in two contiguous halves, on two threads.
 

@@ -111,6 +111,8 @@ def test_config_digest_is_stable():
         {"p": "infinity", "extraction": "none", "R_schedule": [1e-9, 1.0]},
         # a drop that no Cesaro curve can be compared with (json reads NaN)
         {"expect": {"cesaro_drop": float("nan")}},
+        # a drop below zero, which no ratio of norms can meet
+        {"expect": {"cesaro_drop": -1.0}},
     ],
 )
 def test_config_validation_errors(overrides):
@@ -212,16 +214,16 @@ def _weak_star_config(**overrides):
 def test_cli_run_selects_with_the_configured_level_count(
     tmp_path, monkeypatch, overrides, replays
 ):
-    from lplab import convexity
+    from lplab import extraction
 
     received = []
-    real_select = convexity._szlenk_select
+    real_select = extraction._szlenk_select
 
     def recording_select(members, weights, levels, *rest):
         received.append(levels)
         return real_select(members, weights, levels, *rest)
 
-    monkeypatch.setattr(convexity, "_szlenk_select", recording_select)
+    monkeypatch.setattr(extraction, "_szlenk_select", recording_select)
     raw = {k: v for k, v in _weak_star_config(levels=5, **overrides).items() if v is not None}
     cli.run_scenario(build_config(raw), output_dir=tmp_path)
     assert received == [5] * replays
@@ -574,6 +576,28 @@ def test_cli_run_non_finite_integrand_is_an_error_without_warnings(tmp_path, cap
     liminf = [p for p in manifest["phases"] if p["name"] == "liminf"][0]
     assert liminf["status"] == "error"
     assert "sequence member 1" in liminf["detail"] and "not finite" in liminf["detail"]
+
+
+def test_cli_run_an_overflowing_cesaro_walk_is_an_error_without_warnings(tmp_path, capsys):
+    # a4 at p = 400: the walk's integral of |s_6|^p passes the float range.
+    raw = next(json.loads(e.read_text()) for e in cli._bundled_scenarios() if e.name[:3] == "a4-")
+    path = tmp_path / "a4.json"
+    path.write_text(json.dumps(dict(raw, p=400.0)))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["run", "--config", str(path), "--output-dir", str(out)])
+    assert rc == 2
+    assert "Warning" not in capsys.readouterr().err
+    manifest = json.loads((out / f"{raw['name']}.manifest.json").read_text())
+    statuses = [(p["name"], p["status"]) for p in manifest["phases"]]
+    assert statuses == [
+        ("probe", "pass"), ("extraction", "error"), ("growth_bound", "skipped"),
+        ("cesaro", "skipped"), ("liminf", "error"),
+    ]
+    extraction = manifest["phases"][1]["detail"]
+    assert "p = 400" in extraction and "k = 6" in extraction
+    assert not any("nan" in p["detail"] for p in manifest["phases"])
 
 
 def _run_manifest(tmp_path, raw, rc):

@@ -38,7 +38,7 @@ from lplab import (
     verify_growth_bound,
     weak_star_verify,
 )
-from lplab import convexity, extraction, gallery
+from lplab import extraction, gallery
 from lplab.extraction import _banach_saks_select
 from lplab.norms import _lp_norms
 
@@ -751,6 +751,20 @@ def test_levels_that_keep_every_member_compute_each_trial_once(monkeypatch):
     assert len(calls) == horizon
 
 
+@pytest.mark.parametrize("m", range(2, 13))
+def test_a_trial_reads_the_splitting_checks_l1_norm_on_one_node(m):
+    # A weak* truncation may hold one node, where numpy's scalar contraction
+    # adds the m products in another order than the trial's in-order sum.
+    rng = np.random.default_rng(m)
+    for _ in range(50):
+        w = rng.uniform(0.1, 1.0, 1)
+        s, u = rng.normal(size=(2, m, 1))
+        trial, integrals = extraction._szlenk_trial(w, s, u, 1, np.empty((m, 1)))
+        norm, per_component = extraction._l1(w, s + u)
+        assert trial == norm
+        assert np.array_equal(integrals, per_component)
+
+
 def test_a_weak_star_run_gathers_each_truncation_row_once_per_pass(monkeypatch):
     # Rademacher signs on 256 x 256 nodes at horizon 48, as the weak* bench
     # runs them: R = 0.5 and 1 hold part of the grid and are read by gathers,
@@ -781,7 +795,6 @@ def _count_selections(monkeypatch, name):
         return real(pool, *rest)
 
     monkeypatch.setattr(extraction, name, counting)
-    monkeypatch.setattr(convexity, name, counting)
     return calls
 
 

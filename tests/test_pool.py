@@ -1075,7 +1075,6 @@ def _count_selections(monkeypatch, name):
     calls = []
     real = getattr(extraction, name)
     monkeypatch.setattr(extraction, name, lambda *a: calls.append(1) or real(*a))
-    monkeypatch.setattr(convexity, name, lambda *a: calls.append(1) or real(*a))
     return calls
 
 
@@ -1091,8 +1090,7 @@ def test_a_suite_replays_the_extraction_phase_selection(tmp_path, monkeypatch):
     assert main(["suite", "--output-dir", str(tmp_path / "shared")]) == 0
     assert len(calls) == 4
     calls.clear()
-    monkeypatch.setattr(extraction, "_shared_selection", lambda pool, p, levels, select: select())
-    monkeypatch.setattr(convexity, "_shared_selection", lambda pool, p, levels, select: select())
+    monkeypatch.setattr(extraction, "_shared", lambda compute, *key: compute())
     assert main(["suite", "--output-dir", str(tmp_path / "each")]) == 0
     assert len(calls) == 6
     assert _csv_bodies(tmp_path / "shared") == _csv_bodies(tmp_path / "each")
@@ -1107,8 +1105,7 @@ def test_a_p1_run_replays_the_extraction_phase_selection(tmp_path, monkeypatch):
     assert [p["status"] for p in manifest.phases] == ["pass"] * 4  # probe, extraction, cesaro, liminf
     assert len(calls) == 1
     calls.clear()
-    monkeypatch.setattr(extraction, "_shared_selection", lambda pool, p, levels, select: select())
-    monkeypatch.setattr(convexity, "_shared_selection", lambda pool, p, levels, select: select())
+    monkeypatch.setattr(extraction, "_shared", lambda compute, *key: compute())
     run_scenario(build_config(raw), output_dir=tmp_path / "each")
     assert len(calls) == 2
     assert _csv_bodies(tmp_path / "shared") == _csv_bodies(tmp_path / "each")

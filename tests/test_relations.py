@@ -5,7 +5,8 @@ lambda u_i converges weakly to lambda u, and the liminf inequality for a
 degree-d integrand holds for lambda u_i exactly when it holds for u_i.  So
 every verdict of a scenario must be the same after every amplitude, and the
 convex set K, is multiplied by lambda.  Negating the sequence, with a
-symmetric f and K, must leave every output unchanged.  Dilating the domain
+symmetric f and K, must leave every output unchanged, and so must swapping
+the components of (L^p)^m in the sequence and the limit.  Dilating the domain
 x -> c x, with the truncation radii, maps a dyadic family onto itself, so
 the Rademacher scenarios keep every verdict and their Cesaro slope.
 """
@@ -142,6 +143,20 @@ def test_every_csv_is_invariant_under_a_sign_flip(key, unscaled, tmp_path):
     plus = unscaled(key)[0]
     csvs = sorted(path.name for path in plus.glob("*.csv"))
     assert csvs
+    for name in csvs:
+        assert (tmp_path / name).read_bytes() == (plus / name).read_bytes()
+
+
+@pytest.mark.parametrize("key", ["a2", "a4"])
+def test_every_csv_is_invariant_under_a_component_swap(key, unscaled, tmp_path):
+    swapped = copy.deepcopy(_SCENARIOS[key])
+    for side in ("sequence", "limit"):
+        swapped[side].reverse()
+    outcome, _ = _outcome(swapped, tmp_path)
+    plus, expected, _ = unscaled(key)
+    assert outcome == expected
+    csvs = sorted(path.name for path in plus.glob("*.csv"))
+    assert csvs == sorted(path.name for path in tmp_path.glob("*.csv"))
     for name in csvs:
         assert (tmp_path / name).read_bytes() == (plus / name).read_bytes()
 
