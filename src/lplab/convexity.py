@@ -41,7 +41,6 @@ from .errors import (
 )
 from .extraction import ExtractionTrace, _check_levels, _select
 from .gallery import (
-    _FLAT_SLOPE,
     CONVERGING,
     VectorSequenceSpec,
     _halves,
@@ -486,10 +485,9 @@ def _verify_on_region(
     if trace is not None:
         # A centred replay read the members as u_i - u.
         centre_norm = _lp_norms(centre[None], limit.grid.weights, p)[0] if centre.any() else 0.0
-        zero, slope = trace._cesaro_slope(centre_norm)
-        if not zero and slope is None:  # no fit: read as flat
+        zero, slope, converged = trace._cesaro_slope(centre_norm)
+        if not zero and slope is None:  # no fit: recorded as flat
             slope = 0.0
-        converged = zero or slope < _FLAT_SLOPE
         fatou_margin, fatou_slack = tail_integral_min - _weighted_sum(weights, tail_min_field), 0.0
         if fatou_margin < 0.0:
             # Two sums of n nonnegative terms, neither above tail_integral_min.

@@ -43,6 +43,7 @@ from .errors import (
     PreconditionViolationError,
 )
 from .gallery import (
+    _FLAT_SLOPE,
     VectorSequenceSpec,
     _check_array_budget,
     _loglog_slope,
@@ -75,6 +76,10 @@ _SELECTION_SLACK = 1e-12
 
 # Default half-range and step of the A scan, for library and command line alike.
 _SCAN_RANGE, _SCAN_STEP = 100.0, 1e-3
+
+# Points per block of the lemma-1 scans: each float64 temporary is 64 KiB, so
+# it stays in cache and is reused instead of mapped, faulted in and unmapped.
+_BLOCK = 8192
 
 
 def generalized_binomial(p: float, i: int) -> float:
@@ -160,19 +165,33 @@ def estimate_a_constant(
     return _a_constant(float(p), float(t_max), float(step), float(safety))
 
 
+def _blocks(count: int, size: int):
+    """Consecutive slices of range(count), each of at most size items."""
+    for start in range(0, count, size):
+        yield slice(start, min(start + size, count))
+
+
 @functools.lru_cache(maxsize=64)
 def _a_constant(p: float, t_max: float, step: float, safety: float) -> float:
-    """The scan behind estimate_a_constant, cached: a suite asks for A(2) five times."""
+    """The scan behind estimate_a_constant, cached: a suite asks for A(2) five times.
+
+    g is evaluated block by block, elementwise as over the whole scan, so
+    every value keeps its bits; a NaN or inf in any block reaches the sup.
+    """
     count = int(round(2.0 * t_max / step)) + 1
     t = np.linspace(-t_max, t_max, count)
+    maxima = []
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as divergence
-        g = (
-            np.abs(t + 1.0) ** p
-            - np.abs(t) ** p
-            - p * np.abs(t) ** (p - 1.0) * np.sign(t)
-            - remainder_term(p, t, 1.0)
-        )
-    sup = float(g.max())
+        for block in _blocks(count, _BLOCK):
+            tb = t[block]
+            g = (
+                np.abs(tb + 1.0) ** p
+                - np.abs(tb) ** p
+                - p * np.abs(tb) ** (p - 1.0) * np.sign(tb)
+                - remainder_term(p, tb, 1.0)
+            )
+            maxima.append(g.max())
+    sup = float(np.max(maxima))
     if not math.isfinite(sup):
         raise InvalidArgumentError(f"residual scan diverged for p = {p}")
     return safety * sup
@@ -282,8 +301,8 @@ class ExtractionTrace:
     def m(self) -> int:
         return self.pairings.shape[1]
 
-    def _cesaro_slope(self, centre_norm: float = 0.0) -> tuple[bool, float | None]:
-        """(zero, slope): how the recorded Cesaro curve ||s_k / k|| reads.
+    def _cesaro_slope(self, centre_norm: float = 0.0) -> tuple[bool, float | None, bool]:
+        """(zero, slope, converged): how the recorded Cesaro curve ||s_k / k|| reads.
 
         zero says whether the curve is zero up to rounding.  Its scale bounds
         the norms of the members the curve averages: member_norm_sup, plus
@@ -293,12 +312,15 @@ class ExtractionTrace:
         most the budget of its last k: an all-zero pool reads zero, and a
         pool of tiny members fits its slope.  Otherwise slope is the log-log
         slope of the curve, None when fewer than two values are positive.
+        The curve has converged when it is zero or its slope is below
+        _FLAT_SLOPE; a curve with no slope fit reads as flat.
         """
         values = self.cesaro_norms
         scale = self.member_norm_sup + 2.0 * centre_norm / self.normalization
         if float(values.max()) <= _rounding_budget(values.size + 2, scale):
-            return True, None
-        return False, _loglog_slope(np.arange(1, values.size + 1, dtype=float), values)
+            return True, None, True
+        slope = _loglog_slope(np.arange(1, values.size + 1, dtype=float), values)
+        return False, slope, slope is not None and slope < _FLAT_SLOPE
 
     def rows(self, bound_margins: np.ndarray | None = None):
         """CSV-ready rows (k, selected_index, max_pairing, partial_norm_p,

@@ -75,7 +75,8 @@ INCONCLUSIVE = "inconclusive"
 
 # Verdict thresholds: residual must drop by this factor for "converging";
 # a flat curve bounded below by the same floor reads "not-converging".  The
-# liminf replay reads a Cesaro curve as decaying below the same flat slope.
+# liminf replay and the cesaro phase read a Cesaro curve as converged below
+# the same flat slope (ExtractionTrace._cesaro_slope).
 _DECAY_FACTOR = 1e-2
 _FLAT_SLOPE = -0.05
 

@@ -122,6 +122,14 @@ def _uniform_axes(domain_box, resolution) -> tuple[np.ndarray, tuple[int, ...]]:
         raise InvalidArgumentError(f"resolution must be >= 1 per axis, got {res}")
     if not np.all(np.isfinite(box)) or np.any(box[:, 0] >= box[:, 1]):
         raise InvalidArgumentError(f"bounds must be finite with lower < upper: {box.tolist()}")
+    with np.errstate(over="ignore"):
+        wide = np.flatnonzero(~np.isfinite(box[:, 1] - box[:, 0]))
+    if wide.size:
+        lo, hi = box[wide[0]]
+        raise InvalidArgumentError(
+            f"axis {wide[0]} of the box is too wide: its width {hi:g} - ({lo:g}) overflows "
+            "the float range"
+        )
     return box, res
 
 

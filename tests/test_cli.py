@@ -1,3 +1,4 @@
+import argparse
 import json
 import time
 import tracemalloc
@@ -9,7 +10,8 @@ import pytest
 from lplab import SequenceSpec, build_uniform_grid, cli, gallery, generate
 from lplab.cli import build_config, load_config, main
 from lplab.errors import ConfigError, InvalidArgumentError
-from lplab.extraction import InequalityConstants
+from lplab.extraction import InequalityConstants, check_pointwise_inequality
+from lplab.grid import _rounding_budget
 
 
 def _custom_table(drop=None, entry=None):
@@ -193,6 +195,50 @@ def test_cli_verify_lemma1_fails_an_a_below_the_scanned_sup(monkeypatch, capsys)
     assert main(["verify-lemma1", "--p", "1.5"]) == 1
     out = capsys.readouterr().out
     assert "A=1 " in out and out.rstrip().endswith("[FAIL]")
+
+
+def _meshgrid_lemma1(p, grid_1d, consts):
+    """(worst, grid pass) from the margins over the whole (a, b) meshgrid as one array.
+
+    The blocked check broadcasts a column of a against the row of b instead;
+    its margins are checked here to keep every bit of the meshgrid's.
+    """
+    a, b = (axis.ravel() for axis in np.meshgrid(grid_1d, grid_1d, indexing="ij"))
+    margins = check_pointwise_inequality(p, a, b, consts)
+    broadcast = check_pointwise_inequality(p, grid_1d[:, None], grid_1d[None, :], consts)
+    assert np.array_equal(broadcast.ravel().view(np.uint64), margins.view(np.uint64))
+    low = margins < 0.0
+    sizes = cli._lemma1_scale(p, a[low], b[low], consts.a)
+    budget = _rounding_budget(2 * consts.e_p + 5, sizes)
+    return float(margins.min()), bool(np.all(margins[low] >= -budget))
+
+
+@pytest.mark.parametrize("ps", [cli._LEMMA1_DEFAULTS["p"], (7.5, 8.0, 12.0, 20.0)])
+@pytest.mark.parametrize("ab_range, ab_step", [(10.0, 0.05), (10.0, 0.07), (1.0, 2.0)])
+def test_the_blocked_grid_check_equals_the_meshgrid_evaluation(ps, ab_range, ab_step):
+    # 401 rows of a are 20 blocks of 20 rows and one of 1, 286 rows are 10
+    # blocks of 28 and one of 6, and the 2-point grid is one block.
+    args = {"p": ps, "ab_range": ab_range, "ab_step": ab_step, "homogeneity_samples": 100}
+    rows = cli._lemma1_rows(argparse.Namespace(**{**cli._LEMMA1_DEFAULTS, **args}))
+    grid_1d = np.arange(-ab_range, ab_range + ab_step / 2, ab_step)
+    for consts, worst, dev, ok in rows:
+        expected_worst, grid_ok = _meshgrid_lemma1(consts.p, grid_1d, consts)
+        assert worst.hex() == expected_worst.hex(), consts.p
+        assert ok == (grid_ok and dev <= cli._HOMOGENEITY_TOL), consts.p
+
+
+def test_the_blocked_grid_check_fails_where_the_meshgrid_evaluation_fails(monkeypatch):
+    # A = 1 is below the sup at p = 1.5 (about 1.31): negative margins beyond
+    # their budget, in several blocks.
+    def build(cls, p, t_max=100.0, step=1e-3):
+        return InequalityConstants(p=p, e_p=1, a=1.0, b=0.0, scan_range=t_max, scan_step=step)
+
+    monkeypatch.setattr(InequalityConstants, "build", classmethod(build))
+    args = argparse.Namespace(**{**cli._LEMMA1_DEFAULTS, "p": (1.5,), "homogeneity_samples": 100})
+    [(consts, worst, _, ok)] = cli._lemma1_rows(args)
+    grid_1d = np.arange(-10.0, 10.0 + 0.025, 0.05)
+    assert (worst, ok) == _meshgrid_lemma1(1.5, grid_1d, consts)
+    assert not ok
 
 
 def _weak_star_config(**overrides):
@@ -598,6 +644,51 @@ def test_cli_run_an_overflowing_cesaro_walk_is_an_error_without_warnings(tmp_pat
     extraction = manifest["phases"][1]["detail"]
     assert "p = 400" in extraction and "k = 6" in extraction
     assert not any("nan" in p["detail"] for p in manifest["phases"])
+
+
+def _bundled(prefix: str) -> dict:
+    return next(json.loads(e.read_text()) for e in cli._bundled_scenarios() if e.name[:3] == prefix)
+
+
+def test_cli_run_a_box_whose_width_overflows_exits_2_naming_its_axis(tmp_path, capsys):
+    grid = {"dimension": 1, "box": [[-1e308, 1e308]], "resolution": [256]}
+    raw = dict(_bundled("a0-"), grid=grid)
+    path = tmp_path / "a0.json"
+    path.write_text(json.dumps(raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "axis 0 of the box is too wide" in err and "Warning" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_cesaro_without_expectations_fails_a_flat_curve(tmp_path, capsys):
+    # a4 at p = 200 stalls after 7 picks.  Its partial curve has slope
+    # -0.0106, which the liminf replay reads as not converged; with neither
+    # cesaro_slope nor cesaro_drop set, the cesaro phase reads it the same way.
+    manifest = _run_manifest(tmp_path, dict(_bundled("a4-"), p=200.0), 2)
+    capsys.readouterr()
+    cesaro = [p for p in manifest["phases"] if p["name"] == "cesaro"][0]
+    assert cesaro["status"] == "fail"
+    assert cesaro["detail"] == "slope=-0.0106 not below the flat slope -0.05"
+
+
+@pytest.mark.parametrize(
+    "prefix, detail",
+    [
+        ("a0-", "curve identically zero (convergence exact)"),
+        ("a3-", "slope=-0.9141"),
+        ("a4-", "slope=-0.5000"),
+    ],
+)
+def test_cli_cesaro_without_expectations_passes_the_bundled_curves(prefix, detail, tmp_path):
+    raw = _bundled(prefix)
+    assert "cesaro_slope" not in raw["expect"] and "cesaro_drop" not in raw["expect"]
+    manifest = cli.run_scenario(build_config(raw), output_dir=tmp_path)
+    cesaro = [p for p in manifest.phases if p["name"] == "cesaro"][0]
+    assert (cesaro["status"], cesaro["detail"]) == ("pass", detail)
 
 
 def _run_manifest(tmp_path, raw, rc):

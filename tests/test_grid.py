@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,14 @@ def test_total_mass_equals_box_volume():
 def test_build_rejects_bad_input(box, res):
     with pytest.raises(InvalidArgumentError):
         build_uniform_grid(box, res)
+
+
+def test_a_box_whose_width_overflows_is_refused_naming_its_axis():
+    # Both bounds are finite, but 1e308 - (-1e308) is not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match="axis 1 of the box is too wide"):
+            build_uniform_grid([[0.0, 1.0], [-1e308, 1e308]], 4)
 
 
 def test_grid_invariants_enforced():
