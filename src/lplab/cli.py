@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
+import platform
 import sys
 import time
 from dataclasses import dataclass, field
@@ -72,6 +74,7 @@ from .gallery import (
     _check_members,
     _check_pool_budget,
     _shared_pools,
+    _usable_cpus,
     default_probe_dictionary,
     generate_vector,
     weak_probe,
@@ -132,9 +135,24 @@ class ScenarioConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+@functools.cache
+def _environment() -> dict:
+    """Python, numpy and BLAS versions and the usable CPU count, read once per process."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.25 only prints its configuration
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "cpus": _usable_cpus(),
+    }
+
+
 @dataclass
 class RunManifest:
-    """Per-phase outcomes and output paths of one scenario run."""
+    """Per-phase outcomes, output paths and environment of one scenario run."""
 
     name: str
     config_digest: str
@@ -160,6 +178,7 @@ class RunManifest:
             "passed": self.passed,
             "phases": self.phases,
             "outputs": self.outputs,
+            "environment": _environment(),
         }
 
 

@@ -546,14 +546,21 @@ def _check_r_schedule(r_schedule) -> list:
     return radii
 
 
-def _check_region_nodes(region: RegionMask, first_radius: float | None = None) -> None:
+def _check_region_nodes(
+    region: RegionMask, first_radius: float | None = None, truncated: RegionMask | None = None
+) -> None:
     """Refuse a region, or its truncation at the first radius, that holds no node.
 
-    Radii increase, so a nonempty first truncation leaves every later one nonempty.
+    truncated is that truncation when the caller has built it already.  Radii
+    increase, so a nonempty first truncation leaves every later one nonempty.
     """
     if not region.included.any():
         raise InvalidArgumentError("the region holds no grid node")
-    if first_radius is not None and not truncate_region(region, first_radius).included.any():
+    if first_radius is None:
+        return
+    if truncated is None:
+        truncated = truncate_region(region, first_radius)
+    if not truncated.included.any():
         raise InvalidArgumentError(
             f"the region truncated at radius {first_radius:g} holds no grid node"
         )
@@ -641,27 +648,36 @@ def weak_star_verify(
     restricted to the truncated region; the limit-side integrals must be
     non-decreasing in R, realizing the monotone-convergence step.  A first
     truncation that holds no node is refused before the pool is built.
-    The truncations are verified on up to two threads, split by node count,
-    with the reports and errors of a run in radius order.
+    Radii whose truncations hold the same node set share one report, so each
+    distinct truncation is verified once.  The distinct truncations are
+    verified on up to two threads, split by node count, with the reports and
+    errors of a run in radius order.
     """
     radii = _check_r_schedule(r_schedule)
     _check_levels(szlenk_levels)
     _require_nonnegative(f)
-    _check_region_nodes(region, radii[0])
-    pool, probe = _converging_pool(seq, limit, f, K, region, INFINITY, horizon, dictionary)
     truncations = [truncate_region(region, radius) for radius in radii]
-    reports = [None] * len(radii)
+    _check_region_nodes(region, radii[0], truncations[0])
+    pool, probe = _converging_pool(seq, limit, f, K, region, INFINITY, horizon, dictionary)
+    # One entry per run of consecutive radii with equal node masks.
+    distinct, group = [], []
+    for truncation in truncations:
+        if not distinct or not np.array_equal(truncation.included, distinct[-1].included):
+            distinct.append(truncation)
+        group.append(len(distinct) - 1)
+    verified = [None] * len(distinct)
 
     def verify(lo: int, hi: int) -> None:
         # Everything the verification reads is passed in: a worker thread
         # does not see the caller's run memo, so its _shared calls compute
         # without storing.
         for k in range(lo, hi):
-            reports[k] = _verify_on_region(
-                pool, limit, f, K, truncations[k], probe, 1.0, szlenk_levels
+            verified[k] = _verify_on_region(
+                pool, limit, f, K, distinct[k], probe, 1.0, szlenk_levels
             )
 
-    _halves([int(t.included.sum()) for t in truncations], verify)
+    _halves([int(t.included.sum()) for t in distinct], verify)
+    reports = [verified[k] for k in group]
     limit_integrals = [report.limit_integral for report in reports]
     # Each integral sums at most N terms w f, f rounded m + 1 times.
     n = limit.grid.node_count + limit.m + 2

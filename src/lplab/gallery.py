@@ -413,6 +413,14 @@ def member_pool(seq: VectorSequenceSpec, grid: QuadratureGrid, horizon: int) -> 
     return _shared(lambda: _build_pool(seq, grid, horizon), "pool", seq, grid, horizon)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on, at least 1."""
+    import os
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cpus or 1
+
+
 def _halves(costs: list, work) -> None:
     """Run work(lo, hi) over len(costs) items in two contiguous halves, on two threads.
 
@@ -424,12 +432,10 @@ def _halves(costs: list, work) -> None:
     CPUs, or n < 2, work(0, n) runs alone.
     """
     import itertools
-    import os
     import threading
 
     n = len(costs)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if n < 2 or (cpus or 1) < 2:
+    if n < 2 or _usable_cpus() < 2:
         work(0, n)
         return
     below = list(itertools.accumulate(costs, initial=0))
@@ -472,17 +478,31 @@ def _build_pool(seq: VectorSequenceSpec, grid: QuadratureGrid, horizon: int) -> 
 def default_probe_dictionary(grid: QuadratureGrid) -> list:
     """Constant 1, every coordinate function, and x1^2.
 
-    Bounded on the box, hence in every L^q there, including L^1.  Inside one
-    scenario run of the command line every call on a grid returns one list,
-    so the phases' probes share it.
+    Bounded on the box, hence in every L^q there, including L^1.  A field
+    whose samples, or samples times the cell weights, overflow the float
+    range on the box is refused, naming the field.  Inside one scenario run
+    of the command line every call on a grid returns one list, so the
+    phases' probes share it.
     """
 
     def build() -> list:
-        fields = [ScalarField.constant(grid, 1.0)]
-        for axis in range(grid.dimension):
-            fields.append(ScalarField(grid, grid.nodes[:, axis].copy()))
-        fields.append(ScalarField(grid, grid.nodes[:, 0] ** 2))
-        return fields
+        named = [("1", np.full(grid.node_count, 1.0))]
+        named += [(f"x{axis + 1}", grid.nodes[:, axis].copy()) for axis in range(grid.dimension)]
+        widest = grid.weights.max()
+        with np.errstate(over="ignore", invalid="ignore"):
+            named.append(("x1^2", grid.nodes[:, 0] ** 2))
+            for name, samples in named:
+                # Every |v w| is at most max |v| max w, so only a field whose
+                # bound is not finite needs its products formed.  Weights are
+                # finite, so a product is finite only where the sample is.
+                bound = max(samples.max(), -samples.min()) * widest
+                if not np.isfinite(bound) and not np.isfinite(samples * grid.weights).all():
+                    raise InvalidArgumentError(
+                        f"the probe field {name} overflows on the box "
+                        f"{grid.domain_box.tolist()}: its samples times the cell weights "
+                        "are not finite"
+                    )
+        return [ScalarField(grid, samples) for _, samples in named]
 
     return _shared(build, "dictionary", grid)
 

@@ -86,8 +86,22 @@ class QuadratureGrid:
 
     @functools.cached_property
     def _node_norms(self) -> np.ndarray:
-        """Euclidean norm of every node, computed once per grid (truncate_region reads it)."""
-        return _frozen(np.linalg.norm(self.nodes, axis=1))
+        """Euclidean norm of every node, computed once per grid (truncate_region reads it).
+
+        np.linalg.norm's value wherever the sum of squares is a normal float.
+        sqrt is monotone and sqrt(tiny) is exact, so a norm below sqrt(tiny)
+        comes from a sum that fell below the normal range.  Such a nonzero
+        row, and one whose sum overflows, reads s |x / s| instead, with
+        s = max_i |x_i|.
+        """
+        with np.errstate(over="ignore", under="ignore"):
+            norms = np.linalg.norm(self.nodes, axis=1)
+            rows = np.flatnonzero((norms < _SQRT_TINY) | (norms == np.inf))
+            scale = np.abs(self.nodes[rows]).max(axis=1)
+            rows, scale = rows[scale > 0.0], scale[scale > 0.0]
+            unit = self.nodes[rows] / scale[:, None]
+            norms[rows] = scale * np.sqrt(np.add.reduce(unit * unit, axis=1))
+        return _frozen(norms)
 
     @property
     def node_count(self) -> int:
@@ -290,6 +304,7 @@ def _weighted_sum(w: np.ndarray, v: np.ndarray) -> float:
 
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+_SQRT_TINY = np.sqrt(np.finfo(float).tiny)
 
 
 def _rounding_budget(n: int, scale):

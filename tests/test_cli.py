@@ -1,5 +1,6 @@
 import argparse
 import json
+import platform
 import time
 import tracemalloc
 import warnings
@@ -252,10 +253,11 @@ def _weak_star_config(**overrides):
 @pytest.mark.parametrize(
     "overrides, replays",
     [
-        ({}, 3),  # one p = 1 replay per truncation radius
+        ({}, 2),  # one p = 1 replay per distinct truncation: R = 1 and R = 2 hold every node
+        ({"R_schedule": [0.25, 0.5, 1.0]}, 3),  # three distinct truncations
         ({"p": 1.0, "R_schedule": None}, 1),  # the finite-p route at p = 1
     ],
-    ids=["weak_star", "liminf-p1"],
+    ids=["weak_star", "weak_star-distinct", "liminf-p1"],
 )
 def test_cli_run_selects_with_the_configured_level_count(
     tmp_path, monkeypatch, overrides, replays
@@ -312,6 +314,42 @@ def test_cli_run_oscillatory_scenario(tmp_path, capsys):
     assert {p["name"] for p in manifest["phases"]} == {
         "probe", "extraction", "growth_bound", "cesaro"
     }
+
+
+def test_cli_run_manifest_names_its_environment(tmp_path):
+    path = tmp_path / "unit.json"
+    raw = _base_config(horizon=16, extraction="none", expect={"probe_verdict": "inconclusive"})
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "unit.manifest.json").read_text())
+    environment = manifest["environment"]
+    assert environment == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": environment["blas"]["name"], "version": environment["blas"]["version"]},
+        "cpus": gallery._usable_cpus(),
+    }
+    assert environment["cpus"] >= 1
+    assert cli._environment() is cli._environment()  # read once per process
+
+
+@pytest.mark.parametrize("key", ["a0", "a3", "a5", "a6"])
+def test_cli_run_on_a_huge_box_refuses_the_overflowing_probe_field(tmp_path, capsys, key):
+    # Dilated to [0, 1e200], with the radii: every truncation holds its nodes,
+    # and the probe field x1 times the cell weights overflows.  RuntimeWarnings
+    # are errors here, so none was raised on the way.
+    entry = next(e for e in cli._bundled_scenarios() if e.name.startswith(f"{key}-"))
+    raw = json.loads(entry.read_text())
+    raw["grid"]["box"] = [[0.0, 1e200]]
+    if "R_schedule" in raw:
+        raw["R_schedule"] = [1e200 * r for r in raw["R_schedule"]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(raw))
+    rc = main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "probe: error (the probe field x1 overflows on the box [[0.0, 1e+200]]" in captured.out
+    assert "Warning" not in captured.out + captured.err
 
 
 def test_cli_probe_subcommand(tmp_path):

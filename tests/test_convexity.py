@@ -583,10 +583,41 @@ def test_weak_star_route_evaluates_f_once_per_member_and_pick(monkeypatch):
     result = weak_star_verify(
         cfg.sequence, cfg.limit, cfg.f, cfg.K, cfg.region, cfg.horizon, cfg.r_schedule
     )
-    # per region: the limit field, every member, and the running mean at each pick
-    picks = [len(r.replay.indices) for r in result.reports]
+    # per distinct truncation: the limit field, every member, and the running mean at each pick
+    distinct = list({id(r): r for r in result.reports}.values())
+    assert len(distinct) == 2  # R = 1 and R = 2 both hold every node
+    picks = [len(r.replay.indices) for r in distinct]
     assert min(picks) >= 8
     assert len(calls) == sum(1 + cfg.horizon + k for k in picks)
+
+
+@pytest.mark.parametrize(
+    "radii, runs",
+    [(None, 2), ([2.0, 3.0, 4.0], 1), ([0.25, 0.5, 1.0], 3)],
+    ids=["a6", "beyond-the-box", "distinct"],
+)
+def test_weak_star_route_verifies_each_distinct_truncation_once(monkeypatch, radii, runs):
+    raw = resources.files("lplab.scenarios").joinpath("a6-rademacher-weakstar.json")
+    cfg = build_config(json.loads(raw.read_text()))
+    radii = radii or cfg.r_schedule
+    verified = []  # (region, report) per verification
+    real = convexity._verify_on_region
+
+    def recording(*args):
+        verified.append((args[4], real(*args)))
+        return verified[-1][1]
+
+    monkeypatch.setattr(convexity, "_verify_on_region", recording)
+    result = weak_star_verify(
+        cfg.sequence, cfg.limit, cfg.f, cfg.K, cfg.region, cfg.horizon, radii
+    )
+    assert len(verified) == runs
+    # every radius gets the report of the one verification of its node set
+    for radius, report in zip(radii, result.reports):
+        mask = truncate_region(cfg.region, radius).included
+        [shared] = [rep for region, rep in verified if np.array_equal(region.included, mask)]
+        assert report is shared
+    assert result.limit_integrals == [report.limit_integral for report in result.reports]
 
 
 @pytest.mark.parametrize(

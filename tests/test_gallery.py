@@ -6,6 +6,7 @@ from lplab import (
     INCONCLUSIVE,
     NOT_CONVERGING,
     InvalidArgumentError,
+    QuadratureGrid,
     ScalarField,
     SequenceSpec,
     VectorField,
@@ -261,3 +262,22 @@ def test_inconclusive_is_reachable(grid):
     x = ScalarField(grid, grid.nodes[:, 0])
     report = weak_probe(seq, _zero_limit(grid), 2.0, [x], 16)
     assert report.verdict == INCONCLUSIVE
+
+
+@pytest.mark.parametrize("upper, name", [(1e150, "x1^2"), (1e200, "x1")])
+def test_default_dictionary_refuses_a_field_that_overflows_on_the_box(upper, name):
+    # On [0, 1e150] x1^2 w overflows; on [0, 1e200] x1 w already does.
+    grid = build_uniform_grid([[0.0, upper]], 4096)
+    with pytest.raises(InvalidArgumentError) as info:
+        default_probe_dictionary(grid)
+    assert str(info.value).startswith(
+        f"the probe field {name} overflows on the box {[[0.0, upper]]}"
+    )
+
+
+def test_default_dictionary_keeps_fields_whose_products_are_finite():
+    # max |x1| times max w overflows, but no single x1 w or x1^2 w does.
+    grid = QuadratureGrid(1, [0.0, 1e150], [1e200, 1e-200], [[0.0, 1e150]])
+    assert [v.samples.tolist() for v in default_probe_dictionary(grid)] == [
+        [1.0, 1.0], [0.0, 1e150], [0.0, 1e150 ** 2]
+    ]

@@ -226,3 +226,37 @@ def test_node_norms_are_computed_once_per_grid(monkeypatch):
         assert np.array_equal(cut.included, norms < radius)
     assert np.array_equal(cuts[-1].included, norms < 0.75)
     assert not grid._node_norms.flags.writeable
+
+
+def _truncation_counts(c):
+    """Node counts of a6's truncations, R = 0.5, 1 and 2, with the box and radii dilated by c."""
+    full = RegionMask.full(build_uniform_grid([[0.0, c]], 4096))
+    return [int(truncate_region(full, radius * c).included.sum()) for radius in (0.5, 1.0, 2.0)]
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e-160, 1e160, 1e300])
+def test_truncations_of_a_dilated_box_hold_the_same_nodes(c):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _truncation_counts(c) == _truncation_counts(1.0) == [2048, 4096, 4096]
+
+
+@pytest.mark.parametrize(
+    "box, resolution",
+    [([[0.0, 1.0]], 4096), ([[0.0, 1.0]], 65536), ([[0.0, 1.0]] * 2, 256), ([[-1.0, 1.0]] * 2, 64)],
+)
+def test_node_norms_keep_the_bits_of_the_sum_of_squares_in_range(box, resolution):
+    grid = build_uniform_grid(box, resolution)
+    assert np.array_equal(
+        grid._node_norms.view(np.uint64), np.linalg.norm(grid.nodes, axis=1).view(np.uint64)
+    )
+
+
+def test_node_norms_rescale_rows_out_of_range():
+    nodes = [[3e200, 4e200], [3e-200, 4e-200], [-3e-170, 0.0], [0.0, 0.0], [3.0, 4.0]]
+    grid = QuadratureGrid(2, nodes, np.ones(5), [[-1e201, 1e201]] * 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = grid._node_norms
+    assert norms[:3] == pytest.approx([5e200, 5e-200, 3e-170], rel=4e-16)
+    assert norms[3:].tolist() == [0.0, 5.0]

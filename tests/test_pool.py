@@ -916,24 +916,51 @@ def _weak_star_case(K_kind="box", m=1, bumps=None):
 
 
 @pytest.mark.parametrize(
-    "radii", [[0.5, 1.0, 2.0], [0.25, 0.5, 1.0, 2.0], [1.0]], ids=["3-radii", "4-radii", "1-radius"]
+    "radii, distinct",
+    [([0.5, 1.0, 2.0], 3), ([0.25, 0.5, 1.0, 2.0], 4), ([1.0], 1), ([0.5, 1.5, 2.0], 2)],
+    ids=["3-radii", "4-radii", "1-radius", "twin-radii"],  # R = 1.5 and 2 hold every node
 )
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("K_kind", ["box", "ball"])
-def test_weak_star_reports_are_bitwise_equal_on_one_and_two_cpus(monkeypatch, K_kind, m, radii):
+def test_weak_star_reports_are_bitwise_equal_on_one_and_two_cpus(
+    monkeypatch, K_kind, m, radii, distinct
+):
     case = _weak_star_case(K_kind, m)
     results = []
     for count in (1, 2):
         _cpus(monkeypatch, count)
         started = _count_threads(monkeypatch)
         results.append(weak_star_verify(*case, radii))
-        # one thread each for the pool fill, the probe and the truncations
-        assert len(started) == (count - 1) * (3 if len(radii) > 1 else 2)
+        # one thread each for the pool fill, the probe and the distinct truncations
+        assert len(started) == (count - 1) * (3 if distinct > 1 else 2)
+        assert len({id(r) for r in results[-1].reports}) == distinct
         assert not any(t.is_alive() for t in started)
         monkeypatch.undo()
     assert results[0].passed
     assert all(r.replay is not None for r in results[0].reports)
     assert _bits(results[0]) == _bits(results[1])
+
+
+def test_a6_weak_star_report_equals_one_verification_per_radius():
+    # a6's R = 1 and R = 2 hold every node and share one verification; each
+    # radius verified on its own truncation gives every bit of the report.
+    entry = resources.files("lplab.scenarios").joinpath("a6-rademacher-weakstar.json")
+    cfg = build_config(json.loads(entry.read_text()))
+    args = (cfg.sequence, cfg.limit, cfg.f, cfg.K, cfg.region)
+    result = weak_star_verify(*args, cfg.horizon, cfg.r_schedule, szlenk_levels=cfg.levels)
+    pool, probe = convexity._converging_pool(*args, np.inf, cfg.horizon, None)
+    expected = [
+        convexity._verify_on_region(
+            pool, cfg.limit, cfg.f, cfg.K, truncate_region(cfg.region, radius), probe, 1.0,
+            cfg.levels,
+        )
+        for radius in cfg.r_schedule
+    ]
+    assert len({id(report) for report in result.reports}) == 2
+    assert all(report.replay is not None for report in expected)
+    assert _bits(result.reports) == _bits(expected)
+    assert _bits(result.limit_integrals) == _bits([r.limit_integral for r in expected])
+    assert result.radii == cfg.r_schedule and result.monotone and result.passed
 
 
 @pytest.mark.parametrize(

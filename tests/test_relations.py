@@ -11,6 +11,9 @@ component to both, (L^p)^m -> (L^p)^(m+1), is the paper's own reduction to
 m = 1 and must leave every verdict unchanged.  Dilating the domain
 x -> c x, with the truncation radii, maps a dyadic family onto itself, so
 the Rademacher scenarios keep every verdict and their Cesaro slope.
+Translating the box keeps every phase status of the routes without
+truncation, whose balls are centred at the origin, and doubling the
+resolution keeps every phase status of every scenario.
 """
 
 import copy
@@ -244,3 +247,21 @@ def test_every_rademacher_verdict_is_invariant_under_dilation(key, unscaled, tmp
         assert outcome == expected, f"c = {c:g}"
         if expected_slope is not None:
             assert slope == pytest.approx(expected_slope, rel=0.0, abs=1e-9), f"c = {c:g}"
+
+
+@pytest.mark.parametrize("key", ["a0", "a1", "a2", "a3", "a4", "a5"])
+def test_every_phase_status_is_invariant_under_translation(key, unscaled, tmp_path):
+    # [0, 1] -> [3, 4].  a6 truncates about the origin, so there the relation
+    # is the refusal that names the first radius (test_cli).
+    moved = copy.deepcopy(_SCENARIOS[key])
+    moved["grid"]["box"] = [[lo + 3.0, hi + 3.0] for lo, hi in moved["grid"]["box"]]
+    outcome, _ = _outcome(moved, tmp_path)
+    assert outcome["statuses"] == unscaled(key)[1]["statuses"]
+
+
+@pytest.mark.parametrize("key", sorted(_SCENARIOS))
+def test_every_phase_status_is_invariant_under_resolution_doubling(key, unscaled, tmp_path):
+    finer = copy.deepcopy(_SCENARIOS[key])
+    finer["grid"]["resolution"] = [2 * n for n in finer["grid"]["resolution"]]
+    outcome, _ = _outcome(finer, tmp_path)
+    assert outcome["statuses"] == unscaled(key)[1]["statuses"]
