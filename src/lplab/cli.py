@@ -53,13 +53,11 @@ from .errors import (
     PreconditionViolationError,
 )
 from .extraction import (
-    _BLOCK,
     _SCAN_RANGE,
     _SCAN_STEP,
     InequalityConstants,
-    _blocks,
+    _lemma1_check,
     banach_saks_extract,
-    check_pointwise_inequality,
     szlenk_extract,
     verify_growth_bound,
 )
@@ -89,7 +87,6 @@ _LEMMA1_DEFAULTS = {
     "p": (1.1, 1.5, 2.0, 2.5, 3.0, 3.5), "range": _SCAN_RANGE, "step": _SCAN_STEP,
     "ab_range": 10.0, "ab_step": 0.05, "homogeneity_samples": 10000, "seed": 20260810,
 }
-_HOMOGENEITY_TOL = 1e-9
 
 
 def _fmt(x) -> str:
@@ -546,32 +543,15 @@ def _cmd_scenario(args, phases) -> int:
     return _exit_code(manifest)
 
 
-def _lemma1_scale(p: float, a, b, A: float):
-    """|a|^p + p|a|^(p-1)|b| + A|b|^p + |a+b|^p: the size of the lemma-1 terms at (a, b)."""
-    return (
-        np.abs(a) ** p
-        + p * np.abs(a) ** (p - 1.0) * np.abs(b)
-        + A * np.abs(b) ** p
-        + np.abs(a + b) ** p
-    )
-
-
 def _lemma1_rows(args):
     """(constants, worst grid margin, homogeneity deviation, pass) per p of verify-lemma1's args.
 
-    A grid margin passes at >= 0, or within the rounding budget of its terms
-    at n = 2E(p) + 5, the most roundings behind any term: B's last term
-    takes 2E(p) + 2 from its binomial, powers and products and three from
-    the sums; p|a|^(p-1) sgn(a) b takes 3 + 4; and |a+b|^p takes
-    ceil(p) + 2 = E(p) + 3, since its rounded a + b is raised to the p.  At
-    a negative margin B <= |a+b|^p + p|a|^(p-1)|b|, so the scale bounds B
-    too.  The homogeneity deviation passes at <= 1e-9.
-
-    Every argument is checked before a scan starts: ranges and steps must be
-    finite and positive, the seed >= 0, at least one homogeneity sample is
-    drawn, and the (a, b) grid must hold more than one point.  An array over
-    the pool budget is refused before it is allocated, and a p whose terms
-    overflow the float range is refused, not failed.
+    ``extraction._lemma1_check`` reads each row on the (a, b) grid and the
+    seeded homogeneity samples.  Every argument is checked before a scan
+    starts: ranges and steps must be finite and positive, the seed >= 0, at
+    least one homogeneity sample is drawn, and the (a, b) grid must hold
+    more than one point.  An array over the pool budget is refused before it
+    is allocated.
     """
     for flag in ("--range", "--step", "--ab-range", "--ab-step"):
         value = getattr(args, flag[2:].replace("-", "_"))
@@ -586,42 +566,17 @@ def _lemma1_rows(args):
     grid_name = f"the (a, b) grid of --ab-range {ab_range:g} and --ab-step {ab_step:g}"
     _check_array_budget(grid_name, side * side)
     _check_array_budget(f"--homogeneity-samples {samples}", samples)
-    grid_1d = np.arange(-ab_range, ab_range + ab_step / 2, ab_step)
-    if grid_1d.size < 2:
+    axis = np.arange(-ab_range, ab_range + ab_step / 2, ab_step)
+    if axis.size < 2:
         raise InvalidArgumentError(f"{grid_name} holds a single point")
-    # a runs down the rows and b along the columns, a block of rows of a at a
-    # time: each term reads the operands of the whole meshgrid in the same
-    # order, so every margin keeps its bits.
-    b = grid_1d[None, :]
-    block_rows = max(1, _BLOCK // grid_1d.size)
     rows = []
     rng = np.random.default_rng(args.seed)
     for p in args.p:
         consts = InequalityConstants.build(p, t_max=args.range, step=args.step)
-        minima, grid_ok = [], True
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            for block in _blocks(grid_1d.size, block_rows):
-                a = grid_1d[block, None]
-                margins = check_pointwise_inequality(p, a, b, consts)
-                minima.append(margins.min())
-                i, j = np.nonzero(margins < 0.0)  # only these compute the scale of their terms
-                sizes = _lemma1_scale(p, a[i, 0], grid_1d[j], consts.a)
-                budget = _rounding_budget(2 * consts.e_p + 5, sizes)
-                grid_ok = grid_ok and bool(np.all(margins[i, j] >= -budget))
-            worst = float(np.min(minima))
-            ra = rng.uniform(-ab_range, ab_range, samples)
-            rb = rng.uniform(-ab_range, ab_range, samples)
-            lam = rng.uniform(0.1, 10.0, samples)
-            scaled = check_pointwise_inequality(p, lam * ra, lam * rb, consts)
-            base = check_pointwise_inequality(p, ra, rb, consts)
-            scale = lam ** p * (_lemma1_scale(p, ra, rb, consts.a) + 1e-300)
-            dev = float(np.max(np.abs(scaled - lam ** p * base) / scale))
-        if not (math.isfinite(worst) and math.isfinite(dev)):
-            raise InvalidArgumentError(
-                f"the lemma-1 check at p = {p:g} is not finite (worst margin {worst}, "
-                f"homogeneity deviation {dev}): its terms overflow the float range"
-            )
-        rows.append((consts, worst, dev, grid_ok and dev <= _HOMOGENEITY_TOL))
+        a = rng.uniform(-ab_range, ab_range, samples)
+        b = rng.uniform(-ab_range, ab_range, samples)
+        lam = rng.uniform(0.1, 10.0, samples)
+        rows.append((consts, *_lemma1_check(consts, axis, a, b, lam)))
     return rows
 
 

@@ -81,6 +81,15 @@ _SCAN_RANGE, _SCAN_STEP = 100.0, 1e-3
 # it stays in cache and is reused instead of mapped, faulted in and unmapped.
 _BLOCK = 8192
 
+# Largest relative deviation from p-homogeneity the lemma-1 check passes.
+_HOMOGENEITY_TOL = 1e-9
+
+
+def _require_p_above_one(p: float, what: str) -> None:
+    """Refuse an exponent that is not a finite p > 1, naming what needs it."""
+    if not (math.isfinite(p) and p > 1.0):  # NaN included
+        raise InvalidArgumentError(f"{what} needs finite p > 1, got {p}")
+
 
 def generalized_binomial(p: float, i: int) -> float:
     """Binomial coefficient p(p-1)...(p-i+1)/i! for real p; 1 at i = 0."""
@@ -94,8 +103,7 @@ def generalized_binomial(p: float, i: int) -> float:
 
 def floor_exponent(p: float) -> int:
     """Largest natural number strictly less than p (p > 1)."""
-    if not (math.isfinite(p) and p > 1.0):
-        raise InvalidArgumentError(f"floor exponent needs p > 1, got {p}")
+    _require_p_above_one(p, "the floor exponent")
     e = math.floor(p)
     if e == p:
         e -= 1
@@ -109,8 +117,7 @@ def remainder_term(p: float, a, b):
     2^p overflows (p >= 1024) is refused before any binomial is formed: 2^p
     sums every binom(p, i), and B(p) leaves out only terms far below it.
     """
-    if not (math.isfinite(p) and p > 1.0):
-        raise InvalidArgumentError(f"remainder term needs finite p > 1, got {p}")
+    _require_p_above_one(p, "the remainder term")
     with np.errstate(over="ignore"):
         if not math.isfinite(np.power(2.0, p)):
             raise InvalidArgumentError(f"B(p) at p = {p:g} is not finite: 2^p overflows")
@@ -148,8 +155,7 @@ def estimate_a_constant(
     terms overflow the float range is refused as diverged: at once when its
     end point's term (t_max + 1)^p or 2^p does, before any binomial is formed.
     """
-    if not (math.isfinite(p) and p > 1.0):
-        raise InvalidArgumentError(f"the constant is defined for p > 1, got {p}")
+    _require_p_above_one(p, "the constant A")
     if not (t_max > 0 and step > 0):  # NaN included
         raise InvalidArgumentError("scan range and step must be positive")
     _check_array_budget(
@@ -163,6 +169,34 @@ def estimate_a_constant(
             f"{t_max:g} overflows the float range"
         )
     return _a_constant(float(p), float(t_max), float(step), float(safety))
+
+
+def _lemma1_terms(p: float, a, b):
+    """(|a|^p, p|a|^(p-1), |b|^p, |a+b|^p): the powers the lemma-1 terms are built from.
+
+    Each reader applies its own sgn(a) b or |b| factor to p|a|^(p-1).  They
+    are formed so that at most four arrays of a's shape are held at once.
+    """
+    power_sum = np.abs(a + b) ** p
+    abs_a = np.abs(a)
+    slope_a = abs_a ** (p - 1.0)
+    slope_a *= p
+    return abs_a ** p, slope_a, np.abs(b) ** p, power_sum
+
+
+def _a_residual(p: float, t: np.ndarray) -> np.ndarray:
+    """|t+1|^p - |t|^p - p|t|^(p-1) sgn(t) - B(p, t, 1): the b = 1 residual that A bounds.
+
+    Subtracted in that order, in place, so at most five arrays of t's shape
+    are held at once.
+    """
+    rest = remainder_term(p, t, 1.0)
+    power_a, slope_a, _, g = _lemma1_terms(p, t, 1.0)
+    slope_a *= np.sign(t)
+    g -= power_a
+    g -= slope_a
+    g -= rest
+    return g
 
 
 def _blocks(count: int, size: int):
@@ -183,14 +217,7 @@ def _a_constant(p: float, t_max: float, step: float, safety: float) -> float:
     maxima = []
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as divergence
         for block in _blocks(count, _BLOCK):
-            tb = t[block]
-            g = (
-                np.abs(tb + 1.0) ** p
-                - np.abs(tb) ** p
-                - p * np.abs(tb) ** (p - 1.0) * np.sign(tb)
-                - remainder_term(p, tb, 1.0)
-            )
-            maxima.append(g.max())
+            maxima.append(_a_residual(p, t[block]).max())
     sup = float(np.max(maxima))
     if not math.isfinite(sup):
         raise InvalidArgumentError(f"residual scan diverged for p = {p}")
@@ -249,16 +276,62 @@ def check_pointwise_inequality(p: float, a, b, consts: InequalityConstants):
         raise InvalidArgumentError(f"constants were built for p={consts.p}, not {p}")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    rhs = (
-        np.abs(a) ** p
-        + p * np.abs(a) ** (p - 1.0) * np.sign(a) * b
-        + consts.a * np.abs(b) ** p
-        + remainder_term(p, a, b)
-    )
-    margin = rhs - np.abs(a + b) ** p
+    power_a, slope_a, power_b, power_sum = _lemma1_terms(p, a, b)
+    rhs = power_a + slope_a * np.sign(a) * b + consts.a * power_b + remainder_term(p, a, b)
+    margin = rhs - power_sum
     if margin.ndim == 0:
         return float(margin)
     return margin
+
+
+def _lemma1_scale(p: float, a, b, A: float):
+    """|a|^p + p|a|^(p-1)|b| + A|b|^p + |a+b|^p: the size of the lemma-1 terms at (a, b)."""
+    power_a, slope_a, power_b, power_sum = _lemma1_terms(p, a, b)
+    return power_a + slope_a * np.abs(b) + A * power_b + power_sum
+
+
+def _lemma1_check(
+    consts: InequalityConstants, axis: np.ndarray, a: np.ndarray, b: np.ndarray, lam: np.ndarray
+) -> tuple[float, float, bool]:
+    """(worst grid margin, homogeneity deviation, pass) of the inequality at consts.
+
+    The grid is every (a, b) with a and b on axis.  A grid margin passes at
+    >= 0, or within the rounding budget of its terms at n = 2E(p) + 5, the
+    most roundings behind any term: B's last term takes 2E(p) + 2 from its
+    binomial, powers and products and three from the sums; p|a|^(p-1)
+    sgn(a) b takes 3 + 4; and |a+b|^p takes ceil(p) + 2 = E(p) + 3, since
+    its rounded a + b is raised to the p.  At a negative margin B <=
+    |a+b|^p + p|a|^(p-1)|b|, so the scale bounds B too.  The homogeneity
+    deviation compares the margins at the sample points (lam a, lam b) and
+    (a, b), relative to lam^p times the scale, and passes at <= 1e-9.
+    Terms that overflow the float range are refused, not failed.
+    """
+    p = consts.p
+    # a runs down the rows and b along the columns, a block of rows of a at a
+    # time: each term reads the operands of the whole meshgrid in the same
+    # order, so every margin keeps its bits.
+    columns = axis[None, :]
+    minima, grid_ok = [], True
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for block in _blocks(axis.size, max(1, _BLOCK // axis.size)):
+            rows = axis[block, None]
+            margins = check_pointwise_inequality(p, rows, columns, consts)
+            minima.append(margins.min())
+            i, j = np.nonzero(margins < 0.0)  # only these compute the scale of their terms
+            sizes = _lemma1_scale(p, rows[i, 0], axis[j], consts.a)
+            budget = _rounding_budget(2 * consts.e_p + 5, sizes)
+            grid_ok = grid_ok and bool(np.all(margins[i, j] >= -budget))
+        worst = float(np.min(minima))
+        scaled = check_pointwise_inequality(p, lam * a, lam * b, consts)
+        base = check_pointwise_inequality(p, a, b, consts)
+        scale = lam ** p * (_lemma1_scale(p, a, b, consts.a) + 1e-300)
+        dev = float(np.max(np.abs(scaled - lam ** p * base) / scale))
+    if not (math.isfinite(worst) and math.isfinite(dev)):
+        raise InvalidArgumentError(
+            f"the lemma-1 check at p = {p:g} is not finite (worst margin {worst}, "
+            f"homogeneity deviation {dev}): its terms overflow the float range"
+        )
+    return worst, dev, grid_ok and dev <= _HOMOGENEITY_TOL
 
 
 @dataclass
@@ -358,11 +431,7 @@ def banach_saks_extract(
     all stay <= 1.  Raises ``ExtractionStalledError`` (partial trace attached)
     when unexamined candidates remain but none qualifies.
     """
-    if not (math.isfinite(p) and p > 1.0):
-        raise InvalidArgumentError(
-            f"recursive selection needs finite p > 1 (got {p}); the p = 1 route "
-            "is szlenk_extract"
-        )
+    _require_p_above_one(p, "recursive selection (the p = 1 route is szlenk_extract)")
     return _select(member_pool(seq, grid, horizon), p, grid.weights)[1]
 
 
@@ -527,8 +596,7 @@ def verify_growth_bound(
 
         integral |s_k|^p <= A + B k^(p-2) + p t_k + integral |s_(k-1)|^p.
     """
-    if not (math.isfinite(p) and p > 1.0):
-        raise InvalidArgumentError(f"growth bound needs finite p > 1, got {p}")
+    _require_p_above_one(p, "the growth bound")
     if trace.p != p or consts.p != p:
         raise InvalidArgumentError(
             f"exponent mismatch: trace p={trace.p}, constants p={consts.p}, asked {p}"

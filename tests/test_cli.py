@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lplab import SequenceSpec, build_uniform_grid, cli, gallery, generate
+from lplab import SequenceSpec, build_uniform_grid, cli, extraction, gallery, generate
 from lplab.cli import build_config, load_config, main
 from lplab.errors import ConfigError, InvalidArgumentError
 from lplab.extraction import InequalityConstants, check_pointwise_inequality
@@ -209,7 +209,7 @@ def _meshgrid_lemma1(p, grid_1d, consts):
     broadcast = check_pointwise_inequality(p, grid_1d[:, None], grid_1d[None, :], consts)
     assert np.array_equal(broadcast.ravel().view(np.uint64), margins.view(np.uint64))
     low = margins < 0.0
-    sizes = cli._lemma1_scale(p, a[low], b[low], consts.a)
+    sizes = extraction._lemma1_scale(p, a[low], b[low], consts.a)
     budget = _rounding_budget(2 * consts.e_p + 5, sizes)
     return float(margins.min()), bool(np.all(margins[low] >= -budget))
 
@@ -225,7 +225,7 @@ def test_the_blocked_grid_check_equals_the_meshgrid_evaluation(ps, ab_range, ab_
     for consts, worst, dev, ok in rows:
         expected_worst, grid_ok = _meshgrid_lemma1(consts.p, grid_1d, consts)
         assert worst.hex() == expected_worst.hex(), consts.p
-        assert ok == (grid_ok and dev <= cli._HOMOGENEITY_TOL), consts.p
+        assert ok == (grid_ok and dev <= extraction._HOMOGENEITY_TOL), consts.p
 
 
 def test_the_blocked_grid_check_fails_where_the_meshgrid_evaluation_fails(monkeypatch):
@@ -262,8 +262,6 @@ def _weak_star_config(**overrides):
 def test_cli_run_selects_with_the_configured_level_count(
     tmp_path, monkeypatch, overrides, replays
 ):
-    from lplab import extraction
-
     received = []
     real_select = extraction._szlenk_select
 
