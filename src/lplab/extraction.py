@@ -563,9 +563,9 @@ def _banach_saks_select(
 class GrowthBoundReport:
     """Margins of the partial-sum growth bounds along a trace.
 
-    ``aggregate_margins[k, j]`` is (A+p)(k+1) + B(k+1)^(p-2) + 1 minus the
-    integral of |s_(k+1)^(j)|^p; ``stepwise_margins[k, j]`` is the slack of
-    the one-step recursion with C(k) = A + B k^(p-2).
+    ``aggregate_margins[k, j]`` is (A+p)(k+1) + B sum_(i<=k+1) i^(p-2) + 1
+    minus the integral of |s_(k+1)^(j)|^p; ``stepwise_margins[k, j]`` is the
+    slack of the one-step recursion with C(k) = A + B k^(p-2).
     """
 
     p: float
@@ -591,10 +591,17 @@ def verify_growth_bound(
     """Check the growth of integral |s_k|^p along a normalized extraction.
 
     Requires a trace built under the unit normalization (member norms <= 1).
-    The aggregate bound (A+p)k + Bk^(p-2) + 1 is checked per component and
-    step, alongside the stepwise recursion
+    The stepwise recursion
 
-        integral |s_k|^p <= A + B k^(p-2) + p t_k + integral |s_(k-1)|^p.
+        integral |s_k|^p <= A + B k^(p-2) + p t_k + integral |s_(k-1)|^p
+
+    is checked per component and step, alongside the aggregate bound that
+    summing it over steps 1..k proves, with every pairing t_i <= 1:
+
+        integral |s_k|^p <= (A+p)k + B sum_(i<=k) i^(p-2) + 1.
+
+    The sum grows like B k^(p-1)/(p-1), not like B k^(p-2); the two agree
+    where B = 0, which is p <= 2.
     """
     _require_p_above_one(p, "the growth bound")
     if trace.p != p or consts.p != p:
@@ -609,8 +616,9 @@ def verify_growth_bound(
         )
     k = np.arange(1, trace.length + 1, dtype=float)[:, None]
     a, b = consts.a, consts.b
-    aggregate = (a + p) * k + b * k ** (p - 2.0) + 1.0 - trace.partial_norms
-    ck = a + b * k ** (p - 2.0)
+    powers = k ** (p - 2.0)
+    aggregate = (a + p) * k + b * np.cumsum(powers, axis=0) + 1.0 - trace.partial_norms
+    ck = a + b * powers
     previous = np.vstack([np.zeros(trace.m), trace.partial_norms[:-1]])
     stepwise = ck + p * trace.pairings + previous - trace.partial_norms
     return GrowthBoundReport(p=p, aggregate_margins=aggregate, stepwise_margins=stepwise)

@@ -735,6 +735,19 @@ def _run_manifest(tmp_path, raw, rc):
     return json.loads((out / f"{raw['name']}.manifest.json").read_text())
 
 
+def test_cli_growth_bound_holds_the_summed_recursion_at_p_three(tmp_path, capsys):
+    # Rademacher members on 4 096 nodes, horizon 64, a zero limit: 20 picks.
+    # The integral of |s_20|^3 is 160.41, above (A+p)k + B k^(p-2) + 1 = 141.20
+    # (B = 3), but within (A+p)k + B sum_(i<=k) i^(p-2) + 1, which the stepwise
+    # bound proves when summed.
+    raw = dict(_bundled("a3-"), name="rademacher-p3", p=3.0, horizon=64, extraction="p>1")
+    del raw["expect"]
+    manifest = _run_manifest(tmp_path, raw, 0)
+    capsys.readouterr()
+    growth = next(p for p in manifest["phases"] if p["name"] == "growth_bound")
+    assert (growth["status"], growth["detail"]) == ("pass", "A=1.01 B=3 min_margin=7.01")
+
+
 def test_cli_cesaro_drop_divides_by_the_first_positive_value(tmp_path, capsys):
     # A zero first member gives a zero first Cesaro value; the curve then
     # falls from 0.354 to 0.171, far above a drop bound of 0.01.
