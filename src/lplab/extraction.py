@@ -397,15 +397,23 @@ class ExtractionTrace:
 
     def rows(self, bound_margins: np.ndarray | None = None):
         """CSV-ready rows (k, selected_index, max_pairing, partial_norm_p,
-        cesaro_norm, bound_margin)."""
-        out = []
+        cesaro_norm, bound_margin).
+
+        max_pairing is the largest pairing over the components that the
+        selection rule constrains, those whose integral of |s_(k-1)^(j)|^p is
+        positive, and 0 where there are none, as at the first pick: a
+        component whose partial sum is zero pairs to 0 with every member.
+        """
+        out, previous = [], np.zeros(self.m)
         for k in range(self.length):
             margin = float(bound_margins[k]) if bound_margins is not None else math.nan
+            constrained = self.pairings[k][previous > 0.0]
+            previous = self.partial_norms[k]
             out.append(
                 (
                     k + 1,
                     self.indices[k],
-                    float(self.pairings[k].max()),
+                    float(constrained.max()) if constrained.size else 0.0,
                     float(self.partial_norms[k].sum()),
                     float(self.cesaro_norms[k]),
                     margin,
