@@ -184,7 +184,7 @@ def _pairing_budgets(trace: list[list[str]], header: list[str], p: float, nodes:
     return 2.0 * _rounding_budget(nodes + 4, np.array(scales))
 
 
-@pytest.mark.parametrize("key", ["a0", "a1", "a2", "a3", "a4", "a5", "a6"])
+@pytest.mark.parametrize("key", sorted(_SCENARIOS))
 def test_every_csv_is_invariant_under_zero_padding(key, unscaled, tmp_path):
     padded = copy.deepcopy(_SCENARIOS[key])
     for side in ("sequence", "limit"):
