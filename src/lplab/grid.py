@@ -13,6 +13,7 @@ safe to use concurrently.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,19 +155,30 @@ def build_uniform_grid(domain_box, resolution) -> QuadratureGrid:
         domain_box: sequence of (lower, upper) pairs, one per axis.
         resolution: node count per axis (an int applies to every axis).
 
-    The weights sum to the box volume exactly up to rounding.
+    The weights sum to the box volume exactly up to rounding.  Node i of an
+    axis sits at lo + (i + 1/2) width / r; only on an axis where
+    (r - 1/2) width overflows is the cell width width / r taken first.  A
+    cell volume that overflows the float range is refused.
     """
     box, res = _uniform_axes(domain_box, resolution)
-    n = box.shape[0]
-    axes = [
-        box[a, 0] + (np.arange(res[a]) + 0.5) * (box[a, 1] - box[a, 0]) / res[a]
-        for a in range(n)
-    ]
+    axes = []
+    for (lo, hi), r in zip(box.tolist(), res):
+        offsets = np.arange(r) + 0.5
+        if math.isfinite((r - 0.5) * (hi - lo)):
+            axes.append(lo + offsets * (hi - lo) / r)
+        else:
+            axes.append(lo + offsets * ((hi - lo) / r))
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([m.ravel() for m in mesh], axis=1)
-    cell = float(np.prod([(box[a, 1] - box[a, 0]) / res[a] for a in range(n)]))
+    widths = [(hi - lo) / r for (lo, hi), r in zip(box.tolist(), res)]
+    cell = math.prod(widths)
+    if not math.isfinite(cell):
+        raise InvalidArgumentError(
+            f"the cell volume of the box {box.tolist()} at resolution {list(res)} overflows "
+            f"the float range: the product of the cell widths {widths}"
+        )
     weights = np.full(nodes.shape[0], cell)
-    return QuadratureGrid(n, nodes, weights, box, res)
+    return QuadratureGrid(box.shape[0], nodes, weights, box, res)
 
 
 @dataclass

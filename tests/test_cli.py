@@ -350,6 +350,28 @@ def test_cli_run_on_a_huge_box_refuses_the_overflowing_probe_field(tmp_path, cap
     assert "Warning" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        # 255.5 * 1e307 overflows: the nodes take the cell width first, and the
+        # probe field x1 times the cell weights overflows.
+        ({"dimension": 1, "box": [[0.0, 1e307]], "resolution": [256]},
+         "probe: error (the probe field x1 overflows on the box [[0.0, 1e+307]]"),
+        ({"dimension": 2, "box": [[0.0, 1e160], [0.0, 1e160]], "resolution": [16, 16]},
+         "the cell volume of the box [[0.0, 1e+160], [0.0, 1e+160]] at resolution [16, 16]"),
+    ],
+    ids=["far-nodes", "cell-volume"],
+)
+def test_cli_run_a0_on_a_grid_near_the_float_limit_exits_2(grid, message, tmp_path, capsys):
+    path = tmp_path / "a0.json"
+    path.write_text(json.dumps(dict(_bundled("a0-"), grid=grid)))
+    rc = main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert message in captured.out + captured.err
+    assert "Warning" not in captured.out + captured.err
+
+
 def test_cli_probe_subcommand(tmp_path):
     path = tmp_path / "probe.json"
     path.write_text(json.dumps(_base_config(extraction="none", horizon=16,

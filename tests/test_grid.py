@@ -57,6 +57,20 @@ def test_a_box_whose_width_overflows_is_refused_naming_its_axis():
             build_uniform_grid([[0.0, 1.0], [-1e308, 1e308]], 4)
 
 
+def test_an_axis_whose_far_nodes_overflow_takes_the_cell_width_first():
+    # 255.5 * 1e307 overflows, 1e307 / 256 does not.
+    grid = build_uniform_grid([[0.0, 1e307]], 256)
+    expected = (np.arange(256) + 0.5) * (1e307 / 256)
+    assert np.array_equal(grid.nodes[:, 0], expected)
+    assert grid.weights[0] == 1e307 / 256
+
+
+def test_a_cell_volume_that_overflows_is_refused():
+    # Each width, 1e160 / 16, is finite; their product is not.
+    with pytest.raises(InvalidArgumentError, match="the cell volume of the box"):
+        build_uniform_grid([[0.0, 1e160], [0.0, 1e160]], 16)
+
+
 def test_grid_invariants_enforced():
     with pytest.raises(InvalidArgumentError):
         QuadratureGrid(1, [[0.5], [0.5]], [0.5, 0.5], [[0.0, 1.0]])
