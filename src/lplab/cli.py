@@ -90,8 +90,6 @@ _LEMMA1_DEFAULTS = {
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
     if isinstance(x, float):
         return f"{x:.17g}"
     return str(x)
@@ -289,8 +287,6 @@ def build_config(raw: dict) -> ScenarioConfig:
             raise ConfigError(f"extraction mode 'p>1' needs finite p > 1, got p={raw['p']}")
         if mode == "p=1" and p != 1.0:
             raise ConfigError(f"extraction mode 'p=1' needs p = 1, got p={raw['p']}")
-        if p == INFINITY and mode != "none":
-            raise ConfigError("sup-norm scenarios run their own p = 1 extraction internally")
         fraw = raw.get("f")
         f = ConvexFunctionSpec.from_config(fraw) if fraw else None
         K = ConvexSetSpec.from_config(fraw["K"]) if fraw and "K" in fraw else (

@@ -58,7 +58,9 @@ def test_config_digest_is_stable():
     "overrides",
     [
         {"p": 1.0},  # extraction mode inconsistent with p
+        {"extraction": "p=1"},  # and the other mode, at p = 2
         {"p": 0.5},
+        {"p": "x"},  # a string other than 'infinity'
         {"horizon": 4},
         {"extraction": "bogus"},
         {"sequence": [{"kind": "nonsense"}]},
@@ -72,6 +74,7 @@ def test_config_digest_is_stable():
         {"sequence": ["oscillatory"]},
         {"limit": [0.0]},
         {"region": "full"},
+        {"region": {"type": "hexagon"}},
         {"f": "squared_norm"},
         {"f": {"kind": "squared_norm", "K": "whole_space"}},
         # expect fields the phases could not compare against
@@ -168,6 +171,10 @@ def test_cli_invalid_config_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "p>1" in err or "extraction" in err
+    # a file that is not JSON is refused with the line of the first error
+    path.write_text('{"name": "unit",\n "p": 2.0,,\n}')
+    assert main(["extract", "--config", str(path)]) == 2
+    assert "bad.json line 2: Expecting property name" in capsys.readouterr().err
 
 
 def test_cli_verify_lemma1_smoke(capsys):
@@ -422,6 +429,12 @@ def test_cli_failed_math_exits_1(tmp_path, capsys):
     )))
     rc = main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")])
     assert rc == 1
+    # expecting a liminf refusal from a scenario whose verification runs
+    raw = _bundled("a4-")
+    raw["expect"] = {**raw["expect"], "liminf_refusal": True}
+    manifest = _run_manifest(tmp_path, raw, 1)
+    assert [p["status"] for p in manifest["phases"]][-1] == "fail"
+    assert manifest["phases"][-1]["detail"] == "expected a refusal but verification ran"
 
 
 def test_cli_verify_lemma1_json_export(tmp_path):

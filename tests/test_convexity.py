@@ -96,6 +96,11 @@ def test_jensen_single_point_and_variance():
     assert jensen_check(_squared(), [[-1.0], [1.0]]) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_jensen_refuses_an_empty_point_set():
+    with pytest.raises(InvalidArgumentError, match="need at least one point"):
+        jensen_check(_squared(), np.empty((0, 1)))
+
+
 def test_jensen_point_outside_K():
     K = ConvexSetSpec(kind="box", bounds=[[-1.0, 1.0]])
     with pytest.raises(DomainViolationError):
@@ -257,6 +262,14 @@ def test_liminf_refuses_spike(grid):
             seq, _zero_limit(grid), _squared(), _whole(), RegionMask.full(grid), 1.0, 64
         )
     assert excinfo.value.hypothesis == "weak convergence probe"
+
+
+def test_liminf_refuses_the_sup_norm(grid):
+    seq = VectorSequenceSpec([SequenceSpec(kind="oscillatory")])
+    with pytest.raises(InvalidArgumentError, match="the sup-norm route is weak_star_verify"):
+        liminf_verify(
+            seq, _zero_limit(grid), _squared(), _whole(), RegionMask.full(grid), np.inf, 32
+        )
 
 
 def test_liminf_refuses_sign_indefinite_f(grid):

@@ -79,6 +79,13 @@ def test_aliasing_guard_refuses(grid):
     assert generate(SequenceSpec(kind="rademacher"), 3, coarse) is not None
     with pytest.raises(InvalidArgumentError):
         generate(SequenceSpec(kind="rademacher"), 4, coarse)
+    # without its resolution, the grid's axis reads its 16 distinct coordinates
+    bare = QuadratureGrid(1, coarse.nodes, coarse.weights, coarse.domain_box)
+    assert bare.axis_resolution(0) == 16
+    assert generate(SequenceSpec(kind="rademacher"), 3, bare) is not None
+    for kind, i in (("spike", 17), ("rademacher", 4)):
+        with pytest.raises(InvalidArgumentError):
+            generate(SequenceSpec(kind=kind), i, bare)
 
 
 def test_dyadic_signs_match_sine_formula(grid):
