@@ -18,9 +18,10 @@ one walk over the picks: it reads the normalized members, keeps the partial
 sum s_k, records each pick's pairings, integrals of |s_k|^p and ||s_k/k||,
 and builds the trace.
 
-Also here: the pointwise power inequality |a+b|^p <= |a|^p +
-p|a|^(p-1)sgn(a) b + A|b|^p + B(p,a,b) with computable constants, and the
-per-step growth bound it implies for the partial sums.
+Also here, as the one module that knows it: the pointwise power inequality
+|a+b|^p <= |a|^p + p|a|^(p-1)sgn(a) b + A|b|^p + B(p,a,b) with computable
+constants, its check on an (a, b) grid, and the growth bounds it implies for
+the partial sums.
 
 Finite pools stand in for infinite sequences, so a selection can legitimately
 run out of candidates; that is reported as a structured error carrying the
