@@ -562,8 +562,8 @@ def _lemma1_rows(args):
     grid_name = f"the (a, b) grid of --ab-range {ab_range:g} and --ab-step {ab_step:g}"
     _check_array_budget(grid_name, side * side)
     _check_array_budget(f"--homogeneity-samples {samples}", samples)
-    axis = np.arange(-ab_range, ab_range + ab_step / 2, ab_step)
-    if axis.size < 2:
+    grid_1d = np.arange(-ab_range, ab_range + ab_step / 2, ab_step)
+    if grid_1d.size < 2:
         raise InvalidArgumentError(f"{grid_name} holds a single point")
     rows = []
     rng = np.random.default_rng(args.seed)
@@ -572,7 +572,7 @@ def _lemma1_rows(args):
         a = rng.uniform(-ab_range, ab_range, samples)
         b = rng.uniform(-ab_range, ab_range, samples)
         lam = rng.uniform(0.1, 10.0, samples)
-        rows.append((consts, *_lemma1_check(consts, axis, a, b, lam)))
+        rows.append((consts, *_lemma1_check(consts, grid_1d, a, b, lam)))
     return rows
 
 

@@ -175,8 +175,9 @@ def estimate_a_constant(
 def _lemma1_terms(p: float, a, b):
     """(|a|^p, p|a|^(p-1), |b|^p, |a+b|^p): the powers the lemma-1 terms are built from.
 
-    Each reader applies its own sgn(a) b or |b| factor to p|a|^(p-1).  They
-    are formed so that at most four arrays of a's shape are held at once.
+    Each reader applies its own sgn(a) b or |b| factor to p|a|^(p-1).
+    |a+b|^p is formed first and p|a|^(p-1) in place, so an A scan block
+    holds at most four arrays of its size here.
     """
     power_sum = np.abs(a + b) ** p
     abs_a = np.abs(a)

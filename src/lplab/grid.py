@@ -161,16 +161,16 @@ def build_uniform_grid(domain_box, resolution) -> QuadratureGrid:
     cell volume that overflows the float range is refused.
     """
     box, res = _uniform_axes(domain_box, resolution)
-    axes = []
+    axes, widths = [], []
     for (lo, hi), r in zip(box.tolist(), res):
+        widths.append((hi - lo) / r)
         offsets = np.arange(r) + 0.5
         if math.isfinite((r - 0.5) * (hi - lo)):
             axes.append(lo + offsets * (hi - lo) / r)
         else:
-            axes.append(lo + offsets * ((hi - lo) / r))
+            axes.append(lo + offsets * widths[-1])
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([m.ravel() for m in mesh], axis=1)
-    widths = [(hi - lo) / r for (lo, hi), r in zip(box.tolist(), res)]
     cell = math.prod(widths)
     if not math.isfinite(cell):
         raise InvalidArgumentError(
