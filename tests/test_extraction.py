@@ -315,9 +315,9 @@ def test_growth_stepwise_recursion_above_two(grid):
 
 @pytest.mark.parametrize("p", [2.25, 2.5, 2.75, 3.0, 3.5, 4.0, 5.0, 6.0, 7.0, 8.0])
 def test_growth_bound_holds_along_rademacher_picks_above_two(p):
-    # 4 096 nodes, horizon 64: the picks' partial sums grow like B k^(p-1),
-    # past B k^(p-2).  An aggregate bound (A+p)k + B k^(p-2) + 1 read -1.09
-    # at p = 2.5 and -19.2 at p = 3; the summed recursion holds at every p.
+    # 4 096 nodes, horizon 64: the integrals of |s_k|^p outgrow
+    # (A+p)k + B k^(p-2) + 1, whose margin read -1.09 at p = 2.5 and -19.2 at
+    # p = 3.  The bound with B sum_(i<=k) i^(p-2) holds at every p.
     seq = VectorSequenceSpec([SequenceSpec(kind="rademacher")])
     try:
         trace = banach_saks_extract(seq, p, build_uniform_grid([[0.0, 1.0]], 4096), 64)
