@@ -91,17 +91,14 @@ class QuadratureGrid:
 
         np.linalg.norm's value wherever the sum of squares is a normal float.
         sqrt is monotone and sqrt(tiny) is exact, so a norm below sqrt(tiny)
-        comes from a sum that fell below the normal range.  Such a nonzero
-        row, and one whose sum overflows, reads s |x / s| instead, with
-        s = max_i |x_i|.
+        comes from a sum that fell below the normal range.  Such a row, and
+        one whose sum overflows, is summed at its own binary scale instead.
         """
         with np.errstate(over="ignore", under="ignore"):
             norms = np.linalg.norm(self.nodes, axis=1)
             rows = np.flatnonzero((norms < _SQRT_TINY) | (norms == np.inf))
-            scale = np.abs(self.nodes[rows]).max(axis=1)
-            rows, scale = rows[scale > 0.0], scale[scale > 0.0]
-            unit = self.nodes[rows] / scale[:, None]
-            norms[rows] = scale * np.sqrt(np.add.reduce(unit * unit, axis=1))
+            unit, e = _unit_scaled(self.nodes[rows], axis=1)
+            norms[rows] = np.ldexp(np.sqrt(np.add.reduce(unit * unit, axis=1)), e)
         return _frozen(norms)
 
     @property
@@ -156,19 +153,17 @@ def build_uniform_grid(domain_box, resolution) -> QuadratureGrid:
         resolution: node count per axis (an int applies to every axis).
 
     The weights sum to the box volume exactly up to rounding.  Node i of an
-    axis sits at lo + (i + 1/2) width / r; only on an axis where
-    (r - 1/2) width overflows is the cell width width / r taken first.  A
+    axis sits at lo + (i + 1/2) width / r, formed at the width's binary
+    scale (_unit_scaled): the bits of that formula wherever its products are
+    normal floats, and finite on an axis where (r - 1/2) width overflows.  A
     cell volume that overflows the float range is refused.
     """
     box, res = _uniform_axes(domain_box, resolution)
     axes, widths = [], []
     for (lo, hi), r in zip(box.tolist(), res):
         widths.append((hi - lo) / r)
-        offsets = np.arange(r) + 0.5
-        if math.isfinite((r - 0.5) * (hi - lo)):
-            axes.append(lo + offsets * (hi - lo) / r)
-        else:
-            axes.append(lo + offsets * widths[-1])
+        unit, e = _unit_scaled(hi - lo)
+        axes.append(lo + np.ldexp((np.arange(r) + 0.5) * unit / r, e))
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([m.ravel() for m in mesh], axis=1)
     cell = math.prod(widths)
@@ -317,6 +312,21 @@ def _weighted_sum(w: np.ndarray, v: np.ndarray) -> float:
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 _SQRT_TINY = np.sqrt(np.finfo(float).tiny)
+
+
+def _unit_scaled(x, axis=None):
+    """(x 2^-e, e), with e the exponent that brings the largest |x| into [1/2, 1).
+
+    Along axis, if given, e is taken per slice and has x's shape less that
+    axis; e is 0 where the largest |x| is 0.  Scaling by a power of two is
+    exact, and commutes with rounding, while no value is subnormal or
+    infinite (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+    ed., section 2.1).  So the largest square or p-th power of x 2^-e is a
+    normal float, and a result formed from them scales back by 2^e exactly
+    unless that result itself leaves the range.
+    """
+    e = np.frexp(np.max(np.abs(x), axis=axis, keepdims=True))[1]
+    return np.ldexp(x, -e), e.squeeze(axis)
 
 
 def _rounding_budget(n: int, scale):

@@ -12,7 +12,9 @@ import math
 import numpy as np
 
 from .errors import GridMismatchError, InvalidArgumentError
-from .grid import RegionMask, ScalarField, VectorField, _require_shared_grid, _weighted_sum
+from .grid import (
+    RegionMask, ScalarField, VectorField, _require_shared_grid, _unit_scaled, _weighted_sum
+)
 
 __all__ = [
     "INFINITY",
@@ -80,8 +82,8 @@ def _lp_norms(
     numpy's einsum sums a lone row in another order than a stack of rows, so
     blocks of two keep every norm bitwise equal to one contraction over the
     whole stack; an odd last row shares its block with the row before it.  A
-    row whose sum of p-th powers overflows, or underflows while the row is
-    nonzero, is recomputed as s * (sum w |u/s|^p)^(1/p) with s = max |u|.
+    row whose sum of p-th powers overflows or underflows is recomputed at its
+    own binary scale: 2^e (sum w |u 2^-e|^p)^(1/p) (_unit_scaled).
     """
     count, m = rows.shape[:2]
     size = min(2, count)
@@ -99,12 +101,9 @@ def _lp_norms(
     norms = sums ** (1.0 / p)
     for i in np.flatnonzero(~(np.isfinite(sums) & (sums >= np.finfo(float).tiny))):
         row = _gather(rows[i], nodes, block[0])
-        row = np.abs(row if centre is None else row - centre)
-        scale = float(row.max())
-        if scale > 0.0:
-            scaled = row / scale
-            scaled **= p
-            norms[i] = scale * float(np.einsum("n,jn->", w, scaled)) ** (1.0 / p)
+        unit, e = _unit_scaled(row if centre is None else row - centre)
+        _abs_power(unit, p, unit)
+        norms[i] = np.ldexp(float(np.einsum("n,jn->", w, unit)) ** (1.0 / p), e)
     return norms
 
 
