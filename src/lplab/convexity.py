@@ -50,8 +50,10 @@ from .gallery import (
 from .grid import (
     RegionMask,
     VectorField,
+    _euclidean_norms,
     _require_shared_grid,
     _rounding_budget,
+    _unit_scaled,
     _weighted_sum,
     truncate_region,
 )
@@ -93,6 +95,12 @@ HALFSPACES = "halfspaces"
 # liminf.  Every other cutoff here is a rounding budget (grid._rounding_budget).
 _PASS_TOL = 1e-6
 
+# Radii whose square, and the squares of offsets near them, are far inside
+# the normal range.  An offset whose square leaves that range then lies far
+# inside or far outside the ball, and a subnormal square's absolute error,
+# 2^-1075, is far below the rounding budget of a sum near the radius squared.
+_BALL_RADII = (2.0 ** -500, 2.0 ** 500)
+
 # Held while a custom evaluator runs.  weak_star_verify evaluates f on two
 # threads, and a user's evaluator may keep state or be shared by several
 # specs; reentrant, so an evaluator may call another custom spec.
@@ -132,7 +140,7 @@ class ConvexFunctionSpec:
         if self.kind == SQUARED_NORM:
             return np.einsum("ij,ij->i", points, points)
         if self.kind == POWER:
-            return np.linalg.norm(points, axis=1) ** self.power
+            return _euclidean_norms(points) ** self.power
         if self.kind == MAX_AFFINE:
             vals = np.zeros(points.shape[0])
             for a, b in self.planes:
@@ -212,9 +220,19 @@ class ConvexSetSpec:
                 return np.ones(points.shape[0], dtype=bool)
             return np.all(at_most(lo, points, extent) & at_most(points, hi, extent), axis=1)
         if self.kind == BALL:
-            # np.linalg.norm's formula for real rows, without its copy for the conjugate.
+            # np.linalg.norm's formula for real rows, without its copy for the
+            # conjugate; at a radius outside _BALL_RADII, at the radius's
+            # binary scale (_unit_scaled) and scaled back.
             offset = np.subtract(points, self.center)
-            distance = np.sqrt(np.add.reduce(np.multiply(offset, offset, out=offset), axis=1))
+            e = 0
+            if not _BALL_RADII[0] <= self.radius <= _BALL_RADII[1]:
+                e = _unit_scaled(self.radius)[1]
+            with np.errstate(over="ignore"):  # an offset or square that overflows is far outside
+                if e:
+                    np.ldexp(offset, -e, out=offset)
+                distance = np.sqrt(np.add.reduce(np.multiply(offset, offset, out=offset), axis=1))
+                if e:
+                    np.ldexp(distance, e, out=distance)
             return at_most(distance, self.radius, lambda: self.radius + np.abs(self.center).max())
         ok = np.ones(points.shape[0], dtype=bool)
         for a, b in self.halfspaces:

@@ -87,19 +87,8 @@ class QuadratureGrid:
 
     @functools.cached_property
     def _node_norms(self) -> np.ndarray:
-        """Euclidean norm of every node, computed once per grid (truncate_region reads it).
-
-        np.linalg.norm's value wherever the sum of squares is a normal float.
-        sqrt is monotone and sqrt(tiny) is exact, so a norm below sqrt(tiny)
-        comes from a sum that fell below the normal range.  Such a row, and
-        one whose sum overflows, is summed at its own binary scale instead.
-        """
-        with np.errstate(over="ignore", under="ignore"):
-            norms = np.linalg.norm(self.nodes, axis=1)
-            rows = np.flatnonzero((norms < _SQRT_TINY) | (norms == np.inf))
-            unit, e = _unit_scaled(self.nodes[rows], axis=1)
-            norms[rows] = np.ldexp(np.sqrt(np.add.reduce(unit * unit, axis=1)), e)
-        return _frozen(norms)
+        """Euclidean norm of every node, computed once per grid (truncate_region reads it)."""
+        return _frozen(_euclidean_norms(self.nodes))
 
     @property
     def node_count(self) -> int:
@@ -312,6 +301,22 @@ def _weighted_sum(w: np.ndarray, v: np.ndarray) -> float:
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 _SQRT_TINY = np.sqrt(np.finfo(float).tiny)
+
+
+def _euclidean_norms(points: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of an (N, n) array.
+
+    np.linalg.norm's value wherever the sum of squares is a normal float.
+    sqrt is monotone and sqrt(tiny) is exact, so a norm below sqrt(tiny)
+    comes from a sum that fell below the normal range.  Such a row, and one
+    whose sum overflows, is summed at its own binary scale instead.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.linalg.norm(points, axis=1)
+        rows = np.flatnonzero((norms < _SQRT_TINY) | (norms == np.inf))
+        unit, e = _unit_scaled(points[rows], axis=1)
+        norms[rows] = np.ldexp(np.sqrt(np.add.reduce(unit * unit, axis=1)), e)
+    return norms
 
 
 def _unit_scaled(x, axis=None):

@@ -90,6 +90,13 @@ def test_power_and_custom_kinds(grid):
     assert evaluate_composite(affine, u) == pytest.approx(-2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("lam", [1e-200, 1.0, 1e200])
+def test_a_power_f_reads_the_norm_at_every_scale(lam):
+    # The squares of 3 lam and 4 lam underflow or overflow at the ends.
+    f = ConvexFunctionSpec(kind="power", power=1.0)
+    assert f([[3.0 * lam, 4.0 * lam], [0.0, 0.0]]) == pytest.approx([5.0 * lam, 0.0], rel=1e-15)
+
+
 def test_jensen_single_point_and_variance():
     assert jensen_check(_squared(), [[2.0]]) == pytest.approx(0.0, abs=1e-15)
     # oracle: mean of squares minus square of mean is the variance (here 1)
@@ -134,7 +141,7 @@ def test_membership_midpoint_convexity():
         assert K.contains(mids).all()
 
 
-@pytest.mark.parametrize("lam", [1e-150, 1e-13, 1.0, 1e100])
+@pytest.mark.parametrize("lam", [1e-200, 1e-150, 1e-13, 1.0, 1e100, 1e200])
 @pytest.mark.parametrize("kind", ["box", "ball", "halfspaces"])
 def test_membership_slack_scales_with_K(kind, lam):
     # K scaled by lam: a point one ulp past the boundary is rounding and

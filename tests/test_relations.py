@@ -19,6 +19,7 @@ resolution keeps every phase status of every scenario.
 import copy
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,33 @@ def test_values_outside_a_scaled_box_are_refused_at_every_scale(tmp_path):
         outcome, _ = _outcome(_scaled(raw, lam), tmp_path / f"{lam:g}")
         assert outcome["hypothesis"] == "values-in-K", f"lambda = {lam:g}"
         assert ("liminf", "fail") in outcome["statuses"], f"lambda = {lam:g}"
+
+
+def _a6_variant(variant: str) -> dict:
+    """a6 with K the ball of radius 0.5, which its members leave, or with f = |w|."""
+    raw = copy.deepcopy(_SCENARIOS["a6"])
+    if variant == "ball-K":
+        raw["f"]["K"] = {"kind": "ball", "params": {"center": [0.0], "radius": 0.5}, "closed": True}
+    else:
+        raw["f"].update(kind="power", params={"power": 1.0})
+    return raw
+
+
+@pytest.mark.parametrize("variant", ["ball-K", "power-f"])
+def test_a_ball_K_and_a_power_f_keep_every_verdict_at_the_ends_of_the_float_range(
+    variant, tmp_path
+):
+    # Both square the values they read, which leave the float range at lambda
+    # = 1e-200 and 1e200 unless they are rescaled.
+    raw = _a6_variant(variant)
+    expected, _ = _outcome(raw, tmp_path / "1")
+    assert expected["hypothesis"] == ("values-in-K" if variant == "ball-K" else None)
+    for lam in (1e-200, 1e200):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcome, _ = _outcome(_scaled(raw, lam), tmp_path / f"{lam:g}")
+        assert outcome == expected, f"lambda = {lam:g}"
+        assert not [w for w in caught if w.category is RuntimeWarning], f"lambda = {lam:g}"
 
 
 @pytest.mark.parametrize("base", [1.0, 2.0])
