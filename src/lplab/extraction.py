@@ -576,18 +576,22 @@ class GrowthBoundReport:
     ``aggregate_margins[k, j]`` is (A+p)(k+1) + B sum_(i<=k+1) i^(p-2) + 1
     minus the integral of |s_(k+1)^(j)|^p; ``stepwise_margins[k, j]`` is the
     slack of the one-step recursion with C(k) = A + B k^(p-2).
+    ``aggregate_slack`` and ``stepwise_slack`` are the rounding budgets a
+    negative margin is held to; each is zero where its margin is not
+    negative, since it is computed only for a negative one.
     """
 
     p: float
     aggregate_margins: np.ndarray
     stepwise_margins: np.ndarray
+    aggregate_slack: np.ndarray | float = 0.0
+    stepwise_slack: np.ndarray | float = 0.0
 
-    def aggregate_ok(self, tol: float = 1e-9) -> bool:
-        k = np.arange(1, self.aggregate_margins.shape[0] + 1)[:, None]
-        return bool(np.all(self.aggregate_margins >= -tol * (1.0 + k)))
+    def aggregate_ok(self) -> bool:
+        return bool(np.all(self.aggregate_margins >= -self.aggregate_slack))
 
-    def stepwise_ok(self, tol: float = 1e-9) -> bool:
-        return bool(np.all(self.stepwise_margins >= -tol))
+    def stepwise_ok(self) -> bool:
+        return bool(np.all(self.stepwise_margins >= -self.stepwise_slack))
 
     def per_step_minimum(self) -> np.ndarray:
         return self.aggregate_margins.min(axis=1)
@@ -611,14 +615,18 @@ def verify_growth_bound(
         integral |s_k|^p <= (A+p)k + B sum_(i<=k) i^(p-2) + 1.
 
     The sum grows like B k^(p-1)/(p-1), not like B k^(p-2); the two agree
-    where B = 0, which is p <= 2.
+    where B = 0, which is p <= 2.  The recorded integrals and pairings are the
+    data compared, so a negative margin is held to the rounding budget of
+    forming the bound from them, at the scale of its terms: B's sum takes
+    k + 1 roundings and the aggregate three more, C(k) takes three and the
+    stepwise bound three more.
     """
     _require_p_above_one(p, "the growth bound")
     if trace.p != p or consts.p != p:
         raise InvalidArgumentError(
             f"exponent mismatch: trace p={trace.p}, constants p={consts.p}, asked {p}"
         )
-    if trace.member_norm_sup > 1.0 + 1e-9:
+    if trace.member_norm_sup > 1.0:  # sup / max(1, sup) is at most 1 exactly
         raise PreconditionViolationError(
             f"trace was built without unit normalization "
             f"(member norm sup = {trace.member_norm_sup})",
@@ -627,19 +635,29 @@ def verify_growth_bound(
     k = np.arange(1, trace.length + 1, dtype=float)[:, None]
     a, b = consts.a, consts.b
     powers = k ** (p - 2.0)
-    aggregate = (a + p) * k + b * np.cumsum(powers, axis=0) + 1.0 - trace.partial_norms
+    bound, partial = (a + p) * k + b * np.cumsum(powers, axis=0) + 1.0, trace.partial_norms
+    aggregate = bound - partial
     ck = a + b * powers
-    previous = np.vstack([np.zeros(trace.m), trace.partial_norms[:-1]])
-    stepwise = ck + p * trace.pairings + previous - trace.partial_norms
-    return GrowthBoundReport(p=p, aggregate_margins=aggregate, stepwise_margins=stepwise)
+    previous = np.vstack([np.zeros(trace.m), partial[:-1]])
+    stepwise = ck + p * trace.pairings + previous - partial
+    slack = np.zeros((2,) + aggregate.shape)
+    i, j = np.nonzero(aggregate < 0.0)
+    slack[0, i, j] = _rounding_budget(k[i, 0] + 4, bound[i, 0] + partial[i, j])
+    i, j = np.nonzero(stepwise < 0.0)
+    scale = ck[i, 0] + p * np.abs(trace.pairings[i, j]) + previous[i, j] + partial[i, j]
+    slack[1, i, j] = _rounding_budget(6, scale)
+    return GrowthBoundReport(p, aggregate, stepwise, *slack)
 
 
 @dataclass
 class SzlenkCheckpoint:
+    """The diagonal's Cesaro L^1 norm at step k against level's target 1/level."""
+
     level: int
     k: int
     cesaro_norm: float
     target: float
+    slack: float = 0.0
 
     @property
     def margin(self) -> float:
@@ -654,6 +672,7 @@ class SplitCheck:
     k: int
     lhs: float
     rhs: float
+    slack: float = 0.0
 
     @property
     def margin(self) -> float:
@@ -662,7 +681,12 @@ class SplitCheck:
 
 @dataclass
 class SzlenkSchedule:
-    """Nested level index lists with the diagonal drawn through them."""
+    """Nested level index lists with the diagonal drawn through them.
+
+    Each checkpoint and splitting check carries ``slack``, the rounding
+    budget its margin is held to: zero where the margin is not negative,
+    since it is computed only for a negative one (_held_to_rounding).
+    """
 
     levels: list
     targets: list
@@ -679,8 +703,20 @@ class SzlenkSchedule:
         if np.any(np.diff(np.asarray(self.diagonal)) <= 0):
             raise InvalidArgumentError("the diagonal must be strictly increasing")
 
-    def checkpoints_ok(self, tol: float = 1e-9) -> bool:
-        return all(c.margin >= -tol for c in self.checkpoints)
+    def checkpoints_ok(self) -> bool:
+        return all(c.margin >= -c.slack for c in self.checkpoints + self.splitting_checks)
+
+
+def _held_to_rounding(check, n: int, scale: float):
+    """check, with its slack gamma_n scale if its margin is negative.
+
+    The checkpoints and splitting checks compare recorded L^1 norms, each a
+    sum of m N nonnegative terms, or a level's target: n = m N + 3, at the
+    scale of the two sides compared.
+    """
+    if check.margin < 0.0:
+        check.slack = _rounding_budget(n, scale)
+    return check
 
 
 def _is_subsequence(sub: list, parent: list) -> bool:
@@ -816,15 +852,17 @@ def _szlenk_select(
     trace = walk.trace("szlenk_diagonal")
     cesaro, length = trace.cesaro_norms, trace.length
 
-    checkpoints = []
+    n, checkpoints = walk.s.size + 3, []
     for level in range(1, levels + 1):
         k = min(length, max(level, round(length * level / levels)))
-        checkpoints.append(SzlenkCheckpoint(level, k, float(cesaro[k - 1]), 1.0 / level))
+        check = SzlenkCheckpoint(level, k, float(cesaro[k - 1]), 1.0 / level)
+        checkpoints.append(_held_to_rounding(check, n, check.cesaro_norm + check.target))
     splitting = []
     for prefix in range(1, min(levels, length)):
         head = heads[prefix]
         rhs = _l1(w, head)[0] / length + _l1(w, walk.s - head)[0] / (length - prefix)
-        splitting.append(SplitCheck(prefix, length, float(cesaro[-1]), rhs))
+        check = SplitCheck(prefix, length, float(cesaro[-1]), rhs)
+        splitting.append(_held_to_rounding(check, n, check.lhs + check.rhs))
 
     schedule = SzlenkSchedule(
         levels=level_lists,

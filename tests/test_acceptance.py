@@ -138,7 +138,7 @@ def test_c5_szlenk_levels_rademacher():
     for parent, child in zip(schedule.levels, schedule.levels[1:]):
         iterator = iter(parent)
         nesting_ok = nesting_ok and all(any(x == y for y in iterator) for x in child)
-    checkpoints_ok = schedule.checkpoints_ok(tol=1e-9)
+    checkpoints_ok = schedule.checkpoints_ok()
     elapsed = time.perf_counter() - start
     detail = " ".join(
         f"l={c.level}:k={c.k}:norm={c.cesaro_norm:.4f}<=1/{c.level}" for c in schedule.checkpoints
