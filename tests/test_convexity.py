@@ -88,6 +88,30 @@ def test_power_and_custom_kinds(grid):
         kind="custom", evaluator=lambda pts: pts[:, 0], nonnegative=False
     )
     assert evaluate_composite(affine, u) == pytest.approx(-2.0, rel=1e-12)
+    assert evaluate_composite(affine, u, RegionMask.empty(grid)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ConvexFunctionSpec(kind="cubic"), "unknown convex function kind"),
+        (lambda: ConvexFunctionSpec(kind="power", power=0.5), "power must be >= 1"),
+        (lambda: ConvexFunctionSpec(kind="max_affine"), "at least one"),
+        (lambda: ConvexFunctionSpec(kind="custom"), "need an evaluator"),
+        (
+            lambda: ConvexFunctionSpec(kind="custom", evaluator=lambda pts: pts[:1, 0])(
+                [[1.0], [2.0]]
+            ),
+            "wrong length",
+        ),
+        (lambda: ConvexSetSpec(kind="simplex"), "unknown convex set kind"),
+        (lambda: ConvexSetSpec(kind="ball", center=[0.0], radius=0.0), "must be positive"),
+    ],
+    ids=["f-kind", "f-power", "f-planes", "f-evaluator", "f-length", "K-kind", "K-radius"],
+)
+def test_f_and_K_refuse_what_they_cannot_represent(call, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("lam", [1e-200, 1.0, 1e200])

@@ -290,6 +290,52 @@ def test_extract_rejects_p_one(grid):
         banach_saks_extract(seq, 1.0, grid, 16)
 
 
+def _two_pick_trace(**changes):
+    """A valid trace of picks 1 and 2 from a pool of 4, with the given fields changed."""
+    fields = dict(
+        p=2.0, method="banach_saks", indices=[1, 2], pairings=np.zeros((2, 1)),
+        partial_norms=np.ones((2, 1)), cesaro_norms=np.ones(2), normalization=1.0,
+        member_norm_sup=1.0, pool_size=4,
+    )
+    return extraction.ExtractionTrace(**{**fields, **changes})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: generalized_binomial(2.0, -1), "order must be >= 0"),
+        (lambda: estimate_a_constant(2.0, t_max=0.0), "must be positive"),
+        (lambda: estimate_a_constant(2.0, step=float("nan")), "must be positive"),
+        (lambda: InequalityConstants(3.0, 2, 2.0, 0.0, 100.0, 1e-3), "the binomial sum"),
+        (
+            lambda: check_pointwise_inequality(3.0, 1.0, 1.0, InequalityConstants.build(2.0)),
+            "built for p=2.0, not 3.0",
+        ),
+        (lambda: _two_pick_trace(indices=[]), "at least one selected index"),
+        (lambda: _two_pick_trace(indices=[2, 1]), "strictly increasing"),
+        (lambda: _two_pick_trace(indices=[1, 5]), "from the pool"),
+        (lambda: _two_pick_trace(pairings=np.full((2, 1), 2.0)), "exceeds the threshold"),
+        (
+            lambda: verify_growth_bound(_two_pick_trace(), InequalityConstants.build(3.0), 2.0),
+            "exponent mismatch",
+        ),
+        (lambda: extraction.SzlenkSchedule([[1, 2], [3]], [1.0, 0.5], [1, 3], [], []), "nested"),
+        (
+            lambda: extraction.SzlenkSchedule([[1, 2, 3], [1, 3]], [1.0, 0.5], [3, 1], [], []),
+            "diagonal must be strictly increasing",
+        ),
+    ],
+    ids=[
+        "binomial-order", "scan-range", "scan-step", "constant-b", "constants-p",
+        "no-pick", "picks-out-of-order", "pick-outside-pool", "pairing-above-1",
+        "growth-exponents", "levels-not-nested", "diagonal-out-of-order",
+    ],
+)
+def test_constants_traces_and_schedules_refuse_inconsistent_input(call, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        call()
+
+
 def test_growth_bound_on_oscillatory(grid):
     seq = VectorSequenceSpec([SequenceSpec(kind="oscillatory")])
     for p in (1.5, 2.0):

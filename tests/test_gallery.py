@@ -5,7 +5,9 @@ from lplab import (
     CONVERGING,
     INCONCLUSIVE,
     NOT_CONVERGING,
+    GridMismatchError,
     InvalidArgumentError,
+    ProbeReport,
     QuadratureGrid,
     ScalarField,
     SequenceSpec,
@@ -15,6 +17,7 @@ from lplab import (
     default_probe_dictionary,
     generate,
     lp_norm,
+    member_pool,
     weak_probe,
     weak_star_probe,
 )
@@ -246,6 +249,36 @@ def test_probe_validation(grid):
         weak_probe(seq, _zero_limit(grid), 2.0, [], 32)
     with pytest.raises(InvalidArgumentError):
         weak_probe(seq, _zero_limit(grid, m=2), 2.0, default_probe_dictionary(grid), 32)
+    other = build_uniform_grid([[0.0, 1.0]], grid.node_count)
+    with pytest.raises(GridMismatchError, match="dictionary fields"):
+        weak_probe(seq, _zero_limit(grid), 2.0, default_probe_dictionary(other), 32)
+
+
+_NULL_GRID = QuadratureGrid(1, [0.25, 0.75], [0.0, 0.0], [[0.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda g: SequenceSpec(kind="custom"), "need a sample table"),
+        (lambda g: VectorSequenceSpec([]), "at least one component"),
+        (lambda g: generate(SequenceSpec(kind="oscillatory"), 0, g), "index must be >= 1"),
+        (lambda g: generate(SequenceSpec(kind="spike"), 1, _NULL_GRID), "carries no mass"),
+        (
+            lambda g: member_pool(VectorSequenceSpec([SequenceSpec(kind="spike")]), g, 0),
+            "horizon must be >= 1",
+        ),
+        (
+            lambda g: ProbeReport(np.arange(1, 3), np.array([0.5, -0.5]), CONVERGING, 0.0),
+            "residuals must be nonnegative",
+        ),
+    ],
+    ids=["custom-without-table", "no-component", "index-0", "null-spike", "horizon-0",
+         "negative-residual"],
+)
+def test_specs_members_and_reports_refuse_what_they_cannot_represent(grid, call, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        call(grid)
 
 
 def test_vector_probe_takes_component_maximum(grid):

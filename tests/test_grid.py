@@ -43,6 +43,7 @@ def test_total_mass_equals_box_volume():
         ([[0.0, float("inf")]], 4),
         ([[float("nan"), 1.0]], 4),
         ([[0.0, 1e160], [0.0, 1e160]], 16),  # each cell width is finite, their product not
+        ([[0.0, 1.0]], [4, 4]),  # a count for an axis the box does not have
     ],
 )
 def test_build_rejects_bad_input(box, res):
@@ -67,6 +68,14 @@ def test_an_axis_whose_far_nodes_overflow_takes_the_cell_width_first():
 
 
 def test_grid_invariants_enforced():
+    with pytest.raises(InvalidArgumentError, match="dimension must be >= 1"):
+        QuadratureGrid(0, np.zeros((1, 0)), [1.0], np.zeros((0, 2)))
+    with pytest.raises(InvalidArgumentError, match="do not match dimension"):
+        QuadratureGrid(2, [[0.25], [0.75]], [0.5, 0.5], [[0.0, 1.0]])
+    with pytest.raises(InvalidArgumentError, match="matching weights"):
+        QuadratureGrid(1, [[0.25], [0.75]], [1.0], [[0.0, 1.0]])
+    with pytest.raises(InvalidArgumentError, match="must be finite"):
+        QuadratureGrid(1, [[0.25], [np.inf]], [0.5, 0.5], [[0.0, 1.0]])
     with pytest.raises(InvalidArgumentError):
         QuadratureGrid(1, [[0.5], [0.5]], [0.5, 0.5], [[0.0, 1.0]])
     with pytest.raises(InvalidArgumentError):
@@ -143,6 +152,8 @@ def test_integrate_grid_mismatch():
     g2 = build_uniform_grid([[0.0, 1.0]], 16)
     with pytest.raises(GridMismatchError):
         integrate(ScalarField.constant(g1, 1.0), RegionMask.full(g2))
+    with pytest.raises(GridMismatchError):
+        ScalarField.constant(g1, 1.0) + ScalarField.constant(g2, 1.0)
 
 
 def test_integrate_is_linear():
@@ -155,6 +166,16 @@ def test_integrate_is_linear():
         combo = integrate(ScalarField(g, a * f.samples + b * h.samples))
         split = a * integrate(f) + b * integrate(h)
         assert combo == pytest.approx(split, rel=1e-12, abs=1e-12)
+
+
+def test_vector_field_arithmetic_is_componentwise():
+    g = build_uniform_grid([[0.0, 1.0]], 8)
+    u = VectorField([ScalarField(g, g.nodes[:, 0]), ScalarField.constant(g, 2.0)])
+    v = VectorField([ScalarField.constant(g, 1.0), -ScalarField.constant(g, 3.0)])
+    assert np.array_equal((u - v).matrix(), u.matrix() - v.matrix())
+    assert np.array_equal((0.5 * u).matrix(), (u * 0.5).matrix())
+    assert np.array_equal((u * 0.5).matrix(), 0.5 * u.matrix())
+    assert np.array_equal(v.matrix()[1], np.full(8, -3.0))
 
 
 def test_integrate_nonnegative_field():

@@ -5,6 +5,7 @@ from lplab import (
     INFINITY,
     GridMismatchError,
     InvalidArgumentError,
+    QuadratureGrid,
     RegionMask,
     ScalarField,
     VectorField,
@@ -95,6 +96,8 @@ def test_lp_norm_region_mismatch(grid):
     other = build_uniform_grid([[0.0, 1.0]], 1000)
     with pytest.raises(GridMismatchError):
         lp_norm(ScalarField.constant(grid, 1.0), 2.0, RegionMask.full(other))
+    with pytest.raises(GridMismatchError):
+        dual_pairing(ScalarField.constant(grid, 1.0), ScalarField.constant(other, 1.0))
 
 
 def test_product_norm_two_constants(grid):
@@ -218,6 +221,9 @@ def test_empty_region_norms(grid):
     empty = RegionMask.empty(grid)
     assert lp_norm(f, 2.0, empty) == 0.0
     assert lp_norm(f, INFINITY, empty) == 0.0
+    # Nodes of zero weight are null sets: a region of them has sup norm 0.
+    null = QuadratureGrid(1, [0.25, 0.75], [0.0, 0.0], [[0.0, 1.0]])
+    assert lp_norm(ScalarField.constant(null, 3.0), INFINITY) == 0.0
 
 
 @pytest.mark.parametrize("n", [7, 1000, 65536])
