@@ -140,7 +140,8 @@ class ConvexFunctionSpec:
         if self.kind == SQUARED_NORM:
             return np.einsum("ij,ij->i", points, points)
         if self.kind == POWER:
-            return _euclidean_norms(points) ** self.power
+            with np.errstate(over="ignore"):  # inf, as squared_norm's sum gives: callers refuse it
+                return _euclidean_norms(points) ** self.power
         if self.kind == MAX_AFFINE:
             vals = np.zeros(points.shape[0])
             for a, b in self.planes:

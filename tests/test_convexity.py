@@ -119,6 +119,9 @@ def test_a_power_f_reads_the_norm_at_every_scale(lam):
     # The squares of 3 lam and 4 lam underflow or overflow at the ends.
     f = ConvexFunctionSpec(kind="power", power=1.0)
     assert f([[3.0 * lam, 4.0 * lam], [0.0, 0.0]]) == pytest.approx([5.0 * lam, 0.0], rel=1e-15)
+    # |w|^2 of 5e200 overflows to inf, as the squared norm's sum does, with no warning.
+    squares = ConvexFunctionSpec(kind="power", power=2.0)([[3.0 * lam, 4.0 * lam]])
+    assert squares == pytest.approx(_squared()([[3.0 * lam, 4.0 * lam]]), rel=1e-15)
 
 
 def test_jensen_single_point_and_variance():
