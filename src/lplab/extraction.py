@@ -635,7 +635,8 @@ def verify_growth_bound(
     k = np.arange(1, trace.length + 1, dtype=float)[:, None]
     a, b = consts.a, consts.b
     powers = k ** (p - 2.0)
-    bound, partial = (a + p) * k + b * np.cumsum(powers, axis=0) + 1.0, trace.partial_norms
+    bound = (a + p) * k + b * np.cumsum(powers, axis=0) + 1.0
+    partial = trace.partial_norms
     aggregate = bound - partial
     ck = a + b * powers
     previous = np.vstack([np.zeros(trace.m), partial[:-1]])
@@ -684,8 +685,10 @@ class SzlenkSchedule:
     """Nested level index lists with the diagonal drawn through them.
 
     Each checkpoint and splitting check carries ``slack``, the rounding
-    budget its margin is held to: zero where the margin is not negative,
-    since it is computed only for a negative one (_held_to_rounding).
+    budget its margin is held to: gamma_(mN+3) times the sum of the two
+    sides it compares, each a recorded L^1 norm (a sum of m N nonnegative
+    terms) or a level's target.  It is zero where the margin is not
+    negative, since it is computed only for a negative one.
     """
 
     levels: list
@@ -708,12 +711,7 @@ class SzlenkSchedule:
 
 
 def _held_to_rounding(check, n: int, scale: float):
-    """check, with its slack gamma_n scale if its margin is negative.
-
-    The checkpoints and splitting checks compare recorded L^1 norms, each a
-    sum of m N nonnegative terms, or a level's target: n = m N + 3, at the
-    scale of the two sides compared.
-    """
+    """check, with its slack gamma_n scale if its margin is negative."""
     if check.margin < 0.0:
         check.slack = _rounding_budget(n, scale)
     return check

@@ -36,7 +36,7 @@ def _statements(tree: ast.AST):
         start = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
         own = set(range(start, node.end_lineno + 1))
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.stmt) or isinstance(child, ast.excepthandler):
+            if isinstance(child, (ast.stmt, ast.excepthandler)):
                 own -= set(range(child.lineno, child.end_lineno + 1))
         yield node, own
 
