@@ -641,13 +641,13 @@ def verify_growth_bound(
     ck = a + b * powers
     previous = np.vstack([np.zeros(trace.m), partial[:-1]])
     stepwise = ck + p * trace.pairings + previous - partial
-    slack = np.zeros((2,) + aggregate.shape)
+    aggregate_slack, stepwise_slack = np.zeros_like(aggregate), np.zeros_like(stepwise)
     i, j = np.nonzero(aggregate < 0.0)
-    slack[0, i, j] = _rounding_budget(k[i, 0] + 4, bound[i, 0] + partial[i, j])
+    aggregate_slack[i, j] = _rounding_budget(k[i, 0] + 4, bound[i, 0] + partial[i, j])
     i, j = np.nonzero(stepwise < 0.0)
     scale = ck[i, 0] + p * np.abs(trace.pairings[i, j]) + previous[i, j] + partial[i, j]
-    slack[1, i, j] = _rounding_budget(6, scale)
-    return GrowthBoundReport(p, aggregate, stepwise, *slack)
+    stepwise_slack[i, j] = _rounding_budget(6, scale)
+    return GrowthBoundReport(p, aggregate, stepwise, aggregate_slack, stepwise_slack)
 
 
 @dataclass
