@@ -101,6 +101,12 @@ _PASS_TOL = 1e-6
 # 2^-1075, is far below the rounding budget of a sum near the radius squared.
 _BALL_RADII = (2.0 ** -500, 2.0 ** 500)
 
+# numpy sums fewer squares than this in order, whatever the layout of the rows
+# (its pairwise sum starts at 8 terms, and only along a contiguous row), so a
+# ball decides from its farthest corner only below this many components: the
+# corner's one row is then summed as every point's row is.
+_IN_ORDER_TERMS = 8
+
 # Held while a custom evaluator runs.  weak_star_verify evaluates f on two
 # threads, and a user's evaluator may keep state or be shared by several
 # specs; reentrant, so an evaluator may call another custom spec.
@@ -198,7 +204,11 @@ class ConvexSetSpec:
         the slack gamma_(m+2) times K's own scale: the bounds of a box, the
         radius plus the centre of a ball, |a|.|x| for a halfspace a.x <= b.
         Every point lies in a box when each component's extremes do, which
-        the same exact comparisons decide from 2m values.
+        the same exact comparisons decide from 2m values.  Every point lies
+        in a ball when the corner of their bounding box farthest from the
+        centre does, its distance computed as each point's is: rounding is
+        monotone, so no point's computed distance exceeds the corner's.  Any
+        other case is decided node by node.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.kind == WHOLE_SPACE:
@@ -221,19 +231,29 @@ class ConvexSetSpec:
                 return np.ones(points.shape[0], dtype=bool)
             return np.all(at_most(lo, points, extent) & at_most(points, hi, extent), axis=1)
         if self.kind == BALL:
-            # np.linalg.norm's formula for real rows, without its copy for the
-            # conjugate; at a radius outside _BALL_RADII, at the radius's
-            # binary scale (_unit_scaled) and scaled back.
-            offset = np.subtract(points, self.center)
             e = 0
             if not _BALL_RADII[0] <= self.radius <= _BALL_RADII[1]:
                 e = _unit_scaled(self.radius)[1]
-            with np.errstate(over="ignore"):  # an offset or square that overflows is far outside
+
+            def distances(rows):
+                # np.linalg.norm's formula for real rows, without its copy for
+                # the conjugate; at a radius outside _BALL_RADII, at the
+                # radius's binary scale (_unit_scaled) and scaled back.
+                offset = np.subtract(rows, self.center)
                 if e:
                     np.ldexp(offset, -e, out=offset)
                 distance = np.sqrt(np.add.reduce(np.multiply(offset, offset, out=offset), axis=1))
                 if e:
                     np.ldexp(distance, e, out=distance)
+                return distance
+
+            with np.errstate(over="ignore"):  # an offset or square that overflows is far outside
+                if points.size and points.shape[1] < _IN_ORDER_TERMS:
+                    lo, hi = points.min(axis=0), points.max(axis=0)
+                    far = np.where(np.abs(hi - self.center) >= np.abs(lo - self.center), hi, lo)
+                    if distances(far[None])[0] <= self.radius:
+                        return np.ones(points.shape[0], dtype=bool)
+                distance = distances(points)
             return at_most(distance, self.radius, lambda: self.radius + np.abs(self.center).max())
         ok = np.ones(points.shape[0], dtype=bool)
         for a, b in self.halfspaces:
@@ -301,7 +321,10 @@ def evaluate_composite(
 
 
 def jensen_check(f: ConvexFunctionSpec, points, K: ConvexSetSpec | None = None) -> float:
-    """Mean of f minus f of the mean over a point set; >= 0 for convex f."""
+    """Mean of f minus f of the mean over a point set; >= 0 for convex f.
+
+    Either term that is not finite, as when f overflows, is refused by name.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] < 1:
         raise InvalidArgumentError("need at least one point")
@@ -312,8 +335,12 @@ def jensen_check(f: ConvexFunctionSpec, points, K: ConvexSetSpec | None = None) 
             raise DomainViolationError(
                 f"point {points[bad].tolist()} is outside K", node_index=bad
             )
-    mean_of_f = float(f(points).mean())
-    f_of_mean = float(f(points.mean(axis=0)[None, :])[0])
+    with np.errstate(over="ignore"):  # a mean that overflows is refused below
+        mean_of_f = float(f(points).mean())
+        f_of_mean = float(f(points.mean(axis=0)[None, :])[0])
+    for what, value in (("the mean of f over", mean_of_f), ("f at the mean of", f_of_mean)):
+        if not math.isfinite(value):
+            raise InvalidArgumentError(f"{what} the points is {value}, not finite")
     return mean_of_f - f_of_mean
 
 
@@ -388,7 +415,10 @@ def _replay_trace(
     one is restricted to the region and reads each member at its nodes as it
     goes: outside them the centred members would be zero and add nothing to
     any selection sum.  The p > 1 one reads the whole grid.  _select decides
-    whether a run shares the selection with its extraction phase.
+    whether a run shares the selection with its extraction phase.  The replay
+    reads only the picks and the Cesaro curve, so a p = 1 selection the run
+    does not keep computes no pairings: its trace's are NaN and it never
+    leaves the verification.
     """
     centre = limit.matrix()
     if p == 1.0:
@@ -397,7 +427,7 @@ def _replay_trace(
     else:
         w, nodes, levels = limit.grid.weights, None, None
     try:
-        return _select(pool, p, w, levels, centre, nodes)[1]
+        return _select(pool, p, w, levels, centre, nodes, False)[1]
     except (ExtractionStalledError, LevelStalledError) as err:
         trace = getattr(err, "trace", None)
         return trace if trace is not None and trace.length >= 8 else None
@@ -463,7 +493,8 @@ def _verify_on_region(
     tail_start = len(picks) // 2
     tail_integral_min = math.inf
     # Running means of the picked points and of their f values, each with a
-    # scratch row for the step.  A mean is updated as mean (k-1)/k + x/k, so no
+    # scratch row for the step; f's row then takes the Jensen margins
+    # mean_f - f(mean).  A mean is updated as mean (k-1)/k + x/k, so no
     # intermediate exceeds max(|mean|, |x|): running sums overflow near the
     # float limit while every alpha_i is finite.
     n = weights.size
@@ -485,7 +516,7 @@ def _verify_on_region(
             mean *= (k - 1) / k
             mean += np.divide(x, k, out=step)
         f_mean = f(mean_points)
-        jensen_margins[k - 1] = float((mean_f - f_mean).min())
+        jensen_margins[k - 1] = float(np.subtract(mean_f, f_mean, out=f_step).min())
         if jensen_margins[k - 1] < 0.0:
             # Both means take 4 roundings per update, and |w|^2 of a mean
             # doubles its error and adds m: within gamma_(12k+m) of mean f.

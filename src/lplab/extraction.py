@@ -48,6 +48,7 @@ from .gallery import (
     VectorSequenceSpec,
     _check_array_budget,
     _loglog_slope,
+    _memo_open,
     _shared,
     member_pool,
 )
@@ -453,7 +454,9 @@ class _CesaroWalk:
     With a node list, members are read at those nodes only, gathered row by
     row on read, and w and the centre hold one entry per listed node.
     Each pick records its pairing with phi_w = |s_(k-1)|^(p-1) sgn(s_(k-1)) w
-    (zero for the first pick), the integrals of |s_k|^p and ||s_k/k||.
+    (zero for the first pick), the integrals of |s_k|^p and ||s_k/k||.  With
+    pairings False, a pick whose scan passes no pairing records NaN instead
+    of computing one, for a caller that reads only the picks and the curve.
 
     At p = 2, the Hilbert case, phi_w is s w and |s|^2 is s s: copysign(|s|^1, s)
     is s bit for bit, signed zeros included, and s s rounds as |s| |s| does.
@@ -461,9 +464,10 @@ class _CesaroWalk:
     """
 
     def __init__(
-        self, pool: np.ndarray, w: np.ndarray, p: float, centre=None, nodes=None
+        self, pool: np.ndarray, w: np.ndarray, p: float, centre=None, nodes=None, pairings=True
     ) -> None:
         self.pool, self.w, self.p, self.horizon = pool, w, p, pool.shape[0]
+        self.record_pairings = pairings
         self.centre = centre if centre is not None and centre.any() else None
         self.nodes = nodes
         self.sup = float(_lp_norms(pool, w, p, self.centre, nodes).max())
@@ -510,8 +514,10 @@ class _CesaroWalk:
         u = self.member(i)
         if not self.indices:
             pairing = np.zeros(self.pool.shape[1])
-        elif pairing is None:
+        elif pairing is None and self.record_pairings:
             pairing = np.einsum("jn,jn->j", self.phi_w(), u)
+        elif pairing is None:
+            pairing = np.full(self.pool.shape[1], math.nan)
         spare = None
         if ahead is None:
             self.s += u
@@ -790,6 +796,7 @@ def _szlenk_select(
     levels: int,
     centre: np.ndarray | None = None,
     nodes: np.ndarray | None = None,
+    pairings: bool = True,
 ) -> tuple[SzlenkSchedule, ExtractionTrace]:
     """Level/diagonal selection over a (horizon, m, N) member pool, read at nodes if given.
 
@@ -803,9 +810,10 @@ def _szlenk_select(
     band holds every level, its sum is the walk's s and a kept member's s + u
     goes to the walk.  At the first split the keepers take that row and the
     walk keeps s; from then on the walk adds the diagonal's k-th pick, level
-    min(k, levels)'s k-th member, where that level keeps it.
+    min(k, levels)'s k-th member, where that level keeps it.  pairings False
+    leaves the trace's pairings NaN after the first pick (_CesaroWalk).
     """
-    walk = _CesaroWalk(pool, w, 1.0, centre, nodes)
+    walk = _CesaroWalk(pool, w, 1.0, centre, nodes, pairings)
     # [first level, last level, kept members, their sum] per band, in level order.
     bands, ahead, heads = [[1, levels, [], walk.s]], np.zeros_like(walk.s), {}
     for idx in range(1, walk.horizon + 1):
@@ -873,7 +881,13 @@ def _szlenk_select(
 
 
 def _select(
-    pool: np.ndarray, p: float, w: np.ndarray, levels: int | None = None, centre=None, nodes=None
+    pool: np.ndarray,
+    p: float,
+    w: np.ndarray,
+    levels: int | None = None,
+    centre=None,
+    nodes=None,
+    pairings: bool = True,
 ) -> tuple[SzlenkSchedule | None, ExtractionTrace]:
     """(schedule, trace) of the selection at p over a (horizon, m, N) member pool.
 
@@ -882,17 +896,19 @@ def _select(
     selection that reads the pool itself, on the whole grid (nodes None) with
     no centre or an all-zero one, is computed once per run, per pool, p and
     level count: one key gives one result, bit for bit.  Any other selection
-    is computed on every call.
+    is computed on every call.  pairings False asks for a p = 1 trace whose
+    pairings after the first pick are NaN, not computed; a selection the run
+    keeps records them all, since an extraction phase may read them.
     """
 
-    def select():
+    def select(pairings: bool):
         if p == 1.0:
-            return _szlenk_select(pool, w, levels, centre, nodes)
+            return _szlenk_select(pool, w, levels, centre, nodes, pairings)
         return None, _banach_saks_select(pool, p, w, centre)
 
-    if nodes is None and (centre is None or not centre.any()):
-        return _shared(select, "selection", pool, p, levels)
-    return select()
+    if nodes is None and (centre is None or not centre.any()) and _memo_open():
+        return _shared(lambda: select(True), "selection", pool, p, levels)
+    return select(pairings)
 
 
 def cesaro_curve(trace: ExtractionTrace, p: float | None = None) -> list:

@@ -376,6 +376,11 @@ def _shared_pools():
         _MEMO.reset(token)
 
 
+def _memo_open() -> bool:
+    """Whether ``_shared`` keeps what it computes here: in a scope, on the scope's thread."""
+    return _MEMO.get() is not None
+
+
 def _shared(compute, *key):
     """compute(), computed once per key inside a ``_shared_pools`` scope.
 

@@ -75,10 +75,13 @@ class QuadratureGrid:
             raise InvalidArgumentError("grid nodes and bounds must be finite")
         if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
             raise InvalidArgumentError("weights must be finite and nonnegative")
-        # Sorted lexicographically, equal nodes are neighbours.
-        ordered = nodes[np.lexsort(nodes.T[::-1])]
-        if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
-            raise InvalidArgumentError("grid nodes must be pairwise distinct")
+        # Nodes in strictly increasing lexicographic order, as every uniform
+        # grid lists them, are distinct; otherwise, sorted, equal nodes are
+        # neighbours.
+        if not _strictly_increasing(nodes):
+            ordered = nodes[np.lexsort(nodes.T[::-1])]
+            if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
+                raise InvalidArgumentError("grid nodes must be pairwise distinct")
         self.nodes = _frozen(nodes)
         self.weights = _frozen(weights)
         self.domain_box = _frozen(box)
@@ -107,6 +110,19 @@ class QuadratureGrid:
         if self.resolution is not None:
             return self.resolution[axis]
         return int(np.unique(self.nodes[:, axis]).size)
+
+
+def _strictly_increasing(nodes: np.ndarray) -> bool:
+    """Whether each row of an (N, n) array is lexicographically below the next.
+
+    Decided from the last column back: a pair is increasing from column j on
+    when it increases in column j, or ties there and increases after it.
+    """
+    before, after = nodes[:-1], nodes[1:]
+    increasing = before[:, -1] < after[:, -1]
+    for j in range(nodes.shape[1] - 2, -1, -1):
+        increasing = (before[:, j] < after[:, j]) | ((before[:, j] == after[:, j]) & increasing)
+    return bool(increasing.all())
 
 
 def _uniform_axes(domain_box, resolution) -> tuple[np.ndarray, tuple[int, ...]]:

@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -135,6 +137,29 @@ def test_jensen_refuses_an_empty_point_set():
         jensen_check(_squared(), np.empty((0, 1)))
 
 
+@pytest.mark.parametrize(
+    "f, points, what",
+    [
+        (_squared(), [[1e200], [1e200]], "the mean of f over the points is inf"),
+        (_squared(), [[np.nan], [1.0]], "the mean of f over the points is nan"),
+        (
+            ConvexFunctionSpec(
+                kind="custom", evaluator=lambda p: np.where(p[:, 0] == 0.0, np.inf, 1.0)
+            ),
+            [[-1.0], [1.0]],
+            "f at the mean of the points is inf",
+        ),
+    ],
+    ids=["f-overflows", "nan-point", "inf-at-the-mean"],
+)
+def test_jensen_refuses_a_term_that_is_not_finite_without_warnings(f, points, what):
+    # Not inf - inf = nan: the term that left the float range is named.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match=f"^{what}, not finite$"):
+            jensen_check(f, points)
+
+
 def test_jensen_point_outside_K():
     K = ConvexSetSpec(kind="box", bounds=[[-1.0, 1.0]])
     with pytest.raises(DomainViolationError):
@@ -243,6 +268,83 @@ def test_membership_decides_and_names_a_node_as_the_per_node_formula(
         f"{grid2.nodes[node].tolist()} is outside K"
     )
     assert info.value.node_index == node
+
+
+def _ball_membership_node_by_node(K, points):
+    """Membership in the ball K, one node and one term at a time, as contains rounds.
+
+    Each offset is scaled to the radius's binary scale outside [2^-500, 2^500],
+    squared, and the squares are added in component order; a node is then
+    compared exactly, or with K's slack once any node fails.
+    """
+    m = points.shape[1]
+    e = 0 if 2.0 ** -500 <= K.radius <= 2.0 ** 500 else math.frexp(K.radius)[1]
+    centre = np.broadcast_to(K.center, (m,))
+    distances = []
+    with np.errstate(over="ignore"):
+        for row in points:
+            total = np.float64(0.0)
+            for x, c in zip(row, centre):
+                offset = np.ldexp(np.float64(x) - c, -e)
+                total += offset * offset
+            distances.append(np.ldexp(np.sqrt(total), e))
+    distances = np.asarray(distances)
+    ok = distances <= K.radius
+    if ok.all():
+        return ok
+    return distances <= K.radius + _rounding_budget(m + 2, K.radius + np.abs(K.center).max())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.integers(1, 4),
+    radius=st.sampled_from(
+        [2.0 ** -700, 2.0 ** -500, 1e-150, 0.75, 1.0, 3.0, 1e150, 2.0 ** 500, 2.0 ** 700, 1e307]
+    ),
+    shifted=st.booleans(),
+    one_row=st.booleans(),
+    spread=st.booleans(),
+    places=st.lists(
+        st.sampled_from(["inside", "sphere", "ulp-out", "just-out", "out", "nan", "inf"]),
+        min_size=1, max_size=8,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    transposed=st.booleans(),
+)
+def test_ball_membership_equals_the_node_by_node_test(
+    m, radius, shifted, one_row, spread, places, seed, transposed
+):
+    # A region whose bounding box's farthest corner lies in the ball is
+    # accepted from that corner; any other is decided node by node.  Without
+    # spread, every node lies inside or on the sphere, so the corner decides.
+    rng = np.random.default_rng(seed)
+    centre = rng.uniform(-2.0, 2.0, 1 if one_row else m) * radius if shifted else np.zeros(1)
+    if not spread:
+        places = ["inside" if place == "inside" else "sphere" for place in places]
+    points = np.broadcast_to(centre, (len(places), m)) + rng.uniform(
+        -0.5, 0.5, (len(places), m)
+    ) * (radius / m)
+    edge = {
+        "sphere": radius,
+        "ulp-out": np.nextafter(radius, np.inf),
+        "just-out": radius * (1.0 + 2.0 ** -30),  # far beyond the slack
+        "out": 2.0 * radius,
+        "inf": np.inf,
+    }
+    for row, place in zip(points, places):
+        if place == "nan":
+            row[rng.integers(m)] = np.nan
+        elif place != "inside":
+            j = rng.integers(m)
+            row[:] = np.broadcast_to(centre, (m,))
+            row[j] += rng.choice([-1.0, 1.0]) * edge[place]
+    if transposed:  # the layout of a member row read at the region's nodes
+        points = np.ascontiguousarray(points.T).T
+    K = ConvexSetSpec(kind="ball", center=centre, radius=radius)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inside = K.contains(points)
+    assert np.array_equal(inside, _ball_membership_node_by_node(K, points))
 
 
 def test_liminf_constant_sequence_margin_zero(grid):

@@ -31,6 +31,7 @@ from lplab import (
     dual_pairing,
     generate,
     member_pool,
+    szlenk_extract,
     truncate_region,
     weak_probe,
     weak_star_verify,
@@ -939,6 +940,39 @@ def test_weak_star_reports_are_bitwise_equal_on_one_and_two_cpus(
     assert results[0].passed
     assert all(r.replay is not None for r in results[0].reports)
     assert _bits(results[0]) == _bits(results[1])
+
+
+def _p1_pairings(pool, w, trace):
+    """<sgn(s_(k-1)) w, u_k> at each pick of a p = 1 trace, recomputed from the pool."""
+    s, pairings = np.zeros(pool.shape[1:]), [np.zeros(pool.shape[1])]
+    for k, i in enumerate(trace.indices):
+        u = pool[i - 1] / trace.normalization
+        if k:
+            pairings.append(np.einsum("jn,jn->j", np.sign(s) * w, u))
+        s += u
+    return np.stack(pairings)
+
+
+def test_weak_star_replays_compute_no_p1_pairing_while_szlenk_traces_keep_theirs(monkeypatch):
+    # The replay reads the picks and the Cesaro curve only; a selection of
+    # the library's own keeps every pairing, bit for bit.
+    grid2 = build_uniform_grid([[0.0, 1.0], [0.0, 1.0]], [256, 4])
+    seq = VectorSequenceSpec([SequenceSpec(kind="rademacher")])
+    limit = VectorField([ScalarField.constant(grid2, 0.0)])
+    f, K = ConvexFunctionSpec(kind="squared_norm"), ConvexSetSpec(kind="box", bounds=[[-1.0, 1.0]])
+    pairings = []
+    real_phi_w = extraction._CesaroWalk.phi_w
+    monkeypatch.setattr(
+        extraction._CesaroWalk, "phi_w", lambda walk: pairings.append(walk.p) or real_phi_w(walk)
+    )
+    _cpus(monkeypatch, 2)
+    result = weak_star_verify(seq, limit, f, K, RegionMask.full(grid2), 24, [0.5, 1.0, 2.0])
+    assert result.passed and len({id(r) for r in result.reports}) == 3
+    assert pairings == []
+    trace = szlenk_extract(seq, grid2, 3, 24)[1]
+    assert pairings == [1.0] * (trace.length - 1)
+    expected = _p1_pairings(member_pool(seq, grid2, 24), grid2.weights, trace)
+    assert _bits(trace.pairings) == _bits(expected)
 
 
 def test_a6_weak_star_report_equals_one_verification_per_radius():
