@@ -170,6 +170,12 @@ class ConvexFunctionSpec:
         )
 
 
+def _require_finite_parameter(what: str, values) -> None:
+    """Refuse a parameter of K that holds a NaN or an infinity, naming it."""
+    if not np.all(np.isfinite(values)):
+        raise InvalidArgumentError(f"{what} must be finite, got {np.asarray(values).tolist()}")
+
+
 @dataclass
 class ConvexSetSpec:
     """Convex subset K of R^m with a vectorized membership test."""
@@ -184,10 +190,14 @@ class ConvexSetSpec:
     def __post_init__(self) -> None:
         if self.kind not in (WHOLE_SPACE, BOX, BALL, HALFSPACES):
             raise InvalidArgumentError(f"unknown convex set kind {self.kind!r}")
+        # A non-finite parameter would misread membership, so none is accepted.
         if self.kind == BOX:
             self.bounds = np.asarray(self.bounds, dtype=float).reshape(-1, 2)
+            _require_finite_parameter("box bounds", self.bounds)
         if self.kind == BALL:
             self.center = np.asarray(self.center, dtype=float).ravel()
+            _require_finite_parameter("ball center", self.center)
+            _require_finite_parameter("ball radius", self.radius)
             if self.radius <= 0:
                 raise InvalidArgumentError(f"ball radius must be positive, got {self.radius}")
         if self.kind == HALFSPACES:
@@ -196,6 +206,9 @@ class ConvexSetSpec:
             self.halfspaces = [
                 (np.asarray(a, dtype=float).ravel(), float(b)) for a, b in self.halfspaces
             ]
+            for a, b in self.halfspaces:
+                _require_finite_parameter("halfspace normal", a)
+                _require_finite_parameter("halfspace offset", b)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Membership of each point in K, up to the rounding of the point and the test.
@@ -320,10 +333,23 @@ def evaluate_composite(
     return _weighted_sum(region.grid.weights[region.included], values)
 
 
+def _mean(values: np.ndarray, axis=None):
+    """values.mean(axis), except that a mean which overflows although its
+    terms are finite is taken again at the terms' binary scale."""
+    mean = values.mean(axis=axis)
+    redo = ~np.isfinite(mean) & np.isfinite(values).all(axis=axis)
+    if redo.any():
+        scaled, e = _unit_scaled(values, axis=axis)
+        mean = np.where(redo, np.ldexp(scaled.mean(axis=axis), e), mean)
+    return mean
+
+
 def jensen_check(f: ConvexFunctionSpec, points, K: ConvexSetSpec | None = None) -> float:
     """Mean of f minus f of the mean over a point set; >= 0 for convex f.
 
-    Either term that is not finite, as when f overflows, is refused by name.
+    A mean whose sum overflows although its terms are finite is taken at
+    their binary scale.  Either term that is not finite, as when f
+    overflows, is refused by name.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] < 1:
@@ -336,8 +362,8 @@ def jensen_check(f: ConvexFunctionSpec, points, K: ConvexSetSpec | None = None) 
                 f"point {points[bad].tolist()} is outside K", node_index=bad
             )
     with np.errstate(over="ignore"):  # a mean that overflows is refused below
-        mean_of_f = float(f(points).mean())
-        f_of_mean = float(f(points.mean(axis=0)[None, :])[0])
+        mean_of_f = float(_mean(f(points)))
+        f_of_mean = float(f(_mean(points, axis=0)[None, :])[0])
     for what, value in (("the mean of f over", mean_of_f), ("f at the mean of", f_of_mean)):
         if not math.isfinite(value):
             raise InvalidArgumentError(f"{what} the points is {value}, not finite")

@@ -186,10 +186,16 @@ def _kind_rows(spec: SequenceSpec, grid: QuadratureGrid, indices: range):
 
     ``check(i)`` raises generate's refusal of any index i without writing
     row i: the grid cannot resolve i (aliasing guard), a custom table has no
-    usable entry for i, or row i would hold a non-finite sample.  It returns
-    what writing the row needs.  ``write(i, out)``, i in the step-1 range
-    indices, runs check(i) first, then fills out with row i.  The setup
-    shared by the indices runs here and never raises.
+    usable entry for i, or row i would hold a non-finite sample.  Every kind
+    but custom refuses from some index on, so its check at one index covers
+    every earlier one.  ``write(rows, i, first)``, i in the step-1 range
+    indices, fills ``rows[i - indices.start]`` with row i and runs no guard:
+    call it only for an i that check has cleared.  A custom write runs its
+    check itself, since the check returns the samples the row is written
+    from.  Called for i = first, first + 1, ... in turn, a write may read the
+    rows it wrote since first: a Rademacher row whose mask less its lowest
+    level is such a row's is that row times one sign row.  The setup shared
+    by the indices runs here and never raises.
     """
     x1 = grid.nodes[:, 0]
     n1 = grid.axis_resolution(0)
@@ -210,8 +216,8 @@ def _kind_rows(spec: SequenceSpec, grid: QuadratureGrid, indices: range):
             phase = np.multiply(2.0 * np.pi * i * spec.base, ends)
             _require_finite(np.sin(phase) * spec.amplitude)
 
-        def write(i: int, out: np.ndarray) -> None:
-            check(i)
+        def write(rows: np.ndarray, i: int, first: int) -> None:
+            out = rows[i - indices.start]
             np.multiply(2.0 * np.pi * i * spec.base, x1, out=out)
             np.sin(out, out=out)
             out *= spec.amplitude
@@ -236,6 +242,7 @@ def _kind_rows(spec: SequenceSpec, grid: QuadratureGrid, indices: range):
             _require_finite(spec.amplitude)
 
         masks = _walsh_masks(indices.stop - 1, max_level)
+        index_of = {mask: i for i, mask in enumerate(masks, 1)}
         # One sign row per level the indices' masks use, computed here and
         # only read by write, so fill threads share no mutable state.
         used = 0
@@ -246,47 +253,52 @@ def _kind_rows(spec: SequenceSpec, grid: QuadratureGrid, indices: range):
             for level in range(1, used.bit_length() + 1) if used >> (level - 1) & 1
         }
 
-        def write(i: int, out: np.ndarray) -> None:
-            check(i)
-            # The amplitude times the mask's level sign rows, lowest level
-            # first.  Every factor is +-1, so each product is exact and the
-            # row is +-amplitude whatever the order, signed zeros included.
+        def write(rows: np.ndarray, i: int, first: int) -> None:
+            # Row i is the amplitude times the mask's level sign rows.  Every
+            # factor is +-1, so each product is exact and the row is
+            # +-amplitude whatever the order, signed zeros included: the row of
+            # the mask less its lowest level, once written, needs one multiply.
+            out = rows[i - indices.start]
             mask = masks[i - 1]
-            first, *rest = [
-                level for level in range(1, mask.bit_length() + 1) if mask >> (level - 1) & 1
-            ]
-            np.multiply(signs[first], spec.amplitude, out=out)
-            for level in rest:
+            lowest = mask & -mask
+            below = index_of.get(mask ^ lowest, 0)
+            if below >= first:
+                np.multiply(rows[below - indices.start], signs[lowest.bit_length()], out=out)
+                return
+            levels = [level for level in range(1, mask.bit_length() + 1) if mask >> (level - 1) & 1]
+            np.multiply(signs[levels[0]], spec.amplitude, out=out)
+            for level in levels[1:]:
                 out *= signs[level]
 
     elif spec.kind == SPIKE:
-        def check(i: int) -> tuple[np.ndarray, float]:
+        def support(i: int) -> tuple[np.ndarray, float]:
+            slab = x1 < lo + length / i
+            return slab, float(grid.weights[slab].sum())
+
+        def check(i: int) -> None:
             if i > n1:
                 raise InvalidArgumentError(
                     f"resolution {n1} cannot resolve a width-1/{i} spike"
                 )
-            slab = x1 < lo + length / i
-            mass = float(grid.weights[slab].sum())
+            mass = support(i)[1]
             if mass <= 0.0:
                 raise InvalidArgumentError(f"spike support carries no mass at index {i}")
+            _require_finite(spec.amplitude / mass)
+
+        def write(rows: np.ndarray, i: int, first: int) -> None:
             # Height chosen so the slab integrates to `amplitude` exactly; this
             # equals amplitude * i * indicator when i divides the axis resolution.
-            height = spec.amplitude / mass
-            _require_finite(height)
-            return slab, height
-
-        def write(i: int, out: np.ndarray) -> None:
-            slab, height = check(i)
+            slab, mass = support(i)
+            out = rows[i - indices.start]
             out.fill(0.0)
-            out[slab] = height
+            out[slab] = spec.amplitude / mass
 
     elif spec.kind == CONSTANT:
         def check(i: int) -> None:
             _require_finite(spec.amplitude * spec.value)
 
-        def write(i: int, out: np.ndarray) -> None:
-            check(i)
-            out.fill(spec.amplitude * spec.value)
+        def write(rows: np.ndarray, i: int, first: int) -> None:
+            rows[i - indices.start].fill(spec.amplitude * spec.value)
 
     else:  # CUSTOM
         def check(i: int) -> np.ndarray:
@@ -302,8 +314,8 @@ def _kind_rows(spec: SequenceSpec, grid: QuadratureGrid, indices: range):
             _require_finite(spec.amplitude * float(max(samples.max(), -samples.min())))
             return samples
 
-        def write(i: int, out: np.ndarray) -> None:
-            np.multiply(spec.amplitude, check(i), out=out)
+        def write(rows: np.ndarray, i: int, first: int) -> None:
+            np.multiply(spec.amplitude, check(i), out=rows[i - indices.start])
 
     return check, write
 
@@ -330,8 +342,20 @@ def generate(spec: SequenceSpec, i: int, grid: QuadratureGrid) -> ScalarField:
     if i < 1:
         raise InvalidArgumentError(f"sequence index must be >= 1, got {i}")
     out = np.empty(grid.node_count)
-    _kind_rows(spec, grid, range(i, i + 1))[1](i, out)
+    _guarded(spec, *_kind_rows(spec, grid, range(i, i + 1)))(out[None], i, i)
     return ScalarField(grid, out)
+
+
+def _guarded(spec: SequenceSpec, check, write):
+    """The writer that runs check(i) before writing row i; a custom write runs its own."""
+    if spec.kind == CUSTOM:
+        return write
+
+    def guarded(rows: np.ndarray, i: int, first: int) -> None:
+        check(i)
+        write(rows, i, first)
+
+    return guarded
 
 
 def generate_vector(spec: VectorSequenceSpec, i: int, grid: QuadratureGrid) -> VectorField:
@@ -407,9 +431,15 @@ def member_pool(seq: VectorSequenceSpec, grid: QuadratureGrid, horizon: int) -> 
 
     Row [i-1, j] is bitwise equal to ``generate(seq.components[j], i,
     grid).samples`` and the same errors are raised, in the same index order:
-    both write rows through one writer per component.  Rademacher rows are
-    products of one sign row per dyadic level, each computed once per build.
-    The pool is filled on up to two threads, with the same bits.
+    both write rows through one writer per component.  Each non-custom
+    guard runs once, at the horizon, which covers every earlier index; only
+    if one refuses is every row guarded before it is written, as generate
+    guards it.  A custom row is always guarded, by its own writer.  The
+    sign rows of the dyadic levels are computed once per build; a
+    Rademacher row whose mask less its lowest level is a row the same fill
+    half has written is that row times one sign row, any other the product
+    of its levels' sign rows.  The pool is filled on up to two threads, with
+    the same bits.
     A pool larger than ``POOL_BUDGET_BYTES`` is refused with
     ``PoolBudgetError`` before anything is allocated.  Each call builds its
     own pool, except inside one scenario run of the command line, which
@@ -467,13 +497,25 @@ def _build_pool(seq: VectorSequenceSpec, grid: QuadratureGrid, horizon: int) -> 
     if horizon < 1:
         raise InvalidArgumentError(f"pool horizon must be >= 1, got {horizon}")
     _check_pool_budget(horizon, seq.m, grid.node_count)
-    writers = [_kind_rows(comp, grid, range(1, horizon + 1))[1] for comp in seq.components]
+    kinds = [(comp, *_kind_rows(comp, grid, range(1, horizon + 1))) for comp in seq.components]
+    try:
+        # A guard that passes at the horizon passes at every earlier index.
+        for comp, check, _ in kinds:
+            if comp.kind != CUSTOM:
+                check(horizon)
+        writers = [write for _, _, write in kinds]
+    except Exception:
+        # Some member is refused (a warning raised as an error included):
+        # guard every row before it is written, so that what is raised is
+        # what generate raises first in (i, j) order.
+        writers = [_guarded(*kind) for kind in kinds]
     pool = np.empty((horizon, seq.m, grid.node_count))
+    columns = list(pool.swapaxes(0, 1))
 
     def fill(lo: int, hi: int) -> None:
         for i in range(lo + 1, hi + 1):
-            for row, write in zip(pool[i - 1], writers):
-                write(i, row)
+            for rows, write in zip(columns, writers):
+                write(rows, i, lo + 1)
 
     _halves([1] * horizon, fill)
     pool.setflags(write=False)

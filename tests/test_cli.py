@@ -8,7 +8,15 @@ import warnings
 import numpy as np
 import pytest
 
-from lplab import SequenceSpec, build_uniform_grid, cli, extraction, gallery, generate
+from lplab import (
+    ConvexSetSpec,
+    SequenceSpec,
+    build_uniform_grid,
+    cli,
+    extraction,
+    gallery,
+    generate,
+)
 from lplab.cli import build_config, load_config, main
 from lplab.errors import ConfigError, InvalidArgumentError
 from lplab.extraction import InequalityConstants, check_pointwise_inequality
@@ -140,6 +148,31 @@ def test_config_accepts_one_component_box_and_ball_for_every_m():
             m=2, sequence=seq, limit=limit, f={"kind": "squared_norm", "K": K},
         ))
         assert cfg.K.kind == K["kind"]
+
+
+_K_PARAMETERS = {
+    "ball center": lambda v: {"kind": "ball", "params": {"center": [v], "radius": 1.0}},
+    "ball radius": lambda v: {"kind": "ball", "params": {"center": [0.0], "radius": v}},
+    "box bounds": lambda v: {"kind": "box", "params": {"bounds": [[-1.0, v]]}},
+    "halfspace normal": lambda v: {"kind": "halfspaces", "params": {"halfspaces": [[[v], 1.0]]}},
+    "halfspace offset": lambda v: {"kind": "halfspaces", "params": {"halfspaces": [[[1.0], v]]}},
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("parameter", list(_K_PARAMETERS))
+def test_a_non_finite_K_parameter_is_refused_by_name_and_exits_2(
+    tmp_path, capsys, parameter, value
+):
+    K = _K_PARAMETERS[parameter](value)
+    with pytest.raises(InvalidArgumentError, match=f"^{parameter} must be finite"):
+        ConvexSetSpec.from_config(K)
+    path = tmp_path / "bad-K.json"
+    path.write_text(json.dumps(_base_config(f={"kind": "squared_norm", "K": K})))
+    rc = main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"{parameter} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_bad_expect_exits_2_before_any_phase(tmp_path, capsys):
@@ -862,9 +895,9 @@ def test_build_config_writes_no_row_for_the_guard_of_a_non_custom_kind(monkeypat
         check, write = real_rows(spec, grid, indices)
         guarded.append(spec)
 
-        def recording_write(i, out):
+        def recording_write(rows, i, first):
             written.append((spec, i))
-            write(i, out)
+            write(rows, i, first)
 
         return check, recording_write
 

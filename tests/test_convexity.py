@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lplab import (
@@ -158,6 +158,45 @@ def test_jensen_refuses_a_term_that_is_not_finite_without_warnings(f, points, wh
         warnings.simplefilter("error")
         with pytest.raises(InvalidArgumentError, match=f"^{what}, not finite$"):
             jensen_check(f, points)
+
+
+@pytest.mark.parametrize(
+    "f, points, expected",
+    [
+        # f is about 1e308 at both points; the sum of f overflows, its mean does not
+        (_squared(), [[1e154], [1e154]], 0.0),
+        (_squared(), [[1e154], [1.3e154]], (0.15e154) ** 2),
+        # and the sum of the points overflows in one component only
+        (ConvexFunctionSpec(kind="max_affine", planes=[([1.0, 0.0], 0.0)]),
+         [[1.7e308, 1.0], [1.7e308, 3.0]], 0.0),
+    ],
+    ids=["equal-terms", "variance", "points-near-the-limit"],
+)
+def test_jensen_takes_an_overflowing_mean_of_finite_terms_at_their_scale(f, points, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert jensen_check(f, points) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    rows=st.lists(
+        st.lists(st.floats(-1e154, 1e154), min_size=2, max_size=2),
+        min_size=1, max_size=6,
+    ),
+    kind=st.sampled_from(["squared_norm", "max_affine"]),
+)
+def test_jensen_keeps_the_plain_means_bits_in_range(rows, kind):
+    f = _squared() if kind == "squared_norm" else ConvexFunctionSpec(
+        kind="max_affine", planes=[([1.0, -0.5], 0.25), ([-2.0, 1.0], 0.0)]
+    )
+    points = np.asarray(rows)
+    with np.errstate(over="ignore"):
+        mean_of_f = float(f(points).mean())
+        f_of_mean = float(f(points.mean(axis=0)[None, :])[0])
+    assume(math.isfinite(mean_of_f) and math.isfinite(f_of_mean))  # the old formula's range
+    got = jensen_check(f, points)
+    assert np.float64(got).view(np.uint64) == np.float64(mean_of_f - f_of_mean).view(np.uint64)
 
 
 def test_jensen_point_outside_K():

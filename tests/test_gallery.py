@@ -140,6 +140,58 @@ def test_rademacher_rows_are_bitwise_the_fill_then_multiply_writer(amplitude):
         assert np.array_equal(_bits(generate(spec, i, grid2).samples), _bits(expected)), i
 
 
+def _walsh_oracle(x1, mask, amplitude):
+    """The product of the mask's level sign rows, by the float remainder, times amplitude."""
+    expected = np.ones(x1.shape[0])
+    for level in range(1, mask.bit_length() + 1):
+        if mask >> (level - 1) & 1:
+            expected *= _dyadic_sign_by_remainder(x1, level)
+    return expected * amplitude
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("shape", [[256], [128, 4]], ids=["1d", "2d"])
+@pytest.mark.parametrize("amplitude", [1.0, -1.0, 0.0, -0.0, -2.5e-300])
+def test_rademacher_pools_are_bitwise_the_product_of_signs_on_one_and_two_cpus(
+    monkeypatch, cpus, shape, amplitude
+):
+    # On two CPUs the upper half starts at row h // 2 + 1, and at h = 21 and
+    # at the largest h that row's predecessor lies below the split: on 256
+    # nodes, mask 9 over mask 8 (row 4) and mask 31 over mask 30 (row 31).
+    monkeypatch.setattr(gallery, "_usable_cpus", lambda: cpus)
+    grid2 = build_uniform_grid([[0.0, 1.0], [-1.0, 1.0]][: len(shape)], shape)
+    x1 = grid2.nodes[:, 0]
+    max_level = gallery._max_dyadic_level(shape[0])
+    spec = SequenceSpec(kind="rademacher", amplitude=amplitude)
+    for horizon in (1, 2, 9, 21, (1 << max_level) - 1):
+        masks = gallery._walsh_masks(horizon, max_level)
+        pool = member_pool(VectorSequenceSpec([spec]), grid2, horizon)
+        for i in range(1, horizon + 1):
+            expected = _bits(_walsh_oracle(x1, masks[i - 1], amplitude))
+            assert np.array_equal(_bits(pool[i - 1, 0]), expected), (horizon, i)
+
+
+def test_a_rademacher_row_is_its_lowest_level_predecessor_times_one_sign_row():
+    # Rows below `first` hold NaN, as rows the other fill half owns may; each
+    # written row is then rescaled by 2^i (exact), so a row that reuses row p
+    # reads as its oracle times 2^p and names the row it was formed from.
+    grid = build_uniform_grid([[0.0, 1.0]], 256)
+    x1 = grid.nodes[:, 0]
+    horizon = 63
+    masks = gallery._walsh_masks(horizon, gallery._max_dyadic_level(256))
+    _, write = gallery._kind_rows(SequenceSpec(kind="rademacher"), grid, range(1, horizon + 1))
+    for first in (1, 10, 32):
+        rows = np.full((horizon, grid.node_count), np.nan)
+        for i in range(first, horizon + 1):
+            write(rows, i, first)
+            oracle = _walsh_oracle(x1, masks[i - 1], 1.0)
+            mask = masks[i - 1]
+            below = masks.index(mask & (mask - 1)) + 1 if mask & (mask - 1) else 0
+            scale = 2.0 ** below if below >= first else 1.0
+            assert np.array_equal(_bits(rows[i - 1]), _bits(oracle * scale)), (first, i)
+            rows[i - 1] = oracle * 2.0 ** i
+
+
 def test_dyadic_family_is_orthonormal(grid):
     spec = SequenceSpec(kind="rademacher")
     members = [generate(spec, i, grid) for i in range(1, 65)]

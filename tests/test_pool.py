@@ -82,37 +82,110 @@ def test_pool_rademacher_on_2d_grid_equals_generate():
         assert np.array_equal(pool[i - 1, 0], generate(spec, i, grid2).samples)
 
 
-def _first_error(spec, grid, horizon) -> str:
+def _first_error(specs, grid, horizon) -> str:
+    """generate's first refusal among specs' members 1..horizon, in (i, j) order."""
     for i in range(1, horizon + 1):
-        try:
-            generate(spec, i, grid)
-        except InvalidArgumentError as err:
-            return str(err)
+        for spec in specs:
+            try:
+                generate(spec, i, grid)
+            except InvalidArgumentError as err:
+                return str(err)
     raise AssertionError("every index generated")
 
 
+_REFUSALS = [
+    (SequenceSpec(kind="oscillatory"), 40, "aliasing-oscillatory"),  # 256 nodes resolve 32 cycles
+    (SequenceSpec(kind="rademacher"), 64, "aliasing-rademacher"),  # 6 levels give 63 patterns
+    (SequenceSpec(kind="spike"), 257, "aliasing-spike"),
+    (SequenceSpec(kind="custom", table={1: np.ones(256), 2: np.ones(256)}), 8, "missing-table"),
+    (SequenceSpec(kind="custom", table={1: np.full(256, np.nan)}), 8, "nan-table"),
+    (SequenceSpec(kind="rademacher", amplitude=np.nan), 8, "nan-amplitude"),
+    # the custom guard refuses a product that overflows, before writing it
+    (SequenceSpec(kind="custom", amplitude=1e300, table={1: np.full(256, 1e10)}), 8,
+     "overflowing-custom"),
+    (SequenceSpec(kind="custom", amplitude=0.0, table={1: np.full(256, np.inf)}), 8,
+     "zero-times-inf-custom"),
+    # a custom table's gap at index 5 comes before the Rademacher refusal at 64,
+    # which alone sends the pool to per-row guards
+    ((SequenceSpec(kind="custom", table={i: np.ones(256) for i in range(1, 65) if i != 5}),
+      SequenceSpec(kind="rademacher")), 64, "custom-gap-before-rademacher"),
+]
+
+
 @pytest.mark.parametrize(
-    "spec, horizon",
-    [
-        (SequenceSpec(kind="oscillatory"), 40),  # 256 nodes resolve 32 cycles
-        (SequenceSpec(kind="rademacher"), 64),  # 6 levels give 63 patterns
-        (SequenceSpec(kind="spike"), 257),
-        (SequenceSpec(kind="custom", table={1: np.ones(256), 2: np.ones(256)}), 8),
-        (SequenceSpec(kind="custom", table={1: np.full(256, np.nan)}), 8),
-        (SequenceSpec(kind="rademacher", amplitude=np.nan), 8),
-        # the custom guard refuses a product that overflows, before writing it
-        (SequenceSpec(kind="custom", amplitude=1e300, table={1: np.full(256, 1e10)}), 8),
-        (SequenceSpec(kind="custom", amplitude=0.0, table={1: np.full(256, np.inf)}), 8),
-    ],
-    ids=["aliasing-oscillatory", "aliasing-rademacher", "aliasing-spike",
-         "missing-table", "nan-table", "nan-amplitude", "overflowing-custom",
-         "zero-times-inf-custom"],
+    "spec, horizon, cpus",
+    [(spec, horizon, 1) for spec, horizon, _ in _REFUSALS]
+    + [(spec, horizon, 2) for spec, horizon, _ in _REFUSALS],
+    ids=[name for *_, name in _REFUSALS] + [f"{name}-on-2-cpus" for *_, name in _REFUSALS],
 )
-def test_pool_raises_the_errors_generate_raises(grid, spec, horizon):
-    seq = VectorSequenceSpec([SequenceSpec(kind="constant"), spec])
+def test_pool_raises_the_errors_generate_raises(grid, monkeypatch, spec, horizon, cpus):
+    _cpus(monkeypatch, cpus)
+    specs = [SequenceSpec(kind="constant"), *(spec if isinstance(spec, tuple) else [spec])]
     with pytest.raises(InvalidArgumentError) as info:
-        member_pool(seq, grid, horizon)
-    assert str(info.value) == _first_error(spec, grid, horizon)
+        member_pool(VectorSequenceSpec(specs), grid, horizon)
+    assert str(info.value) == _first_error(specs, grid, horizon)
+
+
+def _counting_guards(monkeypatch):
+    """(kind, i) of every guard call a pool build makes, through _kind_rows' check."""
+    calls = []
+    real_rows = gallery._kind_rows
+
+    def counting_rows(spec, grid, indices):
+        check, write = real_rows(spec, grid, indices)
+
+        def counted(i):
+            calls.append((spec.kind, i))
+            return check(i)
+
+        return counted, write
+
+    monkeypatch.setattr(gallery, "_kind_rows", counting_rows)
+    return calls
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_pool_that_no_guard_refuses_runs_each_guard_once(grid, monkeypatch, cpus):
+    _cpus(monkeypatch, cpus)
+    calls = _counting_guards(monkeypatch)
+    kinds = ("oscillatory", "rademacher")
+    seq = VectorSequenceSpec([SequenceSpec(kind=kind) for kind in kinds])
+    pool = member_pool(seq, grid, 32)
+    assert calls == [(kind, 32) for kind in kinds]
+    for i in range(1, 33):
+        for j, comp in enumerate(seq.components):
+            assert np.array_equal(pool[i - 1, j], generate(comp, i, grid).samples), (i, j)
+    # A refused horizon sends every row through its guard before it is written.
+    calls.clear()
+    with pytest.raises(InvalidArgumentError, match="refusing index 33$"):
+        member_pool(seq, grid, 40)
+    assert calls[0] == ("oscillatory", 40)
+    if cpus == 1:
+        rows = [(kind, i) for i in range(1, 33) for kind in kinds]
+        assert calls[1:] == rows + [("oscillatory", 33)]
+
+
+@pytest.mark.parametrize("cpus, mid", [(1, 63), (2, 31)])
+def test_each_fill_half_lets_its_writes_read_only_its_own_rows(grid, monkeypatch, cpus, mid):
+    # A write may read the rows written since its `first` (the Walsh
+    # predecessor rule), so each half must pass its own first row: the other
+    # half's rows may not be written yet.
+    _cpus(monkeypatch, cpus)
+    firsts = []
+    real_rows = gallery._kind_rows
+
+    def recording_rows(spec, grid, indices):
+        check, write = real_rows(spec, grid, indices)
+
+        def recording_write(rows, i, first):
+            firsts.append((i, first))
+            write(rows, i, first)
+
+        return check, recording_write
+
+    monkeypatch.setattr(gallery, "_kind_rows", recording_rows)
+    member_pool(VectorSequenceSpec([SequenceSpec(kind="rademacher")]), grid, 63)
+    assert sorted(firsts) == [(i, 1 if i <= mid else mid + 1) for i in range(1, 64)]
 
 
 def test_pool_probe_matches_per_member_reference():
@@ -577,7 +650,7 @@ def _assert_serial_error(monkeypatch, seq, grid, horizon, failing):
         assert len(started) == count - 1
         assert not any(t.is_alive() for t in started)
         monkeypatch.undo()
-    assert messages == [_first_error(seq.components[failing], grid, horizon)] * 2
+    assert messages == [_first_error([seq.components[failing]], grid, horizon)] * 2
 
 
 def test_pool_never_calls_generate(grid, monkeypatch):
