@@ -182,7 +182,7 @@ class ConvexSetSpec:
 
     kind: str
     bounds: np.ndarray | None = None
-    center: np.ndarray | None = None
+    center: np.ndarray | tuple = (0.0,)  # the origin, in every component
     radius: float = 1.0
     halfspaces: list | None = None
     closed: bool = True
@@ -192,8 +192,15 @@ class ConvexSetSpec:
             raise InvalidArgumentError(f"unknown convex set kind {self.kind!r}")
         # A non-finite parameter would misread membership, so none is accepted.
         if self.kind == BOX:
-            self.bounds = np.asarray(self.bounds, dtype=float).reshape(-1, 2)
+            try:
+                self.bounds = np.asarray(self.bounds, dtype=float).reshape(-1, 2)
+            except (TypeError, ValueError):
+                raise InvalidArgumentError(
+                    f"box bounds must be (lo, hi) pairs, got {self.bounds!r}"
+                ) from None
             _require_finite_parameter("box bounds", self.bounds)
+            if not np.all(self.bounds[:, 0] <= self.bounds[:, 1]):
+                raise InvalidArgumentError(f"box bounds need lo <= hi, got {self.bounds.tolist()}")
         if self.kind == BALL:
             self.center = np.asarray(self.center, dtype=float).ravel()
             _require_finite_parameter("ball center", self.center)
@@ -203,9 +210,14 @@ class ConvexSetSpec:
         if self.kind == HALFSPACES:
             if not self.halfspaces:
                 raise InvalidArgumentError("halfspace sets need at least one (a, b)")
-            self.halfspaces = [
-                (np.asarray(a, dtype=float).ravel(), float(b)) for a, b in self.halfspaces
-            ]
+            try:
+                self.halfspaces = [
+                    (np.asarray(a, dtype=float).ravel(), float(b)) for a, b in self.halfspaces
+                ]
+            except (TypeError, ValueError):
+                raise InvalidArgumentError(
+                    f"halfspaces must be (a, b) pairs, got {self.halfspaces!r}"
+                ) from None
             for a, b in self.halfspaces:
                 _require_finite_parameter("halfspace normal", a)
                 _require_finite_parameter("halfspace offset", b)
@@ -278,11 +290,9 @@ class ConvexSetSpec:
         params = dict(raw.get("params") or {})
         return cls(
             kind=str(raw["kind"]).lower(),
-            bounds=params.get("bounds"),
-            center=params.get("center", [0.0]),
             radius=float(params.get("radius", 1.0)),
-            halfspaces=params.get("halfspaces"),
             closed=bool(raw.get("closed", True)),
+            **{name: params[name] for name in ("bounds", "center", "halfspaces") if name in params},
         )
 
 

@@ -189,13 +189,13 @@ def _kind_rows(spec: SequenceSpec, grid: QuadratureGrid, indices: range):
     usable entry for i, or row i would hold a non-finite sample.  Every kind
     but custom refuses from some index on, so its check at one index covers
     every earlier one.  ``write(rows, i, first)``, i in the step-1 range
-    indices, fills ``rows[i - indices.start]`` with row i and runs no guard:
-    call it only for an i that check has cleared.  A custom write runs its
-    check itself, since the check returns the samples the row is written
-    from.  Called for i = first, first + 1, ... in turn, a write may read the
-    rows it wrote since first: a Rademacher row whose mask less its lowest
-    level is such a row's is that row times one sign row.  The setup shared
-    by the indices runs here and never raises.
+    indices, fills ``rows[i - indices.start]`` with row i and runs no guard,
+    a custom write included: call it only for an i that check has cleared.
+    Called for i = first, first + 1, ... in turn, a write may read the rows
+    it wrote since first: a Rademacher row whose mask less its lowest level
+    is such a row's is that row times one sign row.  The setup shared by the
+    indices runs here and never raises; with empty indices, for check alone,
+    it allocates no row-sized array.
     """
     x1 = grid.nodes[:, 0]
     n1 = grid.axis_resolution(0)
@@ -223,10 +223,6 @@ def _kind_rows(spec: SequenceSpec, grid: QuadratureGrid, indices: range):
             out *= spec.amplitude
 
     elif spec.kind == RADEMACHER:
-        # The signs read the box's own unit coordinate, so every box carries
-        # the same family; on [0, 1] it is x1 bit for bit.
-        unit = x1 - lo
-        unit /= length
         max_level = _max_dyadic_level(n1)
 
         def check(i: int) -> None:
@@ -244,10 +240,15 @@ def _kind_rows(spec: SequenceSpec, grid: QuadratureGrid, indices: range):
         masks = _walsh_masks(indices.stop - 1, max_level)
         index_of = {mask: i for i, mask in enumerate(masks, 1)}
         # One sign row per level the indices' masks use, computed here and
-        # only read by write, so fill threads share no mutable state.
+        # only read by write, so fill threads share no mutable state.  The
+        # signs read the box's own unit coordinate, so every box carries the
+        # same family; on [0, 1] it is x1 bit for bit.
         used = 0
         for mask in masks[indices.start - 1 :]:
             used |= mask
+        if used:
+            unit = x1 - lo
+            unit /= length
         signs = {
             level: _dyadic_sign(unit, level)
             for level in range(1, used.bit_length() + 1) if used >> (level - 1) & 1
@@ -301,9 +302,12 @@ def _kind_rows(spec: SequenceSpec, grid: QuadratureGrid, indices: range):
             rows[i - indices.start].fill(spec.amplitude * spec.value)
 
     else:  # CUSTOM
-        def check(i: int) -> np.ndarray:
+        def entry(i: int) -> np.ndarray:
+            return np.asarray(spec.table[i], dtype=float).ravel()
+
+        def check(i: int) -> None:
             try:
-                samples = np.asarray(spec.table[i], dtype=float).ravel()
+                samples = entry(i)
             except KeyError:
                 raise InvalidArgumentError(f"custom table has no entry for index {i}") from None
             if samples.size != grid.node_count:
@@ -312,23 +316,32 @@ def _kind_rows(spec: SequenceSpec, grid: QuadratureGrid, indices: range):
                 )
             # amplitude * max |sample| bounds every product, exactly: rounding is monotone.
             _require_finite(spec.amplitude * float(max(samples.max(), -samples.min())))
-            return samples
 
         def write(rows: np.ndarray, i: int, first: int) -> None:
-            np.multiply(spec.amplitude, check(i), out=rows[i - indices.start])
+            np.multiply(spec.amplitude, entry(i), out=rows[i - indices.start])
 
     return check, write
 
 
 def _check_members(seq: VectorSequenceSpec, grid: QuadratureGrid, horizon: int) -> None:
-    """Raise generate's refusal of a member 1..horizon through the guards, writing no row.
+    """Raise generate's first refusal of a member 1..horizon, in (i, j) order, writing no row.
 
-    Other kinds refuse from some index on, so the horizon's guard covers them;
-    a custom table can lack or spoil any entry, so each of its indices is guarded.
+    Each non-custom guard runs once, at the horizon: it refuses from some
+    index on, so a pass there covers every earlier index.  If all of them
+    pass, only the custom tables, which can lack or spoil any entry, are
+    guarded index by index.  If one refuses (a warning raised as an error
+    included), every guard runs at every index until the first refusal.
     """
-    for spec in seq.components:
-        check, _ = _kind_rows(spec, grid, range(1, 1))  # no row to write, none to set up
-        for i in range(1, horizon + 1) if spec.kind == CUSTOM else [horizon]:
+    checks = [(spec.kind, _kind_rows(spec, grid, range(1, 1))[0]) for spec in seq.components]
+    try:
+        for kind, check in checks:
+            if kind != CUSTOM:
+                check(horizon)
+        indexed = [check for kind, check in checks if kind == CUSTOM]
+    except Exception:
+        indexed = [check for _, check in checks]
+    for i in range(1, horizon + 1):
+        for check in indexed:
             check(i)
 
 
@@ -341,21 +354,11 @@ def generate(spec: SequenceSpec, i: int, grid: QuadratureGrid) -> ScalarField:
     """
     if i < 1:
         raise InvalidArgumentError(f"sequence index must be >= 1, got {i}")
+    check, write = _kind_rows(spec, grid, range(i, i + 1))
+    check(i)
     out = np.empty(grid.node_count)
-    _guarded(spec, *_kind_rows(spec, grid, range(i, i + 1)))(out[None], i, i)
+    write(out[None], i, i)
     return ScalarField(grid, out)
-
-
-def _guarded(spec: SequenceSpec, check, write):
-    """The writer that runs check(i) before writing row i; a custom write runs its own."""
-    if spec.kind == CUSTOM:
-        return write
-
-    def guarded(rows: np.ndarray, i: int, first: int) -> None:
-        check(i)
-        write(rows, i, first)
-
-    return guarded
 
 
 def generate_vector(spec: VectorSequenceSpec, i: int, grid: QuadratureGrid) -> VectorField:
@@ -430,11 +433,10 @@ def member_pool(seq: VectorSequenceSpec, grid: QuadratureGrid, horizon: int) -> 
     """Members u_1..u_horizon as one read-only (horizon, m, N) array.
 
     Row [i-1, j] is bitwise equal to ``generate(seq.components[j], i,
-    grid).samples`` and the same errors are raised, in the same index order:
-    both write rows through one writer per component.  Each non-custom
-    guard runs once, at the horizon, which covers every earlier index; only
-    if one refuses is every row guarded before it is written, as generate
-    guards it.  A custom row is always guarded, by its own writer.  The
+    grid).samples``: both write rows through one writer per component.
+    Before anything is allocated, ``_check_members`` raises the refusal
+    generate raises first in (index, component) order, so a refused pool
+    writes no row and starts no thread; the writers run no guard.  The
     sign rows of the dyadic levels are computed once per build; a
     Rademacher row whose mask less its lowest level is a row the same fill
     half has written is that row times one sign row, any other the product
@@ -497,18 +499,8 @@ def _build_pool(seq: VectorSequenceSpec, grid: QuadratureGrid, horizon: int) -> 
     if horizon < 1:
         raise InvalidArgumentError(f"pool horizon must be >= 1, got {horizon}")
     _check_pool_budget(horizon, seq.m, grid.node_count)
-    kinds = [(comp, *_kind_rows(comp, grid, range(1, horizon + 1))) for comp in seq.components]
-    try:
-        # A guard that passes at the horizon passes at every earlier index.
-        for comp, check, _ in kinds:
-            if comp.kind != CUSTOM:
-                check(horizon)
-        writers = [write for _, _, write in kinds]
-    except Exception:
-        # Some member is refused (a warning raised as an error included):
-        # guard every row before it is written, so that what is raised is
-        # what generate raises first in (i, j) order.
-        writers = [_guarded(*kind) for kind in kinds]
+    _check_members(seq, grid, horizon)
+    writers = [_kind_rows(comp, grid, range(1, horizon + 1))[1] for comp in seq.components]
     pool = np.empty((horizon, seq.m, grid.node_count))
     columns = list(pool.swapaxes(0, 1))
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import platform
+import re
 import time
 import tracemalloc
 import warnings
@@ -172,6 +173,27 @@ def test_a_non_finite_K_parameter_is_refused_by_name_and_exits_2(
     rc = main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")])
     assert rc == 2
     assert f"{parameter} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "K, message",
+    [
+        ({"kind": "box", "params": {"bounds": [[1.0, -1.0]]}}, "box bounds need lo <= hi"),
+        ({"kind": "box"}, "box bounds must be (lo, hi) pairs"),
+        ({"kind": "box", "params": {"bounds": [-1.0, 0.0, 1.0]}}, "box bounds must be (lo, hi)"),
+        ({"kind": "halfspaces", "params": {"halfspaces": [[[1.0]]]}}, "halfspaces must be (a, b)"),
+    ],
+    ids=["inverted-box", "box-without-bounds", "odd-box-bounds", "halfspace-without-offset"],
+)
+def test_a_malformed_K_is_refused_by_name_and_exits_2(tmp_path, capsys, K, message):
+    with pytest.raises(InvalidArgumentError, match="^" + re.escape(message)):
+        ConvexSetSpec.from_config(K)
+    path = tmp_path / "bad-K.json"
+    path.write_text(json.dumps(_base_config(f={"kind": "squared_norm", "K": K})))
+    rc = main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -930,13 +952,47 @@ def test_build_config_refuses_what_generate_refuses(component, resolution):
     raw = _base_config(sequence=[component], extraction="none")
     raw["grid"]["resolution"] = [resolution]
     grid = build_uniform_grid([[0.0, 1.0]], resolution)
-    with pytest.raises(InvalidArgumentError) as expected:
-        with np.errstate(invalid="ignore", over="ignore"):
-            generate(SequenceSpec.from_config(component), 32, grid)
-    with pytest.raises(ConfigError) as info:
-        with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = _first_refusal([SequenceSpec.from_config(component)], grid, 32)
+        with pytest.raises(ConfigError) as info:
             build_config(raw)
-    assert str(info.value) == f"invalid config value: {expected.value}"
+    assert str(info.value) == f"invalid config value: {expected}"
+
+
+def test_build_config_and_the_pool_name_the_same_first_refusal():
+    # The oscillatory component aliases from index 9 on 64 nodes, before the
+    # table's gap at index 10.
+    x = (np.arange(64) + 0.5) / 64
+    table = {str(i): np.cos(i * x).tolist() for i in range(1, 17) if i != 10}
+    raw = _base_config(
+        m=2,
+        horizon=16,
+        extraction="none",
+        sequence=[{"kind": "custom", "params": {"table": table}}, {"kind": "oscillatory"}],
+        limit=[{"kind": "constant"}] * 2,
+    )
+    raw["grid"]["resolution"] = [64]
+    grid = build_uniform_grid([[0.0, 1.0]], 64)
+    seq = gallery.VectorSequenceSpec([SequenceSpec.from_config(c) for c in raw["sequence"]])
+    expected = _first_refusal(seq.components, grid, 16)
+    assert expected.endswith("refusing index 9")
+    with pytest.raises(InvalidArgumentError) as pool_error:
+        gallery.member_pool(seq, grid, 16)
+    with pytest.raises(ConfigError) as config_error:
+        build_config(raw)
+    assert str(pool_error.value) == expected
+    assert str(config_error.value) == f"invalid config value: {expected}"
+
+
+def _first_refusal(specs, grid, horizon):
+    """generate's first refusal among specs' members 1..horizon, in (i, j) order."""
+    for i in range(1, horizon + 1):
+        for spec in specs:
+            try:
+                generate(spec, i, grid)
+            except InvalidArgumentError as err:
+                return str(err)
+    raise AssertionError("every index generated")
 
 
 def test_a_negative_base_is_refused_like_its_absolute_value(tmp_path):
@@ -958,9 +1014,8 @@ def test_a_negative_base_is_refused_like_its_absolute_value(tmp_path):
     assert "cannot resolve 63 cycles" in message
     assert refusal(generate, negative, 1, grid) == message
     assert refusal(gallery.member_pool, gallery.VectorSequenceSpec([negative]), grid, 4) == message
-    # build_config checks the horizon's index, here 32.
     assert refusal(build_config, config(-63.0)) == refusal(build_config, config(63.0)) == (
-        f"invalid config value: {refusal(generate, positive, 32, grid)}"
+        f"invalid config value: {message}"
     )
     path = tmp_path / "negative-base.json"
     path.write_text(json.dumps(config(-63.0)))

@@ -116,6 +116,12 @@ def test_f_and_K_refuse_what_they_cannot_represent(call, message):
         call()
 
 
+def test_a_ball_without_a_centre_is_centred_at_the_origin():
+    for K in (ConvexSetSpec(kind="ball"), ConvexSetSpec.from_config({"kind": "ball"})):
+        assert K.center.tolist() == [0.0]
+        assert K.contains([[0.5], [-1.5]]).tolist() == [True, False]
+
+
 @pytest.mark.parametrize("lam", [1e-200, 1.0, 1e200])
 def test_a_power_f_reads_the_norm_at_every_scale(lam):
     # The squares of 3 lam and 4 lam underflow or overflow at the ends.

@@ -106,9 +106,13 @@ _REFUSALS = [
     (SequenceSpec(kind="custom", amplitude=0.0, table={1: np.full(256, np.inf)}), 8,
      "zero-times-inf-custom"),
     # a custom table's gap at index 5 comes before the Rademacher refusal at 64,
-    # which alone sends the pool to per-row guards
+    # which alone sends the check to every guard at every index
     ((SequenceSpec(kind="custom", table={i: np.ones(256) for i in range(1, 65) if i != 5}),
       SequenceSpec(kind="rademacher")), 64, "custom-gap-before-rademacher"),
+    # a custom pool is refused at its first bad entry: a short row at 6, not the gap at 9
+    (SequenceSpec(kind="custom", table={
+        i: np.ones(255 if i == 6 else 256) for i in range(1, 17) if i != 9
+    }), 16, "custom-first-bad-entry"),
 ]
 
 
@@ -124,6 +128,25 @@ def test_pool_raises_the_errors_generate_raises(grid, monkeypatch, spec, horizon
     with pytest.raises(InvalidArgumentError) as info:
         member_pool(VectorSequenceSpec(specs), grid, horizon)
     assert str(info.value) == _first_error(specs, grid, horizon)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("kind, horizon", [("oscillatory", 600), ("rademacher", 1100)])
+def test_a_refused_pool_allocates_and_fills_nothing(monkeypatch, kind, horizon, cpus):
+    # 4 096 nodes resolve 512 cycles and 1 023 sign patterns; the full pools
+    # would take 18.8 and 34.4 MiB.
+    grid = build_uniform_grid([[0.0, 1.0]], 4096)
+    _cpus(monkeypatch, cpus)
+    started = _count_threads(monkeypatch)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidArgumentError, match="out of range$|refusing index 513$"):
+            member_pool(VectorSequenceSpec([SequenceSpec(kind=kind)]), grid, horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert started == []
 
 
 def _counting_guards(monkeypatch):
@@ -639,7 +662,10 @@ def test_split_fill_raises_an_earlier_error_on_a_grid_with_no_sign_pattern(monke
 
 
 def _assert_serial_error(monkeypatch, seq, grid, horizon, failing):
-    """On 1 and 2 CPUs the pool raises the first error of component `failing` generate raises."""
+    """On 1 and 2 CPUs the pool raises the first error of component `failing` generate raises.
+
+    The refusal comes before the fill, so no fill thread starts.
+    """
     messages = []
     for count in (1, 2):
         _cpus(monkeypatch, count)
@@ -647,8 +673,7 @@ def _assert_serial_error(monkeypatch, seq, grid, horizon, failing):
         with pytest.raises(InvalidArgumentError) as info:
             member_pool(seq, grid, horizon)
         messages.append(str(info.value))
-        assert len(started) == count - 1
-        assert not any(t.is_alive() for t in started)
+        assert started == []
         monkeypatch.undo()
     assert messages == [_first_error([seq.components[failing]], grid, horizon)] * 2
 
@@ -943,6 +968,20 @@ def test_halves_splits_where_the_cumulative_cost_crosses_half(monkeypatch, costs
     calls = []
     gallery._halves(costs, lambda lo, hi: calls.append((lo, hi)))
     assert sorted(calls) == [(0, mid), (mid, len(costs))]
+
+
+@pytest.mark.parametrize("failing, raised", [({0, 2}, 0), ({2}, 2)])
+def test_halves_raises_the_lower_halfs_error_first(monkeypatch, failing, raised):
+    # A worker thread's error is raised on the calling thread, not lost.
+    _cpus(monkeypatch, 2)
+
+    def work(lo, hi):
+        if lo in failing:
+            raise RuntimeError(lo)
+
+    with pytest.raises(RuntimeError) as info:
+        gallery._halves([1] * 4, work)
+    assert info.value.args == (raised,)
 
 
 def _bits(value):
