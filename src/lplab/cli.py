@@ -77,7 +77,7 @@ from .gallery import (
     generate_vector,
     weak_probe,
 )
-from .grid import RegionMask, _uniform_axes, build_uniform_grid, truncate_region
+from .grid import RegionMask, _lo_hi_pairs, _uniform_axes, build_uniform_grid, truncate_region
 from .norms import INFINITY
 
 __all__ = ["ScenarioConfig", "RunManifest", "load_config", "run_scenario", "main"]
@@ -195,7 +195,7 @@ def _build_region(raw, grid) -> RegionMask:
     if kind == "ball":
         return truncate_region(RegionMask.full(grid), float(raw["radius"]))
     if kind == "box":
-        bounds = np.asarray(raw["bounds"], dtype=float).reshape(-1, 2)
+        bounds = _lo_hi_pairs("region bounds", raw["bounds"])
         if bounds.shape[0] != grid.dimension:
             raise ConfigError("field 'region.bounds': wrong dimension")
         included = np.all(

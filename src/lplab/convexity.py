@@ -51,6 +51,8 @@ from .grid import (
     RegionMask,
     VectorField,
     _euclidean_norms,
+    _lo_hi_pairs,
+    _require_finite_parameter,
     _require_shared_grid,
     _rounding_budget,
     _unit_scaled,
@@ -95,18 +97,6 @@ HALFSPACES = "halfspaces"
 # liminf.  Every other cutoff here is a rounding budget (grid._rounding_budget).
 _PASS_TOL = 1e-6
 
-# Radii whose square, and the squares of offsets near them, are far inside
-# the normal range.  An offset whose square leaves that range then lies far
-# inside or far outside the ball, and a subnormal square's absolute error,
-# 2^-1075, is far below the rounding budget of a sum near the radius squared.
-_BALL_RADII = (2.0 ** -500, 2.0 ** 500)
-
-# numpy sums fewer squares than this in order, whatever the layout of the rows
-# (its pairwise sum starts at 8 terms, and only along a contiguous row), so a
-# ball decides from its farthest corner only below this many components: the
-# corner's one row is then summed as every point's row is.
-_IN_ORDER_TERMS = 8
-
 # Held while a custom evaluator runs.  weak_star_verify evaluates f on two
 # threads, and a user's evaluator may keep state or be shared by several
 # specs; reentrant, so an evaluator may call another custom spec.
@@ -132,12 +122,11 @@ class ConvexFunctionSpec:
     def __post_init__(self) -> None:
         if self.kind not in (SQUARED_NORM, POWER, MAX_AFFINE, CUSTOM_FUNCTION):
             raise InvalidArgumentError(f"unknown convex function kind {self.kind!r}")
+        _require_finite_parameter("power", self.power)
         if self.kind == POWER and self.power < 1.0:
             raise InvalidArgumentError(f"power must be >= 1 for convexity, got {self.power}")
         if self.kind == MAX_AFFINE:
-            if not self.planes:
-                raise InvalidArgumentError("max_affine needs at least one (a, b) plane")
-            self.planes = [(np.asarray(a, dtype=float).ravel(), float(b)) for a, b in self.planes]
+            self.planes = _affine_pairs("max_affine plane", self.planes)
         if self.kind == CUSTOM_FUNCTION and self.evaluator is None:
             raise InvalidArgumentError("custom convex functions need an evaluator")
 
@@ -161,7 +150,7 @@ class ConvexFunctionSpec:
 
     @classmethod
     def from_config(cls, raw: dict) -> "ConvexFunctionSpec":
-        params = dict(raw.get("params") or {})
+        raw, params = _given(raw), _given(raw.get("params"))
         return cls(
             kind=str(raw["kind"]).lower(),
             power=float(params.get("power", 2.0)),
@@ -170,10 +159,28 @@ class ConvexFunctionSpec:
         )
 
 
-def _require_finite_parameter(what: str, values) -> None:
-    """Refuse a parameter of K that holds a NaN or an infinity, naming it."""
-    if not np.all(np.isfinite(values)):
-        raise InvalidArgumentError(f"{what} must be finite, got {np.asarray(values).tolist()}")
+def _given(raw) -> dict:
+    """The entries of a configuration object that are not null: a null reads as missing."""
+    return {name: value for name, value in (raw or {}).items() if value is not None}
+
+
+def _affine_pairs(what: str, raw) -> list:
+    """raw as a nonempty list of (a, b) with a a nonempty finite vector and b finite.
+
+    what names one pair, such as "halfspace"; a refusal names it.
+    """
+    try:
+        pairs = [(np.asarray(a, dtype=float).ravel(), float(b)) for a, b in raw or ()]
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(f"{what}s must be (a, b) pairs, got {raw!r}") from None
+    if not pairs:
+        raise InvalidArgumentError(f"{what}s need at least one (a, b) pair")
+    for a, b in pairs:
+        if a.size == 0:
+            raise InvalidArgumentError(f"{what} normal must be nonempty, got []")
+        _require_finite_parameter(f"{what} normal", a)
+        _require_finite_parameter(f"{what} offset", b)
+    return pairs
 
 
 @dataclass
@@ -192,13 +199,7 @@ class ConvexSetSpec:
             raise InvalidArgumentError(f"unknown convex set kind {self.kind!r}")
         # A non-finite parameter would misread membership, so none is accepted.
         if self.kind == BOX:
-            try:
-                self.bounds = np.asarray(self.bounds, dtype=float).reshape(-1, 2)
-            except (TypeError, ValueError):
-                raise InvalidArgumentError(
-                    f"box bounds must be (lo, hi) pairs, got {self.bounds!r}"
-                ) from None
-            _require_finite_parameter("box bounds", self.bounds)
+            self.bounds = _lo_hi_pairs("box bounds", self.bounds)
             if not np.all(self.bounds[:, 0] <= self.bounds[:, 1]):
                 raise InvalidArgumentError(f"box bounds need lo <= hi, got {self.bounds.tolist()}")
         if self.kind == BALL:
@@ -208,19 +209,7 @@ class ConvexSetSpec:
             if self.radius <= 0:
                 raise InvalidArgumentError(f"ball radius must be positive, got {self.radius}")
         if self.kind == HALFSPACES:
-            if not self.halfspaces:
-                raise InvalidArgumentError("halfspace sets need at least one (a, b)")
-            try:
-                self.halfspaces = [
-                    (np.asarray(a, dtype=float).ravel(), float(b)) for a, b in self.halfspaces
-                ]
-            except (TypeError, ValueError):
-                raise InvalidArgumentError(
-                    f"halfspaces must be (a, b) pairs, got {self.halfspaces!r}"
-                ) from None
-            for a, b in self.halfspaces:
-                _require_finite_parameter("halfspace normal", a)
-                _require_finite_parameter("halfspace offset", b)
+            self.halfspaces = _affine_pairs("halfspace", self.halfspaces)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Membership of each point in K, up to the rounding of the point and the test.
@@ -231,9 +220,10 @@ class ConvexSetSpec:
         Every point lies in a box when each component's extremes do, which
         the same exact comparisons decide from 2m values.  Every point lies
         in a ball when the corner of their bounding box farthest from the
-        centre does, its distance computed as each point's is: rounding is
-        monotone, so no point's computed distance exceeds the corner's.  Any
-        other case is decided node by node.
+        centre does, its distance computed as each point's is
+        (grid._euclidean_norms): rounding is monotone, so no point's computed
+        distance exceeds the corner's by more than the slack.  Any other case
+        is decided node by node.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.kind == WHOLE_SPACE:
@@ -256,29 +246,12 @@ class ConvexSetSpec:
                 return np.ones(points.shape[0], dtype=bool)
             return np.all(at_most(lo, points, extent) & at_most(points, hi, extent), axis=1)
         if self.kind == BALL:
-            e = 0
-            if not _BALL_RADII[0] <= self.radius <= _BALL_RADII[1]:
-                e = _unit_scaled(self.radius)[1]
-
-            def distances(rows):
-                # np.linalg.norm's formula for real rows, without its copy for
-                # the conjugate; at a radius outside _BALL_RADII, at the
-                # radius's binary scale (_unit_scaled) and scaled back.
-                offset = np.subtract(rows, self.center)
-                if e:
-                    np.ldexp(offset, -e, out=offset)
-                distance = np.sqrt(np.add.reduce(np.multiply(offset, offset, out=offset), axis=1))
-                if e:
-                    np.ldexp(distance, e, out=distance)
-                return distance
-
-            with np.errstate(over="ignore"):  # an offset or square that overflows is far outside
-                if points.size and points.shape[1] < _IN_ORDER_TERMS:
-                    lo, hi = points.min(axis=0), points.max(axis=0)
-                    far = np.where(np.abs(hi - self.center) >= np.abs(lo - self.center), hi, lo)
-                    if distances(far[None])[0] <= self.radius:
+            with np.errstate(over="ignore"):  # an offset that overflows is far outside
+                if points.size:  # the farthest corner's offset, component by component
+                    far = np.abs([points.min(axis=0), points.max(axis=0)] - self.center).max(axis=0)
+                    if _euclidean_norms(far[None])[0] <= self.radius:
                         return np.ones(points.shape[0], dtype=bool)
-                distance = distances(points)
+                distance = _euclidean_norms(points - self.center)
             return at_most(distance, self.radius, lambda: self.radius + np.abs(self.center).max())
         ok = np.ones(points.shape[0], dtype=bool)
         for a, b in self.halfspaces:
@@ -287,7 +260,7 @@ class ConvexSetSpec:
 
     @classmethod
     def from_config(cls, raw: dict) -> "ConvexSetSpec":
-        params = dict(raw.get("params") or {})
+        raw, params = _given(raw), _given(raw.get("params"))
         return cls(
             kind=str(raw["kind"]).lower(),
             radius=float(params.get("radius", 1.0)),

@@ -59,9 +59,9 @@ class QuadratureGrid:
         if nodes.ndim == 1:
             nodes = nodes[:, None]
         weights = np.asarray(self.weights, dtype=float).ravel()
-        box = np.asarray(self.domain_box, dtype=float).reshape(-1, 2)
         if self.dimension < 1:
             raise InvalidArgumentError(f"dimension must be >= 1, got {self.dimension}")
+        box = _lo_hi_pairs("domain box", self.domain_box)
         if nodes.shape[1] != self.dimension or box.shape[0] != self.dimension:
             raise InvalidArgumentError(
                 f"nodes/domain_box do not match dimension {self.dimension}"
@@ -71,8 +71,8 @@ class QuadratureGrid:
                 f"need >= 1 node and matching weights, got {nodes.shape[0]} nodes "
                 f"and {weights.shape[0]} weights"
             )
-        if not np.all(np.isfinite(nodes)) or not np.all(np.isfinite(box)):
-            raise InvalidArgumentError("grid nodes and bounds must be finite")
+        if not np.all(np.isfinite(nodes)):
+            raise InvalidArgumentError("grid nodes must be finite")
         if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
             raise InvalidArgumentError("weights must be finite and nonnegative")
         # Nodes in strictly increasing lexicographic order, as every uniform
@@ -125,9 +125,30 @@ def _strictly_increasing(nodes: np.ndarray) -> bool:
     return bool(increasing.all())
 
 
+def _require_finite_parameter(what: str, values) -> None:
+    """Refuse a parameter that holds a NaN or an infinity, naming it."""
+    if not np.all(np.isfinite(values)):
+        raise InvalidArgumentError(f"{what} must be finite, got {np.asarray(values).tolist()}")
+
+
+def _lo_hi_pairs(what: str, raw) -> np.ndarray:
+    """raw as an (n, 2) array of finite (lo, hi) pairs, n >= 1, or refused naming what.
+
+    The order of a pair is left to the caller.
+    """
+    try:
+        pairs = np.array(raw, dtype=float)  # a copy: the caller's array stays writable
+    except (TypeError, ValueError):  # ragged, or an entry that is no number
+        pairs = None
+    if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.size == 0:
+        raise InvalidArgumentError(f"{what} must be (lo, hi) pairs, at least one, got {raw!r}")
+    _require_finite_parameter(what, pairs)
+    return pairs
+
+
 def _uniform_axes(domain_box, resolution) -> tuple[np.ndarray, tuple[int, ...]]:
     """The box as an (n, 2) array and the node count per axis, both validated."""
-    box = np.asarray(domain_box, dtype=float).reshape(-1, 2)
+    box = _lo_hi_pairs("grid box", domain_box)
     n = box.shape[0]
     if np.isscalar(resolution):
         res = (int(resolution),) * n
@@ -137,8 +158,8 @@ def _uniform_axes(domain_box, resolution) -> tuple[np.ndarray, tuple[int, ...]]:
         raise InvalidArgumentError(f"resolution needs {n} entries, got {len(res)}")
     if any(r < 1 for r in res):
         raise InvalidArgumentError(f"resolution must be >= 1 per axis, got {res}")
-    if not np.all(np.isfinite(box)) or np.any(box[:, 0] >= box[:, 1]):
-        raise InvalidArgumentError(f"bounds must be finite with lower < upper: {box.tolist()}")
+    if np.any(box[:, 0] >= box[:, 1]):
+        raise InvalidArgumentError(f"grid box needs lower < upper on each axis: {box.tolist()}")
     with np.errstate(over="ignore"):
         wide = np.flatnonzero(~np.isfinite(box[:, 1] - box[:, 0]))
     if wide.size:
@@ -320,18 +341,28 @@ _SQRT_TINY = np.sqrt(np.finfo(float).tiny)
 
 
 def _euclidean_norms(points: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every row of an (N, n) array.
+    """Euclidean norm of every row of an (N, n) array, the one norm of the package.
 
-    np.linalg.norm's value wherever the sum of squares is a normal float.
+    The squares are added in component order, so a row's norm has the same
+    bits whatever the array's memory layout; below 8 components numpy's
+    pairwise sum is that order too, and these are np.linalg.norm's bits.
     sqrt is monotone and sqrt(tiny) is exact, so a norm below sqrt(tiny)
     comes from a sum that fell below the normal range.  Such a row, and one
     whose sum overflows, is summed at its own binary scale instead.
     """
+
+    def root_sum_of_squares(x):
+        total = np.zeros(x.shape[0])
+        for column in x.T:
+            total += column * column
+        return np.sqrt(total, out=total)
+
     with np.errstate(over="ignore", under="ignore"):
-        norms = np.linalg.norm(points, axis=1)
+        norms = root_sum_of_squares(points)
         rows = np.flatnonzero((norms < _SQRT_TINY) | (norms == np.inf))
-        unit, e = _unit_scaled(points[rows], axis=1)
-        norms[rows] = np.ldexp(np.sqrt(np.add.reduce(unit * unit, axis=1)), e)
+        if rows.size:
+            unit, e = _unit_scaled(points[rows], axis=1)
+            norms[rows] = np.ldexp(root_sum_of_squares(unit), e)
     return norms
 
 

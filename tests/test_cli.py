@@ -2,6 +2,8 @@ import argparse
 import json
 import platform
 import re
+import runpy
+import sys
 import time
 import tracemalloc
 import warnings
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from lplab import (
+    ConvexFunctionSpec,
     ConvexSetSpec,
     SequenceSpec,
     build_uniform_grid,
@@ -151,12 +154,40 @@ def test_config_accepts_one_component_box_and_ball_for_every_m():
         assert cfg.K.kind == K["kind"]
 
 
+def _squared_norm_on(K):
+    """The configuration object of f = |w|^2 on K."""
+    return {"kind": "squared_norm", "K": K}
+
+
+def _f_and_K(f):
+    """The f and K specs a configuration's f object builds; K is R^m when f names none."""
+    return ConvexFunctionSpec.from_config(f), ConvexSetSpec.from_config(
+        f.get("K", {"kind": "whole_space"})
+    )
+
+
+# Each names a parameter of K, or of f itself, set to the value v.
 _K_PARAMETERS = {
-    "ball center": lambda v: {"kind": "ball", "params": {"center": [v], "radius": 1.0}},
-    "ball radius": lambda v: {"kind": "ball", "params": {"center": [0.0], "radius": v}},
-    "box bounds": lambda v: {"kind": "box", "params": {"bounds": [[-1.0, v]]}},
-    "halfspace normal": lambda v: {"kind": "halfspaces", "params": {"halfspaces": [[[v], 1.0]]}},
-    "halfspace offset": lambda v: {"kind": "halfspaces", "params": {"halfspaces": [[[1.0], v]]}},
+    "ball center": lambda v: _squared_norm_on(
+        {"kind": "ball", "params": {"center": [v], "radius": 1.0}}
+    ),
+    "ball radius": lambda v: _squared_norm_on(
+        {"kind": "ball", "params": {"center": [0.0], "radius": v}}
+    ),
+    "box bounds": lambda v: _squared_norm_on({"kind": "box", "params": {"bounds": [[-1.0, v]]}}),
+    "halfspace normal": lambda v: _squared_norm_on(
+        {"kind": "halfspaces", "params": {"halfspaces": [[[v], 1.0]]}}
+    ),
+    "halfspace offset": lambda v: _squared_norm_on(
+        {"kind": "halfspaces", "params": {"halfspaces": [[[1.0], v]]}}
+    ),
+    "power": lambda v: {"kind": "power", "params": {"power": v}},
+    "max_affine plane normal": lambda v: {
+        "kind": "max_affine", "params": {"planes": [[[v], 0.0]]}
+    },
+    "max_affine plane offset": lambda v: {
+        "kind": "max_affine", "params": {"planes": [[[1.0], v]]}
+    },
 }
 
 
@@ -165,11 +196,11 @@ _K_PARAMETERS = {
 def test_a_non_finite_K_parameter_is_refused_by_name_and_exits_2(
     tmp_path, capsys, parameter, value
 ):
-    K = _K_PARAMETERS[parameter](value)
+    f = _K_PARAMETERS[parameter](value)
     with pytest.raises(InvalidArgumentError, match=f"^{parameter} must be finite"):
-        ConvexSetSpec.from_config(K)
+        _f_and_K(f)
     path = tmp_path / "bad-K.json"
-    path.write_text(json.dumps(_base_config(f={"kind": "squared_norm", "K": K})))
+    path.write_text(json.dumps(_base_config(f=f)))
     rc = main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")])
     assert rc == 2
     assert f"{parameter} must be finite" in capsys.readouterr().err
@@ -177,20 +208,61 @@ def test_a_non_finite_K_parameter_is_refused_by_name_and_exits_2(
 
 
 @pytest.mark.parametrize(
-    "K, message",
+    "f, message",
     [
-        ({"kind": "box", "params": {"bounds": [[1.0, -1.0]]}}, "box bounds need lo <= hi"),
-        ({"kind": "box"}, "box bounds must be (lo, hi) pairs"),
-        ({"kind": "box", "params": {"bounds": [-1.0, 0.0, 1.0]}}, "box bounds must be (lo, hi)"),
-        ({"kind": "halfspaces", "params": {"halfspaces": [[[1.0]]]}}, "halfspaces must be (a, b)"),
+        (_squared_norm_on({"kind": "box", "params": {"bounds": [[1.0, -1.0]]}}),
+         "box bounds need lo <= hi"),
+        (_squared_norm_on({"kind": "box"}), "box bounds must be (lo, hi) pairs"),
+        (_squared_norm_on({"kind": "box", "params": {"bounds": [-1.0, 0.0, 1.0]}}),
+         "box bounds must be (lo, hi)"),
+        (_squared_norm_on({"kind": "halfspaces", "params": {"halfspaces": [[[1.0]]]}}),
+         "halfspaces must be (a, b)"),
+        (_squared_norm_on({"kind": "box", "params": {"bounds": []}}),
+         "box bounds must be (lo, hi) pairs, at least one"),
+        (_squared_norm_on({"kind": "halfspaces", "params": {"halfspaces": [[[], 1.0]]}}),
+         "halfspace normal must be nonempty"),
+        ({"kind": "max_affine", "params": {"planes": [[[1.0]]]}},
+         "max_affine planes must be (a, b) pairs"),
+        ({"kind": "max_affine", "params": {"planes": [[[], 0.0]]}},
+         "max_affine plane normal must be nonempty"),
     ],
-    ids=["inverted-box", "box-without-bounds", "odd-box-bounds", "halfspace-without-offset"],
+    ids=["inverted-box", "box-without-bounds", "odd-box-bounds", "halfspace-without-offset",
+         "empty-box-bounds", "halfspace-with-empty-normal", "plane-without-offset",
+         "plane-with-empty-normal"],
 )
-def test_a_malformed_K_is_refused_by_name_and_exits_2(tmp_path, capsys, K, message):
+def test_a_malformed_K_is_refused_by_name_and_exits_2(tmp_path, capsys, f, message):
     with pytest.raises(InvalidArgumentError, match="^" + re.escape(message)):
-        ConvexSetSpec.from_config(K)
+        _f_and_K(f)
     path = tmp_path / "bad-K.json"
-    path.write_text(json.dumps(_base_config(f={"kind": "squared_norm", "K": K})))
+    path.write_text(json.dumps(_base_config(f=f)))
+    rc = main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"grid": {"dimension": 1, "box": [[0.0, 1.0, 2.0]], "resolution": [512]}},
+         "grid box must be (lo, hi) pairs"),
+        ({"grid": {"dimension": 1, "box": [], "resolution": [512]}},
+         "grid box must be (lo, hi) pairs, at least one"),
+        ({"grid": {"dimension": 1, "box": [[0.0, float("nan")]], "resolution": [512]}},
+         "grid box must be finite"),
+        ({"region": {"type": "box", "bounds": [[float("nan"), 1.0]]}},
+         "region bounds must be finite"),
+        ({"region": {"type": "box", "bounds": [[0.0, 0.5], [1.0]]}},
+         "region bounds must be (lo, hi) pairs"),
+    ],
+    ids=["odd-grid-box", "empty-grid-box", "nan-grid-box", "nan-region-bound",
+         "ragged-region-box"],
+)
+def test_a_malformed_grid_or_region_box_is_refused_by_name_and_exits_2(
+    tmp_path, capsys, overrides, message
+):
+    path = tmp_path / "bad-box.json"
+    path.write_text(json.dumps(_base_config(**overrides)))
     rc = main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")])
     assert rc == 2
     assert message in capsys.readouterr().err
@@ -391,6 +463,33 @@ def test_cli_run_manifest_names_its_environment(tmp_path):
     }
     assert environment["cpus"] >= 1
     assert cli._environment() is cli._environment()  # read once per process
+
+
+def test_the_manifest_names_no_blas_where_numpy_cannot_report_its_configuration(monkeypatch):
+    # numpy before 1.25 has no show_config(mode=...), which then raises TypeError.
+    def old_show_config(*args, **kwargs):
+        raise TypeError("show_config() got an unexpected keyword argument 'mode'")
+
+    monkeypatch.setattr(np, "show_config", old_show_config)
+    cli._environment.cache_clear()
+    try:
+        assert cli._environment()["blas"] == {"name": None, "version": None}
+    finally:
+        cli._environment.cache_clear()
+
+
+def test_the_console_entry_points_exit_with_mains_code(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["lplab", "--help"])
+    with pytest.raises(SystemExit) as info:
+        cli.console_main()
+    assert info.value.code == 0
+    # python -m lplab.cli, run in this process; the loaded module is set aside,
+    # so the run reads a fresh copy of it.
+    monkeypatch.delitem(sys.modules, "lplab.cli")
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("lplab.cli", run_name="__main__")
+    assert info.value.code == 0
+    assert capsys.readouterr().out.count("usage: lplab") == 2
 
 
 @pytest.mark.parametrize("key", ["a0", "a3", "a5", "a6"])

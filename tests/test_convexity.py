@@ -108,8 +108,25 @@ def test_power_and_custom_kinds(grid):
         ),
         (lambda: ConvexSetSpec(kind="simplex"), "unknown convex set kind"),
         (lambda: ConvexSetSpec(kind="ball", center=[0.0], radius=0.0), "must be positive"),
+        (lambda: ConvexFunctionSpec(kind="power", power=math.nan), "^power must be finite"),
+        (lambda: ConvexFunctionSpec(kind="power", power=-math.inf), "^power must be finite"),
+        (
+            lambda: ConvexFunctionSpec(kind="max_affine", planes=[([1.0],)]),
+            "^max_affine planes must be",
+        ),
+        (
+            lambda: ConvexFunctionSpec(kind="max_affine", planes=[([math.nan], 0.0)]),
+            "^max_affine plane normal must be finite",
+        ),
+        (lambda: ConvexSetSpec(kind="box", bounds=[]), "^box bounds must be .* at least one"),
+        (
+            lambda: ConvexSetSpec(kind="halfspaces", halfspaces=[([], 1.0)]),
+            "^halfspace normal must be nonempty",
+        ),
     ],
-    ids=["f-kind", "f-power", "f-planes", "f-evaluator", "f-length", "K-kind", "K-radius"],
+    ids=["f-kind", "f-power", "f-planes", "f-evaluator", "f-length", "K-kind", "K-radius",
+         "f-power-nan", "f-power-inf", "f-plane-pair", "f-plane-normal", "K-empty-box",
+         "K-empty-normal"],
 )
 def test_f_and_K_refuse_what_they_cannot_represent(call, message):
     with pytest.raises(InvalidArgumentError, match=message):
@@ -117,7 +134,11 @@ def test_f_and_K_refuse_what_they_cannot_represent(call, message):
 
 
 def test_a_ball_without_a_centre_is_centred_at_the_origin():
-    for K in (ConvexSetSpec(kind="ball"), ConvexSetSpec.from_config({"kind": "ball"})):
+    for K in (
+        ConvexSetSpec(kind="ball"),
+        ConvexSetSpec.from_config({"kind": "ball"}),
+        ConvexSetSpec.from_config({"kind": "ball", "params": {"center": None, "radius": None}}),
+    ):
         assert K.center.tolist() == [0.0]
         assert K.contains([[0.5], [-1.5]]).tolist() == [True, False]
 
@@ -342,7 +363,7 @@ def _ball_membership_node_by_node(K, points):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
-    m=st.integers(1, 4),
+    m=st.integers(1, 12),
     radius=st.sampled_from(
         [2.0 ** -700, 2.0 ** -500, 1e-150, 0.75, 1.0, 3.0, 1e150, 2.0 ** 500, 2.0 ** 700, 1e307]
     ),

@@ -15,6 +15,7 @@ from lplab import (
     integrate,
     truncate_region,
 )
+from lplab.grid import _euclidean_norms
 
 
 def test_unit_interval_midpoints():
@@ -45,6 +46,8 @@ def test_total_mass_equals_box_volume():
         ([[float("nan"), 1.0]], 4),
         ([[0.0, 1e160], [0.0, 1e160]], 16),  # each cell width is finite, their product not
         ([[0.0, 1.0]], [4, 4]),  # a count for an axis the box does not have
+        ([[0.0, 1.0, 2.0]], 4),  # an entry that is not a (lo, hi) pair
+        ([], 4),
     ],
 )
 def test_build_rejects_bad_input(box, res):
@@ -269,8 +272,9 @@ def test_values_are_immutable():
 
 def test_node_norms_are_computed_once_per_grid(monkeypatch):
     calls = []
-    real_norm = np.linalg.norm
-    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(1) or real_norm(*a, **k))
+    monkeypatch.setattr(
+        "lplab.grid._euclidean_norms", lambda *a, **k: calls.append(1) or _euclidean_norms(*a, **k)
+    )
     grid = build_uniform_grid([[-1.0, 1.0], [-1.0, 1.0]], 16)
     full = RegionMask.full(grid)
     cuts = [truncate_region(full, radius) for radius in (0.5, 1.0, 2.0)]
@@ -318,3 +322,20 @@ def test_node_norms_rescale_rows_out_of_range():
         norms = grid._node_norms
     assert norms[:3] == pytest.approx([5e200, 5e-200, 3e-170], rel=4e-16)
     assert norms[3:].tolist() == [0.0, 5.0]
+
+
+@pytest.mark.parametrize("m", range(1, 41))
+def test_euclidean_norms_keep_their_bits_in_every_layout(m):
+    # numpy adds a C-ordered row's squares pairwise from 8 terms on and an
+    # F-ordered array's column by column; the one norm adds them in order.
+    rng = np.random.default_rng(m)
+    points = rng.standard_normal((64, m)) * np.exp2(rng.integers(-8, 9, (64, 1)))
+    points[:3] *= [[1e-160], [1e170], [0.0]]  # rows the rescale reads
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = _euclidean_norms(np.ascontiguousarray(points))
+        transposed = _euclidean_norms(np.asfortranarray(points))
+    assert np.array_equal(norms.view(np.uint64), transposed.view(np.uint64))
+    if m < 8:
+        in_range = np.linalg.norm(points[3:], axis=1)
+        assert np.array_equal(norms[3:].view(np.uint64), in_range.view(np.uint64))
