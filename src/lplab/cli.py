@@ -56,7 +56,9 @@ from .extraction import (
     _SCAN_RANGE,
     _SCAN_STEP,
     InequalityConstants,
+    _check_levels,
     _lemma1_check,
+    _require_p_above_one,
     banach_saks_extract,
     szlenk_extract,
     verify_growth_bound,
@@ -71,14 +73,18 @@ from .gallery import (
     _check_array_budget,
     _check_members,
     _check_pool_budget,
+    _check_probe_horizon,
     _shared_pools,
     _usable_cpus,
     default_probe_dictionary,
     generate_vector,
     weak_probe,
 )
-from .grid import RegionMask, _lo_hi_pairs, _uniform_axes, build_uniform_grid, truncate_region
-from .norms import INFINITY
+from .grid import (
+    RegionMask, _given, _integer, _is_number, _lo_hi_pairs, _uniform_axes, build_uniform_grid,
+    truncate_region,
+)
+from .norms import INFINITY, _check_exponent
 
 __all__ = ["ScenarioConfig", "RunManifest", "load_config", "run_scenario", "main"]
 
@@ -182,10 +188,7 @@ def _parse_exponent(raw) -> float:
         if raw.lower() in ("inf", "infinity"):
             return INFINITY
         raise ConfigError(f"field 'p': unknown exponent {raw!r}")
-    p = float(raw)
-    if not p >= 1.0:  # NaN included
-        raise ConfigError(f"field 'p': exponent must be >= 1 or 'infinity', got {p}")
-    return p
+    return _check_exponent(raw)
 
 
 def _build_region(raw, grid) -> RegionMask:
@@ -205,16 +208,9 @@ def _build_region(raw, grid) -> RegionMask:
     raise ConfigError(f"field 'region.type': unknown region {kind!r}")
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _integer_field(raw: dict, key: str, default=None) -> int:
-    """raw[key] as an int; a bool, a string or a non-integral number is refused."""
-    value = raw[key] if default is None else raw.get(key, default)
-    if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"field '{key}' must be an integer, got {value!r}")
-    return int(value)
+    """raw[key] as an int (grid._integer); without a default the field is required."""
+    return _integer(f"field '{key}'", raw[key] if default is None else raw.get(key, default))
 
 
 def _check_expect(expect: dict) -> None:
@@ -255,57 +251,55 @@ def load_config(path) -> ScenarioConfig:
 
 def build_config(raw: dict) -> ScenarioConfig:
     try:
-        name = str(raw["name"])
+        fields = _given(raw)  # here and in every object below, a null reads as missing
+        name = str(fields["name"])
         if Path(name).name != name:  # every output is <output dir>/<name>.<kind>
             raise ConfigError(f"field 'name' must be a file name, got {name!r}")
-        graw = raw["grid"]
+        graw = _given(fields["grid"])
         _, resolution = _uniform_axes(graw["box"], graw["resolution"])
-        if int(graw.get("dimension", len(resolution))) != len(resolution):
+        dimension = graw.get("dimension", len(resolution))
+        if _integer("field 'grid.dimension'", dimension) != len(resolution):
             raise ConfigError("field 'grid.dimension' disagrees with the box")
-        p = _parse_exponent(raw["p"])
+        p = _parse_exponent(fields["p"])
         seq = VectorSequenceSpec(
-            [SequenceSpec.from_config(c) for c in raw["sequence"]]
+            [SequenceSpec.from_config(c) for c in fields["sequence"]]
         )
-        m = _integer_field(raw, "m", seq.m)
+        m = _integer_field(fields, "m", seq.m)
         if m != seq.m:
             raise ConfigError(f"field 'm' = {m} disagrees with {seq.m} sequence components")
-        horizon = _integer_field(raw, "horizon")
-        if horizon < 8:
-            raise ConfigError(f"field 'horizon' must be >= 8, got {horizon}")
+        horizon = _integer_field(fields, "horizon")
+        _check_probe_horizon(horizon)
         # refuse an oversized pool before the grid or any member is allocated
         _check_pool_budget(horizon, m, math.prod(resolution))
         grid = build_uniform_grid(graw["box"], graw["resolution"])
-        limit_specs = [SequenceSpec.from_config(c) for c in raw["limit"]]
+        limit_specs = [SequenceSpec.from_config(c) for c in fields["limit"]]
         if len(limit_specs) != m:
             raise ConfigError("field 'limit' must have one spec per component")
         limit = generate_vector(VectorSequenceSpec(limit_specs), 1, grid)
-        region = _build_region(raw.get("region", {}), grid)
-        mode = str(raw.get("extraction", "none")).lower()
+        region = _build_region(_given(fields.get("region")), grid)
+        mode = str(fields.get("extraction", "none")).lower()
         if mode not in ("p>1", "p=1", "none"):
             raise ConfigError(f"field 'extraction': unknown mode {mode!r}")
-        if mode == "p>1" and not (p != INFINITY and p > 1.0):
-            raise ConfigError(f"extraction mode 'p>1' needs finite p > 1, got p={raw['p']}")
+        if mode == "p>1":
+            _require_p_above_one(p, "extraction mode 'p>1'")
         if mode == "p=1" and p != 1.0:
-            raise ConfigError(f"extraction mode 'p=1' needs p = 1, got p={raw['p']}")
-        fraw = raw.get("f")
+            raise ConfigError(f"extraction mode 'p=1' needs p = 1, got p={fields['p']}")
+        fraw = _given(fields.get("f"))
         f = ConvexFunctionSpec.from_config(fraw) if fraw else None
-        K = ConvexSetSpec.from_config(fraw["K"]) if fraw and "K" in fraw else (
-            ConvexSetSpec(kind="whole_space") if fraw else None
-        )
+        K = ConvexSetSpec.from_config(fraw.get("K", {"kind": "whole_space"})) if fraw else None
         if f is not None:
             _check_dimensions(f, K, m)
-        r_schedule = raw.get("R_schedule")
+        r_schedule = fields.get("R_schedule")
         if r_schedule is not None:
             if p != INFINITY:
                 raise ConfigError("field 'R_schedule' applies to sup-norm scenarios only")
             r_schedule = _check_r_schedule(r_schedule)
         _check_region_nodes(region, r_schedule[0] if r_schedule else None)
-        levels = _integer_field(raw, "levels", 4)
-        if levels < 1:
-            raise ConfigError(f"field 'levels' must be >= 1, got {levels}")
-        expect = dict(raw.get("expect") or {})
+        levels = _integer_field(fields, "levels", 4)
+        _check_levels(levels)
+        expect = _given(fields.get("expect"))
         _check_expect(expect)
-        output_dir = str(raw.get("output_dir", "."))
+        output_dir = str(fields.get("output_dir", "."))
         # surface generation refusals as configuration errors up front
         _check_members(seq, grid, horizon)
     except KeyError as err:

@@ -51,10 +51,12 @@ from .grid import (
     RegionMask,
     VectorField,
     _euclidean_norms,
+    _given,
     _lo_hi_pairs,
     _require_finite_parameter,
     _require_shared_grid,
     _rounding_budget,
+    _slack,
     _unit_scaled,
     _weighted_sum,
     truncate_region,
@@ -157,11 +159,6 @@ class ConvexFunctionSpec:
             planes=params.get("planes"),
             nonnegative=bool(raw.get("nonnegative", True)),
         )
-
-
-def _given(raw) -> dict:
-    """The entries of a configuration object that are not null: a null reads as missing."""
-    return {name: value for name, value in (raw or {}).items() if value is not None}
 
 
 def _affine_pairs(what: str, raw) -> list:
@@ -283,21 +280,6 @@ def _check_membership(points: np.ndarray, K: ConvexSetSpec, region: RegionMask, 
         )
 
 
-def _composite_values(
-    f: ConvexFunctionSpec,
-    points: np.ndarray,
-    region: RegionMask,
-    K: ConvexSetSpec | None,
-    label: str,
-) -> np.ndarray:
-    """f at the (n_region, m) points sampled at the region's nodes, after the K check."""
-    if K is not None:
-        _check_membership(points, K, region, label)
-    if points.shape[0] == 0:
-        return np.zeros(0)
-    return f(points)
-
-
 def evaluate_composite(
     f: ConvexFunctionSpec,
     u: VectorField,
@@ -312,8 +294,11 @@ def evaluate_composite(
     region = region if region is not None else RegionMask.full(u.grid)
     _require_shared_grid(u, region)
     points = u.matrix().T[region.included]
-    values = _composite_values(f, points, region, K, "composite integrand")
-    return _weighted_sum(region.grid.weights[region.included], values)
+    if K is not None:
+        _check_membership(points, K, region, "composite integrand")
+    if points.shape[0] == 0:  # f need not take an empty array
+        return 0.0
+    return _weighted_sum(region.grid.weights[region.included], f(points))
 
 
 def _mean(values: np.ndarray, axis=None):
@@ -358,8 +343,8 @@ class CesaroReplay:
     """Proof-chain replay along an extracted subsequence.
 
     ``jensen_slack[k]`` and ``fatou_slack`` are the rounding budgets a
-    negative margin is held to; each is zero where its margin is not
-    negative, since it is computed only for a negative one.
+    negative margin is held to, and zero where the margin is not negative
+    (grid._slack).
     """
 
     indices: list
@@ -445,13 +430,17 @@ def _replay_trace(
 def _admissible_values(
     f: ConvexFunctionSpec, points: np.ndarray, region: RegionMask, K: ConvexSetSpec, where: str
 ) -> np.ndarray:
-    """f at the points after the values-in-K and nonnegativity hypotheses."""
+    """f at the points after the values-in-K and nonnegativity hypotheses.
+
+    The region holds a node (_check_region_nodes), so f never takes an empty array.
+    """
     try:
-        values = _composite_values(f, points, region, K, where)
+        _check_membership(points, K, region, where)
     except DomainViolationError as err:
         raise PreconditionViolationError(
             f"values-in-K hypothesis failed: {err}", hypothesis="values in K"
         ) from err
+    values = f(points)
     # f may dip below zero by the rounding of its largest value, no further.
     if f.nonnegative and values.min() < 0.0 and values.min() < -_rounding_budget(
         points.shape[1] + 2, float(np.abs(values).max())
@@ -547,10 +536,9 @@ def _verify_on_region(
         zero, slope, converged = trace._cesaro_slope(centre_norm)
         if not zero and slope is None:  # no fit: recorded as flat
             slope = 0.0
-        fatou_margin, fatou_slack = tail_integral_min - _weighted_sum(weights, tail_min_field), 0.0
-        if fatou_margin < 0.0:
-            # Two sums of n nonnegative terms, neither above tail_integral_min.
-            fatou_slack = _rounding_budget(2 * n + 2, tail_integral_min)
+        fatou_margin = tail_integral_min - _weighted_sum(weights, tail_min_field)
+        # Two sums of n nonnegative terms, neither above tail_integral_min.
+        fatou_slack = _slack(fatou_margin, 2 * n + 2, tail_integral_min)
         chain = CesaroReplay(
             picks, trace.cesaro_norms, slope, converged, jensen_margins, fatou_margin,
             jensen_slack, fatou_slack,

@@ -13,6 +13,10 @@ Two routes, matching the exponent:
     the plain 1/l target once k >= l^2.  The diagonal walks level r at
     position r and then continues inside the deepest level.
 
+Both thresholds are scaled to the unit-sup pool, by unit^p and by unit,
+with unit = sup / max(1, sup) the largest norm of a member as read
+(_SELECTION_SLACK).  So the amplitude of a pool decides none of its picks.
+
 Both routes differ only in the rule that picks the next index.  They share
 one walk over the picks: it reads the normalized members, keeps the partial
 sum s_k, records each pick's pairings, integrals of |s_k|^p and ||s_k/k||,
@@ -52,7 +56,7 @@ from .gallery import (
     _shared,
     member_pool,
 )
-from .grid import QuadratureGrid, _rounding_budget
+from .grid import QuadratureGrid, _rounding_budget, _slack
 from .norms import _abs_power, _gather, _lp_norms
 
 __all__ = [
@@ -72,8 +76,11 @@ __all__ = [
     "decay_rate_fit",
 ]
 
-# Absolute float slack on a selection threshold: normalized members are
-# compared with 1 (p > 1) or with a level's 1/l (p = 1).
+# Float slack on a selection threshold, relative to the unit-sup pool.  The
+# walk reads members at sup norm unit = sup / max(1, sup), and each threshold,
+# 1 for a pairing (p > 1) or max(1/l, k^(-1/2)) for a level's running mean
+# (p = 1), is scaled to that pool: by unit^p and by unit.  A pool scaled by
+# lambda > 0 then picks as it does at lambda = 1.
 _SELECTION_SLACK = 1e-12
 
 # Default half-range and step of the A scan, for library and command line alike.
@@ -439,8 +446,9 @@ def banach_saks_extract(
 
         <|s_k^(j)|^(p-1) sgn(s_k^(j)), u_i^(j)>   (j = 1..m)
 
-    all stay <= 1.  Raises ``ExtractionStalledError`` (partial trace attached)
-    when unexamined candidates remain but none qualifies.
+    all stay <= unit^p, with unit = sup / max(1, sup) (_SELECTION_SLACK).
+    Raises ``ExtractionStalledError`` (partial trace attached) when
+    unexamined candidates remain but none qualifies.
     """
     _require_p_above_one(p, "recursive selection (the p = 1 route is szlenk_extract)")
     return _select(member_pool(seq, grid, horizon), p, grid.weights)[1]
@@ -558,12 +566,13 @@ def _banach_saks_select(
     """Recursive threshold selection over a (horizon, m, N) member pool."""
     walk = _CesaroWalk(pool, w, p, centre)
     horizon = walk.horizon
+    threshold = (walk.sup / walk.factor) ** p * (1.0 + _SELECTION_SLACK)
     walk.add(1)
     while walk.indices[-1] < horizon:
         phi_w = walk.phi_w()
         for cand in range(walk.indices[-1] + 1, horizon + 1):
             t = np.einsum("jn,jn->j", phi_w, walk.member(cand))
-            if np.all(t <= 1.0 + _SELECTION_SLACK):
+            if np.all(t <= threshold):
                 break
         else:
             raise ExtractionStalledError(
@@ -583,8 +592,8 @@ class GrowthBoundReport:
     minus the integral of |s_(k+1)^(j)|^p; ``stepwise_margins[k, j]`` is the
     slack of the one-step recursion with C(k) = A + B k^(p-2).
     ``aggregate_slack`` and ``stepwise_slack`` are the rounding budgets a
-    negative margin is held to; each is zero where its margin is not
-    negative, since it is computed only for a negative one.
+    negative margin is held to, and zero where the margin is not negative
+    (grid._slack).
     """
 
     p: float
@@ -647,12 +656,8 @@ def verify_growth_bound(
     ck = a + b * powers
     previous = np.vstack([np.zeros(trace.m), partial[:-1]])
     stepwise = ck + p * trace.pairings + previous - partial
-    aggregate_slack, stepwise_slack = np.zeros_like(aggregate), np.zeros_like(stepwise)
-    i, j = np.nonzero(aggregate < 0.0)
-    aggregate_slack[i, j] = _rounding_budget(k[i, 0] + 4, bound[i, 0] + partial[i, j])
-    i, j = np.nonzero(stepwise < 0.0)
-    scale = ck[i, 0] + p * np.abs(trace.pairings[i, j]) + previous[i, j] + partial[i, j]
-    stepwise_slack[i, j] = _rounding_budget(6, scale)
+    aggregate_slack = _slack(aggregate, k + 4, bound + partial)
+    stepwise_slack = _slack(stepwise, 6, ck + p * np.abs(trace.pairings) + previous + partial)
     return GrowthBoundReport(p, aggregate, stepwise, aggregate_slack, stepwise_slack)
 
 
@@ -694,7 +699,7 @@ class SzlenkSchedule:
     budget its margin is held to: gamma_(mN+3) times the sum of the two
     sides it compares, each a recorded L^1 norm (a sum of m N nonnegative
     terms) or a level's target.  It is zero where the margin is not
-    negative, since it is computed only for a negative one.
+    negative (grid._slack).
     """
 
     levels: list
@@ -714,13 +719,6 @@ class SzlenkSchedule:
 
     def checkpoints_ok(self) -> bool:
         return all(c.margin >= -c.slack for c in self.checkpoints + self.splitting_checks)
-
-
-def _held_to_rounding(check, n: int, scale: float):
-    """check, with its slack gamma_n scale if its margin is negative."""
-    if check.margin < 0.0:
-        check.slack = _rounding_budget(n, scale)
-    return check
 
 
 def _is_subsequence(sub: list, parent: list) -> bool:
@@ -747,7 +745,8 @@ def szlenk_extract(
     Requires a weakly null input (probe it first).  The pool is divided by
     max(1, sup of L^1 product norms).  Level l keeps, scanning the previous
     level in order, the candidates whose running Cesaro L^1 means stay below
-    max(1/l, k^(-1/2)); level targets are certified on the diagonal at the
+    unit max(1/l, k^(-1/2)), with unit = sup / max(1, sup) (_SELECTION_SLACK);
+    the level targets 1/l are certified on the diagonal at the
     checkpoints k = round(K l/levels) and the prefix/tail splitting
     inequality is evaluated at the final k for every prefix l < levels.
     One pass over the pool reads each member once and offers it down the
@@ -814,6 +813,7 @@ def _szlenk_select(
     leaves the trace's pairings NaN after the first pick (_CesaroWalk).
     """
     walk = _CesaroWalk(pool, w, 1.0, centre, nodes, pairings)
+    unit = walk.sup / walk.factor
     # [first level, last level, kept members, their sum] per band, in level order.
     bands, ahead, heads = [[1, levels, [], walk.s]], np.zeros_like(walk.s), {}
     for idx in range(1, walk.horizon + 1):
@@ -823,7 +823,7 @@ def _szlenk_select(
             k, walking = len(chosen) + 1, len(bands) == 1
             trial, integrals = _szlenk_trial(w, s, u, k, walk.scratch, ahead if walking else None)
             root, kept = k ** -0.5, first
-            while kept <= last and trial <= max(1.0 / kept, root) + _SELECTION_SLACK:
+            while kept <= last and trial <= unit * (max(1.0 / kept, root) + _SELECTION_SLACK):
                 kept += 1
             if kept == first:
                 break
@@ -862,13 +862,15 @@ def _szlenk_select(
     for level in range(1, levels + 1):
         k = min(length, max(level, round(length * level / levels)))
         check = SzlenkCheckpoint(level, k, float(cesaro[k - 1]), 1.0 / level)
-        checkpoints.append(_held_to_rounding(check, n, check.cesaro_norm + check.target))
+        check.slack = _slack(check.margin, n, check.cesaro_norm + check.target)
+        checkpoints.append(check)
     splitting = []
     for prefix in range(1, min(levels, length)):
         head = heads[prefix]
         rhs = _l1(w, head)[0] / length + _l1(w, walk.s - head)[0] / (length - prefix)
         check = SplitCheck(prefix, length, float(cesaro[-1]), rhs)
-        splitting.append(_held_to_rounding(check, n, check.lhs + check.rhs))
+        check.slack = _slack(check.margin, n, check.lhs + check.rhs)
+        splitting.append(check)
 
     schedule = SzlenkSchedule(
         levels=level_lists,

@@ -36,6 +36,7 @@ from .grid import (
     QuadratureGrid,
     ScalarField,
     VectorField,
+    _given,
     _require_finite,
     _rounding_budget,
     _weighted_sum,
@@ -104,7 +105,8 @@ class SequenceSpec:
 
     @classmethod
     def from_config(cls, raw: dict) -> "SequenceSpec":
-        params = dict(raw.get("params") or {})
+        raw = _given(raw)
+        params = _given(raw.get("params"))
         table = params.pop("table", None)
         if table is not None:
             table = {int(k): np.asarray(v, dtype=float) for k, v in table.items()}
@@ -609,6 +611,12 @@ def _probe_pairings(pool: np.ndarray, limit: VectorField, weighted: np.ndarray) 
     return pairings
 
 
+def _check_probe_horizon(horizon: int) -> None:
+    """Refuse a horizon below 8: the probe fits its slope to at least 8 residuals."""
+    if horizon < 8:
+        raise InvalidArgumentError(f"probe horizon must be >= 8, got {horizon}")
+
+
 def _probed_pool(
     seq: VectorSequenceSpec,
     limit: VectorField,
@@ -618,8 +626,7 @@ def _probed_pool(
 ) -> tuple[np.ndarray, ProbeReport]:
     """Check the probe's arguments, build the member pool and probe it."""
     _check_exponent(p)
-    if horizon < 8:
-        raise InvalidArgumentError(f"probe horizon must be >= 8, got {horizon}")
+    _check_probe_horizon(horizon)
     if not dictionary:
         raise InvalidArgumentError("the probe dictionary must be nonempty")
     if limit.m != seq.m:

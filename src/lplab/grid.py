@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +132,23 @@ def _require_finite_parameter(what: str, values) -> None:
         raise InvalidArgumentError(f"{what} must be finite, got {np.asarray(values).tolist()}")
 
 
+def _given(raw) -> dict:
+    """The entries of a configuration object that are not null: a null reads as missing."""
+    return {name: value for name, value in (raw or {}).items() if value is not None}
+
+
+def _is_number(x) -> bool:
+    """Whether x is an int or a float; a bool is neither."""
+    return isinstance(x, (numbers.Integral, float)) and not isinstance(x, bool)
+
+
+def _integer(what: str, value) -> int:
+    """value as an int; a bool, a non-number or a non-integral number is refused, naming what."""
+    if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
+        raise InvalidArgumentError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _lo_hi_pairs(what: str, raw) -> np.ndarray:
     """raw as an (n, 2) array of finite (lo, hi) pairs, n >= 1, or refused naming what.
 
@@ -151,9 +169,9 @@ def _uniform_axes(domain_box, resolution) -> tuple[np.ndarray, tuple[int, ...]]:
     box = _lo_hi_pairs("grid box", domain_box)
     n = box.shape[0]
     if np.isscalar(resolution):
-        res = (int(resolution),) * n
+        res = (_integer("resolution", resolution),) * n
     else:
-        res = tuple(int(r) for r in resolution)
+        res = tuple(_integer("resolution", r) for r in resolution)
     if len(res) != n:
         raise InvalidArgumentError(f"resolution needs {n} entries, got {len(res)}")
     if any(r < 1 for r in res):
@@ -394,6 +412,16 @@ def _rounding_budget(n: int, scale):
     """
     nu = n * _UNIT_ROUNDOFF
     return nu / (1.0 - nu) * scale
+
+
+def _slack(margins, n: int, scale):
+    """The rounding budget each margin is held to: 0 where it is >= 0, gamma_n scale where not.
+
+    margins and scale may be arrays that broadcast; a margin that is a
+    number gets a number.  A check passes at margin >= -slack.
+    """
+    slack = np.where(np.less(margins, 0.0), _rounding_budget(n, scale), 0.0)
+    return slack if slack.ndim else float(slack)
 
 
 def integrate(f: ScalarField, region: RegionMask | None = None) -> float:

@@ -74,6 +74,7 @@ def test_config_digest_is_stable():
         {"p": 0.5},
         {"p": "x"},  # a string other than 'infinity'
         {"horizon": 4},
+        {"horizon": 7},  # the probe's own bound, one below 8
         {"extraction": "bogus"},
         {"sequence": [{"kind": "nonsense"}]},
         {"m": 3},
@@ -123,6 +124,15 @@ def test_config_digest_is_stable():
         {"levels": "3"},
         {"levels": True},
         {"m": 1.5},
+        # counts in the grid, under the same integer rule
+        {"grid": {"dimension": 1.7, "box": [[0.0, 1.0]], "resolution": [512]}},
+        {"grid": {"dimension": 1, "box": [[0.0, 1.0]], "resolution": [256.9]}},
+        {"grid": {"dimension": 1, "box": [[0.0, 1.0]], "resolution": [True]}},
+        {"grid": {"dimension": 1, "box": [[0.0, 1.0]], "resolution": 2.5}},
+        # a required field that is null reads as missing
+        {"name": None},
+        {"horizon": None},
+        {"region": {"type": "ball", "radius": None}},
         # a region, or a first truncation radius, that holds no node
         {"region": {"type": "ball", "radius": 1e-9}},
         {"region": {"type": "box", "bounds": [[2.0, 3.0]]}},
@@ -139,9 +149,105 @@ def test_config_validation_errors(overrides):
 
 
 def test_config_accepts_integral_floats_in_integer_fields():
-    cfg = build_config(_base_config(horizon=16.0, levels=3.0, m=1.0))
-    assert (cfg.horizon, cfg.levels, cfg.m) == (16, 3, 1)
-    assert all(type(v) is int for v in (cfg.horizon, cfg.levels, cfg.m))
+    grid = {"dimension": 1.0, "box": [[0.0, 1.0]], "resolution": [512.0]}
+    cfg = build_config(_base_config(horizon=16.0, levels=3.0, m=1.0, grid=grid))
+    assert (cfg.horizon, cfg.levels, cfg.m, cfg.grid.resolution) == (16, 3, 1, (512,))
+    assert all(type(v) is int for v in (cfg.horizon, cfg.levels, cfg.m, *cfg.grid.resolution))
+
+
+@pytest.mark.parametrize(
+    "overrides, missing",
+    [
+        ({"name": None}, "name"),
+        ({"horizon": None}, "horizon"),
+        ({"grid": {"box": [[0.0, 1.0]], "resolution": None}}, "resolution"),
+        ({"region": {"type": "ball", "radius": None}}, "radius"),
+        ({"sequence": [{"kind": None}]}, "kind"),
+    ],
+)
+def test_a_null_required_field_reads_as_missing(overrides, missing):
+    with pytest.raises(ConfigError, match=f"^missing config field '{missing}'$"):
+        build_config(_base_config(**overrides))
+
+
+def test_a_null_optional_field_takes_its_default():
+    default = build_config(_base_config(f={"kind": "squared_norm"}))
+    cfg = build_config(_base_config(
+        grid={"dimension": None, "box": [[0.0, 1.0]], "resolution": [512]},
+        m=None,
+        sequence=[{"kind": "oscillatory", "amplitude": None, "params": {"base": None}}],
+        limit=[{"kind": "constant", "amplitude": None, "params": None}],
+        region=None,
+        levels=None,
+        f={"kind": "squared_norm", "params": None, "K": None, "nonnegative": None},
+        R_schedule=None,
+        expect=None,
+        output_dir=None,
+    ))
+    for name in ("p", "m", "sequence", "horizon", "extraction_mode", "f", "K", "r_schedule",
+                 "levels", "expect", "output_dir"):
+        assert getattr(cfg, name) == getattr(default, name), name
+    assert cfg.levels == 4 and cfg.region.included.all()
+    assert cfg.grid.resolution == default.grid.resolution
+    assert np.array_equal(cfg.limit.matrix(), default.limit.matrix())
+
+
+@pytest.mark.parametrize("horizon", [7, 8])
+def test_the_horizon_starts_at_8_in_the_config_and_in_the_probe(horizon):
+    grid = build_uniform_grid([[0.0, 1.0]], 512)
+    seq = gallery.VectorSequenceSpec([SequenceSpec(kind="oscillatory")])
+    limit = gallery.generate_vector(
+        gallery.VectorSequenceSpec([SequenceSpec(kind="constant")]), 1, grid
+    )
+
+    def probe():
+        return gallery.weak_probe(seq, limit, 2.0, gallery.default_probe_dictionary(grid), horizon)
+
+    if horizon == 8:
+        assert build_config(_base_config(horizon=horizon)).horizon == 8
+        assert probe().residuals.size == 8
+        return
+    message = "probe horizon must be >= 8, got 7"
+    with pytest.raises(ConfigError, match=f"^invalid config value: {message}$"):
+        build_config(_base_config(horizon=horizon))
+    with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+        probe()
+
+
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "p, mode, refusal",
+    [
+        (1.0, "none", None),
+        (1.0, "p=1", None),
+        (_BELOW_ONE, "none", f"exponent must be >= 1 or INFINITY, got {_BELOW_ONE}"),
+        (1.0, "p>1", "extraction mode 'p>1' needs finite p > 1, got 1.0"),
+        (float(np.nextafter(1.0, 2.0)), "p>1", None),
+    ],
+)
+def test_the_config_refuses_an_exponent_with_the_librarys_check(tmp_path, capsys, p, mode, refusal):
+    raw = _base_config(p=p, extraction=mode)
+    if refusal is None:
+        assert build_config(raw).p == p
+        return
+    with pytest.raises(ConfigError, match="^invalid config value: " + re.escape(refusal) + "$"):
+        build_config(raw)
+    path = tmp_path / "bad-p.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert refusal in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_one_level_p1_extraction_runs_to_completion(tmp_path):
+    entry = next(e for e in cli._bundled_scenarios() if e.name.startswith("a3-"))
+    raw = dict(json.loads(entry.read_text()), levels=1)
+    manifest = cli.run_scenario(build_config(raw), output_dir=tmp_path)
+    statuses = [(phase["name"], phase["status"]) for phase in manifest.phases]
+    assert statuses == [("probe", "pass"), ("extraction", "pass"), ("cesaro", "pass")]
+    assert manifest.phases[1]["detail"].startswith("levels=1 picks=512 ")
 
 
 def test_config_accepts_one_component_box_and_ball_for_every_m():

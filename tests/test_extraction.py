@@ -909,7 +909,9 @@ def test_a_weak_star_run_gathers_each_truncation_row_once_per_pass(monkeypatch):
     # runs them: R = 0.5 and 1 hold part of the grid and are read by gathers,
     # R = 2 holds it all.  Per truncation: 24 pair reads for the member norms,
     # 48 in level 1, which is the diagonal, and 48 in the integral loop; the
-    # diagonal re-reading level 1's picks took 48 more.
+    # diagonal re-reading level 1's picks took 48 more.  On the quarter disc
+    # of R = 0.5 the signs are not orthogonal, and the members' L^1 norms there
+    # are below 1: held to thresholds scaled to them, the replay skips member 11.
     grid2 = build_uniform_grid([[0.0, 1.0], [0.0, 1.0]], [256, 256])
     seq = VectorSequenceSpec([SequenceSpec(kind="rademacher")])
     limit = VectorField([ScalarField.constant(grid2, 0.0)])
@@ -920,7 +922,10 @@ def test_a_weak_star_run_gathers_each_truncation_row_once_per_pass(monkeypatch):
     monkeypatch.setattr(np, "take", lambda *a, **k: takes.append(1) or real_take(*a, **k))
     report = weak_star_verify(seq, limit, f, K, RegionMask.full(grid2), 48, [0.5, 1.0, 2.0])
     assert report.passed
-    assert all(r.replay.indices == list(range(1, 49)) for r in report.reports)
+    every = list(range(1, 49))
+    assert [r.replay.indices for r in report.reports] == [
+        [i for i in every if i != 11], every, every
+    ]
     assert len(takes) == 2 * (24 + 48 + 48)
 
 
@@ -946,7 +951,7 @@ def test_library_selections_compute_each_time_outside_a_run(grid, monkeypatch):
     calls.clear()
     with gallery._shared_pools():
         shared = [banach_saks_extract(seq, 2.0, grid, 32) for _ in range(2)]
-        banach_saks_extract(seq, 3.0, grid, 32)  # another p is another selection
+        banach_saks_extract(seq, 1.5, grid, 32)  # another p is another selection
     assert len(calls) == 2 and shared[0] is shared[1]
     assert _bits(shared[0]) == _bits(first)
 

@@ -15,7 +15,7 @@ from lplab import (
     integrate,
     truncate_region,
 )
-from lplab.grid import _euclidean_norms
+from lplab.grid import _euclidean_norms, _rounding_budget, _slack
 
 
 def test_unit_interval_midpoints():
@@ -48,11 +48,44 @@ def test_total_mass_equals_box_volume():
         ([[0.0, 1.0]], [4, 4]),  # a count for an axis the box does not have
         ([[0.0, 1.0, 2.0]], 4),  # an entry that is not a (lo, hi) pair
         ([], 4),
+        # a count that is not an integer: truncated or converted, it would run on other nodes
+        ([[0.0, 1.0]], 2.5),
+        ([[0.0, 1.0]], [256.9]),
+        ([[0.0, 1.0]], [True]),
+        ([[0.0, 1.0]], "4"),
     ],
 )
 def test_build_rejects_bad_input(box, res):
     with pytest.raises(InvalidArgumentError):
         build_uniform_grid(box, res)
+
+
+@pytest.mark.parametrize("res", [1, 4.0, np.int64(4), [np.int32(4)]])
+def test_build_takes_an_integral_count_of_any_integer_type(res):
+    grid = build_uniform_grid([[0.0, 1.0]], res)
+    count = int(np.ravel(res)[0])
+    assert grid.resolution == (count,) and grid.node_count == count
+
+
+def test_a_non_integral_count_is_refused_by_name():
+    with pytest.raises(InvalidArgumentError, match=r"^resolution must be an integer, got 2\.5$"):
+        build_uniform_grid([[0.0, 1.0]], 2.5)
+
+
+@pytest.mark.parametrize(
+    "margins, scale, expected",
+    [
+        (0.0, 3.0, 0.0),  # a zero margin holds without slack
+        (1.0, 3.0, 0.0),
+        (-1e-300, 3.0, _rounding_budget(5, 3.0)),
+        ([-1.0, 0.0, 2.0, -0.5], [1.0, 2.0, 3.0, 4.0], [_rounding_budget(5, 1.0), 0.0, 0.0,
+                                                        _rounding_budget(5, 4.0)]),
+    ],
+)
+def test_slack_is_the_rounding_budget_at_a_negative_margin_only(margins, scale, expected):
+    slack = _slack(np.asarray(margins), 5, np.asarray(scale))
+    assert np.array_equal(slack, expected)
+    assert isinstance(slack, float) == (np.ndim(margins) == 0)  # a number for a number
 
 
 def test_a_box_whose_width_overflows_is_refused_naming_its_axis():

@@ -4,7 +4,8 @@ The paper's statements are homogeneous: if u_i converges weakly to u, then
 lambda u_i converges weakly to lambda u, and the liminf inequality for a
 degree-d integrand holds for lambda u_i exactly when it holds for u_i.  So
 every verdict of a scenario must be the same after every amplitude, and the
-convex set K, is multiplied by lambda.  Negating the sequence, with a
+convex set K, is multiplied by lambda, and a selection must make the same
+picks.  Negating the sequence, with a
 symmetric f and K, must leave every output unchanged, and so must swapping
 the components of (L^p)^m in the sequence and the limit.  Appending a zero
 component to both, (L^p)^m -> (L^p)^(m+1), is the paper's own reduction to
@@ -30,8 +31,10 @@ from lplab import (
     VectorSequenceSpec,
     build_uniform_grid,
     cli,
+    extraction,
     generate_vector,
 )
+from lplab.errors import ExtractionStalledError, LevelStalledError
 from lplab.gallery import CONVERGING, _loglog_slope, weak_probe
 from lplab.grid import _rounding_budget
 
@@ -122,6 +125,49 @@ def test_values_outside_a_scaled_box_are_refused_at_every_scale(tmp_path):
         outcome, _ = _outcome(_scaled(raw, lam), tmp_path / f"{lam:g}")
         assert outcome["hypothesis"] == "values-in-K", f"lambda = {lam:g}"
         assert ("liminf", "fail") in outcome["statuses"], f"lambda = {lam:g}"
+
+
+def _non_orthogonal_pool(p: float) -> tuple[np.ndarray, np.ndarray]:
+    """(pool, weights) of a family whose pairings are not rounding noise, at sup norm < 1.
+
+    p = 2: 0.3 sin(2 pi (i+1) x) + 0.9 sgn(sin 2 pi x) / sqrt(i) on 512 midpoints,
+    horizon 60; p = 1: 0.6 sgn(sin 2 pi i x) + 0.6 sgn(sin 2 pi x) / i^0.3 on
+    1024 midpoints, horizon 64.  Each is a (horizon, 1, N) pool.
+    """
+    n, horizon = (512, 60) if p == 2.0 else (1024, 64)
+    x = (np.arange(n) + 0.5) / n
+    i = np.arange(1, horizon + 1)[:, None]
+    step = np.sign(np.sin(2.0 * np.pi * x))
+    if p == 2.0:
+        rows = 0.3 * np.sin(2.0 * np.pi * (i + 1) * x) + 0.9 * step / np.sqrt(i)
+    else:
+        rows = 0.6 * np.sign(np.sin(2.0 * np.pi * i * x)) + 0.6 * step / i ** 0.3
+    return rows[:, None, :], np.full(n, 1.0 / n)
+
+
+def _picks(pool: np.ndarray, p: float, w: np.ndarray) -> tuple:
+    """(outcome, picks, members kept per level) of the selection at p, three levels at p = 1."""
+    try:
+        schedule, trace = extraction._select(pool, p, w, 3 if p == 1.0 else None)
+    except ExtractionStalledError as err:
+        return "stalled", err.trace.indices, None
+    except LevelStalledError as err:
+        return "level stalled", err.level, None
+    return "picked", trace.indices, schedule and [len(level) for level in schedule.levels]
+
+
+@pytest.mark.parametrize(
+    "p, expected",
+    [(2.0, ("stalled", 31, None)), (1.0, ("picked", 41, [64, 60, 41]))],
+)
+def test_the_amplitude_decides_no_pick(p, expected):
+    # The selection thresholds scale with the pool's sup norm below 1, so
+    # lambda u_i picks as u_i does.  Unscaled, lambda <= 1/2 picked every member.
+    pool, w = _non_orthogonal_pool(p)
+    outcomes = [_picks(lam * pool, p, w) for lam in (2.0 ** -30, 0.25, 1.0, 4.0, 2.0 ** 30)]
+    assert all(outcome == outcomes[2] for outcome in outcomes)
+    outcome, picks, kept = outcomes[2]
+    assert (outcome, len(picks), kept) == expected
 
 
 def _a6_variant(variant: str) -> dict:
