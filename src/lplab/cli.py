@@ -81,8 +81,8 @@ from .gallery import (
     weak_probe,
 )
 from .grid import (
-    RegionMask, _given, _integer, _is_number, _lo_hi_pairs, _uniform_axes, build_uniform_grid,
-    truncate_region,
+    RegionMask, _flag, _given, _integer, _is_number, _lo_hi_pairs, _positive, _uniform_axes,
+    build_uniform_grid, truncate_region,
 )
 from .norms import INFINITY, _check_exponent
 
@@ -196,7 +196,7 @@ def _build_region(raw, grid) -> RegionMask:
     if kind == "full":
         return RegionMask.full(grid)
     if kind == "ball":
-        return truncate_region(RegionMask.full(grid), float(raw["radius"]))
+        return truncate_region(RegionMask.full(grid), raw["radius"])
     if kind == "box":
         bounds = _lo_hi_pairs("region bounds", raw["bounds"])
         if bounds.shape[0] != grid.dimension:
@@ -232,9 +232,8 @@ def _check_expect(expect: dict) -> None:
     verdict = expect.get("probe_verdict")
     if verdict is not None and verdict not in (CONVERGING, NOT_CONVERGING, INCONCLUSIVE):
         raise ConfigError(f"field 'expect.probe_verdict': unknown verdict {verdict!r}")
-    refusal = expect.get("liminf_refusal")
-    if refusal is not None and not isinstance(refusal, bool):
-        raise ConfigError(f"field 'expect.liminf_refusal' must be true or false, got {refusal!r}")
+    if "liminf_refusal" in expect:
+        _flag("field 'expect.liminf_refusal'", expect["liminf_refusal"])
 
 
 def load_config(path) -> ScenarioConfig:
@@ -295,8 +294,7 @@ def build_config(raw: dict) -> ScenarioConfig:
                 raise ConfigError("field 'R_schedule' applies to sup-norm scenarios only")
             r_schedule = _check_r_schedule(r_schedule)
         _check_region_nodes(region, r_schedule[0] if r_schedule else None)
-        levels = _integer_field(fields, "levels", 4)
-        _check_levels(levels)
+        levels = _check_levels(_integer_field(fields, "levels", 4))
         expect = _given(fields.get("expect"))
         _check_expect(expect)
         output_dir = str(fields.get("output_dir", "."))
@@ -539,14 +537,10 @@ def _lemma1_rows(args):
     is allocated.
     """
     for flag in ("--range", "--step", "--ab-range", "--ab-step"):
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if not (math.isfinite(value) and value > 0.0):
-            raise InvalidArgumentError(f"{flag} must be finite and positive, got {value}")
-    ab_range, ab_step, samples = args.ab_range, args.ab_step, args.homogeneity_samples
-    if samples < 1:
-        raise InvalidArgumentError(f"--homogeneity-samples must be >= 1, got {samples}")
-    if args.seed < 0:
-        raise InvalidArgumentError(f"--seed must be >= 0, got {args.seed}")
+        _positive(flag, getattr(args, flag[2:].replace("-", "_")))
+    ab_range, ab_step = args.ab_range, args.ab_step
+    samples = _integer("--homogeneity-samples", args.homogeneity_samples, 1)
+    _integer("--seed", args.seed, 0)
     side = 2.0 * ab_range / ab_step + 1.0
     grid_name = f"the (a, b) grid of --ab-range {ab_range:g} and --ab-step {ab_step:g}"
     _check_array_budget(grid_name, side * side)

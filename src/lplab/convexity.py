@@ -51,8 +51,11 @@ from .grid import (
     RegionMask,
     VectorField,
     _euclidean_norms,
+    _flag,
     _given,
     _lo_hi_pairs,
+    _number,
+    _positive,
     _require_finite_parameter,
     _require_shared_grid,
     _rounding_budget,
@@ -155,9 +158,9 @@ class ConvexFunctionSpec:
         raw, params = _given(raw), _given(raw.get("params"))
         return cls(
             kind=str(raw["kind"]).lower(),
-            power=float(params.get("power", 2.0)),
+            power=_number("power", params.get("power", 2.0)),
             planes=params.get("planes"),
-            nonnegative=bool(raw.get("nonnegative", True)),
+            nonnegative=_flag("nonnegative", raw.get("nonnegative", True)),
         )
 
 
@@ -202,9 +205,7 @@ class ConvexSetSpec:
         if self.kind == BALL:
             self.center = np.asarray(self.center, dtype=float).ravel()
             _require_finite_parameter("ball center", self.center)
-            _require_finite_parameter("ball radius", self.radius)
-            if self.radius <= 0:
-                raise InvalidArgumentError(f"ball radius must be positive, got {self.radius}")
+            self.radius = _positive("ball radius", self.radius)
         if self.kind == HALFSPACES:
             self.halfspaces = _affine_pairs("halfspace", self.halfspaces)
 
@@ -260,8 +261,8 @@ class ConvexSetSpec:
         raw, params = _given(raw), _given(raw.get("params"))
         return cls(
             kind=str(raw["kind"]).lower(),
-            radius=float(params.get("radius", 1.0)),
-            closed=bool(raw.get("closed", True)),
+            radius=params.get("radius", 1.0),
+            closed=_flag("closed", raw.get("closed", True)),
             **{name: params[name] for name in ("bounds", "center", "halfspaces") if name in params},
         )
 
@@ -582,14 +583,10 @@ def _check_dimensions(f: ConvexFunctionSpec, K: ConvexSetSpec, m: int) -> None:
 
 
 def _check_r_schedule(r_schedule) -> list:
-    """The radii as floats, once they are nonempty, finite, positive and strictly increasing."""
-    radii = [float(r) for r in r_schedule]
-    if not radii or not all(0 < r < math.inf for r in radii) or any(
-        b <= a for a, b in zip(radii, radii[1:])
-    ):
-        raise InvalidArgumentError(
-            f"R schedule must be finite, positive and strictly increasing: {radii}"
-        )
+    """The radii as floats (grid._positive), once they are nonempty and strictly increasing."""
+    radii = [_positive("R schedule radius", r) for r in r_schedule]
+    if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
+        raise InvalidArgumentError(f"R schedule must be nonempty and strictly increasing: {radii}")
     return radii
 
 
@@ -672,7 +669,7 @@ def liminf_verify(
             "the sup-norm route is weak_star_verify / mazur_scenario_verify"
         )
     if p == 1.0:
-        _check_levels(szlenk_levels)
+        szlenk_levels = _check_levels(szlenk_levels)
     _require_nonnegative(f)
     pool, probe = _converging_pool(seq, limit, f, K, region, p, horizon, dictionary)
     return _verify_on_region(pool, limit, f, K, region, probe, p, szlenk_levels)
@@ -701,7 +698,7 @@ def weak_star_verify(
     errors of a run in radius order.
     """
     radii = _check_r_schedule(r_schedule)
-    _check_levels(szlenk_levels)
+    szlenk_levels = _check_levels(szlenk_levels)
     _require_nonnegative(f)
     truncations = [truncate_region(region, radius) for radius in radii]
     _check_region_nodes(region, radii[0], truncations[0])

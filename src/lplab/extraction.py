@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +55,7 @@ from .gallery import (
     _shared,
     member_pool,
 )
-from .grid import QuadratureGrid, _rounding_budget, _slack
+from .grid import QuadratureGrid, _integer, _positive, _rounding_budget, _slack
 from .norms import _abs_power, _gather, _lp_norms
 
 __all__ = [
@@ -102,10 +101,8 @@ def _require_p_above_one(p: float, what: str) -> None:
 
 def generalized_binomial(p: float, i: int) -> float:
     """Binomial coefficient p(p-1)...(p-i+1)/i! for real p; 1 at i = 0."""
-    if i < 0:
-        raise InvalidArgumentError(f"binomial order must be >= 0, got {i}")
     out = 1.0
-    for j in range(int(i)):
+    for j in range(_integer("binomial order", i, 0)):
         out *= (p - j) / (j + 1)
     return out
 
@@ -159,14 +156,17 @@ def estimate_a_constant(
         |t+1|^p - |t|^p - p |t|^(p-1) sgn(t) - B(p, t, 1)
 
     scanned at the given step and multiplied by a safety factor.  The value
-    a = 0, b = 1 forces A >= 1.  A scan whose points take more than
+    a = 0, b = 1 forces A >= 1.  The range and step must be finite and
+    positive, and the step at most the scan's width 2 t_max, so the scan
+    holds both end points.  A scan whose points take more than
     ``POOL_BUDGET_BYTES`` is refused before it is allocated, and one whose
     terms overflow the float range is refused as diverged: at once when its
     end point's term (t_max + 1)^p or 2^p does, before any binomial is formed.
     """
     _require_p_above_one(p, "the constant A")
-    if not (t_max > 0 and step > 0):  # NaN included
-        raise InvalidArgumentError("scan range and step must be positive")
+    t_max, step = _positive("the A scan range", t_max), _positive("the A scan step", step)
+    if step > 2.0 * t_max:
+        raise InvalidArgumentError(f"the A scan step {step} is above its width {2 * t_max}")
     _check_array_budget(
         f"the A scan over [-{t_max:g}, {t_max:g}] at step {step:g}", 2.0 * t_max / step + 1.0
     )
@@ -177,7 +177,7 @@ def estimate_a_constant(
             f"the A scan at p = {p:g} is not finite: its term (t_max + 1)^p at t_max = "
             f"{t_max:g} overflows the float range"
         )
-    return _a_constant(float(p), float(t_max), float(step), float(safety))
+    return _a_constant(float(p), t_max, step, float(safety))
 
 
 def _lemma1_terms(p: float, a, b):
@@ -726,12 +726,9 @@ def _is_subsequence(sub: list, parent: list) -> bool:
     return all(any(x == y for y in it) for x in sub)
 
 
-def _check_levels(levels) -> None:
-    """Refuse a level count that is not an integer >= 1."""
-    if isinstance(levels, bool) or not isinstance(levels, numbers.Integral):
-        raise InvalidArgumentError(f"the level count must be an integer, got {levels!r}")
-    if levels < 1:
-        raise InvalidArgumentError(f"need at least one level, got {levels}")
+def _check_levels(levels) -> int:
+    """The level count as an int (grid._integer); the selection needs at least one level."""
+    return _integer("the level count (need at least one level)", levels, 1)
 
 
 def szlenk_extract(
@@ -758,7 +755,7 @@ def szlenk_extract(
     level keeps fewer members than its own index (the diagonal could not
     pass through it).
     """
-    _check_levels(levels)
+    levels = _check_levels(levels)
     return _select(member_pool(seq, grid, horizon), 1.0, grid.weights, levels)
 
 

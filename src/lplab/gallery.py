@@ -37,6 +37,8 @@ from .grid import (
     ScalarField,
     VectorField,
     _given,
+    _integer,
+    _number,
     _require_finite,
     _rounding_budget,
     _weighted_sum,
@@ -112,9 +114,9 @@ class SequenceSpec:
             table = {int(k): np.asarray(v, dtype=float) for k, v in table.items()}
         return cls(
             kind=str(raw["kind"]).lower(),
-            amplitude=float(raw.get("amplitude", 1.0)),
-            base=float(params.pop("base", 1.0)),
-            value=float(params.pop("value", 0.0)),
+            amplitude=_number("amplitude", raw.get("amplitude", 1.0)),
+            base=_number("base", params.pop("base", 1.0)),
+            value=_number("value", params.pop("value", 0.0)),
             table=table,
         )
 
@@ -354,8 +356,7 @@ def generate(spec: SequenceSpec, i: int, grid: QuadratureGrid) -> ScalarField:
     Raises when the grid cannot resolve the requested index (aliasing guard)
     or when a custom table has no entry for i.
     """
-    if i < 1:
-        raise InvalidArgumentError(f"sequence index must be >= 1, got {i}")
+    i = _integer("sequence index", i, 1)
     check, write = _kind_rows(spec, grid, range(i, i + 1))
     check(i)
     out = np.empty(grid.node_count)
@@ -498,8 +499,7 @@ def _halves(costs: list, work) -> None:
 
 
 def _build_pool(seq: VectorSequenceSpec, grid: QuadratureGrid, horizon: int) -> np.ndarray:
-    if horizon < 1:
-        raise InvalidArgumentError(f"pool horizon must be >= 1, got {horizon}")
+    horizon = _integer("pool horizon", horizon, 1)
     _check_pool_budget(horizon, seq.m, grid.node_count)
     _check_members(seq, grid, horizon)
     writers = [_kind_rows(comp, grid, range(1, horizon + 1))[1] for comp in seq.components]
@@ -611,10 +611,9 @@ def _probe_pairings(pool: np.ndarray, limit: VectorField, weighted: np.ndarray) 
     return pairings
 
 
-def _check_probe_horizon(horizon: int) -> None:
-    """Refuse a horizon below 8: the probe fits its slope to at least 8 residuals."""
-    if horizon < 8:
-        raise InvalidArgumentError(f"probe horizon must be >= 8, got {horizon}")
+def _check_probe_horizon(horizon) -> int:
+    """The horizon as an int of at least 8: the probe fits its slope to at least 8 residuals."""
+    return _integer("probe horizon", horizon, 8)
 
 
 def _probed_pool(
@@ -626,7 +625,7 @@ def _probed_pool(
 ) -> tuple[np.ndarray, ProbeReport]:
     """Check the probe's arguments, build the member pool and probe it."""
     _check_exponent(p)
-    _check_probe_horizon(horizon)
+    horizon = _check_probe_horizon(horizon)
     if not dictionary:
         raise InvalidArgumentError("the probe dictionary must be nonempty")
     if limit.m != seq.m:

@@ -60,8 +60,7 @@ class QuadratureGrid:
         if nodes.ndim == 1:
             nodes = nodes[:, None]
         weights = np.asarray(self.weights, dtype=float).ravel()
-        if self.dimension < 1:
-            raise InvalidArgumentError(f"dimension must be >= 1, got {self.dimension}")
+        self.dimension = _integer("dimension", self.dimension, 1)
         box = _lo_hi_pairs("domain box", self.domain_box)
         if nodes.shape[1] != self.dimension or box.shape[0] != self.dimension:
             raise InvalidArgumentError(
@@ -87,7 +86,10 @@ class QuadratureGrid:
         self.weights = _frozen(weights)
         self.domain_box = _frozen(box)
         if self.resolution is not None:
-            self.resolution = tuple(int(r) for r in self.resolution)
+            res = tuple(_integer("resolution", r, 1) for r in self.resolution)
+            if len(res) != self.dimension or math.prod(res) != len(nodes):
+                raise InvalidArgumentError(f"resolution {res} does not tile {len(nodes)} nodes")
+            self.resolution = res
 
     @functools.cached_property
     def _node_norms(self) -> np.ndarray:
@@ -142,11 +144,46 @@ def _is_number(x) -> bool:
     return isinstance(x, (numbers.Integral, float)) and not isinstance(x, bool)
 
 
-def _integer(what: str, value) -> int:
-    """value as an int; a bool, a non-number or a non-integral number is refused, naming what."""
+def _number(what: str, value) -> float:
+    """value as a float; a bool or a non-number is refused, naming what.
+
+    An int beyond the float range reads as the infinity of its sign, as a
+    JSON number that large written with an exponent does.
+    """
+    if not _is_number(value):
+        raise InvalidArgumentError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _flag(what: str, value) -> bool:
+    """value as a flag: only true or false is one, not a string or number that reads as one."""
+    if not isinstance(value, bool):
+        raise InvalidArgumentError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def _integer(what: str, value, least: int | None = None) -> int:
+    """value as an int, at least least if given, or refused naming what.
+
+    An integral float reads as its int; a bool, a non-number and a
+    non-integral number are refused.
+    """
     if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
         raise InvalidArgumentError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise InvalidArgumentError(f"{what} must be >= {least}, got {value}")
     return int(value)
+
+
+def _positive(what: str, value) -> float:
+    """value as a float that is finite and above 0 (NaN is neither), or refused naming what."""
+    number = _number(what, value)
+    if not 0.0 < number < math.inf:  # NaN fails both comparisons
+        raise InvalidArgumentError(f"{what} must be finite and must be positive, got {value!r}")
+    return number
 
 
 def _lo_hi_pairs(what: str, raw) -> np.ndarray:
@@ -169,13 +206,11 @@ def _uniform_axes(domain_box, resolution) -> tuple[np.ndarray, tuple[int, ...]]:
     box = _lo_hi_pairs("grid box", domain_box)
     n = box.shape[0]
     if np.isscalar(resolution):
-        res = (_integer("resolution", resolution),) * n
+        res = (_integer("resolution", resolution, 1),) * n
     else:
-        res = tuple(_integer("resolution", r) for r in resolution)
+        res = tuple(_integer("resolution", r, 1) for r in resolution)
     if len(res) != n:
         raise InvalidArgumentError(f"resolution needs {n} entries, got {len(res)}")
-    if any(r < 1 for r in res):
-        raise InvalidArgumentError(f"resolution must be >= 1 per axis, got {res}")
     if np.any(box[:, 0] >= box[:, 1]):
         raise InvalidArgumentError(f"grid box needs lower < upper on each axis: {box.tolist()}")
     with np.errstate(over="ignore"):
@@ -435,6 +470,5 @@ def truncate_region(region: RegionMask, radius: float) -> RegionMask:
 
     Monotone in the radius: a larger ball never removes nodes.
     """
-    if not np.isfinite(radius) or radius <= 0.0:
-        raise InvalidArgumentError(f"truncation radius must be positive, got {radius}")
+    radius = _positive("truncation radius", radius)
     return RegionMask(region.grid, region.included & (region.grid._node_norms < radius))

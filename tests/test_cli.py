@@ -141,11 +141,55 @@ def test_config_digest_is_stable():
         {"expect": {"cesaro_drop": float("nan")}},
         # a drop below zero, which no ratio of norms can meet
         {"expect": {"cesaro_drop": -1.0}},
+        # flags that are not JSON booleans: bool() read each of these as true
+        {"f": {"kind": "squared_norm", "nonnegative": "false"}},
+        {"f": {"kind": "squared_norm", "nonnegative": 0}},
+        {"f": {"kind": "squared_norm", "K": {"kind": "ball", "closed": "no"}}},
+        # numbers that are not JSON numbers: float() read true as 1.0 and "2.5" as 2.5
+        {"sequence": [{"kind": "oscillatory", "amplitude": True}]},
+        {"sequence": [{"kind": "oscillatory", "params": {"base": "2.5"}}]},
+        {"limit": [{"kind": "constant", "params": {"value": "0"}}]},
+        {"f": {"kind": "power", "params": {"power": "2.5"}}},
+        {"f": {"kind": "squared_norm", "K": {"kind": "ball", "params": {"radius": True}}}},
+        {"region": {"type": "ball", "radius": "0.5"}},
+        {"p": "infinity", "extraction": "none", "R_schedule": [True]},
+        # radii that are not finite numbers above zero
+        {"region": {"type": "ball", "radius": 0.0}},
+        {"region": {"type": "ball", "radius": float("inf")}},
+        {"p": "infinity", "extraction": "none", "R_schedule": [0.5, float("inf")]},
+        {"f": {"kind": "squared_norm", "K": {"kind": "ball", "params": {"radius": 0.0}}}},
+        # two equal radii: the schedule must increase strictly
+        {"p": "infinity", "extraction": "none", "R_schedule": [1.0, 1.0]},
+        # integers beyond the float range, where float() raised OverflowError (exit 3)
+        {"sequence": [{"kind": "oscillatory", "amplitude": 10 ** 400}]},
+        {"region": {"type": "ball", "radius": 10 ** 400}},
     ],
 )
 def test_config_validation_errors(overrides):
     with pytest.raises(ConfigError):
         build_config(_base_config(**overrides))
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"expect": {"cesaro_slope": [-0.5, -0.5], "tail_inf_range": [0.0, 0.0]}},
+        {"f": {"kind": "squared_norm", "K": {"kind": "box", "params": {"bounds": [[0.0, 0.0]]}}}},
+        {"f": {"kind": "squared_norm", "nonnegative": False,
+               "K": {"kind": "ball", "params": {"radius": 5e-324}, "closed": False}}},
+        {"sequence": [{"kind": "oscillatory", "amplitude": 2, "params": {"base": 1}}]},
+    ],
+    ids=["window-x-x", "box-lo-eq-hi", "flags-false-tiny-radius", "integer-numbers"],
+)
+def test_config_accepts_the_edge_of_each_field(overrides):
+    cfg = build_config(_base_config(**overrides))
+    if "f" in overrides:
+        f = overrides["f"]
+        assert cfg.f.nonnegative is f.get("nonnegative", True)
+        assert cfg.K.closed is f["K"].get("closed", True)
+    if "sequence" in overrides:
+        (spec,) = cfg.sequence.components
+        assert (spec.amplitude, spec.base) == (2.0, 1.0) and type(spec.amplitude) is float
 
 
 def test_config_accepts_integral_floats_in_integer_fields():
@@ -802,6 +846,9 @@ _LEMMA1_REFUSALS = [
     (["--homogeneity-samples", "0"], "--homogeneity-samples"),
     (["--homogeneity-samples", "-1"], "--homogeneity-samples"),
     (["--ab-range", "1", "--ab-step", "10"], "single point"),
+    # a step above the scan's width 2 t_max: A read off the single point t = -100
+    (["--step", "1e300"], "the A scan step 1e+300 is above its width 200.0"),
+    (["--step", "inf"], "--step"),
 ]
 
 
@@ -813,6 +860,18 @@ def test_cli_verify_lemma1_refuses_an_empty_or_undefined_check(args, flag, capsy
     assert main(["verify-lemma1", "--p", "2", *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--seed", "0"], ["--homogeneity-samples", "1"], ["--range", "1", "--step", "2"]],
+    ids=["seed-0", "one-homogeneity-sample", "step-of-the-whole-width"],
+)
+def test_cli_verify_lemma1_runs_at_each_bound(args, capsys):
+    small = ["--range", "2", "--step", "0.5", "--ab-range", "1", "--ab-step", "0.5",
+             "--homogeneity-samples", "2"]
+    assert main(["verify-lemma1", "--p", "2", *small, *args]) == 0
+    assert "[ok]" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["verify-lemma1", "suite"])

@@ -133,6 +133,27 @@ def test_f_and_K_refuse_what_they_cannot_represent(call, message):
         call()
 
 
+# Each reads one radius r through grid._positive and returns what it kept.
+_RADIUS_READERS = {
+    "ball radius": lambda grid, r: ConvexSetSpec(kind="ball", center=[0.0], radius=r).radius,
+    "truncation radius": lambda grid, r: truncate_region(RegionMask.full(grid), r),
+    "R schedule radius": lambda grid, r: convexity._check_r_schedule([r])[0],
+}
+
+
+@pytest.mark.parametrize("reader", list(_RADIUS_READERS))
+def test_every_radius_is_a_finite_number_above_zero(grid, reader):
+    read = _RADIUS_READERS[reader]
+    kept = read(grid, 5e-324)  # the least positive float
+    if reader == "truncation radius":
+        assert not kept.included.any()
+    else:
+        assert kept == 5e-324 and type(kept) is float
+    for radius in (0.0, -0.0, -1.0, math.inf, math.nan, True, "1.0"):
+        with pytest.raises(InvalidArgumentError, match=f"^{reader} must be"):
+            read(grid, radius)
+
+
 def test_a_ball_without_a_centre_is_centred_at_the_origin():
     for K in (
         ConvexSetSpec(kind="ball"),
@@ -842,6 +863,8 @@ def test_weak_star_route_verifies_each_distinct_truncation_once(monkeypatch, rad
         (2.5, "must be an integer"),
         (-1, "need at least one level"),
         (True, "must be an integer"),
+        (0.0, "need at least one level"),
+        ("3", "must be an integer"),
     ],
 )
 def test_every_p1_route_checks_the_level_count(grid, monkeypatch, levels, message):

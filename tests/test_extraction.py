@@ -324,11 +324,21 @@ def _two_pick_trace(**changes):
             lambda: extraction.SzlenkSchedule([[1, 2, 3], [1, 3]], [1.0, 0.5], [3, 1], [], []),
             "diagonal must be strictly increasing",
         ),
+        (lambda: estimate_a_constant(2.0, step=float("inf")), "must be positive"),
+        # above its width 2 t_max, a scan over [-t_max, t_max] held the single point -t_max
+        (
+            lambda: estimate_a_constant(2.0, t_max=1.0, step=np.nextafter(2.0, 3.0)),
+            "^the A scan step 2.0000000000000004 is above its width 2.0$",
+        ),
+        (lambda: estimate_a_constant(2.0, t_max=True), "^the A scan range must be"),
+        (lambda: generalized_binomial(2.0, 1.5), "^binomial order must be an integer"),
+        (lambda: _two_pick_trace(indices=[1, 1]), "strictly increasing"),
     ],
     ids=[
         "binomial-order", "scan-range", "scan-step", "constant-b", "constants-p",
         "no-pick", "picks-out-of-order", "pick-outside-pool", "pairing-above-1",
-        "growth-exponents", "levels-not-nested", "diagonal-out-of-order",
+        "growth-exponents", "levels-not-nested", "diagonal-out-of-order", "scan-step-inf",
+        "scan-step-above-width", "scan-range-bool", "binomial-order-1.5", "repeated-pick",
     ],
 )
 def test_constants_traces_and_schedules_refuse_inconsistent_input(call, message):

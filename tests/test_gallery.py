@@ -18,6 +18,7 @@ from lplab import (
     generate,
     lp_norm,
     member_pool,
+    szlenk_extract,
     weak_probe,
     weak_star_probe,
 )
@@ -324,9 +325,21 @@ _NULL_GRID = QuadratureGrid(1, [0.25, 0.75], [0.0, 0.0], [[0.0, 1.0]])
             lambda g: ProbeReport(np.arange(1, 3), np.array([0.5, -0.5]), CONVERGING, 0.0),
             "residuals must be nonnegative",
         ),
+        (lambda g: generate(SequenceSpec(kind="oscillatory"), 1.5, g), "index must be an integer"),
+        (
+            lambda g: member_pool(VectorSequenceSpec([SequenceSpec(kind="spike")]), g, True),
+            "horizon must be an integer",
+        ),
+        (
+            lambda g: weak_probe(
+                VectorSequenceSpec([SequenceSpec(kind="oscillatory")]), _zero_limit(g), 2.0,
+                default_probe_dictionary(g), 8.5,
+            ),
+            "^probe horizon must be an integer, got 8.5$",
+        ),
     ],
     ids=["custom-without-table", "no-component", "index-0", "null-spike", "horizon-0",
-         "negative-residual"],
+         "negative-residual", "index-1.5", "horizon-true", "probe-horizon-8.5"],
 )
 def test_specs_members_and_reports_refuse_what_they_cannot_represent(grid, call, message):
     with pytest.raises(InvalidArgumentError, match=message):
@@ -373,3 +386,21 @@ def test_default_dictionary_keeps_fields_whose_products_are_finite():
     assert [v.samples.tolist() for v in default_probe_dictionary(grid)] == [
         [1.0, 1.0], [0.0, 1e150], [0.0, 1e150 ** 2]
     ]
+
+
+def test_a_count_given_as_an_integral_float_runs_as_its_int(grid):
+    # Every library count reads through grid._integer, as a configuration's does.
+    spec = SequenceSpec(kind="oscillatory")
+    seq = VectorSequenceSpec([SequenceSpec(kind="rademacher")])
+    dictionary = default_probe_dictionary(grid)
+    assert np.array_equal(generate(spec, 2.0, grid).samples, generate(spec, 2, grid).samples)
+    assert np.array_equal(member_pool(seq, grid, 1.0), member_pool(seq, grid, 1))
+    by_float, by_int = (weak_probe(seq, _zero_limit(grid), 2.0, dictionary, h) for h in (16.0, 16))
+    assert np.array_equal(by_float.residuals, by_int.residuals)
+    assert (by_float.verdict, by_float.slope) == (by_int.verdict, by_int.slope)
+    assert by_float.indices.tolist() == list(range(1, 17))
+    (schedule, trace), (schedule_int, trace_int) = (
+        szlenk_extract(seq, grid, levels, 64) for levels in (3.0, 3)
+    )
+    assert schedule.levels == schedule_int.levels and schedule.diagonal == schedule_int.diagonal
+    assert np.array_equal(trace.cesaro_norms, trace_int.cesaro_norms)

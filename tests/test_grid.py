@@ -73,6 +73,25 @@ def test_a_non_integral_count_is_refused_by_name():
 
 
 @pytest.mark.parametrize(
+    "resolution, message",
+    [
+        # read with int() it was (1024,) on 2 nodes, and the aliasing guard
+        # then let 100 cycles be sampled at 2 nodes
+        ((1024.7,), "resolution must be an integer, got 1024.7"),
+        ((1024,), r"resolution \(1024,\) does not tile 2 nodes"),
+        ((2, 1), r"resolution \(2, 1\) does not tile 2 nodes"),  # an axis the grid lacks
+        ((0,), "resolution must be >= 1, got 0"),
+        ((True,), "resolution must be an integer, got True"),
+    ],
+)
+def test_a_given_resolution_must_count_the_grid_nodes(resolution, message):
+    with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+        QuadratureGrid(1, [0.25, 0.75], [0.5, 0.5], [[0.0, 1.0]], resolution=resolution)
+    grid = QuadratureGrid(1, [0.25, 0.75], [0.5, 0.5], [[0.0, 1.0]], resolution=(2.0,))
+    assert grid.resolution == (2,) and type(grid.resolution[0]) is int
+
+
+@pytest.mark.parametrize(
     "margins, scale, expected",
     [
         (0.0, 3.0, 0.0),  # a zero margin holds without slack
@@ -281,10 +300,10 @@ def test_truncate_converges_to_region_beyond_circumradius():
     assert np.array_equal(cut.included, region.included)
 
 
-@pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("radius", [0.0, -1.0, float("nan"), math.inf, True, "1.0"])
 def test_truncate_rejects_bad_radius(radius):
     g = build_uniform_grid([[0.0, 1.0]], 8)
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError, match="^truncation radius must be"):
         truncate_region(RegionMask.full(g), radius)
 
 

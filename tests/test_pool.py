@@ -376,6 +376,19 @@ def test_pool_budget_refuses_before_allocating(monkeypatch):
     assert "2048" in str(err) and "65536" in str(err)
 
 
+def test_the_budgets_hold_exactly_256_mib():
+    # Called directly, so nothing is allocated: 2^25 float64 values are 256 MiB.
+    values = gallery.POOL_BUDGET_BYTES // 8
+    assert values == 2 ** 25
+    gallery._check_pool_budget(1, 1, values)
+    gallery._check_pool_budget(2, 2, values // 4)
+    gallery._check_array_budget("an array", values)
+    with pytest.raises(PoolBudgetError):
+        gallery._check_pool_budget(1, 1, values + 1)
+    with pytest.raises(InvalidArgumentError, match="^an array needs 2.684e\\+08 bytes"):
+        gallery._check_array_budget("an array", values + 1)
+
+
 def test_pool_budget_bounds():
     # above the largest bundled benchmark pool (256 members on 65 536 nodes),
     # below a 512 x 512 grid at horizon 256 with two components
