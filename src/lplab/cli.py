@@ -184,10 +184,9 @@ class RunManifest:
 
 
 def _parse_exponent(raw) -> float:
-    if isinstance(raw, str):
-        if raw.lower() in ("inf", "infinity"):
-            return INFINITY
-        raise ConfigError(f"field 'p': unknown exponent {raw!r}")
+    """The field 'p': "inf" or "infinity", in any case, spells INFINITY; anything else is a p."""
+    if isinstance(raw, str) and raw.lower() in ("inf", "infinity"):
+        return INFINITY
     return _check_exponent(raw)
 
 
@@ -208,24 +207,13 @@ def _build_region(raw, grid) -> RegionMask:
     raise ConfigError(f"field 'region.type': unknown region {kind!r}")
 
 
-def _integer_field(raw: dict, key: str, default=None) -> int:
-    """raw[key] as an int (grid._integer); without a default the field is required."""
-    return _integer(f"field '{key}'", raw[key] if default is None else raw.get(key, default))
-
-
 def _check_expect(expect: dict) -> None:
     """Refuse ``expect`` fields the phases could not compare against."""
     for key in ("cesaro_slope", "tail_inf_range"):
-        window = expect.get(key)
-        if window is not None and not (
-            isinstance(window, (list, tuple))
-            and len(window) == 2
-            and all(_is_number(x) for x in window)
-            and window[0] <= window[1]
-        ):
-            raise ConfigError(
-                f"field 'expect.{key}' must be two numbers [lo, hi] with lo <= hi, got {window!r}"
-            )
+        if key in expect:
+            lo, hi = _lo_hi_pairs(f"field 'expect.{key}'", [expect[key]])[0]
+            if lo > hi:
+                raise ConfigError(f"field 'expect.{key}' needs lo <= hi, got {expect[key]!r}")
     drop = expect.get("cesaro_drop")
     if drop is not None and not (_is_number(drop) and drop >= 0.0):  # NaN included
         raise ConfigError(f"field 'expect.cesaro_drop' must be a number >= 0, got {drop!r}")
@@ -263,11 +251,10 @@ def build_config(raw: dict) -> ScenarioConfig:
         seq = VectorSequenceSpec(
             [SequenceSpec.from_config(c) for c in fields["sequence"]]
         )
-        m = _integer_field(fields, "m", seq.m)
+        m = _integer("field 'm'", fields.get("m", seq.m))
         if m != seq.m:
             raise ConfigError(f"field 'm' = {m} disagrees with {seq.m} sequence components")
-        horizon = _integer_field(fields, "horizon")
-        _check_probe_horizon(horizon)
+        horizon = _check_probe_horizon(fields["horizon"])
         # refuse an oversized pool before the grid or any member is allocated
         _check_pool_budget(horizon, m, math.prod(resolution))
         grid = build_uniform_grid(graw["box"], graw["resolution"])
@@ -294,7 +281,7 @@ def build_config(raw: dict) -> ScenarioConfig:
                 raise ConfigError("field 'R_schedule' applies to sup-norm scenarios only")
             r_schedule = _check_r_schedule(r_schedule)
         _check_region_nodes(region, r_schedule[0] if r_schedule else None)
-        levels = _check_levels(_integer_field(fields, "levels", 4))
+        levels = _check_levels(fields.get("levels", 4))
         expect = _given(fields.get("expect"))
         _check_expect(expect)
         output_dir = str(fields.get("output_dir", "."))

@@ -51,12 +51,12 @@ from .grid import (
     RegionMask,
     VectorField,
     _euclidean_norms,
+    _finite,
+    _finite_array,
     _flag,
     _given,
     _lo_hi_pairs,
-    _number,
     _positive,
-    _require_finite_parameter,
     _require_shared_grid,
     _rounding_budget,
     _slack,
@@ -127,7 +127,8 @@ class ConvexFunctionSpec:
     def __post_init__(self) -> None:
         if self.kind not in (SQUARED_NORM, POWER, MAX_AFFINE, CUSTOM_FUNCTION):
             raise InvalidArgumentError(f"unknown convex function kind {self.kind!r}")
-        _require_finite_parameter("power", self.power)
+        self.power = _finite("power", self.power)
+        self.nonnegative = _flag("nonnegative", self.nonnegative)
         if self.kind == POWER and self.power < 1.0:
             raise InvalidArgumentError(f"power must be >= 1 for convexity, got {self.power}")
         if self.kind == MAX_AFFINE:
@@ -158,28 +159,30 @@ class ConvexFunctionSpec:
         raw, params = _given(raw), _given(raw.get("params"))
         return cls(
             kind=str(raw["kind"]).lower(),
-            power=_number("power", params.get("power", 2.0)),
+            power=params.get("power", 2.0),
             planes=params.get("planes"),
-            nonnegative=_flag("nonnegative", raw.get("nonnegative", True)),
+            nonnegative=raw.get("nonnegative", True),
         )
 
 
 def _affine_pairs(what: str, raw) -> list:
     """raw as a nonempty list of (a, b) with a a nonempty finite vector and b finite.
 
-    what names one pair, such as "halfspace"; a refusal names it.
+    what names one pair, such as "halfspace"; a refusal names it.  A pair is
+    a list or tuple of two entries; a is read by grid._finite_array, b by
+    grid._finite.
     """
-    try:
-        pairs = [(np.asarray(a, dtype=float).ravel(), float(b)) for a, b in raw or ()]
-    except (TypeError, ValueError):
-        raise InvalidArgumentError(f"{what}s must be (a, b) pairs, got {raw!r}") from None
-    if not pairs:
+    if not isinstance(raw, (list, tuple, type(None))) or not all(
+        isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in raw or ()
+    ):
+        raise InvalidArgumentError(f"{what}s must be (a, b) pairs, got {raw!r}")
+    if not raw:
         raise InvalidArgumentError(f"{what}s need at least one (a, b) pair")
-    for a, b in pairs:
-        if a.size == 0:
-            raise InvalidArgumentError(f"{what} normal must be nonempty, got []")
-        _require_finite_parameter(f"{what} normal", a)
-        _require_finite_parameter(f"{what} offset", b)
+    pairs = [
+        (_finite_array(f"{what} normal", a).ravel(), _finite(f"{what} offset", b)) for a, b in raw
+    ]
+    if any(a.size == 0 for a, _ in pairs):
+        raise InvalidArgumentError(f"{what} normal must be nonempty, got []")
     return pairs
 
 
@@ -203,11 +206,11 @@ class ConvexSetSpec:
             if not np.all(self.bounds[:, 0] <= self.bounds[:, 1]):
                 raise InvalidArgumentError(f"box bounds need lo <= hi, got {self.bounds.tolist()}")
         if self.kind == BALL:
-            self.center = np.asarray(self.center, dtype=float).ravel()
-            _require_finite_parameter("ball center", self.center)
+            self.center = _finite_array("ball center", self.center).ravel()
             self.radius = _positive("ball radius", self.radius)
         if self.kind == HALFSPACES:
             self.halfspaces = _affine_pairs("halfspace", self.halfspaces)
+        self.closed = _flag("closed", self.closed)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Membership of each point in K, up to the rounding of the point and the test.
@@ -262,7 +265,7 @@ class ConvexSetSpec:
         return cls(
             kind=str(raw["kind"]).lower(),
             radius=params.get("radius", 1.0),
-            closed=_flag("closed", raw.get("closed", True)),
+            closed=raw.get("closed", True),
             **{name: params[name] for name in ("bounds", "center", "halfspaces") if name in params},
         )
 

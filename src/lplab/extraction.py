@@ -55,7 +55,7 @@ from .gallery import (
     _shared,
     member_pool,
 )
-from .grid import QuadratureGrid, _integer, _positive, _rounding_budget, _slack
+from .grid import QuadratureGrid, _integer, _number, _positive, _rounding_budget, _slack
 from .norms import _abs_power, _gather, _lp_norms
 
 __all__ = [
@@ -93,10 +93,12 @@ _BLOCK = 8192
 _HOMOGENEITY_TOL = 1e-9
 
 
-def _require_p_above_one(p: float, what: str) -> None:
-    """Refuse an exponent that is not a finite p > 1, naming what needs it."""
-    if not (math.isfinite(p) and p > 1.0):  # NaN included
+def _require_p_above_one(p: float, what: str) -> float:
+    """p as a float (grid._number) once it is a finite p > 1, or refused naming what needs it."""
+    number = _number(f"the p of {what}", p)
+    if not 1.0 < number < math.inf:  # NaN included
         raise InvalidArgumentError(f"{what} needs finite p > 1, got {p}")
+    return number
 
 
 def generalized_binomial(p: float, i: int) -> float:
@@ -109,7 +111,7 @@ def generalized_binomial(p: float, i: int) -> float:
 
 def floor_exponent(p: float) -> int:
     """Largest natural number strictly less than p (p > 1)."""
-    _require_p_above_one(p, "the floor exponent")
+    p = _require_p_above_one(p, "the floor exponent")
     e = math.floor(p)
     if e == p:
         e -= 1
@@ -123,7 +125,7 @@ def remainder_term(p: float, a, b):
     2^p overflows (p >= 1024) is refused before any binomial is formed: 2^p
     sums every binom(p, i), and B(p) leaves out only terms far below it.
     """
-    _require_p_above_one(p, "the remainder term")
+    p = _require_p_above_one(p, "the remainder term")
     with np.errstate(over="ignore"):
         if not math.isfinite(np.power(2.0, p)):
             raise InvalidArgumentError(f"B(p) at p = {p:g} is not finite: 2^p overflows")
@@ -162,8 +164,9 @@ def estimate_a_constant(
     ``POOL_BUDGET_BYTES`` is refused before it is allocated, and one whose
     terms overflow the float range is refused as diverged: at once when its
     end point's term (t_max + 1)^p or 2^p does, before any binomial is formed.
+    The safety factor, too, must be finite and positive.
     """
-    _require_p_above_one(p, "the constant A")
+    p = _require_p_above_one(p, "the constant A")
     t_max, step = _positive("the A scan range", t_max), _positive("the A scan step", step)
     if step > 2.0 * t_max:
         raise InvalidArgumentError(f"the A scan step {step} is above its width {2 * t_max}")
@@ -177,7 +180,7 @@ def estimate_a_constant(
             f"the A scan at p = {p:g} is not finite: its term (t_max + 1)^p at t_max = "
             f"{t_max:g} overflows the float range"
         )
-    return _a_constant(float(p), t_max, step, float(safety))
+    return _a_constant(p, t_max, step, _positive("the A safety factor", safety))
 
 
 def _lemma1_terms(p: float, a, b):
@@ -250,10 +253,11 @@ class InequalityConstants:
             raise InvalidArgumentError(
                 f"e_p must be the largest natural below p, got {self.e_p} for p={self.p}"
             )
+        self.a, self.b = _number("a", self.a), _number("b", self.b)
         expected_b = remainder_term(self.p, 1.0, 1.0)
-        if abs(self.b - expected_b) > 1e-9 * (1.0 + abs(expected_b)):
+        if not abs(self.b - expected_b) <= 1e-9 * (1.0 + abs(expected_b)):  # NaN included
             raise InvalidArgumentError(f"b must equal the binomial sum, got {self.b}")
-        if self.a < 1.0:
+        if not self.a >= 1.0:
             raise InvalidArgumentError(f"a must be >= 1, got {self.a}")
 
     @classmethod
@@ -450,7 +454,7 @@ def banach_saks_extract(
     Raises ``ExtractionStalledError`` (partial trace attached) when
     unexamined candidates remain but none qualifies.
     """
-    _require_p_above_one(p, "recursive selection (the p = 1 route is szlenk_extract)")
+    p = _require_p_above_one(p, "recursive selection (the p = 1 route is szlenk_extract)")
     return _select(member_pool(seq, grid, horizon), p, grid.weights)[1]
 
 
@@ -636,7 +640,7 @@ def verify_growth_bound(
     k + 1 roundings and the aggregate three more, C(k) takes three and the
     stepwise bound three more.
     """
-    _require_p_above_one(p, "the growth bound")
+    p = _require_p_above_one(p, "the growth bound")
     if trace.p != p or consts.p != p:
         raise InvalidArgumentError(
             f"exponent mismatch: trace p={trace.p}, constants p={consts.p}, asked {p}"

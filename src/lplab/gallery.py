@@ -104,19 +104,22 @@ class SequenceSpec:
             raise InvalidArgumentError(f"unknown sequence kind {self.kind!r}")
         if self.kind == CUSTOM and self.table is None:
             raise InvalidArgumentError("custom sequences need a sample table")
+        self.amplitude = _number("amplitude", self.amplitude)
+        self.base = _number("base", self.base)
+        self.value = _number("value", self.value)
 
     @classmethod
     def from_config(cls, raw: dict) -> "SequenceSpec":
         raw = _given(raw)
         params = _given(raw.get("params"))
-        table = params.pop("table", None)
+        table = params.get("table")
         if table is not None:
             table = {int(k): np.asarray(v, dtype=float) for k, v in table.items()}
         return cls(
             kind=str(raw["kind"]).lower(),
-            amplitude=_number("amplitude", raw.get("amplitude", 1.0)),
-            base=_number("base", params.pop("base", 1.0)),
-            value=_number("value", params.pop("value", 0.0)),
+            amplitude=raw.get("amplitude", 1.0),
+            base=params.get("base", 1.0),
+            value=params.get("value", 0.0),
             table=table,
         )
 

@@ -128,27 +128,23 @@ def _strictly_increasing(nodes: np.ndarray) -> bool:
     return bool(increasing.all())
 
 
-def _require_finite_parameter(what: str, values) -> None:
-    """Refuse a parameter that holds a NaN or an infinity, naming it."""
-    if not np.all(np.isfinite(values)):
-        raise InvalidArgumentError(f"{what} must be finite, got {np.asarray(values).tolist()}")
-
-
 def _given(raw) -> dict:
     """The entries of a configuration object that are not null: a null reads as missing."""
     return {name: value for name, value in (raw or {}).items() if value is not None}
 
 
 def _is_number(x) -> bool:
-    """Whether x is an int or a float; a bool is neither."""
-    return isinstance(x, (numbers.Integral, float)) and not isinstance(x, bool)
+    """Whether x is a real number (numbers.Real, numpy scalars included); a bool is not one."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _number(what: str, value) -> float:
-    """value as a float; a bool or a non-number is refused, naming what.
+    """value as a float, the one number rule of the package, or refused naming what.
 
-    An int beyond the float range reads as the infinity of its sign, as a
-    JSON number that large written with an exponent does.
+    A real number (_is_number), numpy scalars included, reads as its float;
+    a bool, a string, None and any other object are refused.  An int beyond
+    the float range reads as the infinity of its sign, as a JSON number that
+    large written with an exponent does.
     """
     if not _is_number(value):
         raise InvalidArgumentError(f"{what} must be a number, got {value!r}")
@@ -168,14 +164,30 @@ def _flag(what: str, value) -> bool:
 def _integer(what: str, value, least: int | None = None) -> int:
     """value as an int, at least least if given, or refused naming what.
 
-    An integral float reads as its int; a bool, a non-number and a
-    non-integral number are refused.
+    An integral real, such as 3.0, reads as its int; a bool, a non-number and
+    a non-integral number are refused.
     """
-    if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
+    if not _is_number(value) or not (
+        isinstance(value, numbers.Integral) or _number(what, value).is_integer()
+    ):
         raise InvalidArgumentError(f"{what} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise InvalidArgumentError(f"{what} must be >= {least}, got {value}")
     return int(value)
+
+
+def _finite(what: str, value) -> float:
+    """value as a finite float (_number), or refused naming what."""
+    number = _number(what, value)
+    if not math.isfinite(number):
+        raise InvalidArgumentError(f"{what} must be finite, got {number}")
+    return number
+
+
+def _finite_array(what: str, raw) -> np.ndarray:
+    """raw, a number or nested sequences of them, as a float array of its entries, each _finite."""
+    entries = np.array(raw, dtype=object)
+    return np.array([_finite(what, x) for x in entries.flat]).reshape(entries.shape)
 
 
 def _positive(what: str, value) -> float:
@@ -189,16 +201,13 @@ def _positive(what: str, value) -> float:
 def _lo_hi_pairs(what: str, raw) -> np.ndarray:
     """raw as an (n, 2) array of finite (lo, hi) pairs, n >= 1, or refused naming what.
 
-    The order of a pair is left to the caller.
+    The order of a pair is left to the caller.  The array is a new one: the
+    caller's stays writable.
     """
-    try:
-        pairs = np.array(raw, dtype=float)  # a copy: the caller's array stays writable
-    except (TypeError, ValueError):  # ragged, or an entry that is no number
-        pairs = None
-    if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.size == 0:
+    shape = np.array(raw, dtype=object).shape
+    if len(shape) != 2 or shape[1] != 2 or shape[0] == 0:
         raise InvalidArgumentError(f"{what} must be (lo, hi) pairs, at least one, got {raw!r}")
-    _require_finite_parameter(what, pairs)
-    return pairs
+    return _finite_array(what, raw)
 
 
 def _uniform_axes(domain_box, resolution) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -306,7 +315,7 @@ class ScalarField:
 
     @classmethod
     def constant(cls, grid: QuadratureGrid, value: float) -> "ScalarField":
-        return cls(grid, np.full(grid.node_count, float(value)))
+        return cls(grid, np.full(grid.node_count, _number("constant value", value)))
 
     def _binary(self, other: "ScalarField", op) -> "ScalarField":
         if other.grid is not self.grid:

@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import GridMismatchError, InvalidArgumentError
 from .grid import (
-    RegionMask, ScalarField, VectorField, _require_shared_grid, _unit_scaled, _weighted_sum
+    RegionMask, ScalarField, VectorField, _number, _require_shared_grid, _unit_scaled,
+    _weighted_sum,
 )
 
 __all__ = [
@@ -29,10 +30,9 @@ INFINITY = math.inf
 
 
 def _check_exponent(p: float) -> float:
-    p = float(p)
-    if p == INFINITY:
-        return p
-    if not math.isfinite(p) or p < 1.0:
+    """p as a float (grid._number) once it is >= 1 or INFINITY, or refused."""
+    p = _number("exponent", p)
+    if not p >= 1.0:  # NaN included
         raise InvalidArgumentError(f"exponent must be >= 1 or INFINITY, got {p}")
     return p
 

@@ -200,6 +200,21 @@ def test_config_accepts_integral_floats_in_integer_fields():
 
 
 @pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("horizon", 8.5, "probe horizon must be an integer, got 8.5"),
+        ("horizon", "16", "probe horizon must be an integer, got '16'"),
+        ("levels", "3", "the level count (need at least one level) must be an integer, got '3'"),
+        ("levels", 0, "the level count (need at least one level) must be >= 1, got 0"),
+    ],
+    ids=["horizon-8.5", "horizon-string", "levels-string", "levels-0"],
+)
+def test_the_horizon_and_the_levels_are_read_once_by_the_library_check(field, value, message):
+    with pytest.raises(ConfigError, match="^invalid config value: " + re.escape(message) + "$"):
+        build_config(_base_config(**{field: value}))
+
+
+@pytest.mark.parametrize(
     "overrides, missing",
     [
         ({"name": None}, "name"),
@@ -404,9 +419,11 @@ def test_a_malformed_K_is_refused_by_name_and_exits_2(tmp_path, capsys, f, messa
          "region bounds must be finite"),
         ({"region": {"type": "box", "bounds": [[0.0, 0.5], [1.0]]}},
          "region bounds must be (lo, hi) pairs"),
+        ({"region": {"type": "box", "bounds": [[0.0, 0.5], [0.0, 0.5]]}},
+         "field 'region.bounds': wrong dimension"),
     ],
     ids=["odd-grid-box", "empty-grid-box", "nan-grid-box", "nan-region-bound",
-         "ragged-region-box"],
+         "ragged-region-box", "region-box-of-another-dimension"],
 )
 def test_a_malformed_grid_or_region_box_is_refused_by_name_and_exits_2(
     tmp_path, capsys, overrides, message
@@ -791,6 +808,17 @@ def test_pool_budget_refused_before_the_grid_is_built(tmp_path, capsys):
     assert main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 2
     assert "over the budget" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_probe_that_refutes_weak_convergence_skips_the_extraction(tmp_path):
+    raw = _base_config(sequence=[{"kind": "spike"}], expect={"probe_verdict": "not-converging"})
+    manifest = cli.run_scenario(build_config(raw), output_dir=tmp_path)
+    assert [(p["name"], p["status"], p["detail"]) for p in manifest.phases[1:]] == [
+        ("extraction", "skipped", "weak-convergence hypothesis refuted by the probe"),
+        ("growth_bound", "skipped", "no trace"),
+        ("cesaro", "skipped", "no trace"),
+    ]
+    assert manifest.passed
 
 
 def test_cli_phase_library_error_is_recorded_and_exits_2(tmp_path, monkeypatch, capsys):

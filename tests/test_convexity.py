@@ -16,6 +16,7 @@ from lplab import (
     ConvexFunctionSpec,
     ConvexSetSpec,
     DomainViolationError,
+    InternalConsistencyError,
     InvalidArgumentError,
     PreconditionViolationError,
     RegionMask,
@@ -1012,3 +1013,32 @@ def test_a_replay_that_stalls_before_eight_picks_reports_an_empty_chain(grid):
     assert report.alphas.tolist() == [4.0 * measure] * horizon
     assert report.tail_infimum.tolist() == [4.0 * measure] * horizon
     assert report.margin == 4.0 * measure
+
+
+@pytest.mark.parametrize("ulps_below, passed", [(0, True), (1, False)])
+def test_the_liminf_margin_passes_down_to_minus_1e_6_times_the_scale(ulps_below, passed):
+    # One node of weight 1 and f(w) = w, so each integral is the sample itself.
+    # alpha_1 = 1e6 sets the scale max(|integral of f(u)|, max alpha) and
+    # 1e-6 * 1e6 is 1.0 exactly; the tail alphas sit 1 below the limit's 3.
+    grid = build_uniform_grid([[0.0, 1.0]], 1)
+    tail = 2.0 if ulps_below == 0 else float(np.nextafter(2.0, 0.0))
+    pool = np.array([1e6, tail, tail, tail]).reshape(4, 1, 1)
+    limit = VectorField([ScalarField.constant(grid, 3.0)])
+    f = ConvexFunctionSpec(kind="custom", evaluator=lambda points: points[:, 0])
+    report = convexity._verify_on_region(pool, limit, f, _whole(), RegionMask.full(grid), None)
+    assert report.margin == (-1.0 if passed else float(np.nextafter(-1.0, -2.0)))
+    assert report.passed is passed
+
+
+def test_limit_integrals_that_fall_along_the_schedule_are_an_internal_error():
+    # f = 1/n^2 on n points is no pointwise integrand: over n of 256 nodes of
+    # weight 1/256 it integrates to 1/(256 n), so the larger truncation reads less.
+    grid = build_uniform_grid([[0.0, 1.0]], 256)
+    f = ConvexFunctionSpec(
+        kind="custom", evaluator=lambda points: np.full(len(points), 1.0 / len(points) ** 2)
+    )
+    seq = VectorSequenceSpec([SequenceSpec(kind="rademacher")])
+    with pytest.raises(InternalConsistencyError, match="decreased along the R schedule") as info:
+        weak_star_verify(seq, _zero_limit(grid), f, _whole(), RegionMask.full(grid), 32,
+                         [0.5, 1.5])
+    assert str(info.value).endswith(f"{[1.0 / (256 * 128), 1.0 / 256 ** 2]}")

@@ -333,12 +333,17 @@ def _two_pick_trace(**changes):
         (lambda: estimate_a_constant(2.0, t_max=True), "^the A scan range must be"),
         (lambda: generalized_binomial(2.0, 1.5), "^binomial order must be an integer"),
         (lambda: _two_pick_trace(indices=[1, 1]), "strictly increasing"),
+        # a NaN A or B failed neither comparison and was accepted
+        (lambda: InequalityConstants(2.0, 1, np.nan, 0.0, 100.0, 1e-3), "^a must be >= 1"),
+        (lambda: InequalityConstants(3.0, 2, 2.0, np.nan, 100.0, 1e-3), "the binomial sum"),
+        (lambda: InequalityConstants(2.0, 1, "5", 0.0, 100.0, 1e-3), "^a must be a number"),
     ],
     ids=[
         "binomial-order", "scan-range", "scan-step", "constant-b", "constants-p",
         "no-pick", "picks-out-of-order", "pick-outside-pool", "pairing-above-1",
         "growth-exponents", "levels-not-nested", "diagonal-out-of-order", "scan-step-inf",
         "scan-step-above-width", "scan-range-bool", "binomial-order-1.5", "repeated-pick",
+        "constant-a-nan", "constant-b-nan", "constant-a-string",
     ],
 )
 def test_constants_traces_and_schedules_refuse_inconsistent_input(call, message):

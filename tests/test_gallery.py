@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,35 @@ def test_aliasing_guard_refuses(grid):
     for kind, i in (("spike", 17), ("rademacher", 4)):
         with pytest.raises(InvalidArgumentError):
             generate(SequenceSpec(kind=kind), i, bare)
+
+
+@pytest.mark.parametrize(
+    "kind, resolution, last, refusal",
+    [
+        ("spike", 16, 16, "resolution 16 cannot resolve a width-1/17 spike"),
+        ("spike", 17, 17, "resolution 17 cannot resolve a width-1/18 spike"),
+        ("rademacher", 7, 0, "resolution 7 cannot resolve any dyadic sign pattern"),
+        ("rademacher", 8, 1, "grid resolution supports only 1 dyadic sign patterns; index 2"),
+        ("rademacher", 15, 1, "grid resolution supports only 1 dyadic sign patterns; index 2"),
+        ("rademacher", 16, 3, "grid resolution supports only 3 dyadic sign patterns; index 4"),
+    ],
+)
+def test_the_aliasing_guard_refuses_from_the_first_index_the_grid_cannot_resolve(
+    kind, resolution, last, refusal
+):
+    # A spike needs i <= n1; the dyadic family has one level from 8 nodes on.
+    grid = build_uniform_grid([[0.0, 1.0]], resolution)
+    spec = SequenceSpec(kind=kind)
+    if last:
+        member = generate(spec, last, grid)
+        if kind == "spike":  # at i = n1 the slab is the first node alone, of mass 1
+            assert np.flatnonzero(member.samples).tolist() == [0]
+            assert lp_norm(member, 1.0) == pytest.approx(1.0, rel=1e-15)
+    if resolution in (8, 15):  # the one level: +1 on the lower half, -1 on the upper
+        x1 = grid.nodes[:, 0]
+        assert generate(spec, 1, grid).samples.tolist() == np.where(x1 < 0.5, 1.0, -1.0).tolist()
+    with pytest.raises(InvalidArgumentError, match="^" + re.escape(refusal)):
+        generate(spec, last + 1, grid)
 
 
 def test_dyadic_signs_match_sine_formula(grid):
@@ -359,6 +390,32 @@ def test_vector_probe_takes_component_maximum(grid):
         64,
     )
     assert np.array_equal(report.residuals, solo.residuals)
+
+
+_BELOW_A_HUNDREDTH = float(np.nextafter(0.01, 0.0))
+
+
+@pytest.mark.parametrize(
+    "residuals, slope, floor, verdict",
+    [
+        # the decay rule: converging once the final residual is below 1e-2 of the first
+        ([1.0, 0.5, 0.1, 0.01], -1.0, 0.0, INCONCLUSIVE),
+        ([1.0, 0.5, 0.1, _BELOW_A_HUNDREDTH], -1.0, 0.0, CONVERGING),
+        # the zero floor: a curve of rounding noise, at most the floor, converges
+        ([1e-20] * 4, 0.0, 1e-20, CONVERGING),
+        ([1e-20] * 4, 0.0, float(np.nextafter(1e-20, 0.0)), NOT_CONVERGING),
+        # the flat slope
+        ([1.0] * 4, -0.05, 0.0, NOT_CONVERGING),
+        ([1.0] * 4, float(np.nextafter(-0.05, -1.0)), 0.0, INCONCLUSIVE),
+        # the tail floor: not converging while the tail stays at 1e-2 of the first
+        ([1.0, 1.0, 0.01, 1.0], 0.0, 0.0, NOT_CONVERGING),
+        ([1.0, 1.0, _BELOW_A_HUNDREDTH, 1.0], 0.0, 0.0, INCONCLUSIVE),
+    ],
+    ids=["final-at-a-hundredth", "final-below", "at-the-zero-floor", "above-the-zero-floor",
+         "at-the-flat-slope", "below-the-flat-slope", "tail-at-a-hundredth", "tail-below"],
+)
+def test_the_probe_verdict_on_each_side_of_each_threshold(residuals, slope, floor, verdict):
+    assert gallery._classify(np.array(residuals), slope, lambda: floor) == verdict
 
 
 def test_inconclusive_is_reachable(grid):

@@ -1,17 +1,24 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from lplab import (
+    ConvexFunctionSpec,
+    ConvexSetSpec,
     GridMismatchError,
     InvalidArgumentError,
     QuadratureGrid,
     RegionMask,
     ScalarField,
+    SequenceSpec,
     VectorField,
     build_uniform_grid,
+    conjugate_exponent,
+    estimate_a_constant,
+    floor_exponent,
     integrate,
     truncate_region,
 )
@@ -60,7 +67,7 @@ def test_build_rejects_bad_input(box, res):
         build_uniform_grid(box, res)
 
 
-@pytest.mark.parametrize("res", [1, 4.0, np.int64(4), [np.int32(4)]])
+@pytest.mark.parametrize("res", [1, 4.0, np.int64(4), [np.int32(4)], np.float32(4.0)])
 def test_build_takes_an_integral_count_of_any_integer_type(res):
     grid = build_uniform_grid([[0.0, 1.0]], res)
     count = int(np.ravel(res)[0])
@@ -391,3 +398,41 @@ def test_euclidean_norms_keep_their_bits_in_every_layout(m):
     if m < 8:
         in_range = np.linalg.norm(points[3:], axis=1)
         assert np.array_equal(norms[3:].view(np.uint64), in_range.view(np.uint64))
+
+
+# The number rule (grid._number): a real number, numpy scalars included, is
+# one; a bool, a string and None are not, wherever the library reads one.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: conjugate_exponent(True), "exponent must be a number, got True"),
+        (lambda: floor_exponent("3"), "the p of the floor exponent must be a number, got '3'"),
+        (lambda: SequenceSpec("oscillatory", amplitude="2"), "amplitude must be a number, got '2'"),
+        (lambda: ConvexFunctionSpec("squared_norm", nonnegative="false"),
+         "nonnegative must be true or false, got 'false'"),
+        (lambda: ConvexSetSpec("ball", closed="no"), "closed must be true or false, got 'no'"),
+        (lambda: build_uniform_grid([[0.0, 1.0]], np.float32(16.5)),
+         "resolution must be an integer, got np.float32(16.5)"),
+        (lambda: build_uniform_grid([[False, True]], 16), "grid box must be a number, got False"),
+        (lambda: ConvexSetSpec("ball", center=[10 ** 400]), "ball center must be finite, got inf"),
+        (lambda: ScalarField.constant(build_uniform_grid([[0.0, 1.0]], 4), "2"),
+         "constant value must be a number, got '2'"),
+    ],
+    ids=["conjugate-of-true", "floor-of-a-string", "string-amplitude", "string-nonnegative",
+         "string-closed", "float32-non-integral-count", "bool-box", "int-beyond-float-centre",
+         "string-constant"],
+)
+def test_every_library_reader_refuses_what_is_not_a_number_by_name(call, message):
+    with pytest.raises(InvalidArgumentError, match="^" + re.escape(message) + "$"):
+        call()
+
+
+def test_a_numpy_scalar_parameter_gives_the_float64_result():
+    grid = build_uniform_grid([[0.0, 1.0]], np.float32(16.0))
+    assert grid.resolution == (16,) and type(grid.resolution[0]) is int
+    region = RegionMask.full(grid)
+    assert np.array_equal(
+        truncate_region(region, np.float32(0.5)).included, truncate_region(region, 0.5).included
+    )
+    assert estimate_a_constant(2.0, np.float32(10.0)) == estimate_a_constant(2.0, 10.0)
+    assert floor_exponent(np.float32(2.5)) == 2

@@ -267,6 +267,8 @@ _FIELD_VALUES = {
         {"box": [[0.0, 1.0]], "resolution": [0]},
         {"box": [[0.0, 1.0]], "resolution": [-4]},
         {"box": [[0.0, float("nan")]], "resolution": [64]},
+        {"box": [[0.0, 10 ** 400]], "resolution": [64]},
+        {"box": [[False, True]], "resolution": [64]},
         {"box": [[0.0, 1.0]], "resolution": [64], "dimension": 2},
         {"resolution": [64]},
         "grid",
@@ -305,6 +307,7 @@ _FIELD_VALUES = {
         {"type": "box", "bounds": [[0.0, 0.5]]},
         {"type": "box", "bounds": [[0.6, 0.4]]},
         {"type": "box", "bounds": [[0.0, 1.0], [0.0, 1.0]]},
+        {"type": "box", "bounds": [["0", "0.5"]]},
         {"type": "weird"},
     ],
     "horizon": [16, 7, 0, -3, "8", 8.5, 10 ** 9, float("nan")],
@@ -314,11 +317,15 @@ _FIELD_VALUES = {
         {"kind": "power", "params": {"power": 3.0}},
         {"kind": "max_affine", "params": {"planes": [[[1.0], 0.0]]}},
         {"kind": "max_affine", "params": {"planes": []}},
+        {"kind": "max_affine", "params": {"planes": [[[True], 0.0]]}},
         {"kind": "squared_norm", "nonnegative": False},
         {"kind": "squared_norm", "K": {"kind": "ball", "params": {"radius": 0.1}}},
         {"kind": "squared_norm", "K": {"kind": "box", "params": {"bounds": [[-1.0, 1.0]]},
                                        "closed": True}},
         {"kind": "squared_norm", "K": {"kind": "halfspaces", "params": {"halfspaces": []}}},
+        {"kind": "squared_norm", "K": {"kind": "ball", "params": {"center": [10 ** 400]}}},
+        {"kind": "squared_norm",
+         "K": {"kind": "halfspaces", "params": {"halfspaces": [[[1.0], 10 ** 400]]}}},
         {"kind": "bogus"},
         {},
         None,
@@ -345,6 +352,13 @@ _mutations = st.lists(
 
 @settings(max_examples=120, **_SETTINGS)
 @given(_mutations)
+# Each of these draws exited 3 (internal error: OverflowError) or ran as another value.
+@example([("grid", _FIELD_VALUES["grid"][6])])  # an integer beyond the float range
+@example([("grid", _FIELD_VALUES["grid"][7])])  # bools
+@example([("region", _FIELD_VALUES["region"][6])])  # strings
+@example([("f", _FIELD_VALUES["f"][3])])  # a bool normal
+@example([("f", _FIELD_VALUES["f"][8])])  # a ball centre beyond the float range
+@example([("f", _FIELD_VALUES["f"][9])])  # a halfspace offset beyond the float range
 def test_config_fuzz_exits_with_a_documented_code(mutations):
     raw = copy.deepcopy(_VALID_SCENARIO)
     for key, value in mutations:
@@ -355,8 +369,11 @@ def test_config_fuzz_exits_with_a_documented_code(mutations):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.json"
         path.write_text(json.dumps(raw))
-        rc = main(["run", "--config", str(path), "--output-dir", str(Path(tmp) / "out")])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["run", "--config", str(path), "--output-dir", str(Path(tmp) / "out")])
     assert rc in (0, 1, 2)
+    assert "internal error" not in err.getvalue()
 
 
 # A valid verify-lemma1 argv, flag by flag, and values to replace it with.

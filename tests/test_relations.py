@@ -10,8 +10,9 @@ symmetric f and K, must leave every output unchanged, and so must swapping
 the components of (L^p)^m in the sequence and the limit.  Appending a zero
 component to both, (L^p)^m -> (L^p)^(m+1), is the paper's own reduction to
 m = 1 and must leave every verdict unchanged.  Dilating the domain
-x -> c x, with the truncation radii, maps a dyadic family onto itself, so
-the Rademacher scenarios keep every verdict and their Cesaro slope.
+x -> c x, with the truncation radii, maps a dyadic family onto itself, and
+an oscillatory one too once its base is divided by c, so the Rademacher
+scenarios and a1 keep every verdict and their Cesaro slope.
 Translating the box keeps every phase status of the routes without
 truncation, whose balls are centred at the origin, and doubling the
 resolution keeps every phase status of every scenario.
@@ -295,22 +296,39 @@ def test_every_csv_is_invariant_under_zero_padding(key, unscaled, tmp_path):
 
 
 def _dilated(raw: dict, c: float) -> dict:
-    """raw with the grid box and the truncation radii multiplied by c."""
+    """raw with the grid box and the truncation radii multiplied by c, each oscillatory base by 1/c.
+
+    sin(2 pi i (base/c) (c x)) is the member at x, so every family maps onto itself.
+    """
     raw = copy.deepcopy(raw)
     raw["grid"]["box"] = [[c * lo, c * hi] for lo, hi in raw["grid"]["box"]]
     if "R_schedule" in raw:
         raw["R_schedule"] = [c * r for r in raw["R_schedule"]]
+    for comp in raw["sequence"] + raw["limit"]:
+        if comp["kind"] == "oscillatory":
+            params = comp.setdefault("params", {})
+            params["base"] = params.get("base", 1.0) / c
     return raw
 
 
-@pytest.mark.parametrize("key", ["a3", "a6"])
-def test_every_rademacher_verdict_is_invariant_under_dilation(key, unscaled, tmp_path):
+def _assert_invariant_under_dilation(key, unscaled, tmp_path):
     _, expected, expected_slope = unscaled(key)
     for c in (1e-100, 2.0 ** -8, 0.25, 0.5, 2.0, 3.0, 4.0):
         outcome, slope = _outcome(_dilated(_SCENARIOS[key], c), tmp_path / f"{c:g}")
         assert outcome == expected, f"c = {c:g}"
         if expected_slope is not None:
             assert slope == pytest.approx(expected_slope, rel=0.0, abs=1e-9), f"c = {c:g}"
+
+
+@pytest.mark.parametrize("key", ["a3", "a6"])
+def test_every_rademacher_verdict_is_invariant_under_dilation(key, unscaled, tmp_path):
+    _assert_invariant_under_dilation(key, unscaled, tmp_path)
+
+
+def test_the_oscillatory_verdict_is_invariant_under_dilation_with_the_base_over_c(
+    unscaled, tmp_path
+):
+    _assert_invariant_under_dilation("a1", unscaled, tmp_path)
 
 
 @pytest.mark.parametrize("key", ["a0", "a1", "a2", "a3", "a4", "a5"])
