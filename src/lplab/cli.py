@@ -81,8 +81,8 @@ from .gallery import (
     weak_probe,
 )
 from .grid import (
-    RegionMask, _flag, _given, _integer, _is_number, _lo_hi_pairs, _positive, _uniform_axes,
-    build_uniform_grid, truncate_region,
+    RegionMask, _finite_array, _flag, _given, _integer, _is_number, _items, _lo_hi_pairs,
+    _positive, _text, _uniform_axes, build_uniform_grid, truncate_region,
 )
 from .norms import INFINITY, _check_exponent
 
@@ -139,10 +139,7 @@ class ScenarioConfig:
 @functools.cache
 def _environment() -> dict:
     """Python, numpy and BLAS versions and the usable CPU count, read once per process."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy before 1.25 only prints its configuration
-        blas = {}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -190,8 +187,13 @@ def _parse_exponent(raw) -> float:
     return _check_exponent(raw)
 
 
+def _sequence_specs(field: str, raw) -> list:
+    """The specs of the configured array field, one per component."""
+    return [SequenceSpec.from_config(c) for c in _items(f"field '{field}'", raw)]
+
+
 def _build_region(raw, grid) -> RegionMask:
-    kind = str(raw.get("type", "full")).lower()
+    kind = _text("field 'region.type'", raw.get("type", "full")).lower()
     if kind == "full":
         return RegionMask.full(grid)
     if kind == "ball":
@@ -211,9 +213,10 @@ def _check_expect(expect: dict) -> None:
     """Refuse ``expect`` fields the phases could not compare against."""
     for key in ("cesaro_slope", "tail_inf_range"):
         if key in expect:
-            lo, hi = _lo_hi_pairs(f"field 'expect.{key}'", [expect[key]])[0]
-            if lo > hi:
-                raise ConfigError(f"field 'expect.{key}' needs lo <= hi, got {expect[key]!r}")
+            what, window = f"field 'expect.{key}'", expect[key]
+            pair = np.array(window, dtype=object).shape == (2,)
+            if not pair or np.greater(*_finite_array(what, window)):
+                raise ConfigError(f"{what} must be one (lo, hi) pair with lo <= hi, got {window!r}")
     drop = expect.get("cesaro_drop")
     if drop is not None and not (_is_number(drop) and drop >= 0.0):  # NaN included
         raise ConfigError(f"field 'expect.cesaro_drop' must be a number >= 0, got {drop!r}")
@@ -238,19 +241,17 @@ def load_config(path) -> ScenarioConfig:
 
 def build_config(raw: dict) -> ScenarioConfig:
     try:
-        fields = _given(raw)  # here and in every object below, a null reads as missing
-        name = str(fields["name"])
-        if Path(name).name != name:  # every output is <output dir>/<name>.<kind>
+        fields = _given("the config", raw)  # in it and every object below, a null reads as missing
+        name = _text("field 'name'", fields["name"])
+        if not name or Path(name).name != name:  # every output is <output dir>/<name>.<kind>
             raise ConfigError(f"field 'name' must be a file name, got {name!r}")
-        graw = _given(fields["grid"])
+        graw = _given("field 'grid'", fields["grid"])
         _, resolution = _uniform_axes(graw["box"], graw["resolution"])
         dimension = graw.get("dimension", len(resolution))
         if _integer("field 'grid.dimension'", dimension) != len(resolution):
             raise ConfigError("field 'grid.dimension' disagrees with the box")
         p = _parse_exponent(fields["p"])
-        seq = VectorSequenceSpec(
-            [SequenceSpec.from_config(c) for c in fields["sequence"]]
-        )
+        seq = VectorSequenceSpec(_sequence_specs("sequence", fields["sequence"]))
         m = _integer("field 'm'", fields.get("m", seq.m))
         if m != seq.m:
             raise ConfigError(f"field 'm' = {m} disagrees with {seq.m} sequence components")
@@ -258,19 +259,19 @@ def build_config(raw: dict) -> ScenarioConfig:
         # refuse an oversized pool before the grid or any member is allocated
         _check_pool_budget(horizon, m, math.prod(resolution))
         grid = build_uniform_grid(graw["box"], graw["resolution"])
-        limit_specs = [SequenceSpec.from_config(c) for c in fields["limit"]]
+        limit_specs = _sequence_specs("limit", fields["limit"])
         if len(limit_specs) != m:
             raise ConfigError("field 'limit' must have one spec per component")
         limit = generate_vector(VectorSequenceSpec(limit_specs), 1, grid)
-        region = _build_region(_given(fields.get("region")), grid)
-        mode = str(fields.get("extraction", "none")).lower()
+        region = _build_region(_given("field 'region'", fields.get("region")), grid)
+        mode = _text("field 'extraction'", fields.get("extraction", "none")).lower()
         if mode not in ("p>1", "p=1", "none"):
             raise ConfigError(f"field 'extraction': unknown mode {mode!r}")
         if mode == "p>1":
             _require_p_above_one(p, "extraction mode 'p>1'")
         if mode == "p=1" and p != 1.0:
             raise ConfigError(f"extraction mode 'p=1' needs p = 1, got p={fields['p']}")
-        fraw = _given(fields.get("f"))
+        fraw = _given("field 'f'", fields.get("f"))
         f = ConvexFunctionSpec.from_config(fraw) if fraw else None
         K = ConvexSetSpec.from_config(fraw.get("K", {"kind": "whole_space"})) if fraw else None
         if f is not None:
@@ -279,37 +280,22 @@ def build_config(raw: dict) -> ScenarioConfig:
         if r_schedule is not None:
             if p != INFINITY:
                 raise ConfigError("field 'R_schedule' applies to sup-norm scenarios only")
-            r_schedule = _check_r_schedule(r_schedule)
+            r_schedule = _check_r_schedule(_items("field 'R_schedule'", r_schedule))
         _check_region_nodes(region, r_schedule[0] if r_schedule else None)
         levels = _check_levels(fields.get("levels", 4))
-        expect = _given(fields.get("expect"))
+        expect = _given("field 'expect'", fields.get("expect"))
         _check_expect(expect)
-        output_dir = str(fields.get("output_dir", "."))
+        output_dir = _text("field 'output_dir'", fields.get("output_dir", "."))
         # surface generation refusals as configuration errors up front
         _check_members(seq, grid, horizon)
     except KeyError as err:
         raise ConfigError(f"missing config field {err.args[0]!r}") from None
-    except AttributeError as err:  # a string or number where an object belongs
-        raise ConfigError(f"invalid config value: expected an object: {err}") from err
-    except (TypeError, ValueError, InvalidArgumentError) as err:
+    except InvalidArgumentError as err:
         raise ConfigError(f"invalid config value: {err}") from err
     return ScenarioConfig(
-        name=name,
-        raw=raw,
-        grid=grid,
-        p=p,
-        m=m,
-        sequence=seq,
-        limit=limit,
-        region=region,
-        horizon=horizon,
-        extraction_mode=mode,
-        f=f,
-        K=K,
-        r_schedule=r_schedule,
-        levels=levels,
-        expect=expect,
-        output_dir=output_dir,
+        name=name, raw=raw, grid=grid, p=p, m=m, sequence=seq, limit=limit, region=region,
+        horizon=horizon, extraction_mode=mode, f=f, K=K, r_schedule=r_schedule, levels=levels,
+        expect=expect, output_dir=output_dir,
     )
 
 

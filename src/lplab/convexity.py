@@ -54,12 +54,12 @@ from .grid import (
     _finite,
     _finite_array,
     _flag,
-    _given,
     _lo_hi_pairs,
     _positive,
     _require_shared_grid,
     _rounding_budget,
     _slack,
+    _spec,
     _unit_scaled,
     _weighted_sum,
     truncate_region,
@@ -156,9 +156,9 @@ class ConvexFunctionSpec:
 
     @classmethod
     def from_config(cls, raw: dict) -> "ConvexFunctionSpec":
-        raw, params = _given(raw), _given(raw.get("params"))
+        kind, raw, params = _spec("convex function f", raw)
         return cls(
-            kind=str(raw["kind"]).lower(),
+            kind=kind,
             power=params.get("power", 2.0),
             planes=params.get("planes"),
             nonnegative=raw.get("nonnegative", True),
@@ -261,9 +261,9 @@ class ConvexSetSpec:
 
     @classmethod
     def from_config(cls, raw: dict) -> "ConvexSetSpec":
-        raw, params = _given(raw), _given(raw.get("params"))
+        kind, raw, params = _spec("convex set K", raw)
         return cls(
-            kind=str(raw["kind"]).lower(),
+            kind=kind,
             radius=params.get("radius", 1.0),
             closed=raw.get("closed", True),
             **{name: params[name] for name in ("bounds", "center", "halfspaces") if name in params},

@@ -36,11 +36,13 @@ from .grid import (
     QuadratureGrid,
     ScalarField,
     VectorField,
+    _finite_array,
     _given,
     _integer,
     _number,
     _require_finite,
     _rounding_budget,
+    _spec,
     _weighted_sum,
 )
 from .norms import INFINITY, _check_exponent
@@ -110,18 +112,27 @@ class SequenceSpec:
 
     @classmethod
     def from_config(cls, raw: dict) -> "SequenceSpec":
-        raw = _given(raw)
-        params = _given(raw.get("params"))
+        kind, raw, params = _spec("sequence spec", raw)
         table = params.get("table")
         if table is not None:
-            table = {int(k): np.asarray(v, dtype=float) for k, v in table.items()}
+            entries = _given("custom table", table).items()
+            table = {_table_key(k): _finite_array(f"custom table entry {k}", v) for k, v in entries}
         return cls(
-            kind=str(raw["kind"]).lower(),
+            kind=kind,
             amplitude=raw.get("amplitude", 1.0),
             base=params.get("base", 1.0),
             value=params.get("value", 0.0),
             table=table,
         )
+
+
+def _table_key(key) -> int:
+    """The member index a custom-table key names: an int, or a string of its decimal digits.
+
+    Every JSON key is a string; no other string reads as a number.
+    """
+    index = int(key) if isinstance(key, str) and key.isdecimal() else key
+    return _integer("custom table key", index, 1)
 
 
 @dataclass

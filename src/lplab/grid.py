@@ -128,9 +128,41 @@ def _strictly_increasing(nodes: np.ndarray) -> bool:
     return bool(increasing.all())
 
 
-def _given(raw) -> dict:
-    """The entries of a configuration object that are not null: a null reads as missing."""
-    return {name: value for name, value in (raw or {}).items() if value is not None}
+def _json(what: str, raw, kind, name: str):
+    """raw if it is a kind, the Python type(s) of the JSON kind name, or refused naming what.
+
+    No value is read as one of another kind: a number is not the text of
+    its digits, nor a string a flag.
+    """
+    if not isinstance(raw, kind):
+        raise InvalidArgumentError(f"{what} must be {name}, got {raw!r}")
+    return raw
+
+
+def _given(what: str, raw) -> dict:
+    """The entries of the configuration object raw that are not null, or raw refused naming what.
+
+    A null reads as missing: a null object as an empty one, a null entry as no entry.
+    """
+    given = _json(what, {} if raw is None else raw, dict, "an object")
+    return {name: value for name, value in given.items() if value is not None}
+
+
+def _spec(what: str, raw) -> tuple[str, dict, dict]:
+    """A configured spec's kind, lower-cased, its object and its params object, read by name."""
+    raw = _given(what, raw)
+    params = _given(f"{what} params", raw.get("params"))
+    return _text(f"{what} kind", raw["kind"]).lower(), raw, params
+
+
+def _text(what: str, raw) -> str:
+    """raw, a configuration string, or refused naming what."""
+    return _json(what, raw, str, "a string")
+
+
+def _items(what: str, raw) -> list:
+    """raw, a configuration array, or refused naming what."""
+    return _json(what, raw, (list, tuple), "an array")
 
 
 def _is_number(x) -> bool:
@@ -156,9 +188,7 @@ def _number(what: str, value) -> float:
 
 def _flag(what: str, value) -> bool:
     """value as a flag: only true or false is one, not a string or number that reads as one."""
-    if not isinstance(value, bool):
-        raise InvalidArgumentError(f"{what} must be true or false, got {value!r}")
-    return value
+    return _json(what, value, bool, "true or false")
 
 
 def _integer(what: str, value, least: int | None = None) -> int:
@@ -187,7 +217,7 @@ def _finite(what: str, value) -> float:
 def _finite_array(what: str, raw) -> np.ndarray:
     """raw, a number or nested sequences of them, as a float array of its entries, each _finite."""
     entries = np.array(raw, dtype=object)
-    return np.array([_finite(what, x) for x in entries.flat]).reshape(entries.shape)
+    return np.array([_finite(what, x) for x in entries.ravel()]).reshape(entries.shape)
 
 
 def _positive(what: str, value) -> float:

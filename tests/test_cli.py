@@ -107,6 +107,7 @@ def test_config_digest_is_stable():
                "K": {"kind": "ball", "params": {"center": [0.0, 0.0]}}}},
         # values a phase would refuse only after the probe ran
         {"name": "a/b"},  # the outputs could not be written
+        {"name": ""},  # the outputs would be the hidden files .probe.csv and .manifest.json
         {"levels": 0},
         {"p": float("nan"), "extraction": "none"},
         {"p": "infinity", "extraction": "none", "R_schedule": [2.0, 1.0]},
@@ -445,6 +446,81 @@ def test_cli_run_bad_expect_exits_2_before_any_phase(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _custom_sequence(table):
+    return {"horizon": 8, "sequence": [{"kind": "custom", "params": {"table": table}}]}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        # a non-object where an object belongs
+        ({"grid": "box"}, "field 'grid' must be an object, got 'box'"),
+        ({"region": "full"}, "field 'region' must be an object, got 'full'"),
+        ({"f": "squared_norm"}, "field 'f' must be an object, got 'squared_norm'"),
+        ({"f": {"kind": "squared_norm", "K": "whole_space"}},
+         "convex set K must be an object, got 'whole_space'"),
+        ({"expect": "converging"}, "field 'expect' must be an object, got 'converging'"),
+        ({"sequence": [{"kind": "oscillatory", "params": "base"}]},
+         "sequence spec params must be an object, got 'base'"),
+        ({"f": {"kind": "power", "params": "power"}},
+         "convex function f params must be an object, got 'power'"),
+        ({"f": {"kind": "squared_norm", "K": {"kind": "ball", "params": [1]}}},
+         "convex set K params must be an object, got [1]"),
+        ({"sequence": [5]}, "sequence spec must be an object, got 5"),
+        # a non-array where an array belongs
+        ({"sequence": 5}, "field 'sequence' must be an array, got 5"),
+        ({"sequence": {"kind": "oscillatory"}},
+         "field 'sequence' must be an array, got {'kind': 'oscillatory'}"),
+        ({"limit": 5}, "field 'limit' must be an array, got 5"),
+        ({"p": "infinity", "extraction": "none", "R_schedule": 3.0},
+         "field 'R_schedule' must be an array, got 3.0"),
+        # custom tables that are not an object of index keys and number entries
+        (_custom_sequence([1]), "custom table must be an object, got [1]"),
+        (_custom_sequence({"x": [1.0] * 512}), "custom table key must be an integer, got 'x'"),
+        (_custom_sequence({"0": [1.0] * 512}), "custom table key must be >= 1, got 0"),
+        (_custom_sequence({"1": ["a"]}), "custom table entry 1 must be a number, got 'a'"),
+        (_custom_sequence({"1": [[1.0], [1.0, 2.0]]}),
+         "custom table entry 1 must be a number, got [1.0]"),
+        # a non-string where a string belongs: str() once read each of these as text
+        ({"name": 5}, "field 'name' must be a string, got 5"),
+        ({"name": [1]}, "field 'name' must be a string, got [1]"),
+        ({"name": True}, "field 'name' must be a string, got True"),
+        ({"output_dir": 5}, "field 'output_dir' must be a string, got 5"),
+        ({"extraction": 1}, "field 'extraction' must be a string, got 1"),
+        ({"region": {"type": True}}, "field 'region.type' must be a string, got True"),
+        ({"sequence": [{"kind": 3}]}, "sequence spec kind must be a string, got 3"),
+        ({"f": {"kind": ["power"]}}, "convex function f kind must be a string, got ['power']"),
+        # an expect window is one (lo, hi) pair, quoted as given
+        ({"expect": {"cesaro_slope": 5}},
+         "field 'expect.cesaro_slope' must be one (lo, hi) pair with lo <= hi, got 5"),
+        ({"expect": {"tail_inf_range": [[0.0, 1.0]]}},
+         "field 'expect.tail_inf_range' must be one (lo, hi) pair with lo <= hi, got [[0.0, 1.0]]"),
+    ],
+)
+def test_a_config_value_of_the_wrong_kind_or_shape_is_refused_by_name_and_writes_nothing(
+    tmp_path, monkeypatch, capsys, overrides, message
+):
+    monkeypatch.chdir(tmp_path)  # a configured output_dir is relative to here
+    (tmp_path / "bad.json").write_text(json.dumps(_base_config(**overrides)))
+    assert main(["run", "--config", "bad.json"]) == 2
+    assert capsys.readouterr().err.endswith(f"{message}\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["bad.json"]
+
+
+def test_a_fault_in_a_config_reader_exits_3_not_2(tmp_path, monkeypatch, capsys):
+    # build_config turns only a missing field and a library refusal into exit 2,
+    # so a fault of the program in a reader is not reported as a bad configuration.
+    def broken_reader(*args):
+        raise TypeError("broken reader")
+
+    monkeypatch.setattr(cli, "_given", broken_reader)
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps(_base_config()))
+    assert main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "internal error: TypeError: broken reader\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_field():
     raw = _base_config()
     del raw["horizon"]
@@ -469,6 +545,10 @@ def test_cli_invalid_config_exits_2(tmp_path, capsys):
     path.write_text('{"name": "unit",\n "p": 2.0,,\n}')
     assert main(["extract", "--config", str(path)]) == 2
     assert "bad.json line 2: Expecting property name" in capsys.readouterr().err
+    # and a file whose JSON is not an object, by name
+    path.write_text("[1]")
+    assert main(["extract", "--config", str(path)]) == 2
+    assert "the config must be an object, got [1]" in capsys.readouterr().err
 
 
 def test_cli_verify_lemma1_smoke(capsys):
@@ -630,19 +710,6 @@ def test_cli_run_manifest_names_its_environment(tmp_path):
     }
     assert environment["cpus"] >= 1
     assert cli._environment() is cli._environment()  # read once per process
-
-
-def test_the_manifest_names_no_blas_where_numpy_cannot_report_its_configuration(monkeypatch):
-    # numpy before 1.25 has no show_config(mode=...), which then raises TypeError.
-    def old_show_config(*args, **kwargs):
-        raise TypeError("show_config() got an unexpected keyword argument 'mode'")
-
-    monkeypatch.setattr(np, "show_config", old_show_config)
-    cli._environment.cache_clear()
-    try:
-        assert cli._environment()["blas"] == {"name": None, "version": None}
-    finally:
-        cli._environment.cache_clear()
 
 
 def test_the_console_entry_points_exit_with_mains_code(monkeypatch, capsys):

@@ -427,6 +427,18 @@ def test_every_library_reader_refuses_what_is_not_a_number_by_name(call, message
         call()
 
 
+def test_an_array_nested_deeper_than_numpy_builds_is_refused_by_name():
+    # numpy builds at most 64 dimensions (32 before numpy 2) and leaves the
+    # deeper lists as entries; its flat iterator, once used here, stops at 32
+    # dimensions and raised RuntimeError, which exited 3 from a configuration.
+    centre = 0.5
+    for _ in range(70):
+        centre = [centre]
+    message = r"^ball center must be a number, got \[+0\.5\]+$"
+    with pytest.raises(InvalidArgumentError, match=message):
+        ConvexSetSpec("ball", center=centre)
+
+
 def test_a_numpy_scalar_parameter_gives_the_float64_result():
     grid = build_uniform_grid([[0.0, 1.0]], np.float32(16.0))
     assert grid.resolution == (16,) and type(grid.resolution[0]) is int

@@ -259,7 +259,8 @@ _VALID_SCENARIO = {
     "expect": {"probe_verdict": "inconclusive"},
 }
 _FIELD_VALUES = {
-    "name": ["other", "", 5, None, "a/b"],
+    "name": ["other", "", 5, None, "a/b", [1], True],
+    "output_dir": ["elsewhere", 5],
     "grid": [
         {"dimension": 2, "box": [[0.0, 1.0], [0.0, 1.0]], "resolution": [16, 8]},
         {"box": [[0.0, 1.0]], "resolution": 32},
@@ -292,6 +293,14 @@ _FIELD_VALUES = {
         [{"kind": "nope"}],
         [{}],
         [],
+        5,
+        {"kind": "oscillatory"},
+        [5],
+        [{"kind": "oscillatory", "params": "x"}],
+        [{"kind": 3}],
+        [{"kind": "custom", "params": {"table": {"1": ["a"]}}}],
+        [{"kind": "custom", "params": {"table": {"x": [1.0]}}}],
+        [{"kind": "custom", "params": {"table": {"1": [[1.0], [1.0, 2.0]]}}}],
     ],
     "limit": [
         [{"kind": "constant", "params": {"value": 0.3}}],
@@ -299,6 +308,8 @@ _FIELD_VALUES = {
         [{"kind": "constant"}, {"kind": "constant"}],
         [{"kind": "constant", "params": {"value": float("inf")}}],
         [],
+        5,
+        [5],
     ],
     "region": [
         {"type": "ball", "radius": 0.5},
@@ -309,6 +320,8 @@ _FIELD_VALUES = {
         {"type": "box", "bounds": [[0.0, 1.0], [0.0, 1.0]]},
         {"type": "box", "bounds": [["0", "0.5"]]},
         {"type": "weird"},
+        "full",
+        {"type": 3},
     ],
     "horizon": [16, 7, 0, -3, "8", 8.5, 10 ** 9, float("nan")],
     "extraction": ["p=1", "none", "x", 1],
@@ -329,6 +342,11 @@ _FIELD_VALUES = {
         {"kind": "bogus"},
         {},
         None,
+        "squared_norm",
+        {"kind": 3},
+        {"kind": "squared_norm", "params": "x"},
+        {"kind": "squared_norm", "K": "whole_space"},
+        {"kind": "squared_norm", "K": {"kind": "ball", "params": [1]}},
     ],
     "R_schedule": [[0.5, 2.0], [1.0], [], [2.0, 1.0], [-1.0], [float("nan")],
                    [float("inf")], "x", 3.0],
@@ -340,6 +358,7 @@ _FIELD_VALUES = {
         {"cesaro_drop": 0.5},
         {"probe_verdict": 3},
         "x",
+        {"cesaro_slope": 5},
     ],
 }
 _mutations = st.lists(
@@ -359,6 +378,12 @@ _mutations = st.lists(
 @example([("f", _FIELD_VALUES["f"][3])])  # a bool normal
 @example([("f", _FIELD_VALUES["f"][8])])  # a ball centre beyond the float range
 @example([("f", _FIELD_VALUES["f"][9])])  # a halfspace offset beyond the float range
+# Without a reader that refuses them by name, a non-object, a non-array and a string
+# sample exit 3 once build_config has no catch-all, and a non-string name ran as its text.
+@example([("region", "full")])  # a non-object where an object belongs
+@example([("sequence", 5)])  # a non-array where an array belongs
+@example([("name", [1])])  # a non-string name, which wrote [1].manifest.json
+@example([("sequence", [{"kind": "custom", "params": {"table": {"1": ["a"]}}}])])  # a string sample
 def test_config_fuzz_exits_with_a_documented_code(mutations):
     raw = copy.deepcopy(_VALID_SCENARIO)
     for key, value in mutations:
