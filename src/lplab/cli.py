@@ -236,6 +236,8 @@ def load_config(path) -> ScenarioConfig:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config {path} line {err.lineno}: {err.msg}") from err
+    except (ValueError, RecursionError) as err:  # not UTF-8, too long an integer, too deep
+        raise ConfigError(f"config {path}: {err}") from err
     return build_config(raw)
 
 
@@ -404,80 +406,62 @@ def _liminf_phase(cfg: ScenarioConfig):
     return report, ok, detail
 
 
-def _run_phase(manifest: RunManifest, name: str, phase, *args):
-    """Time ``phase(*args) -> (result, ok, detail)``, record pass or fail, return the result.
-
-    A ``LabError`` it raises is recorded as ``error`` with its message, and None returned.
-    """
-    start = time.perf_counter()
-    try:
-        result, ok, detail = phase(*args)
-    except LabError as err:
-        manifest.add_phase(name, "error", time.perf_counter() - start, str(err))
-        return None
-    manifest.add_phase(name, "pass" if ok else "fail", time.perf_counter() - start, detail)
-    return result
-
-
-def _write_output(manifest: RunManifest, path: Path, header, rows) -> None:
-    _write_csv(path, header, rows)
-    manifest.outputs.append(str(path))
-
-
 @_shared_pools()
 def run_scenario(cfg: ScenarioConfig, output_dir=None, phases=("probe", "extract", "liminf")) -> RunManifest:
     """Execute the configured phases in order, writing CSV reports and the manifest.
 
-    Later phases that depend on a failed hypothesis are skipped and marked.
-    The phases share one member pool, built by the first phase that needs it
-    and dropped when the run returns.
+    Extraction is skipped after a probe that reads not-converging, and the
+    growth bound and the Cesaro phase when there is no trace.  The phases
+    share one member pool, built by the first phase that needs it and
+    dropped when the run returns.
     """
     out = Path(output_dir if output_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(cfg.name, cfg.digest, __version__)
 
-    probe_report = None
-    if "probe" in phases:
-        probe_report = _run_phase(manifest, "probe", _probe_phase, cfg)
-        if probe_report is not None:
-            _write_output(
-                manifest, out / f"{cfg.name}.probe.csv",
-                ("index", "residual", "verdict"), probe_report.rows(),
-            )
+    def run(name, phase, *args, skip=None):
+        """Record name as skipped for the reason skip, or time phase(*args) -> (result, ok, detail).
+
+        A timed phase is recorded as pass or fail, or as error with the
+        message of a LabError it raises.  Returns the result, or None.
+        """
+        result, status, detail, seconds = None, "skipped", skip, 0.0
+        if skip is None:
+            start = time.perf_counter()
+            try:
+                result, ok, detail = phase(*args)
+                status = "pass" if ok else "fail"
+            except LabError as err:
+                status, detail = "error", str(err)
+            seconds = time.perf_counter() - start
+        manifest.add_phase(name, status, seconds, detail)
+        return result
+
+    def write(kind, header, result, *row_args):
+        """Write result.rows(*row_args) to <name>.<kind>.csv and list it; nothing for None."""
+        if result is not None:
+            path = out / f"{cfg.name}.{kind}.csv"
+            _write_csv(path, header, result.rows(*row_args))
+            manifest.outputs.append(str(path))
+
+    probe = run("probe", _probe_phase, cfg) if "probe" in phases else None
+    write("probe", ("index", "residual", "verdict"), probe)
 
     if "extract" in phases and cfg.extraction_mode != "none":
-        trace = None
-        if probe_report is not None and probe_report.verdict == NOT_CONVERGING:
-            manifest.add_phase(
-                "extraction", "skipped", 0.0, "weak-convergence hypothesis refuted by the probe"
-            )
-        else:
-            trace = _run_phase(manifest, "extraction", _extract_phase, cfg)
-
-        bound_margins = None
+        refuted = probe is not None and probe.verdict == NOT_CONVERGING
+        trace = run("extraction", _extract_phase, cfg,
+                    skip="weak-convergence hypothesis refuted by the probe" if refuted else None)
+        no_trace = "no trace" if trace is None else None
+        margins = None
         if cfg.extraction_mode == "p>1":
-            if trace is None:
-                manifest.add_phase("growth_bound", "skipped", 0.0, "no trace")
-            else:
-                bound_margins = _run_phase(manifest, "growth_bound", _growth_phase, cfg, trace)
-
-        if trace is None:
-            manifest.add_phase("cesaro", "skipped", 0.0, "no trace")
-        else:
-            _run_phase(manifest, "cesaro", _cesaro_phase, cfg, trace)
-            _write_output(
-                manifest, out / f"{cfg.name}.trace.csv",
-                ("k", "selected_index", "max_pairing", "partial_norm_p", "cesaro_norm", "bound_margin"),
-                trace.rows(bound_margins),
-            )
+            margins = run("growth_bound", _growth_phase, cfg, trace, skip=no_trace)
+        run("cesaro", _cesaro_phase, cfg, trace, skip=no_trace)
+        write("trace", ("k", "selected_index", "max_pairing", "partial_norm_p", "cesaro_norm",
+                        "bound_margin"), trace, margins)
 
     if "liminf" in phases and cfg.f is not None:
-        report = _run_phase(manifest, "liminf", _liminf_phase, cfg)
-        if report is not None:
-            _write_output(
-                manifest, out / f"{cfg.name}.liminf.csv",
-                ("i", "alpha_i", "tail_inf", "limit_integral", "margin"), report.rows(),
-            )
+        write("liminf", ("i", "alpha_i", "tail_inf", "limit_integral", "margin"),
+              run("liminf", _liminf_phase, cfg))
 
     manifest_path = out / f"{cfg.name}.manifest.json"
     manifest_path.write_text(json.dumps(manifest.to_dict(), indent=2) + "\n")

@@ -815,8 +815,11 @@ def _szlenk_select(
     """
     walk = _CesaroWalk(pool, w, 1.0, centre, nodes, pairings)
     unit = walk.sup / walk.factor
+    # Level l keeps at most horizon members, so level horizon + 1 stalls and no
+    # level after it is scanned; levels 1..l do not depend on the levels after l.
+    scanned = min(levels, walk.horizon + 1)
     # [first level, last level, kept members, their sum] per band, in level order.
-    bands, ahead, heads = [[1, levels, [], walk.s]], np.zeros_like(walk.s), {}
+    bands, ahead, heads = [[1, scanned, [], walk.s]], np.zeros_like(walk.s), {}
     for idx in range(1, walk.horizon + 1):
         u = walk.member(idx)
         for b, band in enumerate(bands):

@@ -1,12 +1,15 @@
 import argparse
 import json
+import os
 import platform
 import re
 import runpy
+import subprocess
 import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -549,6 +552,19 @@ def test_cli_invalid_config_exits_2(tmp_path, capsys):
     path.write_text("[1]")
     assert main(["extract", "--config", str(path)]) == 2
     assert "the config must be an object, got [1]" in capsys.readouterr().err
+    # json.loads raises a plain ValueError or RecursionError for these, not a
+    # JSONDecodeError: an integer over Python's 4300-digit limit, bytes that
+    # are not UTF-8, and arrays nested deeper than the recursion limit
+    for text, message in [
+        (json.dumps(_base_config()).replace('"horizon": 32', '"horizon": ' + "9" * 5001).encode(),
+         "Exceeds the limit (4300 digits)"),
+        (b"\xff{", "'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 200000, "maximum recursion depth exceeded"),
+    ]:
+        path.write_bytes(text)
+        assert main(["extract", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {path}: ") and message in err
 
 
 def test_cli_verify_lemma1_smoke(capsys):
@@ -886,6 +902,77 @@ def test_a_probe_that_refutes_weak_convergence_skips_the_extraction(tmp_path):
         ("cesaro", "skipped", "no trace"),
     ]
     assert manifest.passed
+
+
+def _stalling_p1_config(levels):
+    """A p = 1 run at the given level count on an 8-member Rademacher pool."""
+    return _base_config(
+        p=1.0, sequence=[{"kind": "rademacher"}], horizon=8, extraction="p=1", levels=levels,
+        expect={"probe_verdict": "inconclusive"},
+    )
+
+
+_STALL = "level 9 kept only 8 members within the pool of 8; cannot host the diagonal"
+
+
+def test_a_p1_level_stall_fails_the_extraction_and_skips_the_cesaro_phase(tmp_path, capsys):
+    # Level l keeps at most the horizon's 8 members, so level 9 stalls and
+    # leaves no trace to read.
+    raw = _stalling_p1_config(9)
+    manifest = cli.run_scenario(build_config(raw), output_dir=tmp_path / "lib")
+    assert [(p["name"], p["status"]) for p in manifest.phases[:1]] == [("probe", "pass")]
+    assert [(p["name"], p["status"], p["detail"]) for p in manifest.phases[1:]] == [
+        ("extraction", "fail", _STALL),
+        ("cesaro", "skipped", "no trace"),
+    ]
+    assert [Path(o).name for o in manifest.outputs] == ["unit.probe.csv", "unit.manifest.json"]
+    path = tmp_path / "stall.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path), "--output-dir", str(tmp_path / "cli")]) == 1
+    out = capsys.readouterr().out
+    assert f"unit: extraction: fail ({_STALL})\nunit: cesaro: skipped (no trace)\n" in out
+    assert sorted(f.name for f in (tmp_path / "cli").iterdir()) == [
+        "unit.manifest.json", "unit.probe.csv",
+    ]
+
+
+# The library and the CLI at levels 9 and 10**400, in a child, so that a scan
+# over every level fails on the timeout instead of hanging the tests.
+_FAR_LEVELS_RUN = """
+import json, sys, time
+from lplab import LevelStalledError, SequenceSpec, VectorSequenceSpec, build_uniform_grid
+from lplab import szlenk_extract
+from lplab.cli import main
+grid = build_uniform_grid([[0.0, 1.0]], 512)
+seq = VectorSequenceSpec([SequenceSpec(kind="rademacher")])
+for levels, config in zip((9, 10**400), sys.argv[1:3]):
+    start = time.perf_counter()
+    try:
+        szlenk_extract(seq, grid, levels, 8)
+    except LevelStalledError as err:
+        print(json.dumps([time.perf_counter() - start, err.level, err.completed, str(err)]))
+    main(["extract", "--config", config, "--output-dir", sys.argv[3]])
+"""
+
+
+def test_a_level_count_far_above_the_horizon_stalls_at_once_as_at_horizon_plus_one(tmp_path):
+    # Level horizon + 1 always stalls, so the scan stops there: levels = 10**400
+    # ends as levels = 9 does, with the same completed levels and the same detail.
+    configs = [tmp_path / "near.json", tmp_path / "far.json"]
+    for path, levels in zip(configs, (9, 10**400)):
+        path.write_text(json.dumps(_stalling_p1_config(levels)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    done = subprocess.run(
+        [sys.executable, "-c", _FAR_LEVELS_RUN, *map(str, configs), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    lines = done.stdout.splitlines()
+    near, far = json.loads(lines[0]), json.loads(lines[4])
+    assert near[1:] == far[1:] and near[1] == 9 and near[3] == _STALL
+    assert far[0] < 1.0
+    assert lines[1:4] == lines[5:8] and lines[2] == f"unit: extraction: fail ({_STALL})"
 
 
 def test_cli_phase_library_error_is_recorded_and_exits_2(tmp_path, monkeypatch, capsys):

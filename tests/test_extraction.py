@@ -780,13 +780,15 @@ _ORACLE_CASES = dict(
     levels=st.integers(1, 6),
 )
 # Each reaches a path of the scan: a level that keeps every member, a level that
-# rejects after reusing a prefix, and a stall.  The last four end the diagonal's
+# rejects after reusing a prefix, a stall, and a level count above the horizon
+# plus one, whose scan stops at that level.  The last four end the diagonal's
 # share of level 1's list at pick 1, at pick 2, mid-list, and at the diagonal's
 # own end, short of level 1's.
 _ORACLE_EXAMPLES = [
     ("signs", 1, 40, 64, 0, False, 4),
     ("gaussian", 2, 30, 32, 1, True, 3),
     ("spikes", 3, 40, 16, 2, False, 6),
+    ("gaussian", 2, 3, 16, 5, True, 6),
     ("spikes", 1, 8, 8, 0, False, 6),
     ("gaussian", 3, 30, 32, 3, True, 6),
     ("gaussian", 1, 40, 32, 3, True, 2),

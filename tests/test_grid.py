@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from lplab import (
     integrate,
     truncate_region,
 )
-from lplab.grid import _euclidean_norms, _rounding_budget, _slack
+from lplab import grid as grid_module
+from lplab.grid import _euclidean_norms, _finite, _finite_array, _rounding_budget, _slack
 
 
 def test_unit_interval_midpoints():
@@ -437,6 +439,63 @@ def test_an_array_nested_deeper_than_numpy_builds_is_refused_by_name():
     message = r"^ball center must be a number, got \[+0\.5\]+$"
     with pytest.raises(InvalidArgumentError, match=message):
         ConvexSetSpec("ball", center=centre)
+
+
+def _nested(value, depth):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def _finite_array_per_entry(what, raw):
+    """The per-entry rule: every entry of the object array read by _finite, in ravel order."""
+    entries = np.array(raw, dtype=object)
+    return np.array([_finite(what, x) for x in entries.ravel()]).reshape(entries.shape)
+
+
+_ENTRIES = {
+    "floats-and-ints": [[0.1, -1.25], [3, 2**60 + 1]],
+    "a-number": 7,
+    "numpy-scalars": [np.float32(0.1), np.int64(-3), np.float64(2.5), np.float16(1e-3)],
+    "a-fraction": [Fraction(1, 3), 2],
+    "the-largest-ints": [2**1024 - 2**970 - 1, -(2**1024 - 2**970 - 1)],  # round to the max float
+    "an-array": np.array([[1.5, -0.0], [5e-324, 1e308]]),
+    "empty": [],
+    "nested-33-deep": _nested(0.5, 33),
+    "nested-70-deep": _nested(0.5, 70),
+    "a-bool": [1.0, True],
+    "a-numpy-bool": [np.True_],
+    "a-string": [1.0, "2"],
+    "a-list": [[1.0, 2.0], [3.0]],
+    "none": [1.0, None],
+    "nan": [1.0, float("nan")],
+    "inf": [float("inf")],
+    "numpy-nan": [np.float32("nan")],
+    "an-int-beyond-the-float-range": [1.0, 2**1024 - 2**970],  # rounds to 2**1024
+    "a-negative-int-beyond": [-(10**400)],
+    "a-bool-before-an-int-beyond": [True, 10**400],
+    "an-int-beyond-before-a-string": [10**400, "a"],
+    "nan-before-a-string": [float("nan"), "a"],
+    "a-string-before-nan": ["a", float("nan")],
+}
+
+
+@pytest.mark.parametrize("raw", list(_ENTRIES.values()), ids=list(_ENTRIES))
+def test_finite_array_reads_as_the_per_entry_rule_and_calls_it_only_to_refuse(raw, monkeypatch):
+    # One conversion reads the entries; _finite runs only on the first bad
+    # entry, to name it, and the bits and the refusal stay those of the rule.
+    def outcome(read):
+        try:
+            values = read("entry", raw)
+        except InvalidArgumentError as err:
+            return "refused", str(err)
+        return values.dtype.str, values.shape, values.tobytes()
+
+    expected = outcome(_finite_array_per_entry)
+    calls = []
+    monkeypatch.setattr(grid_module, "_finite", lambda *args: calls.append(args) or _finite(*args))
+    assert outcome(_finite_array) == expected
+    assert len(calls) == (expected[0] == "refused")
 
 
 def test_a_numpy_scalar_parameter_gives_the_float64_result():
