@@ -231,7 +231,7 @@ def load_config(path) -> ScenarioConfig:
     """Parse and validate a scenario JSON file."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except json.JSONDecodeError as err:

@@ -217,23 +217,21 @@ def _finite(what: str, value) -> float:
 def _finite_array(what: str, raw) -> np.ndarray:
     """raw, a number or nested sequences of them, as a float array of its entries, each _finite.
 
-    The entries before the first one of a type that _is_number refuses are
-    converted in one pass; _finite then names the first entry, in ravel
-    order, that is not a number or not finite.
+    Entries all of number types are converted in one numpy pass.  On another
+    type, an overflow or a value that is not finite, every entry is read by
+    _finite in ravel order, which names the first bad one.
     """
     entries = np.array(raw, dtype=object)
     flat = entries.ravel()
-    kinds = list(map(type, flat))
-    firsts = [kinds.index(kind) for kind in set(kinds)]  # the first entry of each type
-    end = min((i for i in firsts if not _is_number(flat[i])), default=flat.size)
-    try:
-        values = flat[:end].astype(float)
-    except OverflowError:  # an int beyond the float range reads as an infinity (_number)
-        values = np.array([_number(what, x) for x in flat[:end]])
-    nonfinite = np.flatnonzero(~np.isfinite(values))
-    bad = nonfinite[0] if nonfinite.size else end
-    if bad < flat.size:
-        _finite(what, flat[bad])
+    values = None
+    if all(map(_is_number, dict(zip(map(type, flat), flat)).values())):  # one entry per type
+        try:
+            with np.errstate(over="ignore"):  # a longdouble beyond the float range reads as inf
+                values = flat.astype(float)
+        except OverflowError:  # an int beyond the float range
+            pass
+    if values is None or not np.isfinite(values).all():
+        values = np.array([_finite(what, x) for x in flat])  # refuses the first bad entry
     return values.reshape(entries.shape)
 
 

@@ -473,6 +473,7 @@ _ENTRIES = {
     "numpy-nan": [np.float32("nan")],
     "an-int-beyond-the-float-range": [1.0, 2**1024 - 2**970],  # rounds to 2**1024
     "a-negative-int-beyond": [-(10**400)],
+    "a-longdouble-beyond-the-float-range": [np.longdouble(2.0) ** 1100],
     "a-bool-before-an-int-beyond": [True, 10**400],
     "an-int-beyond-before-a-string": [10**400, "a"],
     "nan-before-a-string": [float("nan"), "a"],
@@ -482,8 +483,8 @@ _ENTRIES = {
 
 @pytest.mark.parametrize("raw", list(_ENTRIES.values()), ids=list(_ENTRIES))
 def test_finite_array_reads_as_the_per_entry_rule_and_calls_it_only_to_refuse(raw, monkeypatch):
-    # One conversion reads the entries; _finite runs only on the first bad
-    # entry, to name it, and the bits and the refusal stay those of the rule.
+    # One conversion reads valid entries without _finite; the bits and the
+    # refusal stay those of the rule.
     def outcome(read):
         try:
             values = read("entry", raw)
@@ -495,7 +496,7 @@ def test_finite_array_reads_as_the_per_entry_rule_and_calls_it_only_to_refuse(ra
     calls = []
     monkeypatch.setattr(grid_module, "_finite", lambda *args: calls.append(args) or _finite(*args))
     assert outcome(_finite_array) == expected
-    assert len(calls) == (expected[0] == "refused")
+    assert bool(calls) == (expected[0] == "refused")
 
 
 def test_a_numpy_scalar_parameter_gives_the_float64_result():
